@@ -22,7 +22,7 @@ from .errors import (AccuracyError, DomainError, MissedZerosError,
 from .kernels import CheckReport, check_identity
 from .paircorr import lemma5_check, lemma6_eval, pcf_curve
 from .primes import build_prime_table
-from .s_of_t import SEvaluator, s_exact, s_explicit
+from .s_of_t import SEvaluator, make_sinh_table, s_exact, s_explicit
 from .theorem import full_report, lemma_8_9_10_eval
 from .zeros import ZeroSet, export_zeros, find_zeros, import_zeros
 

@@ -339,9 +339,6 @@ def kpp_transform_many(y):
 # reference (quadrature) transforms
 # ----------------------------------------------------------------------
 
-_khat_cache: dict = {}
-
-
 def khat(y: float, method: str = "direct",
          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Fourier transform of k at y, by adaptive panel quadrature.
@@ -354,13 +351,10 @@ def khat(y: float, method: str = "direct",
 
     Both reduce the infinite range to [0, 1/(2 pi)] plus a closed-form sine
     integral tail, since k and k'' coincide with 1/(4u^2), 3/(2u^4) beyond
-    the breakpoint.  Results are cached on a 1e-9 grid in y.
+    the breakpoint.
     """
     if method not in ("direct", "closed"):
         raise DomainError(f"unknown khat method {method!r}")
-    key = (round(y * 1e9), method, spec.abs_tol)
-    if key in _khat_cache:
-        return _khat_cache[key]
     ya = abs(y)
     omega = 2.0 * PI * ya
     if method == "direct":
@@ -375,7 +369,6 @@ def khat(y: float, method: str = "direct",
         k2 = 2.0 * main + 3.0 * float(_tail_cos_over_u4(ya))
         val = -k2 / (2.0 * PI * ya) ** 2 \
             + (PI ** 3 / (2.0 * ya * ya)) * math.cos(ya)
-    _khat_cache[key] = val
     return val
 
 

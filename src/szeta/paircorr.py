@@ -1,15 +1,12 @@
 """Pair correlation of zero ordinates and the weighted double sums over pairs.
 
-F(alpha, T) is the normalized double sum over ordinate pairs with
-Montgomery's weight w(u) = 4/(4+u^2); curves over an alpha grid reuse one
-precomputed array of pairwise differences, advancing alpha by a complex
-rotation per step instead of re-evaluating cosines.
-
-The double sums of the explicit-formula machinery (khat over pairs, plain,
-w-weighted or complement-weighted) ride on the vectorized kernel-transform
-fast path; per-pair adaptive quadrature would be hopeless at N ~ 5e3 zeros.
-All pair iteration is chunked, so memory stays bounded at ~100 MB even at
-the 1e4-ordinate cap.
+F(alpha, T) with Montgomery's weight w(u) = 4/(4+u^2), the khat pair sums
+(plain, w- or complement-weighted) and the F-weighted kernel integrals are
+all sums of an even kernel over ordered ordinate pairs.  One engine,
+:func:`_pair_sum`, walks the pairs in bounded chunks; a caller needing
+several sums passes one kernel returning them all.  The khat kernels ride
+on the vectorized transform fast path (per-pair quadrature would be
+hopeless at N ~ 5e3), and an alpha grid advances by a complex rotation.
 """
 
 from __future__ import annotations
@@ -35,6 +32,13 @@ def pair_weight(u):
     return 4.0 / (4.0 + u * u)
 
 
+_WEIGHTS = {
+    "none": lambda u: 1.0,
+    "w": pair_weight,
+    "complement": lambda u: u * u / (4.0 + u * u),
+}
+
+
 def _diff_chunks(g: np.ndarray):
     """Yield positive pairwise differences g[j]-g[i], i<j, in bounded chunks."""
     buf = []
@@ -50,7 +54,18 @@ def _diff_chunks(g: np.ndarray):
         yield np.concatenate(buf)
 
 
+def _pair_sum(g: np.ndarray, fn):
+    """Sum of an even kernel over all ordered pairs of ``g``; ``fn`` maps
+    differences to their kernel sum (a scalar, or a vector of several)."""
+    total = len(g) * fn(np.zeros(1))
+    for d in _diff_chunks(g):
+        total += 2.0 * fn(d)
+    return total
+
+
 def _restrict(zeros: ZeroSet, T: float) -> np.ndarray:
+    if T < 20.0:
+        raise DomainError("pair correlation needs T >= 20")
     if zeros.t_max < T:
         raise DomainError("zero set does not cover T")
     g = zeros.up_to(T)
@@ -66,25 +81,13 @@ def _normalizer(T: float) -> float:
 def pcf(alpha: float, zeros: ZeroSet, T: float) -> float:
     """F(alpha, T): normalized pair sum, diagonal included (w(0)=1).
 
-    The two orientations of each pair are summed separately and their
-    imaginary parts asserted to cancel below 1e-9 before the real part is
-    returned.
+    The kernel is even in the difference, so the sum over ordered pairs is
+    real and only the cosine part is evaluated.
     """
-    if T < 20.0:
-        raise DomainError("pair correlation needs T >= 20")
     g = _restrict(zeros, T)
     a = alpha * math.log(T)
-    real = float(len(g))
-    imag_fwd = 0.0
-    imag_bwd = 0.0
-    for d in _diff_chunks(g):
-        w = pair_weight(d)
-        real += 2.0 * float(np.sum(np.cos(a * d) * w))
-        imag_fwd += float(np.sum(np.sin(a * d) * w))
-        imag_bwd += float(np.sum(np.sin(-a * d) * w))
-    imag = imag_fwd + imag_bwd
-    assert abs(imag) < 1e-9, "pair sum acquired an imaginary part"
-    return real / _normalizer(T)
+    total = _pair_sum(g, lambda d: np.sum(np.cos(a * d) * pair_weight(d)))
+    return float(total) / _normalizer(T)
 
 
 @dataclass(frozen=True)
@@ -102,29 +105,28 @@ def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
               step: float) -> PairCorrelationCurve:
     """F on the grid 0, step, ..., alpha_max.
 
-    Pairwise differences are traversed once per chunk; each alpha step
-    multiplies a running complex phase by exp(i * step * log T * d), so the
-    cost is one complex multiply per pair per grid point.
+    One pass over the pair differences sums every grid point; each alpha
+    step multiplies a running complex phase by exp(i * step * log T * d), so
+    the cost is one complex multiply per pair per grid point.
     """
     if step <= 0 or alpha_max < 1.0:
         raise DomainError("need step > 0 and alpha_max >= 1")
-    if T < 20.0:
-        raise DomainError("pair correlation needs T >= 20")
     g = _restrict(zeros, T)
     n_steps = int(round(alpha_max / step))
     grid = np.linspace(0.0, n_steps * step, n_steps + 1)
     logT = math.log(T)
-    acc = np.zeros(n_steps + 1)
-    acc += float(len(g))                      # diagonal, every alpha
-    for d in _diff_chunks(g):
-        w = pair_weight(d)
+
+    def sums(d):
         rot = np.exp(1j * step * logT * d)
-        cur = w.astype(complex)
-        acc[0] += 2.0 * float(np.sum(cur.real))
+        cur = pair_weight(d).astype(complex)
+        out = np.empty(n_steps + 1)
+        out[0] = np.sum(cur.real)
         for k in range(1, n_steps + 1):
             cur *= rot
-            acc[k] += 2.0 * float(np.sum(cur.real))
-    values = acc / _normalizer(T)
+            out[k] = np.sum(cur.real)
+        return out
+
+    values = _pair_sum(g, sums) / _normalizer(T)
     return PairCorrelationCurve(T=float(T), alpha_grid=grid, values=values,
                                 zero_count=int(len(g)))
 
@@ -171,21 +173,6 @@ def tail_integral(curve: PairCorrelationCurve, power: int, alpha_cut: float,
     return total
 
 
-def _khat_pair_sum(g: np.ndarray, logx: float, weight: str) -> float:
-    k0 = float(khat_many(np.zeros(1))[0])
-    total = len(g) * k0 if weight != "complement" else 0.0
-    for d in _diff_chunks(g):
-        kh = khat_many(d * logx)
-        if weight == "none":
-            wt = 1.0
-        elif weight == "w":
-            wt = pair_weight(d)
-        else:
-            wt = d * d / (4.0 + d * d)
-        total += 2.0 * float(np.sum(kh * wt))
-    return total
-
-
 def weighted_khat_sum(zeros: ZeroSet, x: float, weight: str = "none",
                       spec: QuadratureSpec = DEFAULT_SPEC,
                       T: float | None = None) -> float:
@@ -194,16 +181,18 @@ def weighted_khat_sum(zeros: ZeroSet, x: float, weight: str = "none",
     ``weight``: ``none`` (1), ``w`` (Montgomery weight), or ``complement``
     (u^2/(4+u^2)).  Diagonal pairs included; khat(0) carries weight w(0)=1
     for none/w and 0 for complement.  Restricted to ordinates <= T when
-    given.
+    given, which the set must cover.
     """
-    if weight not in ("none", "w", "complement"):
+    if weight not in _WEIGHTS:
         raise DomainError("weight must be none|w|complement")
     if x < 4.0:
         raise DomainError("x >= 4 required")
     if len(zeros) == 0:
         raise DomainError("empty zero set")
-    g = zeros.up_to(T) if T is not None else zeros.ordinates
-    return _khat_pair_sum(g, math.log(x), weight)
+    g = _restrict(zeros, T) if T is not None else zeros.ordinates
+    logx = math.log(x)
+    wt = _WEIGHTS[weight]
+    return float(_pair_sum(g, lambda d: np.sum(khat_many(d * logx) * wt(d))))
 
 
 def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
@@ -214,10 +203,8 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
     g = _restrict(zeros, T)
     logx = beta * math.log(T)
     fn = kpp_transform_many if deriv else khat_many
-    total = len(g) * float(fn(np.zeros(1))[0])
-    for d in _diff_chunks(g):
-        total += 2.0 * float(np.sum(fn(d * logx) * pair_weight(d)))
-    return total * 2.0 * PI * beta / _normalizer(T)
+    total = _pair_sum(g, lambda d: np.sum(fn(d * logx) * pair_weight(d)))
+    return float(total) * 2.0 * PI * beta / _normalizer(T)
 
 
 def lemma5_check(zeros: ZeroSet, T: float, beta: float,
@@ -229,17 +216,26 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
     RHS: (pi^2 T / (16 log T)) F(beta)/beta^2
          - (T / (64 pi^4 log T beta^3)) * int F(alpha) k''(alpha/2pi beta).
     Holds for any ordinate set (unconditional rearrangement), so it is
-    asserted, not just reported.
+    asserted, not just reported.  One pass over the pairs sums all three.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
     x = T ** beta
     if x <= 1.05:
         raise DomainError("T^beta too close to 1 for a meaningful log x")
-    lhs = _khat_pair_sum(_restrict(zeros, T), math.log(x), "complement")
-    f_beta = pcf(beta, zeros, T)
-    integral = f_weighted_kernel_integral(zeros, T, beta, deriv=True)
+    g = _restrict(zeros, T)
     logT = math.log(T)
+    a = beta * logT
+
+    def sums(d):
+        w = pair_weight(d)
+        return np.array([
+            np.sum(khat_many(d * math.log(x)) * _WEIGHTS["complement"](d)),
+            np.sum(np.cos(a * d) * w), np.sum(kpp_transform_many(d * a) * w)])
+
+    lhs, pairs_f, pairs_kpp = map(float, _pair_sum(g, sums))
+    f_beta = pairs_f / _normalizer(T)
+    integral = pairs_kpp * 2.0 * PI * beta / _normalizer(T)
     rhs = (PI ** 2 * T / (16.0 * logT)) * f_beta / beta ** 2 \
         - (T / (64.0 * PI ** 4 * logT * beta ** 3)) * integral
     d_abs = abs(lhs - rhs)
@@ -249,16 +245,17 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
         discrepancy_abs=d_abs, discrepancy_rel=d_rel, tolerance=tol,
         passed=d_rel <= tol,
         detail={"F_beta": f_beta, "kpp_integral": integral,
-                "zero_count": int(len(zeros.up_to(T)))})
+                "zero_count": int(len(g))})
 
 
 @dataclass(frozen=True)
 class RDecomposition:
     """Decomposition of the zero-sum second moment R into its three terms.
 
-    ``r_total`` is computed independently as the plain khat pair sum over
-    (pi^2 log x); the invariant r_total = term_main + term_F_beta
-    - term_k2_integral then carries real information.  ``r_total_direct``
+    ``r_total`` is the plain khat pair sum over (pi^2 log x) and shares its
+    khat evaluations with ``term_main``, so the invariant r_total = term_main
+    + term_F_beta - term_k2_integral checks the Lemma 5 rearrangement of the
+    complement-weighted part of R.  ``r_total_direct``
     (when present) is the time-domain quadrature of the defining integral,
     feasible at small T only.
     """
@@ -311,21 +308,30 @@ def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
     For T <= direct_limit the defining time integral is also computed by
     quadrature so the regrouping can be sanity-checked end to end; its
     difference from the pair-sum route is report-only (the dropped
-    remainder is O(log^3 T) scale).
+    remainder is O(log^3 T) scale).  One pass over the pairs gives all four
+    pair sums, R and the w-weighted sum sharing each khat evaluation.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
     x = T ** beta
     if x <= 1.05:
         raise DomainError("T^beta too close to 1 for a meaningful log x")
+    g = _restrict(zeros, T)
     logT = math.log(T)
     logx = beta * logT
 
-    r_total = _khat_pair_sum(_restrict(zeros, T), logx, "none") \
-        / (PI ** 2 * logx)
-    fk = f_weighted_kernel_integral(zeros, T, beta, deriv=False)
-    fk2 = f_weighted_kernel_integral(zeros, T, beta, deriv=True)
-    f_beta = pcf(beta, zeros, T)
+    def sums(d):
+        kh = khat_many(d * logx)
+        w = pair_weight(d)
+        return np.array([np.sum(kh), np.sum(kh * w),
+                         np.sum(kpp_transform_many(d * logx) * w),
+                         np.sum(np.cos(logx * d) * w)])
+
+    pairs_r, pairs_k, pairs_kpp, pairs_f = map(float, _pair_sum(g, sums))
+    r_total = pairs_r / (PI ** 2 * logx)
+    fk = pairs_k * 2.0 * PI * beta / _normalizer(T)
+    fk2 = pairs_kpp * 2.0 * PI * beta / _normalizer(T)
+    f_beta = pairs_f / _normalizer(T)
     term_main = T / (2.0 * PI ** 2 * beta) ** 2 * fk
     term_f = T / (16.0 * logT ** 2) * f_beta / beta ** 3
     term_k2 = T / (64.0 * PI ** 6 * beta ** 4 * logT ** 2) * fk2

@@ -46,8 +46,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_depth > 60:
-            raise ValueError("max_depth capped at 60")
+        if not 1 <= self.max_depth <= 60:
+            raise ValueError("max_depth must lie in [1, 60]")
         if self.breakpoints and self.infinite_cutoff <= max(self.breakpoints):
             raise ValueError("infinite_cutoff must exceed every breakpoint")
 

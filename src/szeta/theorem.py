@@ -28,7 +28,7 @@ from .errors import DomainError
 from .kernels import (CheckReport, k_values, kpp_values,
                       t_weighted_kernel_integral)
 from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
-                       lemma6_eval, pcf_curve, tail_integral)
+                       pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import (build_prime_table, euler_constant,
                      prime_power_double_sum)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
@@ -245,8 +245,8 @@ def lemma10_check(T: float, beta: float, zeros: ZeroSet,
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
     logT = math.log(T)
-    dec = lemma6_eval(zeros, T, beta, spec, direct_limit=0.0)
-    lhs = dec.r_total
+    x = T ** beta
+    lhs = weighted_khat_sum(zeros, x, "none", T=T) / (PI ** 2 * math.log(x))
     if f_source == "empirical":
         curve = _require_curve(zeros, T, curve)
     ft2, ft4 = _f_tail_values(f_source, curve, 4.0, tail_model)
@@ -353,12 +353,13 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     if section3:
         sm_1 = second_moment(T, ev, spec, t_lo=1.0)
         gh = g_and_h_direct(T, x, ev, spec)
-        dec = lemma6_eval(zeros, T, beta, spec, direct_limit=0.0)
-        resid = sm_1 + gh.g + gh.h - dec.r_total
+        r_total = weighted_khat_sum(zeros, x, "none", T=T) \
+            / (PI ** 2 * math.log(x))
+        resid = sm_1 + gh.g + gh.h - r_total
         scale = math.sqrt(T * x)
         notes.append(
             f"squared-formula identity: int_1^T S^2 + G + H = {sm_1 + gh.g + gh.h:.12g}, "
-            f"R = {dec.r_total:.12g}, residual = {resid:.12g}, "
+            f"R = {r_total:.12g}, residual = {resid:.12g}, "
             f"sqrt(T x) scale = {scale:.12g}")
     return MomentReport(T=T, x=x, beta=beta, lhs_integral=lhs, breakdown=bd,
                         f_tail_source=f_tail_source, discrepancy_abs=d,

@@ -40,6 +40,13 @@ def zeta_em_oracle(t, n_terms=None):
     return total
 
 
+def ordered_pair_sum_oracle(ordinates, kernel):
+    """Sum of ``kernel(g_j - g_k)`` over all ordered pairs (j, k), diagonal
+    included: one row of differences at a time, no symmetry or chunking."""
+    g = np.asarray(ordinates, dtype=float)
+    return math.fsum(float(np.sum(kernel(gj - g))) for gj in g)
+
+
 def sinh_integral_oracle(v):
     """int_0^inf u/((u^2+v^2) sinh u) du by library quadrature.
 

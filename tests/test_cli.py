@@ -3,7 +3,9 @@ import json
 import pytest
 
 from szeta.cli import build_parser, main
-from szeta.zeros import export_zeros
+from szeta.primes import build_prime_table
+from szeta.s_of_t import SEvaluator, make_sinh_table, s_explicit
+from szeta.zeros import export_zeros, import_zeros
 
 
 @pytest.fixture()
@@ -57,6 +59,24 @@ def test_s_range_csv(tmp_path, zeros_file):
     assert lines[0] == "t,S"
     assert len(lines) == 4
     float(lines[1].split(",")[1])
+
+
+def test_s_explicit_rows_match_library(tmp_path, zeros_file):
+    out = tmp_path / "s.csv"
+    rc = main(["s", "--zeros", zeros_file, "--t-min", "20", "--t-max", "22",
+               "--step", "0.5", "--method", "explicit", "--x", "50",
+               "--out", str(out)])
+    assert rc == 0
+    with open(zeros_file, encoding="ascii") as fh:
+        ev = SEvaluator(zeros=import_zeros(fh.read()),
+                        prime_table=build_prime_table(64))
+    table = make_sinh_table()
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        t = float(row.split(",")[0])
+        val, _ = s_explicit(t, 50.0, ev, table=table)
+        assert row == f"{t:.12g},{val:.12g}"
 
 
 def test_pcf_csv_header(tmp_path, zeros_file):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ordered_pair_sum_oracle
+from szeta import paircorr
 from szeta.errors import DomainError
-from szeta.kernels import khat
+from szeta.kernels import khat, khat_many, kpp_transform_many
 from szeta.paircorr import (PairCorrelationCurve, lemma5_check, lemma6_eval,
                             pair_weight, pcf, pcf_curve, tail_integral,
                             weighted_khat_sum)
@@ -190,6 +192,61 @@ def test_lemma6_single_zero_f_beta_term():
     norm = (T / (2 * PI)) * math.log(T)
     expect = T / (16 * math.log(T) ** 2) * (1.0 / norm) / beta ** 3
     assert dec.term_F_beta == pytest.approx(expect, rel=1e-12)
+
+
+def _pair_engine_outputs(zs, T, beta):
+    """lemma5 sums, lemma6 terms and a pcf curve, all through the engine."""
+    rep = lemma5_check(zs, T, beta)
+    dec = lemma6_eval(zs, T, beta, direct_limit=0.0)
+    curve = pcf_curve(zs, T, 2.0, 0.25)
+    return ([rep.lhs, rep.detail["F_beta"], rep.detail["kpp_integral"],
+             dec.r_total, dec.term_main, dec.term_F_beta,
+             dec.term_k2_integral], curve)
+
+
+def test_pair_engine_against_ordered_oracle(zeros_220, monkeypatch):
+    head = zeros_220.ordinates[:60]
+    real = ZeroSet(ordinates=head, t_max=float(head[-1]), source="imported")
+    zsyn = ZeroSet(ordinates=np.arange(15.0, 41.0), t_max=200.0,
+                   source="imported")
+    beta = 0.45
+    cases = [(real, float(head[-1])), (zsyn, 200.0)]
+    outputs = [_pair_engine_outputs(zs, T, beta) for zs, T in cases]
+    for (zs, T), (sums, curve) in zip(cases, outputs):
+        g = zs.up_to(T)
+        logT = math.log(T)
+        logx = beta * logT
+        norm = (T / (2 * PI)) * logT
+
+        def oracle(kernel):
+            return ordered_pair_sum_oracle(g, kernel)
+
+        w = pair_weight
+        f_beta = oracle(lambda d: np.cos(logx * d) * w(d)) / norm
+        kh_w = oracle(lambda d: khat_many(d * logx) * w(d)) \
+            * 2 * PI * beta / norm
+        kpp_w = oracle(lambda d: kpp_transform_many(d * logx) * w(d)) \
+            * 2 * PI * beta / norm
+        lhs5 = oracle(lambda d: khat_many(d * math.log(T ** beta))
+                      * d * d / (4 + d * d))
+        expect = [
+            lhs5, f_beta, kpp_w,
+            oracle(lambda d: khat_many(d * logx)) / (PI ** 2 * logx),
+            T / (2 * PI ** 2 * beta) ** 2 * kh_w,
+            T / (16 * logT ** 2) * f_beta / beta ** 3,
+            T / (64 * PI ** 6 * beta ** 4 * logT ** 2) * kpp_w,
+        ]
+        assert sums == pytest.approx(expect, rel=1e-12)
+        for k in (1, 4, 8):
+            a = float(curve.alpha_grid[k])
+            want = oracle(lambda d: np.cos(a * logT * d) * w(d)) / norm
+            assert curve.values[k] == pytest.approx(want, rel=1e-12)
+    # 60 ordinates fit in one chunk by default; force many chunks
+    monkeypatch.setattr(paircorr, "_CHUNK", 7)
+    for (zs, T), (sums, curve) in zip(cases, outputs):
+        small_sums, small_curve = _pair_engine_outputs(zs, T, beta)
+        assert small_sums == pytest.approx(sums, rel=1e-12)
+        assert small_curve.values == pytest.approx(curve.values, rel=1e-12)
 
 
 def test_pair_weight_even():

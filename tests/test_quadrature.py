@@ -51,6 +51,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=100)
     with pytest.raises(ValueError):
+        QuadratureSpec(max_depth=0)
+    with pytest.raises(ValueError):
         QuadratureSpec(breakpoints=(5.0,), infinite_cutoff=2.0)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szeta.errors import DomainError
+from szeta.paircorr import lemma6_eval
 from szeta.primes import (euler_constant, prime_power_double_sum,
                           prime_sum_terms)
 from szeta.theorem import (EQ2_CONSTANT, FModel, MomentReport, conjectural_F,
@@ -150,6 +151,13 @@ def test_full_report_fields_and_isolation(zeros_220, prime_table_small):
     assert rep_model.breakdown.prime_sum_term == rep.breakdown.prime_sum_term
     assert rep_model.breakdown.f_tail_term != rep.breakdown.f_tail_term
     assert rep_model.lhs_integral == rep.lhs_integral
+
+
+def test_full_report_r_matches_lemma6(zeros_220, prime_table_small):
+    rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
+    dec = lemma6_eval(zeros_220, 200.0, rep.beta, direct_limit=0.0)
+    note = next(n for n in rep.notes if n.startswith("squared-formula"))
+    assert f"R = {dec.r_total:.12g}," in note
 
 
 def test_full_report_deterministic(zeros_220, prime_table_small):
