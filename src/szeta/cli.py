@@ -23,7 +23,8 @@ from .kernels import CheckReport, check_identity
 from .paircorr import lemma5_check, lemma6_eval, pcf_curve
 from .primes import build_prime_table
 from .s_of_t import SEvaluator, make_sinh_table, s_exact, s_explicit
-from .theorem import full_report, lemma_8_9_10_eval
+from .theorem import (full_report, lemma8_check, lemma9_check,
+                      lemma10_check)
 from .zeros import ZeroSet, export_zeros, find_zeros, import_zeros
 
 _KERNEL_IDENTITIES = ("w_partition", "lemma3", "lemma4", "lemma7", "lemma11")
@@ -257,12 +258,12 @@ def _cmd_check(args) -> int:
                 raise _UsageError(
                     f"{name} with empirical F needs --zeros")
             zs = _load_zeros(args.zeros)
-        T = args.t if args.t is not None else (zs.t_max if zs else 1000.0)
-        all_reps = lemma_8_9_10_eval(zs, T, args.beta,
-                                     f_source=args.f_source)
-        if name not in all_reps:
+        if name == "lemma10" and zs is None:
             raise _UsageError(f"{name} requires --zeros (needs R)")
-        reports = [all_reps[name]]
+        T = args.t if args.t is not None else (zs.t_max if zs else 1000.0)
+        check = {"lemma8": lemma8_check, "lemma9": lemma9_check,
+                 "lemma10": lemma10_check}[name]
+        reports = [check(T, args.beta, zs, f_source=args.f_source)]
     else:
         raise _UsageError(
             f"unknown identity {name!r}; known: "

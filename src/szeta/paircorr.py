@@ -173,8 +173,7 @@ def tail_integral(curve: PairCorrelationCurve, power: int, alpha_cut: float,
     return total
 
 
-def weighted_khat_sum(zeros: ZeroSet, x: float, weight: str = "none",
-                      spec: QuadratureSpec = DEFAULT_SPEC,
+def weighted_khat_sum(zeros: ZeroSet, x: float, weight: str = "none", *,
                       T: float | None = None) -> float:
     """sum over ordered ordinate pairs of khat((g - g') log x) * weight.
 
@@ -208,7 +207,6 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
 
 
 def lemma5_check(zeros: ZeroSet, T: float, beta: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC,
                  tol: float = 1e-4) -> CheckReport:
     """Complement-weighted khat pair sum vs its F-side rearrangement.
 
@@ -290,14 +288,9 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float,
 
     loose = replace(spec, abs_tol=max(spec.abs_tol, 1e-7),
                     rel_tol=max(spec.rel_tol, 1e-7))
-    inner = g[(g > 1.0) & (g < T)]
-    edges = np.concatenate(([1.0], inner, [T]))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = integrate(zero_sum_sq, float(lo), float(hi), loose,
-                           omega=logx)
-        total += val
-    return total
+    val, _ = integrate(zero_sum_sq, 1.0, T, loose.with_breakpoints(g[g < T]),
+                       omega=logx)
+    return val
 
 
 def lemma6_eval(zeros: ZeroSet, T: float, beta: float,

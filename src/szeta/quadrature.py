@@ -5,8 +5,9 @@ by a :class:`QuadratureSpec`.  The engine splits the range at every spec
 breakpoint falling inside it, lays down fixed panels whose width respects an
 oscillation cap (phase advance at most pi/2 per panel for an ``exp(i*omega*u)``
 factor), and refines by doubling the panel count until two successive levels
-agree to tolerance.  Non-convergence raises an :class:`AccuracyError` carrying
-the deepest estimate instead of silently returning it.
+agree to tolerance, all segments in one vectorized pass.  Non-convergence
+raises an :class:`AccuracyError` naming the worst segment and carrying the
+deepest estimate instead of silently returning it.
 """
 
 from __future__ import annotations
@@ -60,55 +61,69 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
+_CHUNK_POINTS = 512    # points per call of f; bounds (points x ordinates) f
 
-def _panel_sum(f, a: float, b: float, n_panels: int, nodes: int) -> float:
+
+def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
+    """Gauss-Legendre sums of ``f`` over segments ``[lo_i, hi_i]`` of ``n_i``
+    equal panels, all segments' nodes going to ``f`` in bounded chunks."""
     x_gl, w_gl = _gl(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
-    w = (half[:, None] * w_gl[None, :]).ravel()
-    y = np.asarray(f(x), dtype=float)
-    return float(np.dot(y, w))
-
-
-def _segment(f, a, b, spec, omega, nodes):
-    # initial panel count: at least 4, finer when the oscillation cap bites
-    width = b - a
-    h = width / 4.0
-    if omega:
-        h = min(h, math.pi / (2.0 * abs(omega)))
-    n = max(4, int(math.ceil(width / h)))
-    prev = _panel_sum(f, a, b, n, nodes)
-    for _ in range(spec.max_depth):
-        n *= 2
-        cur = _panel_sum(f, a, b, n, nodes)
-        err = abs(cur - prev)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return cur, err
-        prev = cur
-    raise AccuracyError(
-        f"quadrature did not converge on [{a:g}, {b:g}] "
-        f"(last change {err:.3e})", achieved=err, estimate=cur)
+    step = (hi - lo) / n
+    ends = np.cumsum(n)
+    starts = ends - n
+    total = int(ends[-1])
+    sums = np.zeros(len(lo))
+    per_call = max(1, _CHUNK_POINTS // nodes)
+    for first in range(0, total, per_call):
+        panel = np.arange(first, min(first + per_call, total))
+        seg = np.searchsorted(ends, panel, "right")
+        half = 0.5 * step[seg]
+        mid = lo[seg] + (2 * (panel - starts[seg]) + 1) * half
+        x = (mid[:, None] + half[:, None] * x_gl).ravel()
+        y = np.asarray(f(x), dtype=float).reshape(len(panel), nodes)
+        np.add.at(sums, seg, (y @ w_gl) * half)
+    return sums
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
               omega: float = 0.0, nodes: int = 10):
     """Integrate ``f`` over ``[a, b]``; returns ``(value, error_estimate)``.
 
-    ``omega`` is the angular frequency of any oscillatory factor in the
-    integrand (phase ``omega*u``); panels are sized so a single panel never
-    spans more than a quarter period.  Vectorized ``f`` required.
+    Each segment between breakpoints starts at ``max(4, ceil(width/h))``
+    panels, ``h = min(width/4, pi/(2|omega|))`` so no panel spans more than a
+    quarter period of a phase ``omega*u``, and doubles them until two levels
+    agree to tolerance; converged segments drop out.  Vectorized ``f``
+    required; each call gets the nodes of many segments.
     """
     if not b > a:
         if b == a:
             return 0.0, 0.0
         raise ValueError("integrate requires b >= a")
-    cuts = [a] + [p for p in sorted(spec.breakpoints) if a < p < b] + [b]
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, e = _segment(f, lo, hi, spec, omega, nodes)
-        total += v
-        err += e
-    return total, err
+    bp = np.unique(np.asarray(spec.breakpoints, dtype=float))
+    cuts = np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
+    lo, hi = cuts[:-1], cuts[1:]
+    width = hi - lo
+    h = width / 4.0
+    if omega:
+        h = np.minimum(h, math.pi / (2.0 * abs(omega)))
+    n = np.maximum(4, np.ceil(width / h)).astype(np.int64)
+    value = np.zeros(len(lo))
+    err = np.zeros(len(lo))
+    live = np.arange(len(lo))
+    prev = _level_sums(f, lo, hi, n, nodes)
+    for _ in range(spec.max_depth):
+        n = 2 * n
+        cur = _level_sums(f, lo[live], hi[live], n, nodes)
+        change = np.abs(cur - prev)
+        value[live] = cur
+        err[live] = change
+        todo = ~(change <= np.maximum(spec.abs_tol,
+                                      spec.rel_tol * np.abs(cur)))
+        live, n, prev = live[todo], n[todo], cur[todo]
+        if not len(live):
+            return float(np.sum(value)), float(np.sum(err))
+    worst = live[np.argmax(err[live])]
+    raise AccuracyError(
+        f"quadrature did not converge on [{lo[worst]:g}, {hi[worst]:g}] "
+        f"(last change {err[worst]:.3e}, {len(live)} of {len(lo)} segments "
+        "open)", achieved=float(err[worst]), estimate=float(np.sum(value)))

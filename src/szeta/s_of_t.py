@@ -9,10 +9,11 @@ pretending to exactness: the two O-terms of the formula are carried with
 unit effective constants, plus a rigorous bound for the zeros truncated
 away from the summation window.
 
-``second_moment`` integrates S^2 interval-by-interval between consecutive
-ordinates, where S is the smooth function (constant - theta/pi); below
-t = 10 the asymptotic theta is invalid and the exact log-Gamma theta is
-used instead.
+``second_moment``, ``s_mean`` and ``g_and_h_direct`` integrate up to T in
+one quadrature call with a breakpoint at every ordinate: on each zero
+gap S is the smooth function (constant - theta/pi), and all gaps are
+refined together.  Below t = 10 the asymptotic theta is invalid and the
+exact log-Gamma theta is used instead.
 """
 
 from __future__ import annotations
@@ -205,17 +206,6 @@ def make_sinh_table(spec: QuadratureSpec = DEFAULT_SPEC) -> _SinhIntegralTable:
     return _SinhIntegralTable(spec)
 
 
-def _smooth_pieces(t_lo: float, t_hi: float, zeros: ZeroSet):
-    """Breakpoints of S on [t_lo, t_hi]: interval edges plus the zero count
-    on each piece (S = count - 1 - theta/pi there)."""
-    g = zeros.ordinates
-    inner = g[(g > t_lo) & (g < t_hi)]
-    edges = np.concatenate(([t_lo], inner, [t_hi]))
-    base = int(np.searchsorted(g, t_lo, "right"))
-    counts = base + np.arange(len(edges) - 1)
-    return edges, counts
-
-
 def _theta_any(t):
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
@@ -227,9 +217,22 @@ def _theta_any(t):
     return out
 
 
-def _tight(spec: QuadratureSpec) -> QuadratureSpec:
-    return replace(spec, abs_tol=min(spec.abs_tol, 1e-12),
-                   rel_tol=min(spec.rel_tol, 1e-12))
+def _gap_spec(T: float, ev: SEvaluator,
+              spec: QuadratureSpec) -> QuadratureSpec:
+    """Tightened ``spec`` with every ordinate up to T as a breakpoint; the
+    set must be complete and cover T, or the zero count in S is wrong."""
+    if not ev.zeros.claimed_complete:
+        raise DomainError("zero set not validated as complete")
+    if not T <= ev.zeros.t_max:
+        raise DomainError("T outside zero coverage")
+    tight = replace(spec, abs_tol=min(spec.abs_tol, 1e-12),
+                    rel_tol=min(spec.rel_tol, 1e-12))
+    return tight.with_breakpoints(ev.zeros.up_to(T))
+
+
+def _s_between_zeros(t, zeros: ZeroSet):
+    """``s_exact``'s formula, vectorized, for t off the ordinates."""
+    return zeros.count_up_to(t) - 1.0 - _theta_any(t) / PI
 
 
 def second_moment(T: float, ev: SEvaluator,
@@ -237,40 +240,26 @@ def second_moment(T: float, ev: SEvaluator,
                   t_lo: float = 0.0) -> float:
     """int_{t_lo}^T S(t)^2 dt, exact-per-interval.
 
-    Between consecutive ordinates S is smooth, so each zero-gap interval is
-    integrated by adaptive Gauss-Legendre; below t = 10 the log-Gamma theta
-    keeps the continuation exact.  Deterministic for fixed inputs.
+    Between consecutive ordinates S is smooth, so every zero gap is its own
+    segment of one adaptive Gauss-Legendre pass; below t = 10 the log-Gamma
+    theta keeps the continuation exact.  Deterministic for fixed inputs.
     """
-    if not ev.zeros.claimed_complete:
-        raise DomainError("zero set not validated as complete")
-    if not 10.0 <= T <= ev.zeros.t_max:
+    if not 10.0 <= T:
         raise DomainError("T outside zero coverage")
     if not 0.0 <= t_lo < T:
         raise DomainError("t_lo must sit in [0, T)")
-    edges, counts = _smooth_pieces(t_lo, T, ev.zeros)
-    tight = _tight(spec)
-    total = 0.0
-    for lo, hi, n in zip(edges[:-1], edges[1:], counts):
-        def f(t, n=n):
-            s = n - 1.0 - _theta_any(t) / PI
-            return s * s
-        val, _ = integrate(f, float(lo), float(hi), tight)
-        total += val
-    return total
+    gaps = _gap_spec(T, ev, spec)
+    val, _ = integrate(lambda t: _s_between_zeros(t, ev.zeros) ** 2,
+                       t_lo, T, gaps)
+    return val
 
 
 def s_mean(T: float, ev: SEvaluator,
            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """(1/T) int_0^T S(t) dt."""
-    edges, counts = _smooth_pieces(0.0, T, ev.zeros)
-    tight = _tight(spec)
-    total = 0.0
-    for lo, hi, n in zip(edges[:-1], edges[1:], counts):
-        def f(t, n=n):
-            return n - 1.0 - _theta_any(t) / PI
-        val, _ = integrate(f, float(lo), float(hi), tight)
-        total += val
-    return total / T
+    gaps = _gap_spec(T, ev, spec)
+    val, _ = integrate(lambda t: _s_between_zeros(t, ev.zeros), 0.0, T, gaps)
+    return val / T
 
 
 @dataclass(frozen=True)
@@ -311,21 +300,12 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator,
     def dirichlet(t):
         return np.sin(np.outer(np.asarray(t, dtype=float), logn)) @ coef
 
-    edges, counts = _smooth_pieces(1.0, T, ev.zeros)
-    tight = _tight(spec)
-    g_total = 0.0
-    h_total = 0.0
-    for lo, hi, cnt in zip(edges[:-1], edges[1:], counts):
-        def g_int(t):
-            d = dirichlet(t)
-            return d * d
-        def h_int(t, cnt=cnt):
-            s = cnt - 1.0 - _theta_any(t) / PI
-            return s * dirichlet(t)
-        gv, _ = integrate(g_int, float(lo), float(hi), tight, omega=omega)
-        hv, _ = integrate(h_int, float(lo), float(hi), tight, omega=omega)
-        g_total += gv
-        h_total += hv
+    gaps = _gap_spec(T, ev, spec)
+    g_total, _ = integrate(lambda t: dirichlet(t) ** 2, 1.0, T, gaps,
+                           omega=omega)
+    h_total, _ = integrate(
+        lambda t: _s_between_zeros(t, ev.zeros) * dirichlet(t), 1.0, T, gaps,
+        omega=omega)
     g_total /= PI * PI
     h_total *= 2.0 / PI
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import loggamma
 
 PI = math.pi
 
@@ -59,3 +60,23 @@ def sinh_integral_oracle(v):
                     0, 50, limit=400, epsabs=1e-12, points=pts)
     assert err < 1e-6
     return val
+
+
+def gap_integral_oracle(kernel, ordinates, a, b):
+    """int_a^b kernel(t, S(t)) dt by library quadrature, one call per zero
+    gap, with S = count - 1 - theta/pi, the count fixed on each gap and theta
+    from the complex log-Gamma at every t (no asymptotic series)."""
+    g = np.asarray(ordinates, dtype=float)
+    edges = np.concatenate(([a], g[(g > a) & (g < b)], [b]))
+    count = int(np.searchsorted(g, a, "right"))
+    parts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        def f(t, count=count):
+            theta = np.imag(loggamma(0.25 + 0.5j * t)) \
+                - 0.5 * t * math.log(PI)
+            return kernel(t, count - 1.0 - theta / PI)
+        val, err = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+        assert err < 1e-11
+        parts.append(val)
+        count += 1
+    return math.fsum(parts)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from szeta.cli import build_parser, main
+from szeta import theorem
+from szeta.cli import _check_report_obj, _jsonable, build_parser, main
 from szeta.primes import build_prime_table
 from szeta.s_of_t import SEvaluator, make_sinh_table, s_explicit
 from szeta.zeros import export_zeros, import_zeros
@@ -120,6 +121,33 @@ def test_check_lemma8_report_only(tmp_path, zeros_file):
     assert obj["assertable"] is False
     assert obj["error_scales"]
 
+
+@pytest.mark.parametrize("identity", ["lemma8", "lemma9"])
+def test_check_lemma8_9_skip_r(tmp_path, zeros_file, monkeypatch, identity):
+    # R (lemma10's O(N^2) khat pair sum) is not computed for lemma8/9
+    calls = []
+    real = theorem.weighted_khat_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(theorem, "weighted_khat_sum", counted)
+    out = tmp_path / "l.json"
+    assert main(["check", "--identity", identity, "--zeros", zeros_file,
+                 "--t", "200", "--out", str(out)]) == 0
+    assert calls == []
+    with open(zeros_file, encoding="ascii") as fh:
+        zs = import_zeros(fh.read())
+    rep = theorem.lemma_8_9_10_eval(zs, 200.0, 0.5)[identity]
+    assert json.loads(out.read_text()) == json.loads(
+        json.dumps(_jsonable(_check_report_obj(rep))))
+
+
+def test_check_lemma10_needs_zeros(capsys):
+    assert main(["check", "--identity", "lemma10", "--f-source",
+                 "model"]) == 1
+    assert "requires --zeros" in capsys.readouterr().err
 
 def test_check_lemma5_cli(tmp_path, zeros_file):
     rc = main(["check", "--identity", "lemma5", "--zeros", zeros_file,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,11 +39,18 @@ def test_empty_and_reversed_ranges():
 
 
 def test_nonconvergence_reports_estimate():
-    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_depth=2)
-    with pytest.raises(AccuracyError) as info:
-        integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, spec)
-    assert info.value.achieved is not None
-    assert info.value.estimate == pytest.approx(4.0 / 3.0, abs=1e-3)
+    for breakpoints in ((), (-0.5, 0.0, 0.5)):
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_depth=2,
+                              breakpoints=breakpoints)
+        with pytest.raises(AccuracyError) as info:
+            integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, spec)
+        assert info.value.achieved is not None
+        # the estimate is the whole integral, the message names one segment
+        assert info.value.estimate == pytest.approx(4.0 / 3.0, abs=1e-3)
+        cuts = (-1.0,) + breakpoints + (1.0,)
+        lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]",
+                                      str(info.value)).groups())
+        assert (lo, hi) in zip(cuts[:-1], cuts[1:])
 
 
 def test_spec_validation():

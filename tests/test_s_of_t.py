@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import sinh_integral_oracle, theta_binet_oracle
+from oracles import (gap_integral_oracle, sinh_integral_oracle,
+                     theta_binet_oracle)
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
 from szeta.quadrature import DEFAULT_SPEC
@@ -201,3 +203,42 @@ def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):
 def test_g_and_h_requires_regime(ev_120):
     with pytest.raises(DomainError):
         g_and_h_direct(100.0, 50.0, ev_120)
+
+
+def test_gap_integrals_against_quad_oracle(zeros_220, prime_table_small):
+    # all zero gaps in one quadrature call vs scipy quad gap by gap
+    ev = SEvaluator(zeros=zeros_220, prime_table=prime_table_small)
+    g = zeros_220.ordinates
+    T, x = 200.0, 9.0
+    assert second_moment(T, ev) == pytest.approx(
+        gap_integral_oracle(lambda t, s: s * s, g, 0.0, T), rel=1e-10)
+    assert s_mean(T, ev) == pytest.approx(
+        gap_integral_oracle(lambda t, s: s, g, 0.0, T) / T, rel=1e-10)
+
+    def dirichlet(t):
+        out = 0.0
+        for n, p in ((2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)):
+            ln = math.log(n)
+            out += math.log(p) / math.sqrt(n) * math.sin(t * ln) / ln \
+                * f_weight(ln / math.log(x))
+        return out
+
+    res = g_and_h_direct(T, x, ev)
+    assert res.g == pytest.approx(gap_integral_oracle(
+        lambda t, s: dirichlet(t) ** 2, g, 1.0, T) / PI ** 2, rel=1e-10)
+    assert res.h == pytest.approx(gap_integral_oracle(
+        lambda t, s: s * dirichlet(t), g, 1.0, T) * 2.0 / PI, rel=1e-10)
+
+
+def test_gap_integrals_need_complete_coverage(zeros_220, prime_table_small):
+    short = ZeroSet(ordinates=zeros_220.up_to(100.0), t_max=100.0,
+                    source="imported", claimed_complete=True)
+    unvalidated = replace(zeros_220, claimed_complete=False)
+    for zs in (short, unvalidated):
+        ev = SEvaluator(zeros=zs, prime_table=prime_table_small)
+        with pytest.raises(DomainError):
+            second_moment(200.0, ev)
+        with pytest.raises(DomainError):
+            s_mean(200.0, ev)
+        with pytest.raises(DomainError):
+            g_and_h_direct(200.0, 9.0, ev)
