@@ -248,9 +248,16 @@ def second_moment(T: float, ev: SEvaluator,
         raise DomainError("T outside zero coverage")
     if not 0.0 <= t_lo < T:
         raise DomainError("t_lo must sit in [0, T)")
-    gaps = _gap_spec(T, ev, spec)
+    return _s_squared_integral(t_lo, T, ev, spec)
+
+
+def _s_squared_integral(lo: float, hi: float, ev: SEvaluator,
+                        spec: QuadratureSpec) -> float:
+    """int_lo^hi S^2 over the zero gaps, without ``second_moment``'s
+    domain floor (``full_report`` adds the piece over [0, 1] this way)."""
+    gaps = _gap_spec(hi, ev, spec)
     val, _ = integrate(lambda t: _s_between_zeros(t, ev.zeros) ** 2,
-                       t_lo, T, gaps)
+                       lo, hi, gaps)
     return val
 
 

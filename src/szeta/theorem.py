@@ -32,7 +32,8 @@ from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
 from .primes import (build_prime_table, euler_constant,
                      prime_power_double_sum)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .s_of_t import SEvaluator, g_and_h_direct, second_moment
+from .s_of_t import (SEvaluator, _s_squared_integral, g_and_h_direct,
+                     second_moment)
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -335,7 +336,10 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     if prime_table is None:
         prime_table = build_prime_table(max(64, int(x) + 1))
     ev = SEvaluator(zeros=zeros, prime_table=prime_table)
-    lhs = second_moment(T, ev, spec)
+    # one pass over the zero gaps: int_0^T S^2 adds the piece over [0, 1],
+    # below every ordinate, to the int_1^T S^2 of the squared formula
+    sm_1 = second_moment(T, ev, spec, t_lo=1.0)
+    lhs = _s_squared_integral(0.0, 1.0, ev, spec) + sm_1
 
     curve = pcf_curve(zeros, T, alpha_max, alpha_step)
     if f_tail_source == "empirical":
@@ -351,7 +355,6 @@ def full_report(T: float, x: float, zeros: ZeroSet,
         "a labeled model, not an assumption being verified",
     ]
     if section3:
-        sm_1 = second_moment(T, ev, spec, t_lo=1.0)
         gh = g_and_h_direct(T, x, ev, spec)
         r_total = weighted_khat_sum(zeros, x, "none", T=T) \
             / (PI ** 2 * math.log(x))

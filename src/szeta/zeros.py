@@ -2,10 +2,12 @@
 
 Z(t) is evaluated two ways behind one dispatcher: an Euler-Maclaurin route
 (near machine precision, cost O(t) per point) below ``RS_MIN_T``, and the
-Riemann-Siegel main sum with three correction terms above it (cost
-O(sqrt(t)), measured error below 2e-7 for t >= 500).  Zero finding scans a
-grid for sign changes and runs all bisections in lockstep as vectorized
-array operations, then validates the count against the smooth counting term
+Riemann-Siegel main sum with three correction terms from there on (cost
+O(sqrt(t)), measured error below 1.5e-7 for t >= 500, transitions of the
+main sum included).  Both routes sum in blocks of bounded size.  Zero
+finding scans a grid for sign changes and runs all bisections in lockstep
+as vectorized array operations, spreading every Z evaluation over the
+worker threads, then validates the count against the smooth counting term
 theta(t)/pi + 1, refining the grid on any deficit before giving up.
 
 Only ordinates are stored: the real part is pinned at 1/2 throughout the
@@ -27,6 +29,7 @@ TWO_PI = 2.0 * math.pi
 RS_MIN_T = 500.0          # Euler-Maclaurin below, Riemann-Siegel above
 THETA_MIN_T = 10.0        # validity floor of the asymptotic theta series
 _SCAN_START = 12.0        # first ordinate is ~14.13; margin below it
+_Z_PIECE = 1 << 16        # points per Z call of the scan and the bisection
 
 # (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)) for n = 1..4
 _THETA_COEF = [1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0]
@@ -64,10 +67,31 @@ _BERNOULLI = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
               -691.0 / 2730, 7.0 / 6, -3617.0 / 510]
 
 
-def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + i t) for an array of t by Euler-Maclaurin summation."""
-    tmax = float(np.max(ts))
-    N = max(24, int(1.2 * tmax) + 10)
+# points x terms of one block of a Z sum: bounds the temporaries of both
+# routes to a few arrays of this many elements, whatever the height
+_Z_BLOCK = 1 << 20
+
+
+def _blocks(lengths: np.ndarray):
+    """(length, indices) blocks of points sharing one sum length, each of at
+    most ``_Z_BLOCK`` points x terms.
+
+    Every point's sum has exactly its own length, whatever else is
+    evaluated with it, so Z does not depend on how callers split their
+    points: work spread over threads gives bit-identical values.
+    """
+    order = np.argsort(lengths, kind="stable")
+    starts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for grp in np.split(order, starts) if len(order) else ():
+        n = int(lengths[grp[0]])
+        step = max(1, _Z_BLOCK // n)
+        for lo in range(0, len(grp), step):
+            yield n, grp[lo:lo + step]
+
+
+def _zeta_em(ts: np.ndarray, N: int) -> np.ndarray:
+    """zeta(1/2 + i t) for an array of t by Euler-Maclaurin summation
+    with N - 1 terms plus the tail corrections."""
     s = 0.5 + 1j * ts
     n = np.arange(1, N, dtype=float)
     total = np.exp(-np.outer(s, np.log(n))).sum(axis=1)
@@ -81,11 +105,13 @@ def _zeta_em_chunk(ts: np.ndarray) -> np.ndarray:
 
 
 def _z_em(ts: np.ndarray) -> np.ndarray:
+    # N >= 1.2 t + 10, rounded up to a multiple of 64 so that points of
+    # similar height share a block
+    lengths = 64 * np.ceil((1.2 * ts + 10.0) / 64.0).astype(int)
     out = np.empty(len(ts))
-    for lo in range(0, len(ts), 2048):
-        chunk = ts[lo:lo + 2048]
-        w = np.exp(1j * theta(chunk)) * _zeta_em_chunk(chunk)
-        out[lo:lo + 2048] = w.real
+    for N, ix in _blocks(lengths):
+        chunk = ts[ix]
+        out[ix] = (np.exp(1j * theta(chunk)) * _zeta_em(chunk, N)).real
     return out
 
 
@@ -93,7 +119,10 @@ def _z_em(ts: np.ndarray) -> np.ndarray:
 # Riemann-Siegel branch
 # ----------------------------------------------------------------------
 
-_PSI_DEG = 96
+# Psi is entire, so its degree-24 interpolant is exact to rounding; a
+# higher degree only amplifies that rounding in the derivatives (degree 96
+# put errors of 6e-6 into Psi''' and 180 into Psi^(6) at p = 0 and 1)
+_PSI_DEG = 24
 _psi_cheb = None
 
 
@@ -125,8 +154,8 @@ def _psi_tables():
     return _psi_cheb
 
 
-def _z_rs(ts: np.ndarray, n_corrections: int = 3) -> np.ndarray:
-    """Riemann-Siegel Z: main sum plus up to three correction terms.
+def _z_rs(ts: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel Z: main sum plus three correction terms.
 
     Correction coefficients in the shape function Psi and its derivatives:
     C0 = Psi, C1 = -Psi'''/(96 pi^2),
@@ -138,39 +167,29 @@ def _z_rs(ts: np.ndarray, n_corrections: int = 3) -> np.ndarray:
     N = rt.astype(int)
     p = rt - N
     th = theta(ts)
-    nmax = int(np.max(N))
-    n = np.arange(1, nmax + 1, dtype=float)
-    phases = th[:, None] - np.outer(ts, np.log(n))
-    terms = np.cos(phases) / np.sqrt(n)[None, :]
-    mask = n[None, :] <= N[:, None]
-    main = 2.0 * np.sum(terms * mask, axis=1)
+    main = np.empty_like(ts)
+    for nmax, ix in _blocks(N):
+        n = np.arange(1, nmax + 1, dtype=float)
+        phases = th[ix, None] - np.outer(ts[ix], np.log(n))
+        main[ix] = 2.0 * (np.cos(phases) / np.sqrt(n)).sum(axis=1)
 
-    corr = np.zeros_like(ts)
-    if n_corrections >= 1:
-        corr += D[0](p)
-    if n_corrections >= 2:
-        corr += (-D[3](p) / (96.0 * math.pi ** 2)) / np.sqrt(tau)
-    if n_corrections >= 3:
-        c2 = D[2](p) / (64.0 * math.pi ** 2) \
-            + D[6](p) / (18432.0 * math.pi ** 4)
-        corr += c2 / tau
+    c2 = D[2](p) / (64.0 * math.pi ** 2) \
+        + D[6](p) / (18432.0 * math.pi ** 4)
+    corr = D[0](p) - D[3](p) / (96.0 * math.pi ** 2) / rt + c2 / tau
     sign = np.where(N % 2 == 1, 1.0, -1.0)
     return main + sign * tau ** (-0.25) * corr
-
-
-_TRANSITION_BAND = 0.02
 
 
 def riemann_siegel_Z(t, method: str = "auto"):
     """Real rotated zeta Z(t); sign changes locate zero ordinates.
 
     ``auto`` uses Euler-Maclaurin below ``RS_MIN_T`` and the corrected
-    Riemann-Siegel sum above, except within 0.02 of a main-sum transition
-    (sqrt(t/2pi) near an integer) where the truncated correction series is
-    weakest and the Euler-Maclaurin route takes over again.  Measured
-    against Euler-Maclaurin on dense grids, the dispatched result stays
-    below 3e-7 absolute error for all t >= 500, hence under 1e-6 across
-    the supported range t <= 1e5.
+    Riemann-Siegel sum from there on, next to the main-sum transitions
+    (sqrt(t/2pi) near an integer) too.  Measured against Euler-Maclaurin
+    on a dense grid over [500, 1500] and at sqrt(t/2pi) = n +- 1e-4, the
+    error is below 1.5e-7, largest near t = 500 and falling as t grows,
+    hence under 1e-6 across the supported range t <= 1e5.  Both routes
+    sum in blocks of bounded size, so memory does not grow with t.
     """
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -182,14 +201,11 @@ def riemann_siegel_Z(t, method: str = "auto"):
         out = _z_rs(ts)
     elif method == "auto":
         out = np.empty_like(ts)
-        rt = np.sqrt(ts / TWO_PI)
-        p = rt - rt.astype(int)
-        rs_ok = (ts >= RS_MIN_T) & (p > _TRANSITION_BAND) \
-            & (p < 1.0 - _TRANSITION_BAND)
-        if np.any(~rs_ok):
-            out[~rs_ok] = _z_em(ts[~rs_ok])
-        if np.any(rs_ok):
-            out[rs_ok] = _z_rs(ts[rs_ok])
+        low = ts < RS_MIN_T
+        if np.any(low):
+            out[low] = _z_em(ts[low])
+        if not np.all(low):
+            out[~low] = _z_rs(ts[~low])
     else:
         raise DomainError(f"unknown Z method {method!r}")
     return float(out[0]) if scalar else out
@@ -274,28 +290,26 @@ def _widest_gap(ordinates: np.ndarray):
     return (float(ordinates[i]), float(ordinates[i + 1]))
 
 
-def _scan_grid(t_lo, t_hi, step, threads):
-    n = int(math.ceil((t_hi - t_lo) / step)) + 1
-    grid = np.linspace(t_lo, t_hi, n)
-    if threads and threads > 1:
-        slabs = np.array_split(np.arange(n), threads)
-        vals = np.empty(n)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for idx, res in zip(slabs, ex.map(
-                    lambda ix: riemann_siegel_Z(grid[ix]), slabs)):
-                vals[idx] = res
-    else:
-        vals = riemann_siegel_Z(grid)
-    return grid, vals
+def _z_pieces(ts: np.ndarray, pool, workers: int) -> np.ndarray:
+    """Z at ts in contiguous pieces spread over ``pool``: at least one per
+    worker and at most ``_Z_PIECE`` points each, which bounds the per-point
+    temporaries of a call whatever the grid size."""
+    k = max(workers, -(-len(ts) // _Z_PIECE))
+    parts = np.array_split(np.arange(len(ts)), k)
+    out = np.empty(len(ts))
+    for idx, res in zip(parts, pool.map(
+            lambda ix: riemann_siegel_Z(ts[ix]), parts)):
+        out[idx] = res
+    return out
 
 
-def _bisect_brackets(lo, hi, f_lo):
+def _bisect_brackets(lo, hi, f_lo, z):
     """Vectorized synchronized bisection down to 1e-9 brackets."""
     width = float(np.max(hi - lo))
     iters = max(1, int(math.ceil(math.log2(width / 1e-9))))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        f_mid = riemann_siegel_Z(mid)
+        f_mid = z(mid)
         take_left = (f_lo * f_mid) <= 0.0
         hi = np.where(take_left, mid, hi)
         lo = np.where(take_left, lo, mid)
@@ -307,25 +321,33 @@ def find_zeros(t_max: float, step: float = 0.05,
                threads: int | None = None) -> ZeroSet:
     """All zero ordinates up to t_max (15 <= t_max <= 1e5).
 
-    Grid scan at ``step`` plus lockstep bisection; the count is validated
+    Grid scan at ``step`` plus lockstep bisection, both evaluating Z in
+    pieces spread over ``threads`` worker threads; the count is validated
     against theta(t_max)/pi + 1 and the grid refined (up to 4 halvings) on
     any deficit before raising :class:`MissedZerosError` pointing at the
-    widest gap.
+    widest gap.  The ordinates do not depend on ``threads``.
     """
     if not 15.0 <= t_max <= 1e5:
         raise DomainError("find_zeros supports 15 <= t_max <= 1e5")
     if step > 0.05:
         raise DomainError("scan step must be <= 0.05")
-    for _ in range(5):
-        grid, vals = _scan_grid(_SCAN_START, t_max, step, threads)
-        sign_flip = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        roots = _bisect_brackets(grid[sign_flip], grid[sign_flip + 1],
-                                 vals[sign_flip])
-        fluct = _median_fluctuation(roots, t_max)
-        if fluct > -0.6:
-            return ZeroSet(ordinates=roots, t_max=float(t_max),
-                           source="computed", claimed_complete=True)
-        step *= 0.5
+    workers = max(1, threads or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def z(ts):
+            return _z_pieces(ts, pool, workers)
+
+        for _ in range(5):
+            n = int(math.ceil((t_max - _SCAN_START) / step)) + 1
+            grid = np.linspace(_SCAN_START, t_max, n)
+            vals = z(grid)
+            sign_flip = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+            roots = _bisect_brackets(grid[sign_flip], grid[sign_flip + 1],
+                                     vals[sign_flip], z)
+            fluct = _median_fluctuation(roots, t_max)
+            if fluct > -0.6:
+                return ZeroSet(ordinates=roots, t_max=float(t_max),
+                               source="computed", claimed_complete=True)
+            step *= 0.5
     raise MissedZerosError(
         f"zero count deficit {fluct:.2f} persists after grid refinement",
         gap=_widest_gap(roots))

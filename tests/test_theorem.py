@@ -160,6 +160,24 @@ def test_full_report_r_matches_lemma6(zeros_220, prime_table_small):
     assert f"R = {dec.r_total:.12g}," in note
 
 
+def test_full_report_one_second_moment(zeros_220, prime_table_small,
+                                       monkeypatch):
+    # int_0^T S^2 and the squared formula's int_1^T S^2 share one pass
+    from szeta import s_of_t, theorem
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return s_of_t.second_moment(*args, **kwargs)
+
+    monkeypatch.setattr(theorem, "second_moment", counted)
+    rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
+    assert calls == [200.0]
+    ev = s_of_t.SEvaluator(zeros=zeros_220, prime_table=prime_table_small)
+    assert rep.lhs_integral == pytest.approx(
+        s_of_t.second_moment(200.0, ev), rel=1e-12)
+
+
 def test_full_report_deterministic(zeros_220, prime_table_small):
     a = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
     b = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,34 +50,48 @@ def test_z_sign_change_brackets_first_zero():
 
 def test_z_squared_matches_zeta_oracle():
     # dual route: the Riemann-Siegel branch vs an independent
-    # Euler-Maclaurin |zeta|^2; t chosen above the dispatch threshold and
-    # away from a main-sum transition so "auto" really exercises the
-    # Riemann-Siegel formula
-    t = 1200.0
-    assert t > RS_MIN_T
-    p = math.sqrt(t / (2 * PI)) % 1.0
-    assert 0.02 < p < 0.98
-    oracle = abs(zeta_em_oracle(t)) ** 2
-    assert riemann_siegel_Z(t, "rs") ** 2 == pytest.approx(oracle, abs=1e-6)
-    assert riemann_siegel_Z(t) ** 2 == pytest.approx(oracle, abs=1e-6)
+    # Euler-Maclaurin |zeta|^2, at t above the dispatch threshold so "auto"
+    # really exercises the Riemann-Siegel formula: one t away from a
+    # main-sum transition and one with sqrt(t/2pi) just above the integer 12
+    for t in (1200.0, 2 * PI * (12 + 1e-3) ** 2):
+        assert t > RS_MIN_T
+        oracle = abs(zeta_em_oracle(t)) ** 2
+        assert riemann_siegel_Z(t, "rs") ** 2 == pytest.approx(oracle,
+                                                               abs=1e-6)
+        assert riemann_siegel_Z(t) ** 2 == pytest.approx(oracle, abs=1e-6)
 
 
 def test_z_branches_agree_on_overlap():
-    # the dispatcher hands near-transition points (sqrt(t/2pi) close to an
-    # integer) to the Euler-Maclaurin branch, so compare the dispatched
-    # result against pure Euler-Maclaurin: this certifies the documented
-    # sub-1e-6 accuracy of what callers actually get
-    ts = np.linspace(500.0, 1500.0, 700)
-    d = np.abs(riemann_siegel_Z(ts, "auto") - riemann_siegel_Z(ts, "em"))
-    assert np.max(d) < 1e-6
-    # and the pure Riemann-Siegel branch itself is good away from
-    # transitions
-    rt = np.sqrt(ts / (2 * PI))
-    p = rt - rt.astype(int)
-    away = (p > 0.02) & (p < 0.98)
-    d_rs = np.abs(riemann_siegel_Z(ts[away], "rs")
-                  - riemann_siegel_Z(ts[away], "em"))
-    assert np.max(d_rs) < 1e-6
+    # Riemann-Siegel against Euler-Maclaurin on a dense grid and right next
+    # to the main-sum transitions sqrt(t/2pi) = n, where an inaccurate
+    # model of Psi's derivatives shows first
+    n = np.arange(9, 16)
+    ts = np.concatenate([np.linspace(500.0, 1500.0, 700),
+                         2 * PI * (n - 1e-4) ** 2, 2 * PI * (n + 1e-4) ** 2])
+    assert np.min(ts) >= RS_MIN_T
+    em = riemann_siegel_Z(ts, "em")
+    assert np.max(np.abs(riemann_siegel_Z(ts, "auto") - em)) < 3e-7
+    assert np.max(np.abs(riemann_siegel_Z(ts, "rs") - em)) < 3e-7
+
+
+def _psi_exact(p):
+    return mpmath.cos(2 * mpmath.pi * (p * p - p - mpmath.mpf(1) / 16)) \
+        / mpmath.cos(2 * mpmath.pi * p)
+
+
+def test_psi_model_against_mpmath():
+    # the Riemann-Siegel corrections use Psi and its derivatives 2, 3 and
+    # 6; each must hold up to the ends p = 0, 1 of the model's interval
+    from szeta.zeros import _psi_tables
+    D = _psi_tables()
+    points = (0.0, 1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-3, 1.0)
+    tols = {0: 1e-12, 2: 1e-8, 3: 1e-7, 6: 1e-2}
+    with mpmath.workdps(40):
+        for k, tol in tols.items():
+            for p in points:
+                exact = float(mpmath.diff(_psi_exact, mpmath.mpf(p), k))
+                err = abs(float(D[k](p)) - exact) / max(1.0, abs(exact))
+                assert err < tol, (k, p, err)
 
 
 def test_z_is_real_valued():
@@ -193,6 +208,14 @@ def test_count_up_to_half_weight(zeros_120):
 def test_threads_give_same_result():
     a = find_zeros(80.0, threads=1)
     b = find_zeros(80.0, threads=3)
+    assert np.array_equal(a.ordinates, b.ordinates)
+
+
+def test_threads_give_same_result_above_em_range():
+    # above RS_MIN_T the scan and the bisection spread Riemann-Siegel
+    # evaluations over the threads
+    a = find_zeros(1200.0, threads=1)
+    b = find_zeros(1200.0, threads=2)
     assert np.array_equal(a.ordinates, b.ordinates)
 
 
