@@ -239,62 +239,116 @@ def _k_derivs_at_breakpoint():
 
 _KD_BP = _k_derivs_at_breakpoint()    # k^(j)(breakpoint-) for j = 0.._DERIV_MAX
 
-_FAST_Y_SWITCH = 50.0                 # boundary series above, fixed grid below
-_SERIES_TERMS = 5
+_FAST_Y_SWITCH = 50.0                 # P cos y + Q sin y above, fixed grid below
+_SERIES_TERMS = 5                     # boundary series of the finite piece
+_AUX_TERMS = 25                       # asymptotic series of Si/Ci auxiliaries
+
+
+def _high_y_coefficients(deriv_offset, tail_weight):
+    """Coefficients of P(y) = sum_m p_m y^-2m and Q(y) = sum_m q_m y^-(2m+1)
+    with transform(y) = P cos y + Q sin y for y >= _FAST_Y_SWITCH.
+
+    Two pieces, both in powers of 1/y.  The finite piece int_0^bp h(u)
+    cos(a u) du (h = k or k'', a = 2 pi y, a bp = y) is its by-parts
+    boundary series: odd derivatives of k vanish at 0, so only breakpoint
+    data enters.  The tail beyond bp is int cos(a u)/u^2 (khat) or /u^4
+    (k''), whose sine integral is pi/2 - Si(y) = f(y) cos y + g(y) sin y
+    with the auxiliary functions f, g of DLMF 6.2; their asymptotic series
+    (DLMF 6.12.3-4) y f = sum (-1)^n (2n)!/y^2n, y^2 g = sum (-1)^n
+    (2n+1)!/y^2n, remainder below the first omitted term, are summed
+    here with the leading terms cancelled symbolically.  Forming the tail
+    from ``sici`` instead loses 2 pi y eps (u^2) and (2 pi y)^3 eps (u^4)
+    absolute to cancellation.
+    """
+    p = np.zeros(_AUX_TERMS)
+    q = np.zeros(_AUX_TERMS)
+    two_pi = 2.0 * PI
+    for j in range(_SERIES_TERMS):
+        sign = (-1) ** j
+        q[j] += 2.0 * sign * _KD_BP[2 * j + deriv_offset] / two_pi ** (2 * j + 1)
+        p[j + 1] += 2.0 * sign * _KD_BP[2 * j + 1 + deriv_offset] \
+            / two_pi ** (2 * j + 2)
+    fact = math.factorial
+    if deriv_offset == 0:
+        # int_bp^inf cos(a u)/u^2 du = (1/bp - a f) cos y - a g sin y
+        for m in range(1, _AUX_TERMS):
+            p[m] += tail_weight * two_pi * (-1) ** (m + 1) * fact(2 * m)
+        for m in range(_AUX_TERMS):
+            q[m] -= tail_weight * two_pi * (-1) ** m * fact(2 * m + 1)
+    else:
+        # int_bp^inf cos(a u)/u^4 du, by parts down to the u^-2 tail
+        c = tail_weight * two_pi ** 3 / 6.0
+        for m in range(1, _AUX_TERMS):
+            p[m] += c * (-1) ** (m + 1) * fact(2 * m + 2)
+        for m in range(_AUX_TERMS):
+            q[m] += c * (-1) ** (m + 1) * fact(2 * m + 3)
+    return p[::-1].copy(), q[::-1].copy()
+
+
+_KHAT_PQ = _high_y_coefficients(0, 0.5)
+_KPP_PQ = _high_y_coefficients(2, 3.0)
+
+
+def _pq(y, coef):
+    u = 1.0 / np.asarray(y, dtype=float)
+    u2 = u * u
+    p_c, q_c = coef
+    p = np.zeros_like(u)
+    q = np.zeros_like(u)
+    for cp, cq in zip(p_c, q_c):
+        p = p * u2 + cp
+        q = q * u2 + cq
+    return p, q * u
+
+
+def khat_pq(y):
+    """(P, Q) with khat(y) = P(y) cos y + Q(y) sin y for y >= 50.
+
+    P and Q are smooth (polynomials in 1/y), so the pair-sum far field can
+    interpolate them; :func:`khat_many` uses the same split.
+    """
+    return _pq(y, _KHAT_PQ)
+
+
+def kpp_pq(y):
+    """(P, Q) of the k'' transform, as :func:`khat_pq`, for y >= 50."""
+    return _pq(y, _KPP_PQ)
 
 
 def _fixed_grid(n_panels=40, nodes=12):
+    """Gauss-Legendre panels on [0, bp]: midpoints, half width, nodes on
+    [-1, 1] and the (panel, node) weights."""
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(0.0, BREAKPOINT, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
-    w = (half[:, None] * w_gl[None, :]).ravel()
-    return x, w
+    return mid, half, x_gl, half[:, None] * w_gl[None, :]
 
 
-_GRID_X, _GRID_W = _fixed_grid()
+_GRID_MID, _GRID_HALVES, _GRID_T, _GRID_W = _fixed_grid()
+_GRID_HALF = float(_GRID_HALVES[0])   # equal panels, up to rounding
 _GRID_K = None
 _GRID_KPP = None
 
 
 def _grid_tables():
+    """Weighted k and k'' at the grid nodes, one row per panel."""
     global _GRID_K, _GRID_KPP
     if _GRID_K is None:
-        _GRID_K = k_values(_GRID_X) * _GRID_W
-        _GRID_KPP = kpp_values(_GRID_X) * _GRID_W
+        x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
+        _GRID_K = k_values(x) * _GRID_W
+        _GRID_KPP = kpp_values(x) * _GRID_W
     return _GRID_K, _GRID_KPP
 
 
-def _cos_moment_series(a, deriv_offset):
-    """Asymptotic-by-parts value of int_0^bp h(u) cos(a u) du where
-    h = k^(deriv_offset).  Odd derivatives of k vanish at 0, so only
-    breakpoint boundary data enters.  Valid for large |a|."""
-    s = np.sin(a * BREAKPOINT)
-    c = np.cos(a * BREAKPOINT)
-    total = np.zeros_like(a)
-    sign = 1.0
-    for j in range(_SERIES_TERMS):
-        d0 = _KD_BP[2 * j + deriv_offset]
-        d1 = _KD_BP[2 * j + 1 + deriv_offset]
-        total += sign * (d0 * s / a ** (2 * j + 1) + d1 * c / a ** (2 * j + 2))
-        sign = -sign
-    return total
-
-
-def _cos_moments(y, deriv_offset):
-    """int_0^bp h(u) cos(2 pi y u) du for array y, h = k or k''."""
-    y = np.abs(np.asarray(y, dtype=float))
-    a = 2.0 * PI * y
-    out = np.empty_like(y)
-    hi = y >= _FAST_Y_SWITCH
-    if np.any(hi):
-        out[hi] = _cos_moment_series(a[hi], deriv_offset)
-    if np.any(~hi):
-        tab_k, tab_kpp = _grid_tables()
-        tab = tab_k if deriv_offset == 0 else tab_kpp
-        out[~hi] = np.cos(np.outer(a[~hi], _GRID_X)) @ tab
-    return out
+def _cos_moments_low(a, tab):
+    """int_0^bp h(u) cos(a u) du on the fixed grid, by angle addition:
+    cos(a (mid + half t)) splits into a panel factor and a node factor, so
+    a point costs 2 x 40 + 2 x 12 trigonometric calls instead of 480."""
+    pm = np.outer(a, _GRID_MID)
+    pt = np.outer(a * _GRID_HALF, _GRID_T)
+    return np.sum((np.cos(pm) @ tab) * np.cos(pt)
+                  - (np.sin(pm) @ tab) * np.sin(pt), axis=1)
 
 
 def _tail_cos_over_u2(y, b=BREAKPOINT):
@@ -319,20 +373,38 @@ def _tail_cos_over_u4(y, b=BREAKPOINT):
     return np.where(y == 0.0, 1.0 / (3.0 * b ** 3), out)
 
 
+def _transform_many(y, coef, table, tail):
+    """2 int_0^bp h(u) cos(2 pi y u) du + tail(y), h = k or k'': the P/Q
+    split at y >= _FAST_Y_SWITCH, the fixed grid plus the sine-integral
+    tail below."""
+    y = np.abs(np.asarray(y, dtype=float))
+    out = np.empty_like(y)
+    hi = y >= _FAST_Y_SWITCH
+    if np.any(hi):
+        yh = y[hi]
+        p, q = _pq(yh, coef)
+        out[hi] = p * np.cos(yh) + q * np.sin(yh)
+    lo = ~hi
+    if np.any(lo):
+        yl = y[lo]
+        out[lo] = 2.0 * _cos_moments_low(2.0 * PI * yl, table) + tail(yl)
+    return out
+
+
 def khat_many(y):
     """Vectorized khat: quadrature-free fast path, ~1e-11 absolute.
 
     Matches ``khat(y, method='direct')`` (verified in the test suite); meant
-    for the O(N^2) pair sums where per-pair adaptive quadrature is hopeless.
+    for the pair sums, where per-pair adaptive quadrature is hopeless.
     """
-    y = np.asarray(y, dtype=float)
-    return 2.0 * _cos_moments(y, 0) + 0.5 * _tail_cos_over_u2(y)
+    return _transform_many(y, _KHAT_PQ, _grid_tables()[0],
+                           lambda v: 0.5 * _tail_cos_over_u2(v))
 
 
 def kpp_transform_many(y):
     """Vectorized transform of k'': int k''(u) e(-u y) du."""
-    y = np.asarray(y, dtype=float)
-    return 2.0 * _cos_moments(y, 2) + 3.0 * _tail_cos_over_u4(y)
+    return _transform_many(y, _KPP_PQ, _grid_tables()[1],
+                           lambda v: 3.0 * _tail_cos_over_u4(v))
 
 
 # ----------------------------------------------------------------------

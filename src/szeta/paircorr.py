@@ -3,10 +3,15 @@
 F(alpha, T) with Montgomery's weight w(u) = 4/(4+u^2), the khat pair sums
 (plain, w- or complement-weighted) and the F-weighted kernel integrals are
 all sums of an even kernel over ordered ordinate pairs.  One engine,
-:func:`_pair_sum`, walks the pairs in bounded chunks; a caller needing
-several sums passes one kernel returning them all.  The khat kernels ride
-on the vectorized transform fast path (per-pair quadrature would be
-hopeless at N ~ 5e3), and an alpha grid advances by a complex rotation.
+:func:`_pair_sum`, computes them in O(N): pairs in the same or adjacent
+leaves of a uniform binary tree are summed directly with the caller's
+vectorized kernel, all others through a 1D Chebyshev fast multipole far
+field (Greengard-Rokhlin; the black-box FMM of Fong and Darve, 2009).  Every
+kernel is Re[K(d) e^(i omega d)] with K smooth away from d = 0: the
+Lorentzian w itself for F, and (P - iQ)(d log x) times a weight for the
+khat and k'' transforms, whose P cos + Q sin split for y >= 50 lives in
+:mod:`szeta.kernels`.  A caller needing several sums passes one near-field
+kernel returning them all, and an alpha grid becomes charge columns.
 """
 
 from __future__ import annotations
@@ -15,15 +20,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
+from scipy.sparse import csc_array
 
 from .errors import DomainError
-from .kernels import CheckReport, khat_many, kpp_transform_many
+from .kernels import (_FAST_Y_SWITCH, CheckReport, khat_many, khat_pq,
+                      kpp_pq, kpp_transform_many)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .s_of_t import make_sinh_table
 from .zeros import ZeroSet
 
 PI = math.pi
-_CHUNK = 4_000_000
+_P = 20             # Chebyshev nodes per box of the far field
+_LEAF = 24          # mean ordinates per leaf the tree aims for
+_COLUMNS = 16       # charge columns per far-field pass
+_NEAR = 1 << 16     # near-field differences per kernel call
 
 
 def pair_weight(u):
@@ -39,28 +50,143 @@ _WEIGHTS = {
 }
 
 
-def _diff_chunks(g: np.ndarray):
-    """Yield positive pairwise differences g[j]-g[i], i<j, in bounded chunks."""
-    buf = []
-    size = 0
-    for i in range(len(g) - 1):
-        d = g[i + 1:] - g[i]
-        buf.append(d)
-        size += len(d)
-        if size >= _CHUNK:
-            yield np.concatenate(buf)
-            buf, size = [], 0
-    if buf:
-        yield np.concatenate(buf)
+_NODES = np.cos((2.0 * np.arange(_P) + 1.0) * PI / (2.0 * _P))
 
 
-def _pair_sum(g: np.ndarray, fn):
-    """Sum of an even kernel over all ordered pairs of ``g``; ``fn`` maps
-    differences to their kernel sum (a scalar, or a vector of several)."""
-    total = len(g) * fn(np.zeros(1))
-    for d in _diff_chunks(g):
-        total += 2.0 * fn(d)
-    return total
+def _interp(x):
+    """S[i, n]: weight of Chebyshev node n in the degree _P - 1 interpolant
+    at x[i] in [-1, 1]."""
+    scale = np.full(_P, 2.0 / _P)
+    scale[0] = 1.0 / _P
+    return (chebvander(x, _P - 1) * scale) @ chebvander(_NODES, _P - 1).T
+
+
+# M2M: a child's expansion (left, right half) re-expanded on its parent
+_M2M = (_interp(0.5 * (_NODES - 1.0)).T, _interp(0.5 * (_NODES + 1.0)).T)
+
+
+class _Tree:
+    """Uniform binary tree over [g[0], g[-1]] with about _LEAF ordinates
+    per leaf and leaves at least ``min_width`` wide."""
+
+    def __init__(self, g: np.ndarray, min_width: float):
+        n = len(g)
+        self.g = g
+        self.width = float(g[-1] - g[0])
+        levels = 0
+        while (n / 2 ** (levels + 1) >= _LEAF
+               and self.width / 2 ** (levels + 1) >= min_width):
+            levels += 1
+        self.levels = levels
+        n_leaf = 2 ** levels
+        h = self.width / n_leaf
+        pos = (g - g[0]) / h if h > 0 else np.zeros(n)
+        leaf = np.minimum(pos.astype(np.int64), n_leaf - 1)
+        ends = np.searchsorted(leaf, np.arange(n_leaf), "right")
+        # near field of ordinate i: i+1 .. lim[i]-1, its leaf and the next
+        self.lim = ends[np.minimum(leaf + 1, n_leaf - 1)]
+        self.centre = 0.5 * (g[0] + g[-1])
+        if levels < 2:
+            return
+        # P2M as a sparse (node, leaf) x ordinate matrix
+        xi = np.clip(2.0 * (pos - leaf) - 1.0, -1.0, 1.0)
+        rows = np.arange(_P)[None, :] * n_leaf + leaf[:, None]
+        self.p2m = csc_array(
+            (_interp(xi).ravel(), rows.ravel(), np.arange(0, _P * n + 1, _P)),
+            shape=(_P * n_leaf, n))
+
+    def near(self):
+        """Positive differences g[j] - g[i] of the near pairs, i < j <
+        lim[i], in pieces of about _NEAR."""
+        g, n = self.g, len(self.g)
+        counts = self.lim - np.arange(n) - 1
+        cum = np.cumsum(counts)
+        start = 0
+        while start < n:
+            base = cum[start - 1] if start else 0
+            stop = max(int(np.searchsorted(cum, base + _NEAR, "right")),
+                       start + 1)
+            c = counts[start:stop]
+            first = np.repeat(cum[start:stop] - c - base, c)
+            i = np.repeat(np.arange(start, stop), c)
+            j = i + 1 + np.arange(len(i)) - first
+            if len(i):
+                yield g[j] - g[i]
+            start = stop
+
+    def far(self, kernel, omegas) -> np.ndarray:
+        """sum over far pairs i < j of Re[kernel(d) exp(i omega d)],
+        d = g[j] - g[i], one entry per omega."""
+        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        out = np.zeros(len(omegas))
+        if self.levels < 2:
+            return out
+        # M2L per level: target node m against source node n of the box
+        # 2 or 3 boxes to the left
+        gap = 0.5 * (_NODES[:, None] - _NODES[None, :])
+        m2l = {}
+        for lev in range(2, self.levels + 1):
+            h = self.width / 2 ** lev
+            m2l[lev] = [kernel(off * h + h * gap) for off in (2, 3)]
+        for k in range(0, len(omegas), _COLUMNS):
+            w = omegas[k:k + _COLUMNS]
+            q = np.exp(-1j * np.outer(self.g - self.centre, w))
+            m = (self.p2m @ q.view(float)).view(complex)
+            m = m.reshape(_P, -1, len(w))
+            for lev in range(self.levels, 1, -1):
+                out[k:k + _COLUMNS] += _m2l_dot(m2l[lev], m)
+                m = _M2M[0] @ m[:, 0::2].reshape(_P, -1) \
+                    + _M2M[1] @ m[:, 1::2].reshape(_P, -1)
+                m = m.reshape(_P, -1, len(w))
+        return out
+
+
+def _m2l_dot(mats, m):
+    """Re of the sum over well-separated boxes (source left of target) of
+    conj(M_target) . K M_source.  M2L into local expansions followed by
+    L2L and L2P against the targets' own charges is this same bilinear
+    form, since L2L and L2P are the transposes of M2M and P2M."""
+    out = 0.0
+    for mat, tgt, src in ((mats[0], m[:, 2:], m[:, :-2]),
+                          (mats[1], m[:, 3::2], m[:, 0:-3:2])):
+        if tgt.shape[1]:
+            phi = (mat @ src.reshape(_P, -1)).reshape(tgt.shape)
+            # Re(conj(a) b) = Re a Re b + Im a Im b, on float views
+            out = out + np.einsum("pbcr,pbcr->c",
+                                  tgt.view(float).reshape(*tgt.shape, 2),
+                                  phi.view(float).reshape(*tgt.shape, 2))
+    return out
+
+
+def _pair_sum(g: np.ndarray, near, far, min_width: float = 0.0):
+    """Sum of an even kernel over all ordered pairs of ``g``, in O(N).
+
+    ``near`` maps positive differences to their kernel sum (a scalar, or a
+    vector of several sums).  ``far`` gives the same sums as a list of
+    ``(K, omegas)``, one output per omega, with near(d) = Re[K(d) e^(i omega
+    d)] wherever d >= ``min_width``; K must be smooth there.  Pairs in the
+    same or adjacent leaves of :class:`_Tree` go through ``near``, the rest
+    through a Chebyshev far field (black-box FMM: P2M, M2M, M2L on the
+    charges e^(-i omega g), p = _P nodes per box).
+    """
+    g = np.sort(np.asarray(g, dtype=float))
+    tree = _Tree(g, min_width)
+    total = len(g) * near(np.zeros(1))
+    for d in tree.near():
+        total = total + 2.0 * near(d)
+    far_sums = np.concatenate([tree.far(k, w) for k, w in far])
+    return total + 2.0 * far_sums.reshape(np.shape(total))
+
+
+def _phasor(pq, scale, weight):
+    """Far-field kernel of d -> transform(d scale) weight(d) at omega =
+    scale: (P - i Q)(d scale) weight(d), with transform = P cos + Q sin
+    from :func:`~szeta.kernels.khat_pq` or ``kpp_pq`` (valid for d scale
+    >= _FAST_Y_SWITCH, which the leaf width guarantees)."""
+    def kernel(d):
+        p, q = pq(d * scale)
+        return (p - 1j * q) * weight(d)
+    return kernel
 
 
 def _restrict(zeros: ZeroSet, T: float) -> np.ndarray:
@@ -86,7 +212,8 @@ def pcf(alpha: float, zeros: ZeroSet, T: float) -> float:
     """
     g = _restrict(zeros, T)
     a = alpha * math.log(T)
-    total = _pair_sum(g, lambda d: np.sum(np.cos(a * d) * pair_weight(d)))
+    total = _pair_sum(g, lambda d: np.sum(np.cos(a * d) * pair_weight(d)),
+                      [(pair_weight, a)])
     return float(total) / _normalizer(T)
 
 
@@ -103,16 +230,17 @@ class PairCorrelationCurve:
 
 def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
               step: float) -> PairCorrelationCurve:
-    """F on the grid 0, step, ..., alpha_max.
+    """F on the grid 0, step, ..., n step, the first multiple of ``step``
+    at or beyond ``alpha_max``.
 
-    One pass over the pair differences sums every grid point; each alpha
-    step multiplies a running complex phase by exp(i * step * log T * d), so
-    the cost is one complex multiply per pair per grid point.
+    Each grid point is one charge column of the pair engine's far field.
+    In the near field each alpha step multiplies a running complex phase by
+    exp(i * step * log T * d), one complex multiply per pair per grid point.
     """
     if step <= 0 or alpha_max < 1.0:
         raise DomainError("need step > 0 and alpha_max >= 1")
     g = _restrict(zeros, T)
-    n_steps = int(round(alpha_max / step))
+    n_steps = math.ceil(alpha_max / step - 1e-9)
     grid = np.linspace(0.0, n_steps * step, n_steps + 1)
     logT = math.log(T)
 
@@ -126,7 +254,7 @@ def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
             out[k] = np.sum(cur.real)
         return out
 
-    values = _pair_sum(g, sums) / _normalizer(T)
+    values = _pair_sum(g, sums, [(pair_weight, grid * logT)]) / _normalizer(T)
     return PairCorrelationCurve(T=float(T), alpha_grid=grid, values=values,
                                 zero_count=int(len(g)))
 
@@ -191,7 +319,9 @@ def weighted_khat_sum(zeros: ZeroSet, x: float, weight: str = "none", *,
     g = _restrict(zeros, T) if T is not None else zeros.ordinates
     logx = math.log(x)
     wt = _WEIGHTS[weight]
-    return float(_pair_sum(g, lambda d: np.sum(khat_many(d * logx) * wt(d))))
+    return float(_pair_sum(g, lambda d: np.sum(khat_many(d * logx) * wt(d)),
+                           [(_phasor(khat_pq, logx, wt), logx)],
+                           _FAST_Y_SWITCH / logx))
 
 
 def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
@@ -201,8 +331,10 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
     transforms at the pair differences times log x."""
     g = _restrict(zeros, T)
     logx = beta * math.log(T)
-    fn = kpp_transform_many if deriv else khat_many
-    total = _pair_sum(g, lambda d: np.sum(fn(d * logx) * pair_weight(d)))
+    fn, pq = (kpp_transform_many, kpp_pq) if deriv else (khat_many, khat_pq)
+    total = _pair_sum(g, lambda d: np.sum(fn(d * logx) * pair_weight(d)),
+                      [(_phasor(pq, logx, pair_weight), logx)],
+                      _FAST_Y_SWITCH / logx)
     return float(total) * 2.0 * PI * beta / _normalizer(T)
 
 
@@ -214,7 +346,7 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
     RHS: (pi^2 T / (16 log T)) F(beta)/beta^2
          - (T / (64 pi^4 log T beta^3)) * int F(alpha) k''(alpha/2pi beta).
     Holds for any ordinate set (unconditional rearrangement), so it is
-    asserted, not just reported.  One pass over the pairs sums all three.
+    asserted, not just reported.  One engine call sums all three.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
@@ -223,15 +355,20 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
         raise DomainError("T^beta too close to 1 for a meaningful log x")
     g = _restrict(zeros, T)
     logT = math.log(T)
+    logx = math.log(x)
     a = beta * logT
+    comp = _WEIGHTS["complement"]
 
     def sums(d):
         w = pair_weight(d)
         return np.array([
-            np.sum(khat_many(d * math.log(x)) * _WEIGHTS["complement"](d)),
+            np.sum(khat_many(d * logx) * comp(d)),
             np.sum(np.cos(a * d) * w), np.sum(kpp_transform_many(d * a) * w)])
 
-    lhs, pairs_f, pairs_kpp = map(float, _pair_sum(g, sums))
+    far = [(_phasor(khat_pq, logx, comp), logx), (pair_weight, a),
+           (_phasor(kpp_pq, a, pair_weight), a)]
+    lhs, pairs_f, pairs_kpp = map(float, _pair_sum(
+        g, sums, far, _FAST_Y_SWITCH / min(logx, a)))
     f_beta = pairs_f / _normalizer(T)
     integral = pairs_kpp * 2.0 * PI * beta / _normalizer(T)
     rhs = (PI ** 2 * T / (16.0 * logT)) * f_beta / beta ** 2 \
@@ -282,8 +419,15 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float,
     g = zeros.ordinates
 
     def zero_sum_sq(t):
-        v = (np.asarray(t, dtype=float)[:, None] - g[None, :]) * logx
-        s = table.sin_times_eval(v).sum(axis=1) / PI
+        t = np.asarray(t, dtype=float)
+        s = np.empty(len(t))
+        # blocks of about 16k nodes x ordinates: temporaries this small
+        # are reused from the heap instead of mapped and faulted in anew
+        rows = max(1, 16384 // len(g))
+        for k in range(0, len(t), rows):
+            v = (t[k:k + rows, None] - g[None, :]) * logx
+            s[k:k + rows] = table.sin_times_eval(v).sum(axis=1)
+        s /= PI
         return s * s
 
     loose = replace(spec, abs_tol=max(spec.abs_tol, 1e-7),
@@ -301,8 +445,9 @@ def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
     For T <= direct_limit the defining time integral is also computed by
     quadrature so the regrouping can be sanity-checked end to end; its
     difference from the pair-sum route is report-only (the dropped
-    remainder is O(log^3 T) scale).  One pass over the pairs gives all four
-    pair sums, R and the w-weighted sum sharing each khat evaluation.
+    remainder is O(log^3 T) scale).  One engine call gives all four pair
+    sums; in its near field R and the w-weighted sum share each khat
+    evaluation.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
@@ -320,7 +465,11 @@ def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
                          np.sum(kpp_transform_many(d * logx) * w),
                          np.sum(np.cos(logx * d) * w)])
 
-    pairs_r, pairs_k, pairs_kpp, pairs_f = map(float, _pair_sum(g, sums))
+    far = [(_phasor(khat_pq, logx, _WEIGHTS["none"]), logx),
+           (_phasor(khat_pq, logx, pair_weight), logx),
+           (_phasor(kpp_pq, logx, pair_weight), logx), (pair_weight, logx)]
+    pairs_r, pairs_k, pairs_kpp, pairs_f = map(float, _pair_sum(
+        g, sums, far, _FAST_Y_SWITCH / logx))
     r_total = pairs_r / (PI ** 2 * logx)
     fk = pairs_k * 2.0 * PI * beta / _normalizer(T)
     fk2 = pairs_kpp * 2.0 * PI * beta / _normalizer(T)

@@ -20,6 +20,11 @@ def zeros_1010():
 
 
 @pytest.fixture(scope="session")
+def zeros_2510():
+    return find_zeros(2510.0)
+
+
+@pytest.fixture(scope="session")
 def zeros_10k():
     return find_zeros(10010.0)
 

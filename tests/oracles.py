@@ -43,9 +43,14 @@ def zeta_em_oracle(t, n_terms=None):
 
 def ordered_pair_sum_oracle(ordinates, kernel):
     """Sum of ``kernel(g_j - g_k)`` over all ordered pairs (j, k), diagonal
-    included: one row of differences at a time, no symmetry or chunking."""
+    included: one row of differences at a time, no symmetry, tree or far
+    field.  A kernel returning a stack of rows (one per sum) gives the
+    vector of those sums."""
     g = np.asarray(ordinates, dtype=float)
-    return math.fsum(float(np.sum(kernel(gj - g))) for gj in g)
+    rows = np.array([np.sum(kernel(gj - g), axis=-1) for gj in g])
+    if rows.ndim == 1:
+        return math.fsum(rows)
+    return np.array([math.fsum(col) for col in rows.T])
 
 
 def sinh_integral_oracle(v):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -88,6 +89,29 @@ def test_pcf_csv_header(tmp_path, zeros_file):
     lines = out.read_text().splitlines()
     assert lines[0] == "alpha,F"
     assert len(lines) == 22
+
+
+def test_pcf_grid_reaches_alpha_max(tmp_path, zeros_file):
+    # 0.3 does not divide 1: the grid goes on to 1.2 instead of stopping at 0.9
+    out = tmp_path / "pcf.csv"
+    rc = main(["pcf", "--zeros", zeros_file, "--t", "200",
+               "--alpha-max", "1", "--step", "0.3", "--out", str(out)])
+    assert rc == 0
+    alphas = [float(ln.split(",")[0])
+              for ln in out.read_text().splitlines()[1:]]
+    assert alphas == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2], abs=1e-12)
+
+
+def test_report_step_not_dividing_alpha_max(tmp_path):
+    zeros = tmp_path / "z.txt"
+    assert main(["zeros", "--t-max", "310", "--out", str(zeros)]) == 0
+    out = tmp_path / "rep.json"
+    rc = main(["report", "--t", "300", "--x", "9", "--step", "0.3",
+               "--zeros", str(zeros), "--out", str(out)])
+    assert rc == 0
+    obj = json.loads(out.read_text())
+    assert math.isfinite(obj["lhs"])
+    assert all(math.isfinite(v) for v in obj["rhs_theorem"].values())
 
 
 def test_check_unknown_identity(capsys):

@@ -172,3 +172,64 @@ def test_t_weighted_integral_positive_and_scales():
     a = t_weighted_kernel_integral(1000.0, 0.5)
     b = t_weighted_kernel_integral(1000.0, 0.5, deriv=True)
     assert a > 0.0 and b > 0.0
+
+
+def test_low_y_branch_matches_outer_product_formula():
+    # the fixed grid by angle addition against every node's cosine taken
+    # directly, on y in [0, 50) with both ends of the branch
+    from szeta import kernels
+    x_gl, w_gl = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(0.0, BREAKPOINT, 41)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
+    w = (half[:, None] * w_gl[None, :]).ravel()
+    y = np.concatenate(([0.0, np.nextafter(50.0, 0.0)],
+                        np.random.default_rng(3).uniform(0.0, 50.0, 3000)))
+    outer = np.cos(np.outer(2 * PI * y, x))
+    old_k = 2.0 * (outer @ (k_values(x) * w)) \
+        + 0.5 * kernels._tail_cos_over_u2(y)
+    old_kpp = 2.0 * (outer @ (kernels.kpp_values(x) * w)) \
+        + 3.0 * kernels._tail_cos_over_u4(y)
+    assert np.max(np.abs(khat_many(y) - old_k)) < 1e-14
+    # k'' transform values reach 2 pi^5 ~ 612 at y = 0
+    assert np.max(np.abs(kpp_transform_many(y) - old_kpp)) \
+        < 1e-14 * 2 * PI ** 5
+
+
+def test_high_y_branch_against_mpmath():
+    # P cos y + Q sin y against the same two pieces at 50 digits: the
+    # 5-term boundary series and the exact sine-integral tails
+    import mpmath as mp
+    from szeta import kernels
+    mp.mp.dps = 50
+    b = 1 / (2 * mp.pi)
+
+    def boundary(y, off):
+        a = 2 * mp.pi * y
+        return sum((-1) ** j * (mp.mpf(kernels._KD_BP[2 * j + off])
+                                * mp.sin(y) / a ** (2 * j + 1)
+                                + mp.mpf(kernels._KD_BP[2 * j + 1 + off])
+                                * mp.cos(y) / a ** (2 * j + 2))
+                   for j in range(5))
+
+    def tail2(y):
+        a = 2 * mp.pi * y
+        return mp.cos(a * b) / b - a * (mp.pi / 2 - mp.si(a * b))
+
+    def tail4(y):
+        a = 2 * mp.pi * y
+        iu3 = mp.sin(a * b) / (2 * b * b) + a * tail2(y) / 2
+        return mp.cos(a * b) / (3 * b ** 3) - a / 3 * iu3
+
+    ys = [50.0, 50.3, 77.7, 1000.3, 7458.1, 300000.1]
+    got_k = khat_many(np.array(ys))
+    got_p = kpp_transform_many(np.array(ys))
+    for y, gk, gp in zip(ys, got_k, got_p):
+        my = mp.mpf(y)
+        want_k = float(2 * boundary(my, 0) + tail2(my) / 2)
+        want_p = float(2 * boundary(my, 2) + 3 * tail4(my))
+        # what is left is the rounding of the 1/y coefficient, which
+        # cancels to 0 for khat and to pi^7/2 - 4 pi^5 for k''
+        assert abs(gk - want_k) <= 1e-15 / y
+        assert abs(gp - want_p) <= 1e-12 / y

@@ -8,9 +8,9 @@ from oracles import ordered_pair_sum_oracle
 from szeta import paircorr
 from szeta.errors import DomainError
 from szeta.kernels import khat, khat_many, kpp_transform_many
-from szeta.paircorr import (PairCorrelationCurve, lemma5_check, lemma6_eval,
-                            pair_weight, pcf, pcf_curve, tail_integral,
-                            weighted_khat_sum)
+from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
+                            lemma5_check, lemma6_eval, pair_weight, pcf,
+                            pcf_curve, tail_integral, weighted_khat_sum)
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -241,12 +241,137 @@ def test_pair_engine_against_ordered_oracle(zeros_220, monkeypatch):
             a = float(curve.alpha_grid[k])
             want = oracle(lambda d: np.cos(a * logT * d) * w(d)) / norm
             assert curve.values[k] == pytest.approx(want, rel=1e-12)
-    # 60 ordinates fit in one chunk by default; force many chunks
-    monkeypatch.setattr(paircorr, "_CHUNK", 7)
+    # with the default leaf size 60 ordinates make a tree of at most one
+    # level, all near field; two ordinates per leaf force a deep tree
+    # (the khat sums stay bounded by the leaf width 50 / log x)
+    assert paircorr._Tree(head, 0.0).levels <= 1
+    monkeypatch.setattr(paircorr, "_LEAF", 2)
+    assert paircorr._Tree(head, 0.0).levels == 4
     for (zs, T), (sums, curve) in zip(cases, outputs):
-        small_sums, small_curve = _pair_engine_outputs(zs, T, beta)
-        assert small_sums == pytest.approx(sums, rel=1e-12)
-        assert small_curve.values == pytest.approx(curve.values, rel=1e-12)
+        deep_sums, deep_curve = _pair_engine_outputs(zs, T, beta)
+        assert deep_sums == pytest.approx(sums, rel=1e-12)
+        assert deep_curve.values == pytest.approx(curve.values, rel=1e-12)
+
+
+def _oracle_rows(logT, logx, alphas):
+    """Per-pair kernels of every pair sum, stacked: khat, khat w, khat
+    d^2/(4+d^2), k'' w, cos(log x d) w, then cos(alpha log T d) w per
+    alpha."""
+    def kernel(d):
+        kh = khat_many(d * logx)
+        w = pair_weight(d)
+        return np.stack([kh, kh * w, kh * d * d / (4.0 + d * d),
+                         kpp_transform_many(d * logx) * w,
+                         np.cos(logx * d) * w]
+                        + [np.cos(a * logT * d) * w for a in alphas])
+    return kernel
+
+
+def _all_pair_sums(zs, T, beta, alphas):
+    """The six pair-sum functions on one set, as the _oracle_rows sums."""
+    logT = math.log(T)
+    x = T ** beta
+    norm = (T / (2 * PI)) * logT
+    kscale = 2 * PI * beta / norm
+    rep = lemma5_check(zs, T, beta)
+    dec = lemma6_eval(zs, T, beta, direct_limit=0.0)
+    curve = pcf_curve(zs, T, max(alphas), 0.25)
+    on_grid = [curve.values[int(round(a / 0.25))] for a in alphas]
+    return {
+        "khat": [weighted_khat_sum(zs, x, "none", T=T),
+                 dec.r_total * PI ** 2 * beta * logT],
+        "khat_w": [weighted_khat_sum(zs, x, "w", T=T),
+                   f_weighted_kernel_integral(zs, T, beta) / kscale,
+                   dec.term_main * (2 * PI ** 2 * beta) ** 2 / T / kscale],
+        "khat_c": [weighted_khat_sum(zs, x, "complement", T=T), rep.lhs],
+        "kpp_w": [f_weighted_kernel_integral(zs, T, beta, deriv=True)
+                  / kscale, rep.detail["kpp_integral"] / kscale,
+                  dec.term_k2_integral * 64 * PI ** 6 * beta ** 4
+                  * logT ** 2 / T / kscale],
+        "f_beta": [pcf(beta, zs, T) * norm, rep.detail["F_beta"] * norm,
+                   dec.term_F_beta * 16 * logT ** 2 * beta ** 3 / T * norm],
+        "curve": [np.array(on_grid) * norm,
+                  np.array([pcf(a, zs, T) for a in alphas]) * norm],
+    }
+
+
+def _assert_matches_oracle(zs, T, beta, alphas=(0.25, 1.0, 2.5, 4.0)):
+    g = zs.up_to(T)
+    logT = math.log(T)
+    sums = ordered_pair_sum_oracle(g, _oracle_rows(logT, beta * logT,
+                                                   alphas))
+    want = {"khat": sums[0], "khat_w": sums[1], "khat_c": sums[2],
+            "kpp_w": sums[3], "f_beta": sums[4], "curve": sums[5:]}
+    for key, values in _all_pair_sums(zs, T, beta, alphas).items():
+        for v in values:
+            assert np.all(np.abs(np.asarray(v) - want[key])
+                          <= 1e-10 * np.abs(want[key])), (key, v, want[key])
+
+
+def test_pair_functions_against_ordered_oracle(zeros_2510):
+    # N ~ 2000 reference-like ordinates: a five-level tree, most pairs far
+    T, beta = 2500.0, math.log(20.0) / math.log(2500.0)
+    g = zeros_2510.up_to(T)
+    assert len(g) > 1900
+    assert paircorr._Tree(g, 0.0).levels >= 3
+    assert paircorr._Tree(g, 50.0 / (beta * math.log(T))).levels >= 3
+    _assert_matches_oracle(zeros_2510, T, beta)
+    # x = 4: the widest near field the khat sums allow, 50 / log 4 ~ 36
+    beta4 = math.log(4.0 + 1e-9) / math.log(T)
+    assert paircorr._Tree(g, 50.0 / math.log(4.0)).levels >= 3
+    _assert_matches_oracle(zeros_2510, T, beta4, alphas=(1.0,))
+    lemma = lemma5_check(zeros_2510, T, beta)
+    assert lemma.passed and lemma.discrepancy_rel < 1e-4
+
+
+def test_pair_functions_on_synthetic_sets(monkeypatch):
+    def zset(g):
+        return ZeroSet(ordinates=np.asarray(g, dtype=float), t_max=200.0,
+                       source="imported")
+
+    # N = 1 and N = 2: the diagonal, then one pair
+    for g in ([30.0], [30.0, 30.7]):
+        _assert_matches_oracle(zset(g), 200.0, 0.45)
+    # all ordinates in one leaf: at x = 4 the leaves are >= 36 wide
+    one_leaf = np.arange(15.0, 41.0)
+    assert paircorr._Tree(one_leaf, 50.0 / math.log(4.0)).levels == 0
+    _assert_matches_oracle(zset(one_leaf), 200.0,
+                           math.log(4.0 + 1e-9) / math.log(200.0))
+    # differences straddling y = 50: pairs at 50 / log x (1 -+ 1e-9)
+    beta = 0.5
+    r = 50.0 / (beta * math.log(200.0))
+    base = 20.0 + 0.37 * np.arange(250)
+    straddle = np.sort(np.concatenate(
+        [base, base + r * (1 - 1e-9), base + r * (1 + 1e-9)]))
+    assert paircorr._Tree(straddle, r).levels >= 2
+    _assert_matches_oracle(zset(straddle), 200.0, beta)
+    # gaps wider than a leaf leave empty leaves
+    monkeypatch.setattr(paircorr, "_LEAF", 4)
+    gappy = np.concatenate([np.arange(20.0, 60.0, 0.25),
+                            np.arange(60.0, 160.0, 9.5),
+                            np.arange(160.0, 199.0, 0.25)])
+    tree = paircorr._Tree(gappy, 0.0)
+    h = (gappy[-1] - gappy[0]) / 2 ** tree.levels
+    leaf = np.minimum(((gappy - gappy[0]) / h).astype(int),
+                      2 ** tree.levels - 1)
+    assert tree.levels >= 5
+    assert np.any(np.bincount(leaf, minlength=2 ** tree.levels) == 0)
+    _assert_matches_oracle(zset(gappy), 200.0, 0.45)
+
+
+def test_pair_engine_far_field_on_a_flat_kernel():
+    # kernel 1: the ordered pair sum of cos(omega d) is |sum e^(i omega g)|^2,
+    # and every pair between non-adjacent leaves goes through the far field
+    rng = np.random.default_rng(7)
+    g = np.sort(np.concatenate([rng.uniform(0.0, 50.0, 300),
+                                rng.uniform(1000.0, 1100.0, 300)]))
+    tree = paircorr._Tree(g, 0.0)
+    assert tree.levels >= 3
+    for omega in (0.0, 0.3, 2.9):
+        got = paircorr._pair_sum(g, lambda d: np.sum(np.cos(omega * d)),
+                                 [(np.ones_like, omega)])
+        want = abs(np.sum(np.exp(1j * omega * (g - g[0])))) ** 2
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-9 * len(g))
 
 
 def test_pair_weight_even():

@@ -178,6 +178,26 @@ def test_full_report_one_second_moment(zeros_220, prime_table_small,
         s_of_t.second_moment(200.0, ev), rel=1e-12)
 
 
+def test_full_report_one_prime_double_sum(zeros_220, prime_table_small,
+                                          monkeypatch):
+    # the opposite-sign bracket negates the one double sum, bit for bit
+    from szeta import primes, theorem
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0](2))
+        return primes.prime_power_double_sum(*args, **kwargs)
+
+    monkeypatch.setattr(theorem, "prime_power_double_sum", counted)
+    rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
+    assert calls == [0.25]
+    bd = rep.breakdown
+    assert bd.rhs_theorem == bd.rhs_goldston
+    ds_neg, _ = primes.prime_power_double_sum(
+        lambda m: -1.0 / m + 1.0 / m ** 2)
+    assert bd.prime_sum_term == 200.0 / (2.0 * PI ** 2) * ds_neg
+
+
 def test_full_report_deterministic(zeros_220, prime_table_small):
     a = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
     b = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
