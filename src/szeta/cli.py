@@ -22,7 +22,7 @@ from .errors import (AccuracyError, DomainError, MissedZerosError,
 from .kernels import CheckReport, check_identity
 from .paircorr import lemma5_check, lemma6_eval, pcf_curve
 from .primes import build_prime_table
-from .s_of_t import SEvaluator, make_sinh_table, s_exact, s_explicit
+from .s_of_t import SEvaluator, s_exact, s_explicit
 from .theorem import (full_report, lemma8_check, lemma9_check,
                       lemma10_check)
 from .zeros import ZeroSet, export_zeros, find_zeros, import_zeros
@@ -176,13 +176,12 @@ def _cmd_s(args) -> int:
             raise _UsageError("s needs --t or both --t-min/--t-max")
         n = int(math.floor((args.t_max - args.t_min) / args.step)) + 1
         points = [args.t_min + i * args.step for i in range(n)]
-    sinh_table = make_sinh_table() if args.method == "explicit" else None
     rows = ["t,S"]
     for t in points:
         if args.method == "exact":
             val = s_exact(t, ev)
         else:
-            val, _ = s_explicit(t, args.x, ev, table=sinh_table)
+            val, _ = s_explicit(t, args.x, ev)
         rows.append(f"{t:.12g},{val:.12g}")
     text = "\n".join(rows) + "\n"
     if args.out:

@@ -110,12 +110,6 @@ def k_values(u):
     return out
 
 
-def _kp_inside(u):
-    g = _inside(u, _g_raw, _g_series)
-    gp = _inside(u, _gp_raw, _gp_series)
-    return 2.0 * g * gp
-
-
 def _kpp_inside(u):
     g = _inside(u, _g_raw, _g_series)
     gp = _inside(u, _gp_raw, _gp_series)
@@ -131,26 +125,6 @@ def kpp_values(u):
     out[outside] = 1.5 / u[outside] ** 4
     out[~outside] = _kpp_inside(u[~outside])
     return out
-
-
-@dataclass(frozen=True)
-class KernelId:
-    """Selector for :func:`eval_kernel`.
-
-    ``side`` matters only for ``k_prime``/``k_double_prime`` at the
-    breakpoint ``|u| = 1/(2 pi)``: ``left`` is the inside branch, ``right``
-    the ``1/(4u^2)`` branch; ``auto`` picks by the sign of ``|u| - 1/(2 pi)``
-    and falls back to ``right`` exactly at the breakpoint.
-    """
-
-    which: str
-    side: str = "auto"
-
-    def __post_init__(self):
-        if self.which not in ("f", "k", "k_prime", "k_double_prime"):
-            raise DomainError(f"unknown kernel selector {self.which!r}")
-        if self.side not in ("left", "right", "auto"):
-            raise DomainError(f"unknown side {self.side!r}")
 
 
 def f_weight(u):
@@ -170,36 +144,6 @@ def f_weight(u):
     out = np.where(small, series, raw)
     out = np.where(u == 1.0, 0.0, out)
     return float(out) if scalar else out
-
-
-def _use_inside(u_abs, side):
-    if side == "left":
-        return u_abs <= BREAKPOINT
-    if side == "right":
-        return u_abs < BREAKPOINT
-    return u_abs < BREAKPOINT      # auto: breakpoint itself -> outside value
-
-
-def eval_kernel(kid: KernelId, u: float) -> float:
-    """Pointwise evaluation of f, k, k' or k'' with one-sided control."""
-    if kid.which == "f":
-        return f_weight(u)
-    if not math.isfinite(u):
-        raise DomainError("u must be finite")
-    ua = abs(u)
-    sgn = -1.0 if u < 0 else 1.0
-    if kid.which == "k":
-        return float(k_values(ua))
-    inside = _use_inside(ua, kid.side)
-    if kid.which == "k_prime":
-        if inside:
-            val = float(_kp_inside(np.asarray(ua)))
-        else:
-            val = -0.5 / ua ** 3
-        return sgn * val            # k is even, k' odd
-    if inside:
-        return float(_kpp_inside(np.asarray(ua)))
-    return 1.5 / ua ** 4
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import DomainError
 from .kernels import (_FAST_Y_SWITCH, CheckReport, khat_many, khat_pq,
                       kpp_pq, kpp_transform_many)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .s_of_t import make_sinh_table
+from .s_of_t import sin_sinh_integral
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -410,12 +410,11 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float,
 
     Every ordinate of the set participates at every node (no window: a
     moving window would put kinks inside the integration intervals), with
-    the sinh integral served by the spline + asymptotic table.  The result
-    backs a report-only comparison, so tolerances are relaxed to 1e-7.
+    the sinh integral from its closed form.  The result backs a report-only
+    comparison, so tolerances are relaxed to 1e-7.
     """
     from dataclasses import replace
     logx = math.log(x)
-    table = make_sinh_table(spec)
     g = zeros.ordinates
 
     def zero_sum_sq(t):
@@ -426,7 +425,7 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float,
         rows = max(1, 16384 // len(g))
         for k in range(0, len(t), rows):
             v = (t[k:k + rows, None] - g[None, :]) * logx
-            s[k:k + rows] = table.sin_times_eval(v).sum(axis=1)
+            s[k:k + rows] = sin_sinh_integral(v).sum(axis=1)
         s /= PI
         return s * s
 

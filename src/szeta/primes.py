@@ -36,19 +36,6 @@ class PrimeTable:
     support_p: np.ndarray
     support_m: np.ndarray
 
-    @property
-    def lambda_support(self):
-        """list of (n, Lambda(n)) over prime powers n <= limit."""
-        return list(zip(self.support_n.tolist(),
-                        np.log(self.support_p).tolist()))
-
-    def lambda_at(self, n: int) -> float:
-        """Lambda(n); 0 off the prime-power support."""
-        i = int(np.searchsorted(self.support_n, n))
-        if i < len(self.support_n) and self.support_n[i] == n:
-            return math.log(int(self.support_p[i]))
-        return 0.0
-
 
 def build_prime_table(x: int) -> PrimeTable:
     """Sieve primes and prime powers up to x (x >= 4)."""
@@ -81,22 +68,6 @@ def build_prime_table(x: int) -> PrimeTable:
                       support_n=n_all[order],
                       support_p=np.concatenate(ps)[order],
                       support_m=np.concatenate(ms)[order])
-
-
-def chebyshev_psi(x: float, table: PrimeTable) -> float:
-    """psi(x) = sum of Lambda(n) over n <= x."""
-    if x > table.limit:
-        raise DomainError("x beyond table limit")
-    sel = table.support_n <= x
-    return float(np.sum(np.log(table.support_p[sel])))
-
-
-def mertens_partial(u: float, table: PrimeTable) -> float:
-    """sum of 1/p over primes 2 <= p <= u."""
-    if not 2.0 <= u <= table.limit:
-        raise DomainError("u must lie in [2, table.limit]")
-    ps = table.primes[table.primes <= u]
-    return float(np.sum(1.0 / ps))
 
 
 @lru_cache(maxsize=8)
@@ -185,84 +156,6 @@ def prime_sum_terms(x: int, table: PrimeTable) -> PrimeSumBundle:
                           tail_bound_s3=bound)
 
 
-_EULER_CROSS_CHECK = 0.5772156649015329    # sanity anchor only
-
-
-def euler_constant() -> float:
-    """Euler's constant from the harmonic sum with Euler-Maclaurin tail.
-
-    gamma = H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4) + ...; at
-    N = 100 the omitted term is ~1e-21, far below double precision.
-    """
-    N = 100
-    h = float(np.sum(1.0 / np.arange(1, N + 1, dtype=float)))
-    n2 = float(N) ** -2
-    corr = n2 * (1.0 / 12 + n2 * (-1.0 / 120 + n2 * (1.0 / 252
-                                                     + n2 * (-1.0 / 240))))
-    gamma = h - math.log(N) - 0.5 / N + corr
-    assert abs(gamma - _EULER_CROSS_CHECK) < 1e-13
-    return gamma
-
-
-def euler_constant_bessel() -> float:
-    """Independent route to Euler's constant (Brent-McMillan, n = 12).
-
-    gamma = A/B - log n with A = sum (n^k/k!)^2 H_k, B = sum (n^k/k!)^2;
-    the error term e^(-4n) is ~1e-21.  Exists purely as a cross-check for
-    :func:`euler_constant`.
-    """
-    n = 12
-    a = 0.0
-    b = 0.0
-    term = 1.0        # (n^k / k!)^2 at k = 0
-    hk = 0.0
-    for k in range(1, 5 * n):
-        b += term
-        a += term * hk
-        term *= (n / k) ** 2
-        hk += 1.0 / k
-    return a / b - math.log(n)
-
-
-@lru_cache(maxsize=8)
-def _twin_product(p_cutoff: int) -> float:
-    ps = _primes_up_to(p_cutoff)
-    ps = ps[ps > 2].astype(float)
-    return float(np.exp(np.sum(np.log1p(-1.0 / (ps - 1.0) ** 2))))
-
-
-def singular_series(d: int, p_cutoff: int = 10 ** 6) -> float:
-    """Singular series of the prime-pair count at shift d.
-
-    Zero for odd d; for even d the truncated Euler product
-    2 * prod_{p>2} (1 - (p-1)^-2) * prod_{p | d, p>2} (p-1)/(p-2).
-    Truncation error is bounded by :func:`singular_series_tail_bound`.
-    """
-    if d == 0:
-        raise DomainError("d must be nonzero")
-    d = abs(int(d))
-    if d % 2 == 1:
-        return 0.0
-    value = 2.0 * _twin_product(int(p_cutoff))
-    while d % 2 == 0:
-        d //= 2
-    p = 3
-    while p * p <= d:
-        if d % p == 0:
-            value *= (p - 1.0) / (p - 2.0)
-            while d % p == 0:
-                d //= p
-        p += 2
-    if d > 1:
-        value *= (d - 1.0) / (d - 2.0)
-    return value
-
-
-def singular_series_tail_bound(p_cutoff: int = 10 ** 6) -> float:
-    """Relative truncation error bound for the Euler product."""
-    return 1.0 / (p_cutoff - 2.0)
-
-
 def closed_form_S1_minus_2S2(x: int, p_cutoff: int = 10 ** 6,
                              m_cutoff: int = 64) -> float:
     """Closed form for S1 - 2*S2:
@@ -278,4 +171,4 @@ def closed_form_S1_minus_2S2(x: int, p_cutoff: int = 10 ** 6,
     double_sum, _ = prime_power_double_sum(lambda m: 1.0 / m,
                                            p_cutoff, m_cutoff)
     return (-math.log(math.log(x)) + math.log(PI / 2.0) - PI ** 2 / 8.0
-            + 1.0 - euler_constant() + double_sum)
+            + 1.0 - np.euler_gamma + double_sum)

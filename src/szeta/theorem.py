@@ -29,8 +29,7 @@ from .kernels import (CheckReport, k_values, kpp_values,
                       t_weighted_kernel_integral)
 from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                        pcf_curve, tail_integral, weighted_khat_sum)
-from .primes import (build_prime_table, euler_constant,
-                     prime_power_double_sum)
+from .primes import build_prime_table, prime_power_double_sum
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .s_of_t import (SEvaluator, _s_squared_integral, g_and_h_direct,
                      second_moment)
@@ -88,7 +87,7 @@ def g_plus_h_closed(T: float, x: float, p_cutoff: int = 10 ** 6,
     ds, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2,
                                    p_cutoff, m_cutoff)
     bracket = (-math.log(math.log(x)) + math.log(PI / 2.0) - PI ** 2 / 8.0
-               + 1.0 - euler_constant() + ds)
+               + 1.0 - np.euler_gamma + ds)
     return T / (2.0 * PI ** 2) * bracket
 
 
@@ -122,10 +121,9 @@ def theorem_rhs(T: float, f_tail: float, p_cutoff: int = 10 ** 6,
     # coefficients -1/m + 1/m^2 negate every term, so the opposite-sign
     # double sum is exactly -ds_pos
     ds_neg = -ds_pos
-    gamma = euler_constant()
     loglog = scale * math.log(math.log(T))
     f_term = scale * f_tail
-    e_term = scale * gamma
+    e_term = scale * np.euler_gamma
     p_term = scale * (-ds_pos)
     rhs = loglog + f_term + e_term + p_term
     rhs_g = loglog + f_term + e_term + scale * ds_neg

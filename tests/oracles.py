@@ -6,6 +6,7 @@ direct summation, small hand-rolled formulas.  Slow is fine here.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import loggamma
@@ -54,17 +55,14 @@ def ordered_pair_sum_oracle(ordinates, kernel):
 
 
 def sinh_integral_oracle(v):
-    """int_0^inf u/((u^2+v^2) sinh u) du by library quadrature.
-
-    quad's reported error estimate is very conservative here (cross-checked
-    splittings agree to ~1e-14); the guard below only catches breakdown.
-    """
-    v = abs(v)
-    pts = sorted({p for p in (v, 2 * v, 10 * v, 1.0, 5.0) if p < 50.0})
-    val, err = quad(lambda u: u / ((u * u + v * v) * math.sinh(u)),
-                    0, 50, limit=400, epsabs=1e-12, points=pts)
-    assert err < 1e-6
-    return val
+    """int_0^inf u/((u^2+v^2) sinh u) du by 30-digit mpmath quadrature of
+    the definition, split at the integrand's scales |v| and u ~ 1."""
+    with mpmath.workdps(30):
+        v = abs(mpmath.mpf(v))
+        pts = sorted({v, 2 * v, 10 * v, mpmath.mpf(1), mpmath.mpf(5)})
+        val = mpmath.quad(lambda u: u / ((u * u + v * v) * mpmath.sinh(u)),
+                          [0] + pts + [mpmath.inf])
+        return float(val)
 
 
 def gap_integral_oracle(kernel, ordinates, a, b):

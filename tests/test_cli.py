@@ -6,7 +6,7 @@ import pytest
 from szeta import theorem
 from szeta.cli import _check_report_obj, _jsonable, build_parser, main
 from szeta.primes import build_prime_table
-from szeta.s_of_t import SEvaluator, make_sinh_table, s_explicit
+from szeta.s_of_t import SEvaluator, s_explicit
 from szeta.zeros import export_zeros, import_zeros
 
 
@@ -72,12 +72,11 @@ def test_s_explicit_rows_match_library(tmp_path, zeros_file):
     with open(zeros_file, encoding="ascii") as fh:
         ev = SEvaluator(zeros=import_zeros(fh.read()),
                         prime_table=build_prime_table(64))
-    table = make_sinh_table()
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 5
     for row in rows:
         t = float(row.split(",")[0])
-        val, _ = s_explicit(t, 50.0, ev, table=table)
+        val, _ = s_explicit(t, 50.0, ev)
         assert row == f"{t:.12g},{val:.12g}"
 
 

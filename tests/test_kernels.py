@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from szeta.errors import DomainError
-from szeta.kernels import (BREAKPOINT, KernelId, check_identity,
-                           eval_kernel, f_weight, k_values, khat, khat_many,
-                           kpp_transform_many, t_weighted_kernel_integral)
+from szeta.kernels import (_KD_BP, BREAKPOINT, _g_raw, _gp_raw,
+                           check_identity, f_weight, k_values, khat,
+                           khat_many, kpp_transform_many, kpp_values,
+                           t_weighted_kernel_integral)
 
 PI = math.pi
 
 
 def test_f_endpoint_values():
-    assert eval_kernel(KernelId("f"), 1.0) == 0.0
-    assert eval_kernel(KernelId("f"), 0.0) == 1.0
-    assert eval_kernel(KernelId("f"), 0.5) == pytest.approx(PI / 4, rel=1e-14)
+    assert f_weight(1.0) == 0.0
+    assert f_weight(0.0) == 1.0
+    assert f_weight(0.5) == pytest.approx(PI / 4, rel=1e-14)
     with pytest.raises(DomainError):
         f_weight(1.5)
     with pytest.raises(DomainError):
@@ -33,35 +34,35 @@ def test_f_near_one_bound(u):
 
 
 def test_kernel_point_values():
-    assert eval_kernel(KernelId("k"), 1.0) == 0.25
-    both = (eval_kernel(KernelId("k"), BREAKPOINT),
-            0.25 / BREAKPOINT ** 2)
+    assert k_values(1.0) == 0.25
+    both = (k_values(BREAKPOINT), 0.25 / BREAKPOINT ** 2)
     assert both[0] == pytest.approx(PI ** 2, rel=1e-13)
     assert both[1] == pytest.approx(PI ** 2, rel=1e-13)
-    assert eval_kernel(KernelId("k_double_prime"), 0.0) == pytest.approx(
-        PI ** 8 / 18.0, rel=1e-13)
-    assert eval_kernel(KernelId("k_prime", "left"), BREAKPOINT) == \
-        pytest.approx(-4 * PI ** 3 + PI ** 5, rel=1e-12)
-    assert eval_kernel(KernelId("k_prime", "right"), BREAKPOINT) == \
-        pytest.approx(-4 * PI ** 3, rel=1e-13)
-    assert eval_kernel(KernelId("k_double_prime", "right"), BREAKPOINT) == \
+    assert kpp_values(0.0) == pytest.approx(PI ** 8 / 18.0, rel=1e-13)
+    # one-sided k' and k'' at the breakpoint: the inside branch (left, also
+    # the derivative table the high-y transforms expand in), and for k''
+    # the 1/(4u^2) branch just beyond it (right)
+    kp_left = -4 * PI ** 3 + PI ** 5
+    assert 2.0 * _g_raw(BREAKPOINT) * _gp_raw(BREAKPOINT) == \
+        pytest.approx(kp_left, rel=1e-12)
+    assert _KD_BP[1] == pytest.approx(kp_left, rel=1e-12)
+    kpp_left = PI ** 8 / 2 - 4 * PI ** 6 + 24 * PI ** 4
+    assert kpp_values(BREAKPOINT) == pytest.approx(kpp_left, rel=1e-12)
+    assert _KD_BP[2] == pytest.approx(kpp_left, rel=1e-12)
+    assert kpp_values(np.nextafter(BREAKPOINT, 1.0)) == \
         pytest.approx(24 * PI ** 4, rel=1e-13)
-    assert eval_kernel(KernelId("k_double_prime", "left"), BREAKPOINT) == \
-        pytest.approx(PI ** 8 / 2 - 4 * PI ** 6 + 24 * PI ** 4, rel=1e-12)
-
-
-def test_kernel_id_validation():
-    with pytest.raises(DomainError):
-        KernelId("nope")
-    with pytest.raises(DomainError):
-        KernelId("k", "center")
 
 
 def test_k_prime_odd_symmetry():
-    v = eval_kernel(KernelId("k_prime"), 0.1)
-    assert eval_kernel(KernelId("k_prime"), -0.1) == -v
-    w = eval_kernel(KernelId("k_double_prime"), 0.12)
-    assert eval_kernel(KernelId("k_double_prime"), -0.12) == w
+    # k is even, so k' (central differences of k) is odd and k'' even; the
+    # differences also match k' = 2 g g' on the inside branch
+    h = 1e-6
+    for u in (0.1, 0.12):
+        kp = (k_values(u + h) - k_values(u - h)) / (2 * h)
+        kp_neg = (k_values(-u + h) - k_values(-u - h)) / (2 * h)
+        assert kp_neg == -kp
+        assert kp == pytest.approx(2.0 * _g_raw(u) * _gp_raw(u), rel=1e-8)
+    assert kpp_values(-0.12) == kpp_values(0.12)
 
 
 def test_k_nonnegative_on_grid():

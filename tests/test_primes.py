@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +7,8 @@ from hypothesis import strategies as st
 
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
-from szeta.primes import (build_prime_table, chebyshev_psi,
-                          closed_form_S1_minus_2S2, euler_constant,
-                          euler_constant_bessel, mertens_partial,
-                          prime_power_double_sum, prime_sum_terms,
-                          singular_series, singular_series_tail_bound)
+from szeta.primes import (build_prime_table, closed_form_S1_minus_2S2,
+                          prime_power_double_sum, prime_sum_terms)
 
 
 def _simple_sieve(x):
@@ -25,11 +21,17 @@ def _simple_sieve(x):
     return [n for n in range(2, x + 1) if flags[n]]
 
 
+def _lambda(table):
+    """(n, Lambda(n)) over the table's prime-power support, in table order."""
+    return list(zip(table.support_n.tolist(),
+                    np.log(table.support_p).tolist()))
+
+
 def test_lambda_values():
-    table = build_prime_table(100)
-    assert table.lambda_at(8) == pytest.approx(math.log(2), abs=1e-15)
-    assert table.lambda_at(12) == 0.0
-    assert table.lambda_at(5) == pytest.approx(math.log(5), abs=1e-15)
+    lam = dict(_lambda(build_prime_table(100)))
+    assert lam[8] == pytest.approx(math.log(2), abs=1e-15)
+    assert 12 not in lam
+    assert lam[5] == pytest.approx(math.log(5), abs=1e-15)
 
 
 def test_rejects_tiny_limit():
@@ -45,7 +47,7 @@ def test_table_invariants(x):
     assert table.primes.tolist() == ref
     # every support entry is a true prime power with Lambda = log p
     seen = set()
-    for n, lam in table.lambda_support:
+    for n, lam in _lambda(table):
         assert n not in seen
         seen.add(n)
         assert n <= x
@@ -73,22 +75,8 @@ def test_psi_matches_lcm():
         acc = 1
         for n in range(2, x + 1):
             acc = math.lcm(acc, n)
-        assert chebyshev_psi(x, table) == pytest.approx(math.log(acc),
-                                                        rel=1e-12)
-
-
-def test_mertens_small_values(prime_table_small):
-    t = prime_table_small
-    assert mertens_partial(10, t) == pytest.approx(
-        1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, abs=1e-15)
-    assert mertens_partial(2, t) == 0.5
-    # independent direct-loop oracle at u=100
-    oracle = sum(1.0 / p for p in _simple_sieve(100))
-    assert mertens_partial(100, t) == pytest.approx(oracle, abs=1e-15)
-    with pytest.raises(DomainError):
-        mertens_partial(1.0, t)
-    with pytest.raises(DomainError):
-        mertens_partial(t.limit + 1, t)
+        psi = float(np.sum(np.log(table.support_p[table.support_n <= x])))
+        assert psi == pytest.approx(math.log(acc), rel=1e-12)
 
 
 def test_double_sum_trivial_cases():
@@ -150,47 +138,6 @@ def test_s3_monotone_and_converging(prime_table_1e6, prime_table_1e7):
     assert gaps[1] <= 2.0 * gaps[2] * math.sqrt(10.0)
 
 
-def test_singular_series_odd_and_ratios():
-    assert singular_series(3) == 0.0
-    assert singular_series(2) > 0.0
-    assert singular_series(6) / singular_series(2) == pytest.approx(
-        2.0, abs=1e-14)
-    with pytest.raises(DomainError):
-        singular_series(0)
-
-
-def test_singular_series_twin_constant():
-    # Euler-product oracle: stabilizes to 6 digits well before 1e6, with
-    # the tail bound guarding the cutoff difference
-    v1 = singular_series(2, p_cutoff=10 ** 6)
-    v2 = singular_series(2, p_cutoff=4 * 10 ** 6)
-    assert abs(v1 - v2) < singular_series_tail_bound(10 ** 6)
-    assert v1 == pytest.approx(1.3203236, abs=3e-6)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=1, max_value=50_000))
-def test_singular_series_rational_factor(k):
-    # S(2k)/S(2) = prod over odd primes p | k of (p-1)/(p-2), exactly
-    expect = Fraction(1)
-    kk = k
-    while kk % 2 == 0:
-        kk //= 2
-    for p in _simple_sieve(300):
-        if p == 2:
-            continue
-        if kk % p == 0:
-            expect *= Fraction(p - 1, p - 2)
-            while kk % p == 0:
-                kk //= p
-    if kk > 1:
-        # leftover prime factor beyond the small sieve
-        p = kk
-        expect *= Fraction(p - 1, p - 2)
-    ratio = singular_series(2 * k) / singular_series(2)
-    assert ratio == pytest.approx(float(expect), rel=1e-12)
-
-
 def test_euler_constant_against_richardson_oracle():
     # stated oracle: H_N - log N with Richardson extrapolation
     def a(N):
@@ -200,11 +147,14 @@ def test_euler_constant_against_richardson_oracle():
     N = 20_000
     r1 = [2 * a(2 * N) - a(N), 2 * a(4 * N) - a(2 * N)]
     oracle = (4 * r1[1] - r1[0]) / 3
-    assert euler_constant() == pytest.approx(oracle, abs=1e-12)
-
-
-def test_euler_constant_two_methods_agree():
-    assert abs(euler_constant() - euler_constant_bessel()) < 1e-10
+    # the constant as the closed form uses it: the bracket minus its other
+    # terms
+    x = 10 ** 4
+    ds, _ = prime_power_double_sum(lambda m: 1.0 / m, 10 ** 6, 64)
+    rest = (-math.log(math.log(x)) + math.log(math.pi / 2)
+            - math.pi ** 2 / 8 + 1.0 + ds)
+    assert rest - closed_form_S1_minus_2S2(x) == pytest.approx(oracle,
+                                                               abs=1e-12)
 
 
 def test_closed_form_shares_double_sum(prime_table_1e6):
@@ -212,7 +162,7 @@ def test_closed_form_shares_double_sum(prime_table_1e6):
     ds, _ = prime_power_double_sum(lambda m: 1.0 / m, 10 ** 6, 64)
     x = 10 ** 4
     manual = (-math.log(math.log(x)) + math.log(math.pi / 2)
-              - math.pi ** 2 / 8 + 1.0 - euler_constant() + ds)
+              - math.pi ** 2 / 8 + 1.0 - np.euler_gamma + ds)
     assert closed_form_S1_minus_2S2(x) == pytest.approx(manual, abs=1e-15)
 
 
@@ -222,7 +172,7 @@ def test_closed_form_linear_in_euler_constant():
     base = closed_form_S1_minus_2S2(x)
     ds, _ = prime_power_double_sum(lambda m: 1.0 / m, 10 ** 6, 64)
     perturbed = (-math.log(math.log(x)) + math.log(math.pi / 2)
-                 - math.pi ** 2 / 8 + 1.0 - (euler_constant() + 0.1) + ds)
+                 - math.pi ** 2 / 8 + 1.0 - (np.euler_gamma + 0.1) + ds)
     assert base - perturbed == pytest.approx(0.1, abs=1e-14)
 
 

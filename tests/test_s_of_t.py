@@ -9,9 +9,8 @@ from oracles import (gap_integral_oracle, sinh_integral_oracle,
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
 from szeta.quadrature import DEFAULT_SPEC
-from szeta.s_of_t import (SEvaluator, g_and_h_direct, make_sinh_table,
-                          s_exact, s_explicit, s_mean, second_moment,
-                          sinh_tail_integral)
+from szeta.s_of_t import (SEvaluator, g_and_h_direct, s_exact, s_explicit,
+                          s_mean, second_moment, sin_sinh_integral)
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -62,30 +61,40 @@ def test_s_exact_decreasing_between_zeros(ev_120):
 
 
 def test_sinh_integral_against_oracle():
-    for v in (0.3, 1.0, 2.0, 7.5):
-        assert sinh_tail_integral(v) == pytest.approx(
-            sinh_integral_oracle(v), abs=2e-8)
+    # log-spaced grid, both sides of v = 30 (the old asymptotic switch) and
+    # of v = 60 (the digamma/series switch), both signs: sin(v) I(|v|) is odd
+    vs = np.concatenate((np.logspace(-3.0, 3.0, 60),
+                         [29.999, 30.001, 59.999, 60.0, 60.001]))
+    for v in np.concatenate((vs, -vs)):
+        want = math.sin(v) * sinh_integral_oracle(v)
+        got = float(sin_sinh_integral(v))
+        assert abs(got - want) <= 1e-12 * abs(want), v
+
+
+def test_sinh_integral_zero_and_limits():
+    # midpoint value 0 at v = 0, limits +-pi/2 from either side
+    assert sin_sinh_integral(np.array([0.0]))[0] == 0.0
+    assert float(sin_sinh_integral(0.0)) == 0.0
+    for v in (1e-300, 1e-12):
+        assert float(sin_sinh_integral(v)) == pytest.approx(PI / 2, rel=1e-12)
+        assert float(sin_sinh_integral(-v)) == pytest.approx(-PI / 2,
+                                                             rel=1e-12)
 
 
 def test_sinh_integral_even_and_monotone():
-    assert sinh_tail_integral(1.0) == sinh_tail_integral(-1.0)
-    assert sinh_tail_integral(1.0) > sinh_tail_integral(2.0)
-    with pytest.raises(DomainError):
-        sinh_tail_integral(0.0)
+    # I(v) = sin_sinh_integral(v) / sin(v) away from the roots of sin
+    v = np.array([0.01, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0, 50.0, 59.0, 61.0,
+                  100.0, 400.0])
+    assert np.array_equal(sin_sinh_integral(-v), -sin_sinh_integral(v))
+    i_of_v = sin_sinh_integral(v) / np.sin(v)
+    assert np.all(np.diff(i_of_v) < 0.0)
 
 
 def test_sinh_integral_large_v_limit():
-    # v^2 I(v) -> int_0^inf u/sinh u du = pi^2/4
-    v = 50.0
-    assert v * v * sinh_tail_integral(v) == pytest.approx(
-        PI ** 2 / 4, rel=0.01)
-
-
-def test_sinh_table_matches_quadrature():
-    table = make_sinh_table()
-    for v in (0.05, 0.9, 5.0, 29.5, 31.0, 200.0):
-        assert float(table.eval(np.array([v]))[0]) == pytest.approx(
-            sinh_tail_integral(v), abs=1e-8)
+    # v^2 I(v) -> int_0^inf u/sinh u du = pi^2/4, next term -pi^4/(8 v^2)
+    for v, rel in ((50.0, 0.01), (1e4, 1e-7)):
+        assert v * v * float(sin_sinh_integral(v)) / math.sin(v) == \
+            pytest.approx(PI ** 2 / 4, rel=rel)
 
 
 def test_s_explicit_agreement(ev_120):

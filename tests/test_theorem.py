@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 
 from szeta.errors import DomainError
 from szeta.paircorr import lemma6_eval
-from szeta.primes import (euler_constant, prime_power_double_sum,
-                          prime_sum_terms)
+from szeta.primes import prime_power_double_sum, prime_sum_terms
 from szeta.theorem import (EQ2_CONSTANT, FModel, MomentReport, conjectural_F,
                            full_report, g_plus_h_closed, lemma8_check,
                            lemma9_check, lemma10_check, lemma_8_9_10_eval,
@@ -63,8 +63,8 @@ def test_theorem_rhs_composition():
     ds, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2)
     scale = 1000.0 / (2 * PI ** 2)
     assert bd.f_tail_term == pytest.approx(scale, rel=1e-14)
-    assert bd.euler_term == pytest.approx(scale * euler_constant(),
-                                          rel=1e-14)
+    # Euler's constant correctly rounded (the harmonic-sum route was 1 ulp low)
+    assert bd.euler_term == scale * float(mpmath.euler)
     assert bd.prime_sum_term == pytest.approx(-scale * ds, rel=1e-14)
     # breakdown sums to the total bit-for-bit
     assert bd.rhs_theorem == (bd.loglog_term + bd.f_tail_term
