@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, MissedZerosError,
                      ZerosParseError)
-from .kernels import CheckReport, check_identity
+from .kernels import CheckReport, _report, check_identity
 from .paircorr import lemma5_check, lemma6_eval, pcf_curve
 from .primes import build_prime_table
 from .s_of_t import SEvaluator, s_exact, s_explicit
@@ -238,13 +238,9 @@ def _cmd_check(args) -> int:
         else:
             dec = lemma6_eval(zs, T, beta)
             term_sum = dec.term_main + dec.term_F_beta - dec.term_k2_integral
-            d = abs(dec.r_total - term_sum)
-            rel = d / max(abs(dec.r_total), abs(term_sum))
-            tol = params.get("tol", 1e-6)
-            rep = CheckReport(
-                name="lemma6", params={"T": T, "beta": beta},
-                lhs=dec.r_total, rhs=term_sum, discrepancy_abs=d,
-                discrepancy_rel=rel, tolerance=tol, passed=rel <= tol,
+            rep = _report(
+                "lemma6", {"T": T, "beta": beta}, dec.r_total, term_sum,
+                params.get("tol", 1e-6),
                 detail={"term_main": dec.term_main,
                         "term_F_beta": dec.term_F_beta,
                         "term_k2_integral": dec.term_k2_integral,

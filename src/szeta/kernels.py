@@ -355,8 +355,7 @@ def kpp_transform_many(y):
 # reference (quadrature) transforms
 # ----------------------------------------------------------------------
 
-def khat(y: float, method: str = "direct",
-         spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def khat(y: float, method: str = "direct") -> float:
     """Fourier transform of k at y, by adaptive panel quadrature.
 
     ``direct`` integrates k itself; ``closed`` integrates k'' and adds the
@@ -375,28 +374,27 @@ def khat(y: float, method: str = "direct",
     omega = 2.0 * PI * ya
     if method == "direct":
         main, _ = integrate(lambda u: k_values(u) * np.cos(omega * u),
-                            0.0, BREAKPOINT, spec, omega=omega)
+                            0.0, BREAKPOINT, omega=omega)
         val = 2.0 * main + 0.5 * float(_tail_cos_over_u2(ya))
     else:
         if ya <= 1e-3:
             raise DomainError("closed form is singular at y = 0")
         main, _ = integrate(lambda u: kpp_values(u) * np.cos(omega * u),
-                            0.0, BREAKPOINT, spec, omega=omega)
+                            0.0, BREAKPOINT, omega=omega)
         k2 = 2.0 * main + 3.0 * float(_tail_cos_over_u4(ya))
         val = -k2 / (2.0 * PI * ya) ** 2 \
             + (PI ** 3 / (2.0 * ya * ya)) * math.cos(ya)
     return val
 
 
-def _khat_complex_residual(y: float, spec: QuadratureSpec) -> float:
-    """|imaginary part| of int over [-cutoff, cutoff] of k(u) e(-2 pi i u y),
+def _khat_complex_residual(y: float) -> float:
+    """|imaginary part| of int over [-40, 40] of k(u) e(-2 pi i u y),
     integrated without exploiting evenness.  Sanity guard for the transform;
     analytically zero."""
     omega = 2.0 * PI * y
-    c = max(spec.infinite_cutoff, 4.0 * BREAKPOINT)
-    sp = spec.with_breakpoints((-BREAKPOINT, BREAKPOINT))
+    sp = QuadratureSpec(breakpoints=(-BREAKPOINT, BREAKPOINT))
     imag, _ = integrate(lambda u: -k_values(u) * np.sin(omega * u),
-                        -c, c, sp, omega=omega)
+                        -40.0, 40.0, sp, omega=omega)
     return abs(imag)
 
 
@@ -440,7 +438,7 @@ def _report(name, params, lhs, rhs, tol, assertable=True, scale=None,
                        error_scales=scale or {}, **kw)
 
 
-def _check_w_partition(params, spec):
+def _check_w_partition(params):
     n = int(params.get("n", 10_000))
     lo = float(params.get("u_min", -10.0))
     hi = float(params.get("u_max", 10.0))
@@ -499,7 +497,7 @@ def _fd_derivatives(x0, h, direction):
     return d1, d2
 
 
-def _check_kernel_derivatives(params, spec):
+def _check_kernel_derivatives(params):
     h = float(params.get("step", 1e-3))
     tol_zero = float(params.get("tol_center", 1e-4))
     tol_side = float(params.get("tol", 1e-3))
@@ -545,28 +543,27 @@ def _check_kernel_derivatives(params, spec):
     return rep
 
 
-def _check_fourier_identity(params, spec):
+def _check_fourier_identity(params):
     ys = params.get("y_values", (0.5, 1.0, 2.0, 5.0, 10.0))
     tol = float(params.get("tol", 1e-6))
-    diffs = {}
-    for y in ys:
-        diffs[float(y)] = khat(float(y), "direct", spec) \
-            - khat(float(y), "closed", spec)
+    pairs = {float(y): (khat(float(y), "direct"), khat(float(y), "closed"))
+             for y in ys}
+    diffs = {y: a - b for y, (a, b) in pairs.items()}
     worst_y = max(diffs, key=lambda y: abs(diffs[y]))
     worst = abs(diffs[worst_y])
-    imag = _khat_complex_residual(float(min(ys)), spec)
+    imag = _khat_complex_residual(float(min(ys)))
     rep = CheckReport(
         name="lemma4", params={"y_values": list(map(float, ys))},
-        lhs=khat(worst_y, "direct", spec), rhs=khat(worst_y, "closed", spec),
+        lhs=pairs[worst_y][0], rhs=pairs[worst_y][1],
         discrepancy_abs=worst, discrepancy_rel=worst,
-        tolerance=tol, passed=(worst <= tol and imag <= spec.abs_tol * 10),
+        tolerance=tol,
+        passed=(worst <= tol and imag <= DEFAULT_SPEC.abs_tol * 10),
         detail={"per_y_differences": {f"{y:g}": d for y, d in diffs.items()},
                 "imag_residual": imag})
     return rep
 
 
 def t_weighted_kernel_integral(T: float, beta: float,
-                               spec: QuadratureSpec = DEFAULT_SPEC,
                                deriv: bool = False) -> float:
     """int_0^beta T^(-2 alpha) k(alpha / (2 pi beta)) d alpha (or with k'').
 
@@ -577,16 +574,16 @@ def t_weighted_kernel_integral(T: float, beta: float,
     fn = kpp_values if deriv else k_values
     val, _ = integrate(
         lambda a: np.exp(-2.0 * logT * a) * fn(a / (2.0 * PI * beta)),
-        0.0, beta, spec)
+        0.0, beta)
     return val
 
 
-def _check_parts_identity(params, spec):
+def _check_parts_identity(params):
     beta = float(params.get("beta", 0.5))
     T = float(params.get("T", 1000.0))
     logT = math.log(T)
-    lhs = t_weighted_kernel_integral(T, beta, spec, deriv=True)
-    base = t_weighted_kernel_integral(T, beta, spec, deriv=False)
+    lhs = t_weighted_kernel_integral(T, beta, deriv=True)
+    base = t_weighted_kernel_integral(T, beta)
     rhs = 16.0 * PI ** 2 * beta ** 2 * logT ** 2 * base
     # as printed the identity drops the boundary terms of the two parts
     # integrations; they are computed here so the report can show that the
@@ -606,7 +603,7 @@ def _check_parts_identity(params, spec):
     return rep
 
 
-def _check_geometric_moment_bound(params, spec):
+def _check_geometric_moment_bound(params):
     kk = int(params.get("k", 1))
     cs = params.get("C_values", (2.0, 4.0, 8.0, 16.0))
     vals = {}
@@ -643,10 +640,9 @@ _CHECKS = {
 }
 
 
-def check_identity(name: str, params: dict | None = None,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> CheckReport:
+def check_identity(name: str, params: dict | None = None) -> CheckReport:
     """Run one of the kernel-level identity checks by name."""
     if name not in _CHECKS:
         raise DomainError(
             f"unknown identity {name!r}; choose from {sorted(_CHECKS)}")
-    return _CHECKS[name](params or {}, spec)
+    return _CHECKS[name](params or {})

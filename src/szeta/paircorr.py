@@ -24,9 +24,9 @@ from numpy.polynomial.chebyshev import chebvander
 from scipy.sparse import csc_array
 
 from .errors import DomainError
-from .kernels import (_FAST_Y_SWITCH, CheckReport, khat_many, khat_pq,
-                      kpp_pq, kpp_transform_many)
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
+                      khat_pq, kpp_pq, kpp_transform_many)
+from .quadrature import gap_rule
 from .s_of_t import sin_sinh_integral
 from .zeros import ZeroSet
 
@@ -373,14 +373,9 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
     integral = pairs_kpp * 2.0 * PI * beta / _normalizer(T)
     rhs = (PI ** 2 * T / (16.0 * logT)) * f_beta / beta ** 2 \
         - (T / (64.0 * PI ** 4 * logT * beta ** 3)) * integral
-    d_abs = abs(lhs - rhs)
-    d_rel = d_abs / max(abs(lhs), abs(rhs))
-    return CheckReport(
-        name="lemma5", params={"T": T, "beta": beta}, lhs=lhs, rhs=rhs,
-        discrepancy_abs=d_abs, discrepancy_rel=d_rel, tolerance=tol,
-        passed=d_rel <= tol,
-        detail={"F_beta": f_beta, "kpp_integral": integral,
-                "zero_count": int(len(g))})
+    return _report("lemma5", {"T": T, "beta": beta}, lhs, rhs, tol,
+                   detail={"F_beta": f_beta, "kpp_integral": integral,
+                           "zero_count": int(len(g))})
 
 
 @dataclass(frozen=True)
@@ -392,7 +387,7 @@ class RDecomposition:
     + term_F_beta - term_k2_integral checks the Lemma 5 rearrangement of the
     complement-weighted part of R.  ``r_total_direct``
     (when present) is the time-domain quadrature of the defining integral,
-    feasible at small T only.
+    feasible at small T only, and ``r_direct_err`` its error estimate.
     """
 
     r_total: float
@@ -402,18 +397,20 @@ class RDecomposition:
     beta: float
     x: float
     r_total_direct: float | None = None
+    r_direct_err: float | None = None
 
 
-def _r_time_integral(zeros: ZeroSet, T: float, x: float,
-                     spec: QuadratureSpec) -> float:
-    """int_1^T of the squared zero sum of the explicit formula, directly.
+def _r_time_integral(zeros: ZeroSet, T: float, x: float):
+    """int_1^T of the squared zero sum of the explicit formula, directly;
+    returns ``(value, error_estimate)``.
 
     Every ordinate of the set participates at every node (no window: a
     moving window would put kinks inside the integration intervals), with
-    the sinh integral from its closed form.  The result backs a report-only
-    comparison, so tolerances are relaxed to 1e-7.
+    the sinh integral from its closed form.  The sum jumps at each
+    ordinate and is smooth between, so every zero gap of [1, T] is one
+    segment of the fixed gap rule; its nearest singularities sit pi/log x
+    beyond each gap's ends, two panel widths away.
     """
-    from dataclasses import replace
     logx = math.log(x)
     g = zeros.ordinates
 
@@ -429,15 +426,11 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float,
         s /= PI
         return s * s
 
-    loose = replace(spec, abs_tol=max(spec.abs_tol, 1e-7),
-                    rel_tol=max(spec.rel_tol, 1e-7))
-    val, _ = integrate(zero_sum_sq, 1.0, T, loose.with_breakpoints(g[g < T]),
-                       omega=logx)
-    return val
+    edges = np.concatenate(([1.0], g[(g > 1.0) & (g < T)], [T]))
+    return gap_rule(zero_sum_sq, edges, omega=logx)
 
 
 def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
-                spec: QuadratureSpec = DEFAULT_SPEC,
                 direct_limit: float = 500.0) -> RDecomposition:
     """Evaluate R and its three-term decomposition from one ordinate set.
 
@@ -476,9 +469,10 @@ def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
     term_main = T / (2.0 * PI ** 2 * beta) ** 2 * fk
     term_f = T / (16.0 * logT ** 2) * f_beta / beta ** 3
     term_k2 = T / (64.0 * PI ** 6 * beta ** 4 * logT ** 2) * fk2
-    direct = None
+    direct = direct_err = None
     if T <= direct_limit:
-        direct = _r_time_integral(zeros, T, x, spec)
+        direct, direct_err = _r_time_integral(zeros, T, x)
     return RDecomposition(r_total=r_total, term_main=term_main,
                           term_F_beta=term_f, term_k2_integral=term_k2,
-                          beta=beta, x=x, r_total_direct=direct)
+                          beta=beta, x=x, r_total_direct=direct,
+                          r_direct_err=direct_err)

@@ -11,17 +11,19 @@ truncated away from the summation window.  ``sin_sinh_integral`` gives
 sin(v) I(v) in closed form (digamma, then an asymptotic series above
 v = 60), vectorized over all zeros at once.
 
-``second_moment``, ``s_mean`` and ``g_and_h_direct`` integrate up to T in
-one quadrature call with a breakpoint at every ordinate: on each zero
-gap S is the smooth function (constant - theta/pi), and all gaps are
-refined together.  Below t = 10 the asymptotic theta is invalid and the
-exact log-Gamma theta is used instead.
+``second_moment``, ``s_mean`` and ``g_and_h_direct`` integrate up to T
+over the zero gaps.  On each gap S is the smooth function
+(constant - theta/pi), so one fixed Gauss-Legendre rule per gap
+(:func:`~szeta.quadrature.gap_rule`) covers all gaps at once.  Only the
+head below the first ordinate goes through the adaptive ``integrate``:
+below t = 10 the asymptotic theta is invalid, and the exact log-Gamma
+theta used there is singular at t = +-i/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, zeta
@@ -29,7 +31,7 @@ from scipy.special import digamma, zeta
 from .errors import DomainError
 from .kernels import f_weight
 from .primes import PrimeTable
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import gap_rule, integrate
 from .zeros import ZeroSet, theta, theta_exact
 
 PI = math.pi
@@ -42,7 +44,6 @@ class SEvaluator:
 
     zeros: ZeroSet
     prime_table: PrimeTable
-    theta_order: int = 4
 
 
 def s_exact(t: float, ev: SEvaluator) -> float:
@@ -51,8 +52,7 @@ def s_exact(t: float, ev: SEvaluator) -> float:
         raise DomainError("zero set not validated as complete")
     if not 10.0 <= t <= ev.zeros.t_max:
         raise DomainError("t outside zero coverage")
-    n = ev.zeros.count_up_to(t)
-    return n - 1.0 - theta(t, ev.theta_order) / PI
+    return float(_s_between_zeros(t, ev.zeros))
 
 
 # I(v) ~ sum_k c_k / v^(2k+2) above _SINH_SWITCH, with
@@ -166,56 +166,61 @@ def _theta_any(t):
     return out
 
 
-def _gap_spec(T: float, ev: SEvaluator,
-              spec: QuadratureSpec) -> QuadratureSpec:
-    """Tightened ``spec`` with every ordinate up to T as a breakpoint; the
-    set must be complete and cover T, or the zero count in S is wrong."""
-    if not ev.zeros.claimed_complete:
-        raise DomainError("zero set not validated as complete")
-    if not T <= ev.zeros.t_max:
-        raise DomainError("T outside zero coverage")
-    tight = replace(spec, abs_tol=min(spec.abs_tol, 1e-12),
-                    rel_tol=min(spec.rel_tol, 1e-12))
-    return tight.with_breakpoints(ev.zeros.up_to(T))
-
-
 def _s_between_zeros(t, zeros: ZeroSet):
-    """``s_exact``'s formula, vectorized, for t off the ordinates."""
+    """S(t) = N(t) - 1 - theta(t)/pi, vectorized, N with weight 1/2 at an
+    ordinate."""
     return zeros.count_up_to(t) - 1.0 - _theta_any(t) / PI
 
 
-def second_moment(T: float, ev: SEvaluator,
-                  spec: QuadratureSpec = DEFAULT_SPEC,
-                  t_lo: float = 0.0) -> float:
+def _gap_integral(f, lo: float, hi: float, ev: SEvaluator,
+                  omega: float = 0.0):
+    """int_lo^hi f over the zero gaps; returns ``(value, error_estimate)``.
+
+    The set must be complete and cover hi, or the zero count in S is wrong.
+    The head [lo, g_1] below the first ordinate goes through the adaptive
+    ``integrate``, since theta_exact's singularities at t = +-i/2 sit too
+    close for a fixed rule; every gap beyond is one segment of ``gap_rule``.
+    """
+    zeros = ev.zeros
+    if not zeros.claimed_complete:
+        raise DomainError("zero set not validated as complete")
+    if not hi <= zeros.t_max:
+        raise DomainError("T outside zero coverage")
+    g = zeros.ordinates
+    edges = np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
+    split = edges[1] if lo < g[0] else lo
+    head, head_err = integrate(f, lo, split, omega=omega)
+    body, body_err = gap_rule(f, edges[edges >= split], omega)
+    return head + body, head_err + body_err
+
+
+def second_moment(T: float, ev: SEvaluator, t_lo: float = 0.0) -> float:
     """int_{t_lo}^T S(t)^2 dt, exact-per-interval.
 
-    Between consecutive ordinates S is smooth, so every zero gap is its own
-    segment of one adaptive Gauss-Legendre pass; below t = 10 the log-Gamma
-    theta keeps the continuation exact.  Deterministic for fixed inputs.
+    Between consecutive ordinates S is smooth, so every zero gap is one
+    segment of the fixed gap rule, whose error estimate is held below
+    ``GAP_RULE_TOL`` relative (else ``AccuracyError``); below t = 10 the
+    log-Gamma theta keeps the continuation exact.  Deterministic for fixed
+    inputs.
     """
     if not 10.0 <= T:
         raise DomainError("T outside zero coverage")
     if not 0.0 <= t_lo < T:
         raise DomainError("t_lo must sit in [0, T)")
-    return _s_squared_integral(t_lo, T, ev, spec)
+    return _s_squared_integral(t_lo, T, ev)
 
 
-def _s_squared_integral(lo: float, hi: float, ev: SEvaluator,
-                        spec: QuadratureSpec) -> float:
+def _s_squared_integral(lo: float, hi: float, ev: SEvaluator) -> float:
     """int_lo^hi S^2 over the zero gaps, without ``second_moment``'s
     domain floor (``full_report`` adds the piece over [0, 1] this way)."""
-    gaps = _gap_spec(hi, ev, spec)
-    val, _ = integrate(lambda t: _s_between_zeros(t, ev.zeros) ** 2,
-                       lo, hi, gaps)
-    return val
+    return _gap_integral(lambda t: _s_between_zeros(t, ev.zeros) ** 2,
+                         lo, hi, ev)[0]
 
 
-def s_mean(T: float, ev: SEvaluator,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """(1/T) int_0^T S(t) dt."""
-    gaps = _gap_spec(T, ev, spec)
-    val, _ = integrate(lambda t: _s_between_zeros(t, ev.zeros), 0.0, T, gaps)
-    return val / T
+def s_mean(T: float, ev: SEvaluator) -> float:
+    """(1/T) int_0^T S(t) dt, to the gap rule's tolerance."""
+    return _gap_integral(lambda t: _s_between_zeros(t, ev.zeros),
+                         0.0, T, ev)[0] / T
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,8 @@ class GHResult:
     h: float
     g_sum_formula: float
     h_sum_formula: float
+    g_err: float      # quadrature error estimates of g and h
+    h_err: float
 
 
 def _dirichlet_coeffs(x: float, table: PrimeTable):
@@ -237,12 +244,11 @@ def _dirichlet_coeffs(x: float, table: PrimeTable):
     return logp / (np.sqrt(n) * logn) * fv, logn, fv, logp, n
 
 
-def g_and_h_direct(T: float, x: float, ev: SEvaluator,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> GHResult:
+def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     """G(T) and H(T) by direct quadrature, with companion sum formulas.
 
     G integrates the squared prime sum, H the cross term against S(t);
-    both run over [1, T] with breakpoints at the ordinates.  Sum-formula
+    both run over the zero gaps of [1, T].  Sum-formula
     companions:  G ~ (T/2pi^2) sum Lambda^2(n) f^2 / (n log^2 n) and
     H ~ -(T/pi^2) sum Lambda^2(n) f / (n log^2 n).
     """
@@ -256,17 +262,15 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator,
     def dirichlet(t):
         return np.sin(np.outer(np.asarray(t, dtype=float), logn)) @ coef
 
-    gaps = _gap_spec(T, ev, spec)
-    g_total, _ = integrate(lambda t: dirichlet(t) ** 2, 1.0, T, gaps,
-                           omega=omega)
-    h_total, _ = integrate(
-        lambda t: _s_between_zeros(t, ev.zeros) * dirichlet(t), 1.0, T, gaps,
-        omega=omega)
-    g_total /= PI * PI
-    h_total *= 2.0 / PI
+    g_total, g_err = _gap_integral(lambda t: dirichlet(t) ** 2, 1.0, T, ev,
+                                   omega)
+    h_total, h_err = _gap_integral(
+        lambda t: _s_between_zeros(t, ev.zeros) * dirichlet(t), 1.0, T, ev,
+        omega)
 
     w = logp ** 2 / (n * logn ** 2)
     g_sum = T / (2.0 * PI * PI) * float(np.sum(w * fv * fv))
     h_sum = -T / (PI * PI) * float(np.sum(w * fv))
-    return GHResult(g=g_total, h=h_total, g_sum_formula=g_sum,
-                    h_sum_formula=h_sum)
+    return GHResult(g=g_total / (PI * PI), h=h_total * (2.0 / PI),
+                    g_sum_formula=g_sum, h_sum_formula=h_sum,
+                    g_err=g_err / (PI * PI), h_err=h_err * (2.0 / PI))

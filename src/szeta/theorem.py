@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import (CheckReport, k_values, kpp_values,
+from .kernels import (CheckReport, _report, k_values, kpp_values,
                       t_weighted_kernel_integral)
 from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                        pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import build_prime_table, prime_power_double_sum
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 from .s_of_t import (SEvaluator, _s_squared_integral, g_and_h_direct,
                      second_moment)
 from .zeros import ZeroSet
@@ -137,8 +137,7 @@ def theorem_rhs(T: float, f_tail: float, p_cutoff: int = 10 ** 6,
 # conditional-asymptotic evaluators
 # ----------------------------------------------------------------------
 
-def _model_kernel_integral(T: float, beta: float, spec: QuadratureSpec,
-                           deriv: bool) -> float:
+def _model_kernel_integral(T: float, beta: float, deriv: bool) -> float:
     """int over R of F_model(alpha) k(alpha/(2 pi beta)) d alpha (or k'').
 
     [0, 1] by quadrature with breakpoints at the kernel edge alpha = beta
@@ -146,10 +145,9 @@ def _model_kernel_integral(T: float, beta: float, spec: QuadratureSpec,
     model = FModel(T)
     fn = kpp_values if deriv else k_values
     pts = tuple(p for p in sorted({beta, model.regime_boundary}) if p < 1.0)
-    sp = spec.with_breakpoints(pts)
     val, _ = integrate(
         lambda a: conjectural_F(a, model) * fn(a / (2.0 * PI * beta)),
-        0.0, 1.0, sp)
+        0.0, 1.0, QuadratureSpec(breakpoints=pts))
     tail = 8.0 * PI ** 4 * beta ** 4 if deriv else PI ** 2 * beta ** 2
     return 2.0 * (val + tail)
 
@@ -169,7 +167,6 @@ def _require_curve(zeros, T, curve):
 
 
 def lemma8_check(T: float, beta: float, zeros: ZeroSet | None = None,
-                 spec: QuadratureSpec = DEFAULT_SPEC,
                  f_source: str = "empirical",
                  curve: PairCorrelationCurve | None = None,
                  tail_model: str = "constant_one") -> CheckReport:
@@ -181,29 +178,25 @@ def lemma8_check(T: float, beta: float, zeros: ZeroSet | None = None,
         curve = _require_curve(zeros, T, curve)
         lhs = f_weighted_kernel_integral(zeros, T, beta, deriv=False)
     else:
-        lhs = _model_kernel_integral(T, beta, spec, deriv=False)
+        lhs = _model_kernel_integral(T, beta, deriv=False)
     ft2, _ = _f_tail_values(f_source, curve, 4.0, tail_model)
     rhs = 2.0 * PI ** 2 * beta ** 2 * (
         1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)) \
         + 2.0 * (logT + EQ2_CONSTANT) \
-        * t_weighted_kernel_integral(T, beta, spec)
+        * t_weighted_kernel_integral(T, beta)
     scales = {
         "inv_beta2_log4T": 1.0 / (beta ** 2 * logT ** 4),
         "logT_T_pow": logT * T ** (-(0.5 - 0.1) * beta),
         "beta2_inv_log2T": beta ** 2 / logT ** 2,
     }
-    d = lhs - rhs
-    return CheckReport(
-        name="lemma8", params={"T": T, "beta": beta, "f_source": f_source},
-        lhs=lhs, rhs=rhs, discrepancy_abs=abs(d),
-        discrepancy_rel=abs(d) / max(abs(lhs), abs(rhs)),
-        tolerance=0.0, passed=True, assertable=False, error_scales=scales,
+    return _report(
+        "lemma8", {"T": T, "beta": beta, "f_source": f_source}, lhs, rhs,
+        0.0, assertable=False, scale=scales,
         notes=["conditional asymptotic: discrepancy reported against the "
                "printed error scales, never asserted"])
 
 
 def lemma9_check(T: float, beta: float, zeros: ZeroSet | None = None,
-                 spec: QuadratureSpec = DEFAULT_SPEC,
                  f_source: str = "empirical",
                  curve: PairCorrelationCurve | None = None,
                  tail_model: str = "constant_one") -> CheckReport:
@@ -215,28 +208,24 @@ def lemma9_check(T: float, beta: float, zeros: ZeroSet | None = None,
         curve = _require_curve(zeros, T, curve)
         lhs = f_weighted_kernel_integral(zeros, T, beta, deriv=True)
     else:
-        lhs = _model_kernel_integral(T, beta, spec, deriv=True)
+        lhs = _model_kernel_integral(T, beta, deriv=True)
     _, ft4 = _f_tail_values(f_source, curve, 4.0, tail_model)
     rhs = 4.0 * PI ** 6 * beta ** 2 - 24.0 * PI ** 4 * beta ** 4 \
         + 48.0 * PI ** 4 * beta ** 4 * ft4 \
         + 32.0 * PI ** 2 * beta ** 2 * logT ** 2 * (logT + EQ2_CONSTANT) \
-        * t_weighted_kernel_integral(T, beta, spec)
+        * t_weighted_kernel_integral(T, beta)
     scales = {
         "inv_log2T": 1.0 / logT ** 2,
         "logT_T_pow": logT * T ** (-(0.5 - 0.1) * beta),
     }
-    d = lhs - rhs
-    return CheckReport(
-        name="lemma9", params={"T": T, "beta": beta, "f_source": f_source},
-        lhs=lhs, rhs=rhs, discrepancy_abs=abs(d),
-        discrepancy_rel=abs(d) / max(abs(lhs), abs(rhs)),
-        tolerance=0.0, passed=True, assertable=False, error_scales=scales,
+    return _report(
+        "lemma9", {"T": T, "beta": beta, "f_source": f_source}, lhs, rhs,
+        0.0, assertable=False, scale=scales,
         notes=["shares the T^(-2 alpha) kernel integral implementation "
                "with the parts-integration check"])
 
 
 def lemma10_check(T: float, beta: float, zeros: ZeroSet,
-                  spec: QuadratureSpec = DEFAULT_SPEC,
                   f_source: str = "empirical",
                   curve: PairCorrelationCurve | None = None,
                   tail_model: str = "constant_one") -> CheckReport:
@@ -257,19 +246,15 @@ def lemma10_check(T: float, beta: float, zeros: ZeroSet,
         "T_inv_log2T": T / logT ** 2,
         "T_inv_beta4_log4T": T / (beta ** 4 * logT ** 4),
     }
-    d = lhs - rhs
-    return CheckReport(
-        name="lemma10", params={"T": T, "beta": beta, "f_source": f_source},
-        lhs=lhs, rhs=rhs, discrepancy_abs=abs(d),
-        discrepancy_rel=abs(d) / max(abs(lhs), abs(rhs)),
-        tolerance=0.0, passed=True, assertable=False, error_scales=scales,
+    return _report(
+        "lemma10", {"T": T, "beta": beta, "f_source": f_source}, lhs, rhs,
+        0.0, assertable=False, scale=scales,
         notes=["the source display shows the F-tail integral from 0; it is "
                "evaluated from 1 here (the 0 end diverges as printed and "
                "the final statement uses the from-1 form)"])
 
 
 def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
-                      spec: QuadratureSpec = DEFAULT_SPEC,
                       f_source: str = "empirical",
                       tail_model: str = "constant_one") -> dict:
     """All three conditional evaluators over one shared curve."""
@@ -277,14 +262,12 @@ def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
     if f_source == "empirical":
         curve = _require_curve(zeros, T, curve)
     out = {
-        "lemma8": lemma8_check(T, beta, zeros, spec, f_source, curve,
-                               tail_model),
-        "lemma9": lemma9_check(T, beta, zeros, spec, f_source, curve,
-                               tail_model),
+        "lemma8": lemma8_check(T, beta, zeros, f_source, curve, tail_model),
+        "lemma9": lemma9_check(T, beta, zeros, f_source, curve, tail_model),
     }
     if zeros is not None:
-        out["lemma10"] = lemma10_check(T, beta, zeros, spec, f_source,
-                                       curve, tail_model)
+        out["lemma10"] = lemma10_check(T, beta, zeros, f_source, curve,
+                                       tail_model)
     return out
 
 
@@ -309,7 +292,6 @@ class MomentReport:
 
 
 def full_report(T: float, x: float, zeros: ZeroSet,
-                spec: QuadratureSpec = DEFAULT_SPEC,
                 alpha_max: float = 4.0, alpha_step: float = 0.025,
                 f_tail_source: str = "empirical",
                 tail_model: str = "constant_one",
@@ -336,8 +318,8 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     ev = SEvaluator(zeros=zeros, prime_table=prime_table)
     # one pass over the zero gaps: int_0^T S^2 adds the piece over [0, 1],
     # below every ordinate, to the int_1^T S^2 of the squared formula
-    sm_1 = second_moment(T, ev, spec, t_lo=1.0)
-    lhs = _s_squared_integral(0.0, 1.0, ev, spec) + sm_1
+    sm_1 = second_moment(T, ev, t_lo=1.0)
+    lhs = _s_squared_integral(0.0, 1.0, ev) + sm_1
 
     curve = pcf_curve(zeros, T, alpha_max, alpha_step)
     if f_tail_source == "empirical":
@@ -353,7 +335,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
         "a labeled model, not an assumption being verified",
     ]
     if section3:
-        gh = g_and_h_direct(T, x, ev, spec)
+        gh = g_and_h_direct(T, x, ev)
         r_total = weighted_khat_sum(zeros, x, "none", T=T) \
             / (PI ** 2 * math.log(x))
         resid = sm_1 + gh.g + gh.h - r_total

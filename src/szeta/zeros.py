@@ -35,10 +35,10 @@ _Z_PIECE = 1 << 16        # points per Z call of the scan and the bisection
 _THETA_COEF = [1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0]
 
 
-def theta(t, order: int = 4):
+def theta(t):
     """Riemann-Siegel theta by its asymptotic series (t >= 10).
 
-    Truncation error is below 1e-12 for t >= 10 at the default order; the
+    Truncation error is below 1e-12 for t >= 10 with four terms; the
     series is useless below t ~ 2 pi where its expansion point degenerates,
     hence the domain floor.
     """
@@ -47,8 +47,8 @@ def theta(t, order: int = 4):
         raise DomainError("theta series requires t >= 10; "
                           "use theta_exact below that")
     val = 0.5 * arr * np.log(arr / TWO_PI) - 0.5 * arr - math.pi / 8.0
-    for n in range(1, order + 1):
-        val = val + _THETA_COEF[n - 1] * arr ** (1 - 2 * n)
+    for n, c in enumerate(_THETA_COEF, 1):
+        val = val + c * arr ** (1 - 2 * n)
     return float(val) if np.isscalar(t) else val
 
 

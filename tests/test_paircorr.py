@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ordered_pair_sum_oracle
+from oracles import gap_integral_oracle, ordered_pair_sum_oracle
 from szeta import paircorr
 from szeta.errors import DomainError
 from szeta.kernels import khat, khat_many, kpp_transform_many
 from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                             lemma5_check, lemma6_eval, pair_weight, pcf,
                             pcf_curve, tail_integral, weighted_khat_sum)
+from szeta.s_of_t import sin_sinh_integral
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -178,6 +179,20 @@ def test_lemma6_regrouping(zeros_220):
     # direct time integral exists at small T and lands near the pair sum
     assert dec.r_total_direct is not None
     assert abs(dec.r_total_direct - term_sum) <= 50 * math.log(100.0) ** 3
+
+
+def test_lemma6_direct_against_quad_oracle(zeros_120):
+    # the fixed gap rule against scipy quad gap by gap, on the same squared
+    # zero sum (every ordinate of the set, sinh integral in closed form)
+    T, beta = 60.0, 0.4
+    dec = lemma6_eval(zeros_120, T, beta)
+    g = zeros_120.ordinates
+    logx = beta * math.log(T)
+    oracle = gap_integral_oracle(
+        lambda t, s: (np.sum(sin_sinh_integral((t - g) * logx)) / PI) ** 2,
+        g, 1.0, T)
+    assert dec.r_total_direct == pytest.approx(oracle, rel=1e-9)
+    assert dec.r_direct_err <= 1e-10 * dec.r_total_direct
 
 
 def test_lemma6_skips_direct_at_large_T(zeros_220):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from szeta.errors import AccuracyError
-from szeta.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from szeta.quadrature import QuadratureSpec, gap_rule, integrate
 
 
 def test_polynomial_exact():
@@ -26,7 +26,7 @@ def test_high_frequency_cosine():
 
 
 def test_breakpoint_handles_kink():
-    spec = QuadratureSpec(breakpoints=(0.3,), infinite_cutoff=10.0)
+    spec = QuadratureSpec(breakpoints=(0.3,))
     val, _ = integrate(lambda x: np.abs(x - 0.3), 0.0, 1.0, spec)
     exact = 0.5 * (0.3 ** 2 + 0.7 ** 2)
     assert abs(val - exact) < 1e-13
@@ -60,11 +60,25 @@ def test_spec_validation():
         QuadratureSpec(max_depth=100)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(breakpoints=(5.0,), infinite_cutoff=2.0)
 
 
-def test_with_breakpoints_keeps_cutoff_above():
-    spec = DEFAULT_SPEC.with_breakpoints((100.0,))
-    assert spec.infinite_cutoff > 100.0
-    assert 100.0 in spec.breakpoints
+def test_gap_rule_on_segments():
+    # |sin| has a kink at every multiple of pi: one segment per half period,
+    # panels capped by omega, and no segments at all
+    edges = np.arange(0.0, 7.0) * math.pi
+    val, err = gap_rule(lambda x: np.abs(np.sin(x)), edges, omega=1.0)
+    assert abs(val - 12.0) < 1e-13
+    assert err < 1e-10 * 12.0
+    assert gap_rule(np.sin, [2.0]) == (0.0, 0.0)
+
+
+def test_gap_rule_raises_when_estimate_fails():
+    # a gap 5 wide with omega undeclared gets 1-wide panels, far too
+    # coarse for cos(40 x): 6 and 8 nodes disagree
+    with pytest.raises(AccuracyError) as info:
+        gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0])
+    assert info.value.achieved > 1e-10
+    assert "[0, 5]" in str(info.value)
+    # declared, the panels shrink to a quarter period and it converges
+    val, _ = gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0], omega=40.0)
+    assert abs(val - math.sin(200.0) / 40.0) < 1e-13

@@ -8,7 +8,6 @@ from oracles import (gap_integral_oracle, sinh_integral_oracle,
                      theta_binet_oracle)
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
-from szeta.quadrature import DEFAULT_SPEC
 from szeta.s_of_t import (SEvaluator, g_and_h_direct, s_exact, s_explicit,
                           s_mean, second_moment, sin_sinh_integral)
 from szeta.zeros import ZeroSet
@@ -175,15 +174,6 @@ def test_second_moment_positive(ev_120):
         assert second_moment(T, ev_120) > 0.0
 
 
-def test_second_moment_grid_stable(ev_120):
-    from dataclasses import replace
-    base = second_moment(60.0, ev_120)
-    tight = second_moment(60.0, ev_120,
-                          replace(DEFAULT_SPEC, abs_tol=1e-13,
-                                  rel_tol=1e-13))
-    assert abs(base - tight) / base < 1e-9
-
-
 def test_second_moment_growth_trend(zeros_10k, prime_table_small):
     # desk-scale band around the loglog main term
     ev = SEvaluator(zeros=zeros_10k, prime_table=prime_table_small)
@@ -215,12 +205,14 @@ def test_g_and_h_requires_regime(ev_120):
 
 
 def test_gap_integrals_against_quad_oracle(zeros_220, prime_table_small):
-    # all zero gaps in one quadrature call vs scipy quad gap by gap
+    # the adaptive head and the fixed rule on every gap vs scipy quad gap
+    # by gap
     ev = SEvaluator(zeros=zeros_220, prime_table=prime_table_small)
     g = zeros_220.ordinates
     T, x = 200.0, 9.0
-    assert second_moment(T, ev) == pytest.approx(
-        gap_integral_oracle(lambda t, s: s * s, g, 0.0, T), rel=1e-10)
+    for top in (60.0, T):
+        assert second_moment(top, ev) == pytest.approx(
+            gap_integral_oracle(lambda t, s: s * s, g, 0.0, top), rel=1e-10)
     assert s_mean(T, ev) == pytest.approx(
         gap_integral_oracle(lambda t, s: s, g, 0.0, T) / T, rel=1e-10)
 
@@ -237,6 +229,8 @@ def test_gap_integrals_against_quad_oracle(zeros_220, prime_table_small):
         lambda t, s: dirichlet(t) ** 2, g, 1.0, T) / PI ** 2, rel=1e-10)
     assert res.h == pytest.approx(gap_integral_oracle(
         lambda t, s: s * dirichlet(t), g, 1.0, T) * 2.0 / PI, rel=1e-10)
+    assert res.g_err <= 1e-10 * res.g
+    assert res.h_err <= 1e-10 * abs(res.h)
 
 
 def test_gap_integrals_need_complete_coverage(zeros_220, prime_table_small):
