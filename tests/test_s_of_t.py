@@ -174,6 +174,20 @@ def test_second_moment_positive(ev_120):
         assert second_moment(T, ev_120) > 0.0
 
 
+def test_second_moment_grid_stable(ev_120):
+    # the fixed gap rule against adaptive panels refined to 1e-13, the
+    # ordinates as breakpoints
+    from szeta.quadrature import QuadratureSpec, integrate
+    from szeta.s_of_t import _s_between_zeros
+    g = ev_120.zeros.ordinates
+    base = second_moment(60.0, ev_120)
+    tight, _ = integrate(
+        lambda t: _s_between_zeros(t, ev_120.zeros) ** 2, 0.0, 60.0,
+        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13,
+                       breakpoints=tuple(g[g < 60.0])))
+    assert abs(base - tight) / base < 1e-9
+
+
 def test_second_moment_growth_trend(zeros_10k, prime_table_small):
     # desk-scale band around the loglog main term
     ev = SEvaluator(zeros=zeros_10k, prime_table=prime_table_small)
