@@ -56,6 +56,8 @@ def _jsonable(obj):
         return _round12(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, float):
         return _round12(obj)
     return obj
@@ -144,8 +146,8 @@ def _cmd_zeros(args) -> int:
         zs = _load_zeros(args.import_path)
         if args.validate and not zs.claimed_complete:
             raise _ValidationError(
-                f"{args.import_path}: ordinate count fails the smooth-term "
-                "cross-check (set incomplete?)")
+                f"{args.import_path}: ordinate count disagrees with "
+                "Turing's count of zeros (set incomplete?)")
         print(f"{len(zs)} ordinates up to {zs.t_max:.12g}"
               f" (complete={zs.claimed_complete})")
         if args.out:

@@ -20,7 +20,8 @@ class AccuracyError(RuntimeError):
 
 
 class MissedZerosError(RuntimeError):
-    """Zero scan count disagrees with the smooth counting term."""
+    """Zero scan cannot prove its count: a Gram block stays short of
+    sign changes, or they exceed Turing's bound."""
 
     def __init__(self, message, gap=None):
         super().__init__(message)

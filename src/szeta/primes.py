@@ -90,14 +90,16 @@ def prime_power_double_sum(coeff, p_cutoff: int = 10 ** 6,
     if np.any(np.abs(cvals) > 1.0 + 1e-12):
         raise DomainError("coeff(m) must be bounded by 1 in absolute value")
 
-    logp = np.log(_primes_up_to(int(p_cutoff)).astype(float))
+    inv = 1.0 / _primes_up_to(int(p_cutoff)).astype(float)
+    power = inv * inv
     total = 0.0
-    for m, c in zip(ms, cvals):
-        if c == 0.0:
-            continue
-        expo = -m * logp
-        expo = expo[expo > -745.0]          # exp underflow floor
-        total += c * float(np.sum(np.exp(expo)))
+    for c in cvals:
+        if c != 0.0:
+            total += c * float(np.sum(power))
+        power = power * inv
+        # primes ascend, so the powers that underflowed to 0 are a suffix
+        live = np.count_nonzero(power)
+        power, inv = power[:live], inv[:live]
 
     P, M = float(p_cutoff), int(m_cutoff)
     # primes beyond P are odd and >= P+1: sum_m [(P+1)^-m + (P+1)^(1-m)/(2(m-1))]

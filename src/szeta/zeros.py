@@ -5,10 +5,11 @@ Z(t) is evaluated two ways behind one dispatcher: an Euler-Maclaurin route
 Riemann-Siegel main sum with three correction terms from there on (cost
 O(sqrt(t)), measured error below 1.5e-7 for t >= 500, transitions of the
 main sum included).  Both routes sum in blocks of bounded size.  Zero
-finding scans a grid for sign changes and runs all bisections in lockstep
-as vectorized array operations, spreading every Z evaluation over the
-worker threads, then validates the count against the smooth counting term
-theta(t)/pi + 1, refining the grid on any deficit before giving up.
+finding evaluates Z at the Gram points, subdivides only the Gram blocks
+that show fewer sign changes than Rosser's rule asks for, proves the count
+by Turing's method (Brent 1979) and polishes all brackets together by
+safeguarded regula falsi, spreading every Z evaluation over the worker
+threads.  Imported sets are certified by the same count.
 
 Only ordinates are stored: the real part is pinned at 1/2 throughout the
 toolkit (standing hypothesis of every formula it checks).
@@ -18,18 +19,24 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import lambertw, loggamma
 
 from .errors import DomainError, MissedZerosError, ZerosParseError
 
 TWO_PI = 2.0 * math.pi
 RS_MIN_T = 500.0          # Euler-Maclaurin below, Riemann-Siegel above
 THETA_MIN_T = 10.0        # validity floor of the asymptotic theta series
-_SCAN_START = 12.0        # first ordinate is ~14.13; margin below it
-_Z_PIECE = 1 << 16        # points per Z call of the scan and the bisection
+# stands in for g_-1 = 9.67: Z < 0 there and no zero lies below 14.13
+_SCAN_START = 10.0
+_LEHMAN_MIN_T = 168.0 * math.pi   # Turing windows must start above this
+_MARGIN = 16              # Gram points scanned past a window's estimate
+_REFINE = (4, 16, 64)     # subdivisions of the intervals of a short block
+_POLISH_WIDTH = 1e-9      # bracket width at which a root is done
+_POLISH_MARGIN = 0.45e-9  # least distance of a polish step from its ends
+_Z_PIECE = 1 << 16        # points per Z call of the scan and the polish
 
 # (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)) for n = 1..4
 _THETA_COEF = [1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0]
@@ -219,9 +226,10 @@ def riemann_siegel_Z(t, method: str = "auto"):
 class ZeroSet:
     """Ascending zero ordinates up to t_max.
 
-    ``claimed_complete`` records that the count passed the smooth-term
-    cross-check at construction (measured S(t_max) within the desk-scale
-    fluctuation window).  Immutable; safe to share across threads.
+    ``claimed_complete`` records that Turing's method proved the count:
+    exactly N(t_max) ordinates, none missing up to t_max (for an imported
+    set, on the assumption that each listed ordinate is a zero).
+    Immutable; safe to share across threads.
     """
 
     ordinates: np.ndarray
@@ -258,36 +266,155 @@ class ZeroSet:
         return self.ordinates[self.ordinates <= t]
 
 
-def _median_fluctuation(ordinates: np.ndarray, t_max: float,
-                        n_probes: int = 9) -> float:
-    """Median of count - (theta/pi + 1) over probe points below t_max.
+def gram_points(n):
+    """Gram points g_n, where theta(g_n) = n pi, for integers n >= 0.
 
-    The argument fluctuation S(t) can reach ~0.7 at an unlucky single
-    endpoint at desk heights, while a genuinely missed zero shifts the
-    measurement at *every* probe by -1; the median separates the two.
-    Ordinates hit exactly by a probe count with weight 1/2.
+    Newton's method on :func:`theta`, started from the Lambert-W solution
+    of theta's two leading terms; four steps reach rounding level.
     """
-    avg_gap = TWO_PI / math.log(max(t_max, 20.0) / TWO_PI)
-    h = min(0.61 * avg_gap, max((t_max - 10.01) / n_probes, 1e-3))
-    probes = t_max - h * np.arange(n_probes)
-    probes = probes[probes >= 10.01]
-    if len(probes) == 0:
-        probes = np.array([max(t_max, 10.01)])
-    counts = np.searchsorted(ordinates, probes, "right").astype(float)
-    hits = np.searchsorted(ordinates, probes, "right") \
-        - np.searchsorted(ordinates, probes, "left")
-    counts -= 0.5 * hits
-    fluct = counts - (theta(probes) / math.pi + 1.0)
-    return float(np.median(fluct))
+    arr = np.asarray(n, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError("Gram points need n >= 0")
+    g = TWO_PI * math.e * np.exp(
+        lambertw((8.0 * arr + 1.0) / (8.0 * math.e)).real)
+    for _ in range(4):
+        g = g - (theta(g) - arr * math.pi) / (0.5 * np.log(g / TWO_PI))
+    return float(g) if np.isscalar(n) else g
 
 
-def _widest_gap(ordinates: np.ndarray):
-    if len(ordinates) < 2:
-        return (float(ordinates[0]), float(ordinates[0]))
-    gaps = np.diff(ordinates)
-    density = np.log(ordinates[:-1] / TWO_PI) / TWO_PI
-    i = int(np.argmax(gaps * np.maximum(density, 1e-3)))
-    return (float(ordinates[i]), float(ordinates[i + 1]))
+def _gram_z(lo: int, hi: int, z):
+    """Gram indices lo..hi, their points and Z there; index -1 stands for
+    ``_SCAN_START``."""
+    idx = np.arange(lo, hi + 1)
+    t = gram_points(np.maximum(idx, 0))
+    t[idx < 0] = _SCAN_START
+    return idx, t, z(t)
+
+
+def _turing_blocks(t: float) -> float:
+    """Least number of Rosser blocks in a Turing window ending at t
+    (Brent 1979, Theorem 3.2)."""
+    L = math.log(t)
+    return 0.0061 * L * L + 0.08 * L
+
+
+def _window_above(t, good, top):
+    """Positions (g_n, g_q) of the first Turing window whose start g_n is a
+    good Gram point at or above ``top``, or None if the samples end first."""
+    i = int(np.searchsorted(t[good], top))
+    for k in range(1, len(good) - i):
+        if k >= _turing_blocks(t[good[i + k]]):
+            return good[i], good[i + k]
+    return None
+
+
+def _subdivide(rt, rz, f, z):
+    """Rows of samples over Gram intervals, refined to f sub-intervals each;
+    Z at the new points in one call."""
+    step = f // (rt.shape[1] - 1)
+    s = np.arange(f + 1)
+    new = s % step != 0
+    nt = np.empty((len(rt), f + 1))
+    nz = np.empty_like(nt)
+    nt[:, ::step], nz[:, ::step] = rt, rz
+    pts = rt[:, :1] + (rt[:, -1:] - rt[:, :1]) * (s[new] / f)
+    nt[:, new] = pts
+    nz[:, new] = z(pts.ravel()).reshape(pts.shape)
+    return nt, nz
+
+
+def _rosser_brackets(t, zt, good, z):
+    """Sign-change brackets (lo, hi, z_lo, z_hi) of Z over the Gram blocks
+    between consecutive good points ``good`` (positions into t), ascending.
+
+    Rosser's rule: a block of k Gram intervals holds at least k zeros.  The
+    intervals of every block showing fewer sign changes are subdivided x4,
+    x16 and x64, one Z call per round; a block still short raises
+    :class:`MissedZerosError` with the block as its gap.
+    """
+    need = np.diff(good)
+    block = np.repeat(np.arange(len(need)), need)
+    edges = np.arange(good[0], good[-1])
+    rt = np.stack([t[edges], t[edges + 1]], axis=1)
+    rz = np.stack([zt[edges], zt[edges + 1]], axis=1)
+    parts = []
+    for f in (1,) + _REFINE:
+        if f > 1:
+            rt, rz = _subdivide(rt, rz, f, z)
+        flips = rz[:, :-1] * rz[:, 1:] < 0.0
+        found = np.bincount(block, weights=flips.sum(axis=1),
+                            minlength=len(need))
+        done = found[block] >= need[block]
+        dt, dz = rt[done], rz[done]
+        r, c = np.nonzero(flips[done])
+        parts.append(np.stack([dt[r, c], dt[r, c + 1],
+                               dz[r, c], dz[r, c + 1]]))
+        rt, rz, block = rt[~done], rz[~done], block[~done]
+        if not len(block):
+            break
+    else:
+        j = block[0]
+        gap = (float(t[good[j]]), float(t[good[j + 1]]))
+        raise MissedZerosError(
+            f"Gram block [{gap[0]:.6f}, {gap[1]:.6f}) shows fewer than its "
+            f"{need[j]} sign changes after x{_REFINE[-1]} refinement",
+            gap=gap)
+    out = np.concatenate(parts, axis=1)
+    return out[:, np.argsort(out[0], kind="stable")]
+
+
+def _turing_count(t_max: float, z, from_start: bool):
+    """Zeros around t_max, counted by Turing's method.
+
+    Scans Z at Gram points from a base g_b to the end of a Turing window
+    whose start g_n is the first good Gram point at or above
+    max(t_max, 168 pi), which proves N(g_n) <= n + 1 (Brent 1979, Theorem
+    3.2, with Lehman's bound).  The base is ``_SCAN_START``, where N = 0,
+    when ``from_start``; otherwise it is the last good Gram point
+    g_b <= t_max, and if a Turing window ending there fits above 168 pi it
+    proves N(g_b) >= b + 1.  Every Gram block in between must satisfy
+    Rosser's rule (see :func:`_rosser_brackets`).  With the base proved,
+    anything but exactly n - b sign changes in [g_b, g_n) raises
+    :class:`MissedZerosError`; exactly n - b prove N(g_b) = b + 1 and one
+    zero per bracket.
+
+    Returns (g_b, n + 1, brackets in [g_b, g_n)).
+    """
+    top = max(t_max, _LEHMAN_MIN_T)
+    # theta(g_m) = m pi: g_m <= t < g_m+1 for m = floor(theta(t) / pi)
+    lo = -1 if from_start else int(theta(t_max) / math.pi) - _MARGIN
+    hi = int(theta(top) / math.pi) + _MARGIN
+    while True:
+        idx, t, zt = _gram_z(max(lo, -1), hi, z)
+        good = np.flatnonzero(np.where(idx % 2 == 0, zt, -zt) > 0.0)
+        above = _window_above(t, good, top)
+        # too few samples (rare): widen the scan and take it again
+        if above is None:
+            hi += _MARGIN
+            continue
+        if idx[0] < 0:
+            start = base = 0
+            break
+        j = int(np.searchsorted(t[good], t_max, "right")) - 1
+        k = max(1, math.ceil(_turing_blocks(t[good[j]]))) if j >= 0 else 1
+        if j >= k and t[good[j - k]] >= _LEHMAN_MIN_T:
+            start, base = good[j - k], good[j]
+            break
+        if j >= 0 and t[0] < _LEHMAN_MIN_T:
+            start = base = good[j]          # no lower window fits
+            break
+        lo -= _MARGIN
+    n = above[0]
+    scan = good[(good >= start) & (good <= above[1])]
+    br = _rosser_brackets(t, zt, scan, z)
+    br = br[:, (br[0] >= t[base]) & (br[0] < t[n])]
+    proved = start < base or idx[0] < 0
+    if proved and br.shape[1] != idx[n] - idx[base]:
+        raise MissedZerosError(
+            f"{br.shape[1]} sign changes in [{t[base]:.6f}, {t[n]:.6f}), "
+            f"Turing's method allows {idx[n] - idx[base]}",
+            gap=(float(t[base]), float(t[n])))
+    return float(t[base]), int(idx[n]) + 1, br
 
 
 def _z_pieces(ts: np.ndarray, pool, workers: int) -> np.ndarray:
@@ -303,59 +430,100 @@ def _z_pieces(ts: np.ndarray, pool, workers: int) -> np.ndarray:
     return out
 
 
-def _bisect_brackets(lo, hi, f_lo, z):
-    """Vectorized synchronized bisection down to 1e-9 brackets."""
-    width = float(np.max(hi - lo))
-    iters = max(1, int(math.ceil(math.log2(width / 1e-9))))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = z(mid)
-        take_left = (f_lo * f_mid) <= 0.0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        f_lo = np.where(take_left, f_lo, f_mid)
+def _polish(lo, hi, f_lo, f_hi, z):
+    """Roots of all brackets together by safeguarded regula falsi.
+
+    Illinois steps (the function value kept at an end that survives twice
+    is halved), each at least ``_POLISH_MARGIN`` inside its bracket, so
+    once a step lands within that margin of the root the next one closes
+    the bracket; a bisection step follows any three steps that did not
+    halve the width.  Stops at width <= ``_POLISH_WIDTH``; returns the
+    midpoints.
+    """
+    lo, hi, f_lo, f_hi = (np.array(a, dtype=float)
+                          for a in (lo, hi, f_lo, f_hi))
+    side = np.zeros(len(lo), dtype=int)       # end replaced last: -1 lo, 1 hi
+    ref = hi - lo                             # width at the last halving
+    stall = np.zeros(len(lo), dtype=int)
+    act = np.flatnonzero(hi - lo > _POLISH_WIDTH)
+    while len(act):
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        c = np.where(stall[act] >= 3, 0.5 * (a + b),
+                     b - fb * (b - a) / (fb - fa))
+        c = np.clip(c, a + _POLISH_MARGIN, b - _POLISH_MARGIN)
+        fc = z(c)
+        to_lo = np.sign(fc) != np.sign(fb)    # root in [c, b]: c is new lo
+        lo[act] = np.where(to_lo, c, a)
+        hi[act] = np.where(to_lo, b, c)
+        keep_hi = to_lo & (side[act] == -1)
+        keep_lo = ~to_lo & (side[act] == 1)
+        f_lo[act] = np.where(to_lo, fc, np.where(keep_lo, 0.5 * fa, fa))
+        f_hi[act] = np.where(to_lo, np.where(keep_hi, 0.5 * fb, fb), fc)
+        side[act] = np.where(to_lo, -1, 1)
+        w = hi[act] - lo[act]
+        halved = w <= 0.5 * ref[act]
+        ref[act] = np.where(halved, w, ref[act])
+        stall[act] = np.where(halved, 0, stall[act] + 1)
+        act = act[w > _POLISH_WIDTH]
     return 0.5 * (lo + hi)
 
 
-def find_zeros(t_max: float, step: float = 0.05,
-               threads: int | None = None) -> ZeroSet:
-    """All zero ordinates up to t_max (15 <= t_max <= 1e5).
+def find_zeros(t_max: float, threads: int | None = None) -> ZeroSet:
+    """All zero ordinates up to t_max (15 <= t_max <= 1e5), proved complete.
 
-    Grid scan at ``step`` plus lockstep bisection, both evaluating Z in
-    pieces spread over ``threads`` worker threads; the count is validated
-    against theta(t_max)/pi + 1 and the grid refined (up to 4 halvings) on
-    any deficit before raising :class:`MissedZerosError` pointing at the
-    widest gap.  The ordinates do not depend on ``threads``.
+    Z is evaluated at the Gram points up to a Turing window past
+    max(t_max, 168 pi); Gram blocks short of sign changes are subdivided
+    (see :func:`_rosser_brackets`), and the count below the window is
+    checked against Turing's bound.  The brackets below t_max are then
+    polished together to width 1e-9.  Every Z evaluation is spread over
+    ``threads`` worker threads; the ordinates do not depend on it.  Raises
+    :class:`MissedZerosError` when a block stays short or the count
+    disagrees with the bound.
     """
     if not 15.0 <= t_max <= 1e5:
         raise DomainError("find_zeros supports 15 <= t_max <= 1e5")
-    if step > 0.05:
-        raise DomainError("scan step must be <= 0.05")
     workers = max(1, threads or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         def z(ts):
             return _z_pieces(ts, pool, workers)
 
-        for _ in range(5):
-            n = int(math.ceil((t_max - _SCAN_START) / step)) + 1
-            grid = np.linspace(_SCAN_START, t_max, n)
-            vals = z(grid)
-            sign_flip = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-            roots = _bisect_brackets(grid[sign_flip], grid[sign_flip + 1],
-                                     vals[sign_flip], z)
-            fluct = _median_fluctuation(roots, t_max)
-            if fluct > -0.6:
-                return ZeroSet(ordinates=roots, t_max=float(t_max),
-                               source="computed", claimed_complete=True)
-            step *= 0.5
-    raise MissedZerosError(
-        f"zero count deficit {fluct:.2f} persists after grid refinement",
-        gap=_widest_gap(roots))
+        _, _, br = _turing_count(float(t_max), z, from_start=True)
+        br = br[:, br[0] < t_max]
+        roots = _polish(*br, z)
+    return ZeroSet(ordinates=roots[roots <= t_max], t_max=float(t_max),
+                   source="computed", claimed_complete=True)
+
+
+def _import_certified(ordinates: np.ndarray) -> bool:
+    """Whether Turing's count around the last ordinate proves the set
+    complete (see :func:`import_zeros`)."""
+    t_max = float(ordinates[-1])
+    if not t_max >= _SCAN_START:        # NaN included
+        return False
+    try:
+        base_t, bound, br = _turing_count(t_max, riemann_siegel_Z,
+                                          from_start=False)
+    except MissedZerosError:
+        return False
+    below = int(np.searchsorted(ordinates, base_t))
+    return (below + br.shape[1] == bound
+            and len(ordinates) == below + int(np.count_nonzero(br[0] < t_max)))
 
 
 def import_zeros(stream) -> ZeroSet:
     """Parse the zeros text format: one ascending decimal per line,
-    '#' comments allowed, LF endings."""
+    '#' comments allowed, LF endings.
+
+    ``claimed_complete`` is set by Turing's count around the last ordinate
+    t_max, taking each listed ordinate as a zero.  Z at the Gram points of
+    a window above t_max bounds N(g_n) <= n + 1 at its start; the listed
+    ordinates below the last good Gram point g_b <= t_max plus the sign
+    changes in [g_b, g_n) must reach that bound, so none is missing, and
+    the ordinates in [g_b, t_max] must match the brackets there.  Where a
+    window below t_max fits above 168 pi, it proves N(g_b) = b + 1 and the
+    listed count below g_b must equal it, which also catches extra
+    ordinates.
+    """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
@@ -377,11 +545,9 @@ def import_zeros(stream) -> ZeroSet:
     if not ordinates:
         raise ZerosParseError("no ordinates in stream", line_number=0)
     arr = np.array(ordinates)
-    t_max = float(arr[-1])
-    complete = _median_fluctuation(arr, t_max) > -0.6 if t_max >= 15 \
-        else False
-    return ZeroSet(ordinates=arr, t_max=t_max, source="imported",
-                   claimed_complete=complete)
+    # validate first: the certificate's cost grows with t_max
+    zs = ZeroSet(ordinates=arr, t_max=float(arr[-1]), source="imported")
+    return replace(zs, claimed_complete=_import_certified(arr))
 
 
 def export_zeros(zs: ZeroSet) -> str:

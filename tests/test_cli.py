@@ -135,6 +135,18 @@ def test_check_lemma4_has_discrepancy_fields(tmp_path, capsys):
     assert "per_y_differences" in obj["detail"]
 
 
+@pytest.mark.parametrize("identity", ["w_partition", "lemma3", "lemma4",
+                                      "lemma7", "lemma11"])
+def test_check_kernel_identity_writes_json(tmp_path, identity):
+    # every field of the report, numpy booleans included, must serialize
+    out = tmp_path / f"{identity}.json"
+    assert main(["check", "--identity", identity, "--out", str(out)]) == 0
+    with open(out, encoding="ascii") as fh:
+        obj = json.load(fh)
+    assert obj["identity"] == identity
+    assert isinstance(obj["passed"], bool)
+
+
 def test_check_lemma8_report_only(tmp_path, zeros_file):
     out = tmp_path / "l8.json"
     rc = main(["check", "--identity", "lemma8", "--zeros", zeros_file,

@@ -86,6 +86,15 @@ def test_double_sum_trivial_cases():
     assert val == pytest.approx(0.5 * (1 / 4 + 1 / 9), abs=1e-15)
 
 
+def test_double_sum_against_fsum_oracle():
+    coeff = lambda m: 1.0 / m - 1.0 / m ** 2
+    primes = _simple_sieve(10 ** 4)
+    oracle = math.fsum(coeff(m) * float(p) ** -m
+                       for p in primes for m in range(2, 65))
+    val, _ = prime_power_double_sum(coeff, 10 ** 4, 64)
+    assert val == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
 def test_double_sum_tail_bound_is_true_bound():
     coeff = lambda m: 1.0 / m - 1.0 / m ** 2
     coarse, bound = prime_power_double_sum(coeff, 10 ** 5, 30)

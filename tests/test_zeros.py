@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import theta_binet_oracle, zeta_em_oracle
-from szeta.errors import DomainError, ZerosParseError
+from szeta.errors import DomainError, MissedZerosError, ZerosParseError
 from szeta.zeros import (RS_MIN_T, ZeroSet, export_zeros, find_zeros,
-                         import_zeros, riemann_siegel_Z, theta, theta_exact)
+                         gram_points, import_zeros, riemann_siegel_Z, theta,
+                         theta_exact)
 
 PI = math.pi
 
@@ -130,8 +131,32 @@ def test_find_zeros_idempotent():
 def test_find_zeros_domain():
     with pytest.raises(DomainError):
         find_zeros(5.0)
+
+
+def test_gram_points_against_mpmath():
+    for n in (0, 1, 100, 10000):
+        assert gram_points(n) == pytest.approx(float(mpmath.grampoint(n)),
+                                               abs=1e-9)
+    many = gram_points(np.array([0, 1, 100, 10000]))
+    assert np.array_equal(many, [gram_points(n) for n in (0, 1, 100, 10000)])
     with pytest.raises(DomainError):
-        find_zeros(40.0, step=0.5)
+        gram_points(-1)
+
+
+def test_find_zeros_against_mpmath_zetazero(zeros_10k):
+    for k in (2000, 5000, 10000):
+        exact = float(mpmath.zetazero(k).imag)
+        assert zeros_10k.ordinates[k - 1] == pytest.approx(exact, abs=2e-7)
+
+
+@pytest.mark.parametrize("pair", [(7005.0629, 7005.1006),
+                                  (5229.1986, 5229.2418)])
+def test_find_zeros_resolves_close_pairs(zeros_10k, pair):
+    # both gaps are narrower than a 0.05 grid step
+    g = zeros_10k.ordinates
+    near = g[(g > pair[0] - 0.02) & (g < pair[1] + 0.02)]
+    assert len(near) == 2
+    assert np.max(np.abs(near - np.array(pair))) < 1e-4
 
 
 def test_against_reference_table(zeros_120):
@@ -143,6 +168,33 @@ def test_against_reference_table(zeros_120):
     imported = import_zeros(ref)
     ours = zeros_120.ordinates[:10]
     assert np.max(np.abs(ours - imported.ordinates)) < 1e-5
+
+
+@pytest.mark.parametrize("cut", [512.0, 2510.0])
+def test_import_refuses_one_missing_ordinate(zeros_10k, cut):
+    # the last three cases passed the median-of-S rule that decided
+    # completeness before Turing's count
+    full = zeros_10k.ordinates[zeros_10k.ordinates <= cut]
+    assert import_zeros(export_zeros(ZeroSet(full, float(full[-1])))) \
+        .claimed_complete
+    n = len(full)
+    for k in (0, n // 2, n - 4, n - 3, n - 2):
+        holed = ZeroSet(np.delete(full, k), float(full[-1]))
+        assert not import_zeros(export_zeros(holed)).claimed_complete, k
+
+
+def test_narrow_scan_widens_to_its_windows(monkeypatch, zeros_1010):
+    # with one Gram point of margin the first scan is too short for the
+    # Turing windows, above and below t_max, so it must widen and still
+    # certify the same sets
+    from szeta import zeros as zmod
+    monkeypatch.setattr(zmod, "_MARGIN", 1)
+    assert np.array_equal(find_zeros(700.0).ordinates,
+                          zeros_1010.up_to(700.0))
+    g = zeros_1010.ordinates
+    for n in range(330, len(g), 40):
+        assert import_zeros(export_zeros(ZeroSet(g[:n], float(g[n - 1])))) \
+            .claimed_complete, n
 
 
 def test_import_basic_and_t_max():
@@ -221,10 +273,21 @@ def test_threads_give_same_result_above_em_range():
 
 def test_persistent_deficit_raises_with_gap(monkeypatch):
     from szeta import zeros as zmod
-    from szeta.errors import MissedZerosError
-    monkeypatch.setattr(zmod, "_median_fluctuation",
-                        lambda ordinates, t_max: -1.0)
+    real = zmod.riemann_siegel_Z
+    # Z > 0 on both sides of the zeros at 30.42 and 32.94; taking |Z|
+    # between the midpoints of their outer gaps hides both sign changes
+    # inside the Rosser block [g_2, g_4) = [27.67, 35.47)
+    a, b = 27.72, 35.26
+
+    def hidden(t, method="auto"):
+        out = real(t, method)
+        inside = (np.asarray(t) > a) & (np.asarray(t) < b)
+        return np.where(inside, np.abs(out), out)
+
+    monkeypatch.setattr(zmod, "riemann_siegel_Z", hidden)
     with pytest.raises(MissedZerosError) as info:
         zmod.find_zeros(40.0)
     lo, hi = info.value.gap
-    assert 14.0 < lo < hi < 40.0
+    assert lo == pytest.approx(gram_points(2), abs=1e-9)
+    assert hi == pytest.approx(gram_points(4), abs=1e-9)
+    assert lo < 30.42 < 32.94 < hi
