@@ -10,13 +10,18 @@ arises from squaring the zero-sum side; its Fourier transform
 ``khat(y) = int k(u) e(-u y) du`` (with ``e(v) = exp(2 pi i v)``) drives every
 pair-correlation identity downstream.  khat is real and even, so it is
 computed as a cosine transform; the ``1/(4u^2)`` branch beyond the breakpoint
-is integrated in closed form via the sine integral, leaving quadrature only
-on the finite piece ``[0, 1/(2 pi)]``.
+(and the ``3/(2u^4)`` branch of k'') is integrated in closed form through
+the generalized exponential integral, int_bp^inf cos(2 pi y u)/u^n du =
+(2 pi)^(n-1) Re E_n(-i y), leaving quadrature only on the finite piece
+``[0, 1/(2 pi)]``.
 
 Two independent evaluations of khat are exposed: ``direct`` (transform of k
 itself) and ``closed`` (transform of k'' plus the boundary cosine term picked
 up by parts integration); their agreement is one of the toolkit's primary
-identity checks.
+identity checks.  The vectorized ``khat_many`` and ``kpp_transform_many``
+read piecewise Chebyshev tables below y = 50, built at first use from a
+fixed Gauss-Legendre grid on the finite piece plus the E_n tail, and are
+P(y) cos y + Q(y) sin y with P, Q series in 1/y above.
 
 Near u = 0 both branches of the inner formula cancel to ~4 digits by
 u = 1e-3, so evaluation switches to the Laurent-free power series of
@@ -30,7 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import DomainError
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
@@ -38,16 +42,20 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 PI = math.pi
 BREAKPOINT = 1.0 / (2.0 * PI)
 
-# |B_2n| for n = 1..10
+# |B_2n| for n = 1..10, the package's one Bernoulli table (the digamma and
+# sinh-integral series of s_of_t and the theta and Euler-Maclaurin series
+# of zeros derive theirs from it)
 _ABS_BERNOULLI = [Fraction(1, 6), Fraction(1, 30), Fraction(1, 42),
                   Fraction(1, 30), Fraction(5, 66), Fraction(691, 2730),
                   Fraction(7, 6), Fraction(3617, 510), Fraction(43867, 798),
                   Fraction(174611, 330)]
 
 # g(u) = sum_n  b_n u^(2n-1),   b_n = 2^(2n-1) |B_2n| pi^(4n) / (2n)!
+# b_n u^(2n) ~ (pi u)^(2n): all ten terms, since g'' at the switch u = 0.05
+# needs them (the first omitted term is 7e-12 there, with eight it is 7e-9)
 _G_COEF = [float(Fraction(2 ** (2 * n - 1), math.factorial(2 * n))
                  * _ABS_BERNOULLI[n - 1]) * PI ** (4 * n)
-           for n in range(1, 9)]
+           for n in range(1, len(_ABS_BERNOULLI) + 1)]
 
 _SERIES_CUT = 0.05   # series/raw switch for g and its derivatives
 
@@ -201,8 +209,8 @@ def _high_y_coefficients(deriv_offset, tail_weight):
     (DLMF 6.12.3-4) y f = sum (-1)^n (2n)!/y^2n, y^2 g = sum (-1)^n
     (2n+1)!/y^2n, remainder below the first omitted term, are summed
     here with the leading terms cancelled symbolically.  Forming the tail
-    from ``sici`` instead loses 2 pi y eps (u^2) and (2 pi y)^3 eps (u^4)
-    absolute to cancellation.
+    from the sine integral itself instead loses 2 pi y eps (u^2) and
+    (2 pi y)^3 eps (u^4) absolute to cancellation.
     """
     p = np.zeros(_AUX_TERMS)
     q = np.zeros(_AUX_TERMS)
@@ -271,18 +279,6 @@ def _fixed_grid(n_panels=40, nodes=12):
 
 _GRID_MID, _GRID_HALVES, _GRID_T, _GRID_W = _fixed_grid()
 _GRID_HALF = float(_GRID_HALVES[0])   # equal panels, up to rounding
-_GRID_K = None
-_GRID_KPP = None
-
-
-def _grid_tables():
-    """Weighted k and k'' at the grid nodes, one row per panel."""
-    global _GRID_K, _GRID_KPP
-    if _GRID_K is None:
-        x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
-        _GRID_K = k_values(x) * _GRID_W
-        _GRID_KPP = kpp_values(x) * _GRID_W
-    return _GRID_K, _GRID_KPP
 
 
 def _cos_moments_low(a, tab):
@@ -295,32 +291,115 @@ def _cos_moments_low(a, tab):
                   - (np.sin(pm) @ tab) * np.sin(pt), axis=1)
 
 
-def _tail_cos_over_u2(y, b=BREAKPOINT):
-    """int_b^inf cos(2 pi y u) / u^2 du, exact via the sine integral."""
+_EN_SERIES_MAX = 2.0    # E_n(-iy): power series up to here, fraction above
+_EN_SERIES_TERMS = 14   # y^2j / (2j)! < 1e-17 for y <= 2 beyond these
+_EN_CF_STEPS = 400      # the fraction needs about 100 steps at y = 2
+
+
+def _re_expint(n: int, y):
+    """Re E_n(-i y) = int_1^inf cos(y t) / t^n dt for an even n >= 2 and
+    an array of y >= 0.
+
+    Up to y = 2 the real part of the power series (DLMF 8.19.8), whose
+    terms y^k/k! sum to at most cosh 2 in magnitude; above it the continued
+    fraction of DLMF section 8.19 in its even form, by the modified Lentz
+    method.  Neither recurs upward in n, so neither loses the
+    (2 pi y)^(n-1) eps that the route through the sine integral loses to
+    cancellation.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.empty(y.shape)
+    lo = y <= _EN_SERIES_MAX
+    # at z = -iy, n even, the psi(n) - log z term of 8.19.8 leaves only
+    # (-1)^(n/2) (pi/2) y^(n-1)/(n-1)! real, and of the sum the even powers:
+    # Re E_n = that - sum_j (-1)^j y^2j / ((2j - n + 1) (2j)!)
+    coef = [-(-1.0) ** j / ((2 * j - n + 1) * math.factorial(2 * j))
+            for j in range(_EN_SERIES_TERMS)]
+    ys = y[lo]
+    out[lo] = (ys[:, None] ** (2 * np.arange(_EN_SERIES_TERMS))) @ coef \
+        + (-1) ** (n // 2) * (0.5 * PI) * ys ** (n - 1) / math.factorial(n - 1)
+    # E_n(z) = e^-z / (z + n - 1 n/(z + n + 2 - 2 (n + 1)/(z + n + 4 - ...)));
+    # every 8 steps the converged points leave the iteration
+    idx = np.flatnonzero(~lo)
+    z = -1j * y[idx]
+    b = z + n
+    c = np.full(z.shape, 1e300, dtype=complex)
+    d = 1.0 / b
+    h = d.copy()
+    i = 0
+    while len(idx) and i < _EN_CF_STEPS:
+        i += 1
+        a = -i * (n - 1 + i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h *= step
+        if i % 8 == 0:
+            done = np.abs(step - 1.0) <= 1e-16
+            out[idx[done]] = (h[done] * np.exp(-z[done])).real
+            keep = ~done
+            idx, z, b, c, d, h = (idx[keep], z[keep], b[keep], c[keep],
+                                  d[keep], h[keep])
+    out[idx] = (h * np.exp(-z)).real
+    return out
+
+
+def _tail_cos(y, n: int):
+    """int_bp^inf cos(2 pi y u) / u^n du = (2 pi)^(n-1) Re E_n(-i y), the
+    part of the khat (n = 2) and k'' (n = 4) transforms beyond the
+    breakpoint, for an array of y (even in y)."""
     y = np.abs(np.asarray(y, dtype=float))
-    a = 2.0 * PI * y
-    ab = a * b
-    si, _ = sici(ab)
-    out = np.cos(ab) / b - a * (0.5 * PI - si)
-    return np.where(y == 0.0, 1.0 / b, out)
+    return (2.0 * PI) ** (n - 1) * _re_expint(n, y).reshape(y.shape)
 
 
-def _tail_cos_over_u4(y, b=BREAKPOINT):
-    """int_b^inf cos(2 pi y u) / u^4 du, exact via the sine integral."""
-    y = np.abs(np.asarray(y, dtype=float))
-    a = 2.0 * PI * y
-    ab = a * b
-    si, _ = sici(ab)
-    iu2 = np.cos(ab) / b - a * (0.5 * PI - si)
-    iu3 = np.sin(ab) / (2.0 * b * b) + 0.5 * a * iu2
-    out = np.cos(ab) / (3.0 * b ** 3) - (a / 3.0) * iu3
-    return np.where(y == 0.0, 1.0 / (3.0 * b ** 3), out)
+# Below _FAST_Y_SWITCH khat_many and kpp_transform_many read piecewise
+# Chebyshev tables: _LOW_PANELS panels of degree _LOW_DEG, each fitted at
+# its Chebyshev points to the fixed grid plus the E_n tail
+_LOW_PANELS = 100
+_LOW_DEG = 10
+_LOW_WIDTH = _FAST_Y_SWITCH / _LOW_PANELS
+_CHEB_X = np.cos(PI * (np.arange(_LOW_DEG + 1) + 0.5) / (_LOW_DEG + 1))
+# coefficients from values at _CHEB_X, by the discrete orthogonality of T_k
+_CHEB_FIT = np.cos(np.outer(np.arange(_LOW_DEG + 1),
+                            np.arccos(_CHEB_X))) * (2.0 / (_LOW_DEG + 1))
+_CHEB_FIT[0] *= 0.5
+# transform -> (h, n, weight): 2 int_0^bp h cos + weight int_bp^inf cos/u^n
+_LOW_SPECS = {"khat": (k_values, 2, 0.5), "kpp": (kpp_values, 4, 3.0)}
+_LOW_COEF = {}
 
 
-def _transform_many(y, coef, table, tail):
-    """2 int_0^bp h(u) cos(2 pi y u) du + tail(y), h = k or k'': the P/Q
-    split at y >= _FAST_Y_SWITCH, the fixed grid plus the sine-integral
-    tail below."""
+def _low_table(name: str) -> np.ndarray:
+    """Chebyshev coefficients, one column per panel of [0, 50), of the
+    transform ``name``; built at first use (1100 points, milliseconds)."""
+    if name not in _LOW_COEF:
+        h, n, weight = _LOW_SPECS[name]
+        x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
+        tab = h(x) * _GRID_W
+        y = (_LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
+                           + 0.5 * (_CHEB_X[None, :] + 1.0))).ravel()
+        vals = 2.0 * _cos_moments_low(2.0 * PI * y, tab) \
+            + weight * _tail_cos(y, n)
+        _LOW_COEF[name] = _CHEB_FIT @ vals.reshape(_LOW_PANELS, -1).T
+    return _LOW_COEF[name]
+
+
+def _clenshaw_low(y, coef):
+    """The piecewise Chebyshev table ``coef`` at y in [0, 50)."""
+    pos = y / _LOW_WIDTH
+    panel = np.minimum(pos.astype(np.int64), _LOW_PANELS - 1)
+    x = 2.0 * (pos - panel) - 1.0
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for k in range(_LOW_DEG, 0, -1):
+        b1, b2 = coef[k, panel] + x2 * b1 - b2, b1
+    return coef[0, panel] + x * b1 - b2
+
+
+def _transform_many(y, coef, name):
+    """2 int_0^bp h(u) cos(2 pi y u) du + the tail beyond bp, h = k or k'':
+    the P/Q split at y >= _FAST_Y_SWITCH, the low-y table below."""
     y = np.abs(np.asarray(y, dtype=float))
     out = np.empty_like(y)
     hi = y >= _FAST_Y_SWITCH
@@ -330,25 +409,22 @@ def _transform_many(y, coef, table, tail):
         out[hi] = p * np.cos(yh) + q * np.sin(yh)
     lo = ~hi
     if np.any(lo):
-        yl = y[lo]
-        out[lo] = 2.0 * _cos_moments_low(2.0 * PI * yl, table) + tail(yl)
+        out[lo] = _clenshaw_low(y[lo], _low_table(name))
     return out
 
 
 def khat_many(y):
-    """Vectorized khat: quadrature-free fast path, ~1e-11 absolute.
+    """Vectorized khat: quadrature-free fast path, ~1e-13 absolute.
 
     Matches ``khat(y, method='direct')`` (verified in the test suite); meant
     for the pair sums, where per-pair adaptive quadrature is hopeless.
     """
-    return _transform_many(y, _KHAT_PQ, _grid_tables()[0],
-                           lambda v: 0.5 * _tail_cos_over_u2(v))
+    return _transform_many(y, _KHAT_PQ, "khat")
 
 
 def kpp_transform_many(y):
     """Vectorized transform of k'': int k''(u) e(-u y) du."""
-    return _transform_many(y, _KPP_PQ, _grid_tables()[1],
-                           lambda v: 3.0 * _tail_cos_over_u4(v))
+    return _transform_many(y, _KPP_PQ, "kpp")
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +440,9 @@ def khat(y: float, method: str = "direct") -> float:
         khat(y) = -(2 pi y)^-2 * int k''(u) e(-u y) du
                   + (pi^3 / (2 y^2)) cos y
 
-    Both reduce the infinite range to [0, 1/(2 pi)] plus a closed-form sine
-    integral tail, since k and k'' coincide with 1/(4u^2), 3/(2u^4) beyond
-    the breakpoint.
+    Both reduce the infinite range to [0, 1/(2 pi)] plus a closed-form
+    tail (:func:`_tail_cos`, through E_n), since k and k'' coincide with
+    1/(4u^2), 3/(2u^4) beyond the breakpoint.
     """
     if method not in ("direct", "closed"):
         raise DomainError(f"unknown khat method {method!r}")
@@ -375,13 +451,13 @@ def khat(y: float, method: str = "direct") -> float:
     if method == "direct":
         main, _ = integrate(lambda u: k_values(u) * np.cos(omega * u),
                             0.0, BREAKPOINT, omega=omega)
-        val = 2.0 * main + 0.5 * float(_tail_cos_over_u2(ya))
+        val = 2.0 * main + 0.5 * float(_tail_cos(ya, 2))
     else:
         if ya <= 1e-3:
             raise DomainError("closed form is singular at y = 0")
         main, _ = integrate(lambda u: kpp_values(u) * np.cos(omega * u),
                             0.0, BREAKPOINT, omega=omega)
-        k2 = 2.0 * main + 3.0 * float(_tail_cos_over_u4(ya))
+        k2 = 2.0 * main + 3.0 * float(_tail_cos(ya, 4))
         val = -k2 / (2.0 * PI * ya) ** 2 \
             + (PI ** 3 / (2.0 * ya * ya)) * math.cos(ya)
     return val

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-from scipy.sparse import csc_array
 
 from .errors import DomainError
 from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
@@ -88,12 +87,15 @@ class _Tree:
         self.centre = 0.5 * (g[0] + g[-1])
         if levels < 2:
             return
-        # P2M as a sparse (node, leaf) x ordinate matrix
+        # P2M as one (node x slot) weight matrix per leaf, its slots the
+        # leaf's ordinates padded to the fullest leaf with zero weights
         xi = np.clip(2.0 * (pos - leaf) - 1.0, -1.0, 1.0)
-        rows = np.arange(_P)[None, :] * n_leaf + leaf[:, None]
-        self.p2m = csc_array(
-            (_interp(xi).ravel(), rows.ravel(), np.arange(0, _P * n + 1, _P)),
-            shape=(_P * n_leaf, n))
+        first = ends - np.diff(ends, prepend=0)
+        slot = np.arange(n) - first[leaf]
+        self.p2m_idx = np.zeros((n_leaf, int(slot.max()) + 1), dtype=np.int64)
+        self.p2m_idx[leaf, slot] = np.arange(n)
+        self.p2m = np.zeros((n_leaf, _P, self.p2m_idx.shape[1]))
+        self.p2m[leaf, :, slot] = _interp(xi)
 
     def near(self):
         """Positive differences g[j] - g[i] of the near pairs, i < j <
@@ -131,8 +133,8 @@ class _Tree:
         for k in range(0, len(omegas), _COLUMNS):
             w = omegas[k:k + _COLUMNS]
             q = np.exp(-1j * np.outer(self.g - self.centre, w))
-            m = (self.p2m @ q.view(float)).view(complex)
-            m = m.reshape(_P, -1, len(w))
+            m = self.p2m @ q.view(float)[self.p2m_idx]
+            m = np.ascontiguousarray(m.transpose(1, 0, 2)).view(complex)
             for lev in range(self.levels, 1, -1):
                 out[k:k + _COLUMNS] += _m2l_dot(m2l[lev], m)
                 m = _M2M[0] @ m[:, 0::2].reshape(_P, -1) \

@@ -56,13 +56,14 @@ _CHUNK_POINTS = 512    # points per call of f; bounds (points x ordinates) f
 
 def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
     """Gauss-Legendre sums of ``f`` over segments ``[lo_i, hi_i]`` of ``n_i``
-    equal panels, all segments' nodes going to ``f`` in bounded chunks."""
+    equal panels, all segments' nodes going to ``f`` in bounded chunks.
+    An ``f`` returning a stack of rows gives one row of sums per row."""
     x_gl, w_gl = _gl(nodes)
     step = (hi - lo) / n
     ends = np.cumsum(n)
     starts = ends - n
     total = int(ends[-1])
-    sums = np.zeros(len(lo))
+    sums = None
     per_call = max(1, _CHUNK_POINTS // nodes)
     for first in range(0, total, per_call):
         panel = np.arange(first, min(first + per_call, total))
@@ -70,9 +71,12 @@ def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
         half = 0.5 * step[seg]
         mid = lo[seg] + (2 * (panel - starts[seg]) + 1) * half
         x = (mid[:, None] + half[:, None] * x_gl).ravel()
-        y = np.asarray(f(x), dtype=float).reshape(len(panel), nodes)
-        np.add.at(sums, seg, (y @ w_gl) * half)
-    return sums
+        y = np.asarray(f(x), dtype=float)
+        y = y.reshape(*y.shape[:-1], len(panel), nodes)
+        if sums is None:
+            sums = np.zeros((len(lo),) + y.shape[:-2])
+        np.add.at(sums, seg, np.moveaxis((y @ w_gl) * half, -1, 0))
+    return sums.T
 
 
 GAP_RULE_TOL = 1e-10   # gap_rule's bound on err / sum of |segment values|
@@ -87,7 +91,9 @@ def gap_rule(f, edges, omega: float = 0.0):
     sum over segments of its distance from the 6-node sum, an estimate of
     the 6-node sum's error and so, generously, of the value's.  Raises
     :class:`AccuracyError` when the estimate exceeds ``GAP_RULE_TOL`` times
-    the sum of |segment values|.  Vectorized ``f`` required.
+    the sum of |segment values|.  Vectorized ``f`` required.  An ``f``
+    returning a stack of rows (one integrand each) gets one value and one
+    estimate per row, each row held to the tolerance on its own.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -97,14 +103,21 @@ def gap_rule(f, edges, omega: float = 0.0):
     n = np.maximum(1, np.ceil((hi - lo) / h)).astype(np.int64)
     fine = _level_sums(f, lo, hi, n, 8)
     change = np.abs(fine - _level_sums(f, lo, hi, n, 6))
-    value, err = float(np.sum(fine)), float(np.sum(change))
-    if not err <= GAP_RULE_TOL * float(np.sum(np.abs(fine))):
-        worst = int(np.argmax(change))
+    value, err = np.sum(fine, axis=-1), np.sum(change, axis=-1)
+    bad = np.flatnonzero(~(err <= GAP_RULE_TOL
+                           * np.sum(np.abs(fine), axis=-1)))
+    if len(bad):
+        r = int(bad[0])
+        row = np.atleast_2d(change)[r]
+        worst = int(np.argmax(row))
         raise AccuracyError(
-            f"gap rule estimate {err:.3e} above tolerance, worst on "
-            f"[{lo[worst]:g}, {hi[worst]:g}] ({change[worst]:.3e})",
-            achieved=err, estimate=value)
-    return value, err
+            f"gap rule estimate {np.ravel(err)[r]:.3e} above tolerance, "
+            f"worst on [{lo[worst]:g}, {hi[worst]:g}] ({row[worst]:.3e})",
+            achieved=float(np.ravel(err)[r]),
+            estimate=float(np.ravel(value)[r]))
+    if np.ndim(value):
+        return value, err
+    return float(value), float(err)
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
@@ -121,8 +134,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
         if b == a:
             return 0.0, 0.0
         raise ValueError("integrate requires b >= a")
-    bp = np.unique(np.asarray(spec.breakpoints, dtype=float))
-    cuts = np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
+    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
+    bp = sorted({float(p) for p in spec.breakpoints if a < p < b})
+    cuts = np.array([a, *bp, b], dtype=float)
     lo, hi = cuts[:-1], cuts[1:]
     width = hi - lo
     h = width / 4.0

@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, zeta
 
 from .errors import DomainError
-from .kernels import f_weight
+from .kernels import _ABS_BERNOULLI, f_weight
 from .primes import PrimeTable
 from .quadrature import gap_rule, integrate
 from .zeros import ZeroSet, theta, theta_exact
@@ -55,14 +54,43 @@ def s_exact(t: float, ev: SEvaluator) -> float:
     return float(_s_between_zeros(t, ev.zeros))
 
 
+# psi(x) = log x - 1/(2x) - sum_k B_2k / (2k x^2k) for x >= 6, reached by
+# the recurrence through _PSI_STEPS; the ten terms leave under 3e-15 there
+_PSI_STEPS = np.arange(6.0)
+_PSI_ASYM = [float(b) / (2 * k) * (-1) ** (k + 1)
+             for k, b in enumerate(_ABS_BERNOULLI, 1)]
+
+
+def _digamma(x):
+    """psi(x) for an array of x > 0: the recurrence psi(x) = psi(x + 6) -
+    sum_{j<6} 1/(x + j), then the asymptotic series at x + 6 >= 6 with the
+    Bernoulli numbers of :mod:`szeta.kernels`.  The recurrence's six terms
+    are summed over a leading axis and the series runs in place: few NumPy
+    calls for the small arrays of ``s_explicit``, few passes for large ones."""
+    x = np.asarray(x, dtype=float)
+    w = x + len(_PSI_STEPS)
+    ix2 = 1.0 / (w * w)
+    acc = _PSI_ASYM[-1] * ix2
+    for c in reversed(_PSI_ASYM[:-1]):
+        acc += c
+        acc *= ix2
+    acc += 0.5 / w
+    acc -= np.log(w)
+    steps = _PSI_STEPS.reshape((-1,) + (1,) * x.ndim)
+    acc += (1.0 / (x + steps)).sum(axis=0)
+    return -acc
+
+
 # I(v) ~ sum_k c_k / v^(2k+2) above _SINH_SWITCH, with
-# c_k = (-1)^k 2 (1 - 2^(-2k-2)) (2k+1)! zeta(2k+2); eight terms leave
-# under 1e-14 relative above v = 60, and below it the digamma form, which
-# loses digits in proportion to v, stays under 1e-12
+# c_k = (-1)^k 2 (1 - 2^(-2k-2)) (2k+1)! zeta(2k+2)
+#     = (-1)^k (1 - 2^(-2k-2)) |B_2k+2| (2 pi)^(2k+2) / (2k+2);
+# eight terms leave under 1e-14 relative above v = 60, and below it the
+# digamma form, which loses digits in proportion to v, stays under 1e-12
 _SINH_SWITCH = 60.0
-_SINH_ASYM = [(-1) ** k * 2.0 * (1.0 - 2.0 ** (-2 * k - 2))
-              * math.factorial(2 * k + 1) * float(zeta(2 * k + 2))
-              for k in range(8)]
+_BETA_ARGS = np.array([[1.0], [0.5]])   # beta(s) from psi at s/2 + (1, 1/2)
+_SINH_ASYM = [(-1) ** k * (1.0 - 2.0 ** (-2 * k - 2)) * float(b)
+              * (2.0 * PI) ** (2 * k + 2) / (2 * k + 2)
+              for k, b in enumerate(_ABS_BERNOULLI[:8])]
 
 
 def sin_sinh_integral(v):
@@ -82,13 +110,20 @@ def sin_sinh_integral(v):
     out = np.zeros_like(av)
     mid = lo & (av > 0.0)
     b = av[mid] / PI
-    beta = 0.5 * (digamma(0.5 * b + 1.0) - digamma(0.5 * b + 0.5))
+    psi = _digamma(0.5 * b + _BETA_ARGS)
+    beta = 0.5 * (psi[0] - psi[1])
     out[mid] = PI * np.sin(v[mid]) / av[mid] * (0.5 - b * beta)
-    iv2 = 1.0 / (av[~lo] * av[~lo])
-    acc = np.zeros_like(iv2)
-    for c in reversed(_SINH_ASYM):
-        acc = iv2 * (c + acc)
-    out[~lo] = np.sin(v[~lo]) * acc
+    if not lo.all():
+        hi = ~lo
+        iv2 = av[hi]
+        iv2 *= iv2
+        np.reciprocal(iv2, out=iv2)
+        acc = _SINH_ASYM[-1] * iv2
+        for c in reversed(_SINH_ASYM[:-1]):
+            acc += c
+            acc *= iv2
+        acc *= np.sin(v[hi])
+        out[hi] = acc
     return out
 
 
@@ -173,13 +208,15 @@ def _s_between_zeros(t, zeros: ZeroSet):
 
 
 def _gap_integral(f, lo: float, hi: float, ev: SEvaluator,
-                  omega: float = 0.0):
+                  omega: float = 0.0, heads=None):
     """int_lo^hi f over the zero gaps; returns ``(value, error_estimate)``.
 
     The set must be complete and cover hi, or the zero count in S is wrong.
     The head [lo, g_1] below the first ordinate goes through the adaptive
     ``integrate``, since theta_exact's singularities at t = +-i/2 sit too
     close for a fixed rule; every gap beyond is one segment of ``gap_rule``.
+    An ``f`` returning a stack of rows gives arrays, one entry per row, and
+    ``heads`` then lists one scalar integrand per row for the head.
     """
     zeros = ev.zeros
     if not zeros.claimed_complete:
@@ -189,9 +226,12 @@ def _gap_integral(f, lo: float, hi: float, ev: SEvaluator,
     g = zeros.ordinates
     edges = np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
     split = edges[1] if lo < g[0] else lo
-    head, head_err = integrate(f, lo, split, omega=omega)
+    head = np.array([integrate(fh, lo, split, omega=omega)
+                     for fh in (heads or (f,))])
     body, body_err = gap_rule(f, edges[edges >= split], omega)
-    return head + body, head_err + body_err
+    if heads:
+        return head[:, 0] + body, head[:, 1] + body_err
+    return float(head[0, 0] + body), float(head[0, 1] + body_err)
 
 
 def second_moment(T: float, ev: SEvaluator, t_lo: float = 0.0) -> float:
@@ -262,11 +302,19 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     def dirichlet(t):
         return np.sin(np.outer(np.asarray(t, dtype=float), logn)) @ coef
 
-    g_total, g_err = _gap_integral(lambda t: dirichlet(t) ** 2, 1.0, T, ev,
-                                   omega)
-    h_total, h_err = _gap_integral(
-        lambda t: _s_between_zeros(t, ev.zeros) * dirichlet(t), 1.0, T, ev,
-        omega)
+    def g_integrand(t):
+        return dirichlet(t) ** 2
+
+    def h_integrand(t):
+        return _s_between_zeros(t, ev.zeros) * dirichlet(t)
+
+    def both(t):
+        d = dirichlet(t)
+        return np.stack([d ** 2, _s_between_zeros(t, ev.zeros) * d])
+
+    vals, errs = _gap_integral(both, 1.0, T, ev, omega,
+                               heads=(g_integrand, h_integrand))
+    (g_total, h_total), (g_err, h_err) = map(float, vals), map(float, errs)
 
     w = logp ** 2 / (n * logn ** 2)
     g_sum = T / (2.0 * PI * PI) * float(np.sum(w * fv * fv))

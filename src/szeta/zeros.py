@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import lambertw, loggamma
 
 from .errors import DomainError, MissedZerosError, ZerosParseError
+from .kernels import _ABS_BERNOULLI
 
 TWO_PI = 2.0 * math.pi
 RS_MIN_T = 500.0          # Euler-Maclaurin below, Riemann-Siegel above
@@ -38,8 +39,13 @@ _POLISH_WIDTH = 1e-9      # bracket width at which a root is done
 _POLISH_MARGIN = 0.45e-9  # least distance of a polish step from its ends
 _Z_PIECE = 1 << 16        # points per Z call of the scan and the polish
 
+# B_2n for n = 1..8, signed
+_BERNOULLI = [float(b) * (-1) ** (n + 1)
+              for n, b in enumerate(_ABS_BERNOULLI[:8], 1)]
 # (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)) for n = 1..4
-_THETA_COEF = [1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0]
+_THETA_COEF = [float((1 - Fraction(2) ** (1 - 2 * n)) * b
+                     / (4 * n * (2 * n - 1)))
+               for n, b in enumerate(_ABS_BERNOULLI[:4], 1)]
 
 
 def theta(t):
@@ -59,20 +65,34 @@ def theta(t):
     return float(val) if np.isscalar(t) else val
 
 
+_GAMMA_SHIFT = 8       # theta_exact's Stirling series runs at |z| >= 8.25
+
+
 def theta_exact(t):
-    """theta via the log-Gamma function, valid for all t >= 0."""
+    """theta via the log-Gamma function, valid for all t >= 0.
+
+    theta(t) = Im log Gamma(z) - (t/2) log pi with z = 1/4 + i t/2, and
+    Im log Gamma(z) = Im log Gamma(z + 8) - sum_{j<8} arg(z + j), the
+    continuous branch since every z + j lies in the upper half plane.  At
+    z + 8 Stirling's series with the eight Bernoulli terms of
+    ``_BERNOULLI`` is below 1e-16.
+    """
     arr = np.asarray(t, dtype=float)
-    val = np.imag(loggamma(0.25 + 0.5j * arr)) - 0.5 * arr * math.log(math.pi)
+    z = 0.25 + 0.5j * arr
+    shift = sum(np.angle(z + j) for j in range(_GAMMA_SHIFT))
+    w = z + _GAMMA_SHIFT
+    iw2 = 1.0 / (w * w)
+    acc = np.zeros_like(w)
+    for k in range(len(_BERNOULLI), 0, -1):
+        acc = iw2 * acc + _BERNOULLI[k - 1] / (2 * k * (2 * k - 1))
+    stirling = (w - 0.5) * np.log(w) - w + acc / w
+    val = stirling.imag - shift - 0.5 * arr * math.log(math.pi)
     return float(val) if np.isscalar(t) else val
 
 
 # ----------------------------------------------------------------------
 # Euler-Maclaurin zeta on the critical line
 # ----------------------------------------------------------------------
-
-_BERNOULLI = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
-              -691.0 / 2730, 7.0 / 6, -3617.0 / 510]
-
 
 # points x terms of one block of a Z sum: bounds the temporaries of both
 # routes to a few arrays of this many elements, whatever the height
@@ -269,14 +289,22 @@ class ZeroSet:
 def gram_points(n):
     """Gram points g_n, where theta(g_n) = n pi, for integers n >= 0.
 
-    Newton's method on :func:`theta`, started from the Lambert-W solution
-    of theta's two leading terms; four steps reach rounding level.
+    Newton's method on :func:`theta`, started from the solution of theta's
+    leading terms, g = 2 pi e exp(W(x)) with x = (8n + 1)/(8e) and W the
+    Lambert function; four steps reach rounding level.  W(x) itself comes
+    from eight Newton steps on w e^w = x started at log(1 + x), which lies
+    above W(x), where the convex w e^w makes Newton's steps fall
+    monotonically onto the root.
     """
     arr = np.asarray(n, dtype=float)
     if np.any(arr < 0):
         raise DomainError("Gram points need n >= 0")
-    g = TWO_PI * math.e * np.exp(
-        lambertw((8.0 * arr + 1.0) / (8.0 * math.e)).real)
+    x = (8.0 * arr + 1.0) / (8.0 * math.e)
+    w = np.log1p(x)
+    for _ in range(8):
+        ew = np.exp(w)
+        w = w - (w * ew - x) / (ew * (w + 1.0))
+    g = TWO_PI * math.e * np.exp(w)
     for _ in range(4):
         g = g - (theta(g) - arr * math.pi) / (0.5 * np.log(g / TWO_PI))
     return float(g) if np.isscalar(n) else g

@@ -65,6 +65,69 @@ def sinh_integral_oracle(v):
         return float(val)
 
 
+_G_MEMO = {}
+
+
+def _g_and_derivatives(u):
+    """g(u) = 1/(2u) - (pi^2/2) cot(pi^2 u) and its first two derivatives
+    in mpmath: the Taylor series from mpmath's own Bernoulli numbers below
+    u = 0.05 (the cotangent form cancels there), the cotangent form above.
+    Memoized, since every transform below samples the same nodes."""
+    if u not in _G_MEMO:
+        pi = mpmath.pi
+        if u < mpmath.mpf("0.05"):
+            # 20 terms: the ratio (pi u)^2 < 0.025 leaves 1e-32
+            coef = [2 ** (2 * n - 1) * abs(mpmath.bernoulli(2 * n))
+                    * pi ** (4 * n) / mpmath.factorial(2 * n)
+                    for n in range(1, 21)]
+            g = sum(c * u ** (2 * n - 1) for n, c in enumerate(coef, 1))
+            g1 = sum((2 * n - 1) * c * u ** (2 * n - 2)
+                     for n, c in enumerate(coef, 1))
+            g2 = sum((2 * n - 1) * (2 * n - 2) * c * u ** (2 * n - 3)
+                     for n, c in enumerate(coef, 1) if n > 1)
+        else:
+            s = mpmath.sin(pi * pi * u)
+            g = 1 / (2 * u) - pi * pi / 2 * mpmath.cot(pi * pi * u)
+            g1 = -1 / (2 * u * u) + pi ** 4 / (2 * s * s)
+            g2 = 1 / u ** 3 - pi ** 6 * mpmath.cos(pi * pi * u) / s ** 3
+        _G_MEMO[u] = (g, g1, g2)
+    return _G_MEMO[u]
+
+
+def tail_cos_oracle(y, n):
+    """int_b^inf cos(2 pi y u)/u^n du, b = 1/(2 pi), n = 2 or 4, through
+    the sine integral (n = 4 by two integrations by parts down to n = 2);
+    call at a working precision that absorbs its (2 pi y)^(n-1)-fold
+    cancellation."""
+    pi = mpmath.pi
+    b = 1 / (2 * pi)
+    a = 2 * pi * mpmath.mpf(y)
+    t2 = mpmath.cos(a * b) / b - a * (pi / 2 - mpmath.si(a * b))
+    if n == 2:
+        return t2
+    iu3 = mpmath.sin(a * b) / (2 * b * b) + a * t2 / 2
+    return mpmath.cos(a * b) / (3 * b ** 3) - a / 3 * iu3
+
+
+def kernel_transforms_oracle(y):
+    """(khat(y), transform of k'' at y) at 30 digits: mpmath.quad of the
+    finite piece over [0, 1/(2 pi)] in 20 pieces, plus the sine-integral
+    tails beyond it."""
+    with mpmath.workdps(30):
+        a = 2 * mpmath.pi * mpmath.mpf(y)
+        pts = mpmath.linspace(0, 1 / (2 * mpmath.pi), 21)
+
+        def kpp(u):
+            g, g1, g2 = _g_and_derivatives(u)
+            return 2 * (g1 * g1 + g * g2)
+
+        fin_k = mpmath.quad(
+            lambda u: _g_and_derivatives(u)[0] ** 2 * mpmath.cos(a * u), pts)
+        fin_p = mpmath.quad(lambda u: kpp(u) * mpmath.cos(a * u), pts)
+        return (float(2 * fin_k + tail_cos_oracle(y, 2) / 2),
+                float(2 * fin_p + 3 * tail_cos_oracle(y, 4)))
+
+
 def gap_integral_oracle(kernel, ordinates, a, b):
     """int_a^b kernel(t, S(t)) dt by library quadrature, one call per zero
     gap, with S = count - 1 - theta/pi, the count fixed on each gap and theta

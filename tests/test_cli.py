@@ -218,3 +218,46 @@ def test_threads_env_used(tmp_path, monkeypatch):
     assert main(["zeros", "--t-max", "40", "--out", str(out)]) == 0
     monkeypatch.setenv("SZETA_THREADS", "zebra")
     assert main(["zeros", "--t-max", "40", "--out", str(out)]) == 1
+
+
+_NO_SCIPY = """
+import sys
+import numpy as np
+import szeta, szeta.cli
+from szeta.kernels import khat, khat_many, kpp_transform_many
+from szeta.paircorr import pcf
+from szeta.s_of_t import sin_sinh_integral
+from szeta.zeros import (ZeroSet, gram_points, riemann_siegel_Z,
+                         theta_exact)
+
+riemann_siegel_Z(np.array([100.0, 600.0]))
+gram_points(np.arange(5))
+theta_exact(np.array([0.0, 5.0]))
+khat_many(np.array([1.0, 60.0]))
+kpp_transform_many(np.array([1.0, 60.0]))
+khat(2.0, "closed")
+sin_sinh_integral(np.array([0.5, 70.0]))
+g = np.loadtxt(sys.argv[1])[:300]
+pcf(1.0, ZeroSet(g, float(g[-1]), "imported", True), float(g[-1]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # every module's runtime path in a fresh interpreter, the far field
+    # included (300 ordinates make a three-level tree), must leave SciPy
+    # unimported: numpy is the only runtime dependency
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    ref = root / "perfbench" / "data" / "zeros_t10010.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(ref)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oracles import kernel_transforms_oracle, tail_cos_oracle
 from szeta.errors import DomainError
 from szeta.kernels import (_KD_BP, BREAKPOINT, _g_raw, _gp_raw,
                            check_identity, f_weight, k_values, khat,
@@ -175,9 +176,19 @@ def test_t_weighted_integral_positive_and_scales():
     assert a > 0.0 and b > 0.0
 
 
-def test_low_y_branch_matches_outer_product_formula():
-    # the fixed grid by angle addition against every node's cosine taken
-    # directly, on y in [0, 50) with both ends of the branch
+def test_low_y_branch_against_mpmath():
+    # the piecewise Chebyshev tables below y = 50 against a 30-digit
+    # quadrature of the finite piece plus the sine-integral tails; the k''
+    # transform reaches 2 pi^5 ~ 612 at y = 0 (measured: 2e-14 and 3.4e-12)
+    ys = [1e-6, 0.5, 2.0, 5.0, 13.7, 20.0, 35.2, 49.0, 49.999]
+    got_k = khat_many(np.array(ys))
+    got_p = kpp_transform_many(np.array(ys))
+    for y, gk, gp in zip(ys, got_k, got_p):
+        want_k, want_p = kernel_transforms_oracle(y)
+        assert abs(gk - want_k) <= 1e-13, y
+        assert abs(gp - want_p) <= 2e-11, y
+    # every panel against what it interpolates: the fixed grid with each
+    # node's cosine taken directly, plus the E_n tail
     from szeta import kernels
     x_gl, w_gl = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(0.0, BREAKPOINT, 41)
@@ -188,14 +199,28 @@ def test_low_y_branch_matches_outer_product_formula():
     y = np.concatenate(([0.0, np.nextafter(50.0, 0.0)],
                         np.random.default_rng(3).uniform(0.0, 50.0, 3000)))
     outer = np.cos(np.outer(2 * PI * y, x))
-    old_k = 2.0 * (outer @ (k_values(x) * w)) \
-        + 0.5 * kernels._tail_cos_over_u2(y)
-    old_kpp = 2.0 * (outer @ (kernels.kpp_values(x) * w)) \
-        + 3.0 * kernels._tail_cos_over_u4(y)
-    assert np.max(np.abs(khat_many(y) - old_k)) < 1e-14
-    # k'' transform values reach 2 pi^5 ~ 612 at y = 0
-    assert np.max(np.abs(kpp_transform_many(y) - old_kpp)) \
-        < 1e-14 * 2 * PI ** 5
+    grid_k = 2.0 * (outer @ (k_values(x) * w)) + 0.5 * kernels._tail_cos(y, 2)
+    grid_kpp = 2.0 * (outer @ (kpp_values(x) * w)) \
+        + 3.0 * kernels._tail_cos(y, 4)
+    assert np.max(np.abs(khat_many(y) - grid_k)) < 1e-13
+    assert np.max(np.abs(kpp_transform_many(y) - grid_kpp)) < 1e-11
+
+
+def test_tail_against_mpmath():
+    # int_bp^inf cos(2 pi y u)/u^n du by E_n(-iy), series up to y = 2 and
+    # continued fraction above, against the sine-integral form at 40 digits
+    import mpmath as mp
+    from szeta import kernels
+    ys = np.concatenate((
+        [0.0, 1e-9, 1e-3, 0.4, 1.0, 1.999, 2.0, np.nextafter(2.0, 3.0),
+         2.001, 2.5, 7.3, 49.9, 50.0, 123.4, 999.9, 1000.0],
+        np.random.default_rng(5).uniform(0.0, 1000.0, 40)))
+    for n, bound in ((2, 1e-14 * 2 * PI), (4, 1e-14 * (2 * PI) ** 3)):
+        got = kernels._tail_cos(ys, n)
+        with mp.workdps(40):
+            want = np.array([float(tail_cos_oracle(y, n)) for y in ys])
+        assert np.max(np.abs(got - want)) <= bound, n
+        assert np.array_equal(kernels._tail_cos(-ys, n), got)
 
 
 def test_high_y_branch_against_mpmath():
@@ -203,8 +228,6 @@ def test_high_y_branch_against_mpmath():
     # 5-term boundary series and the exact sine-integral tails
     import mpmath as mp
     from szeta import kernels
-    mp.mp.dps = 50
-    b = 1 / (2 * mp.pi)
 
     def boundary(y, off):
         a = 2 * mp.pi * y
@@ -214,22 +237,14 @@ def test_high_y_branch_against_mpmath():
                                 * mp.cos(y) / a ** (2 * j + 2))
                    for j in range(5))
 
-    def tail2(y):
-        a = 2 * mp.pi * y
-        return mp.cos(a * b) / b - a * (mp.pi / 2 - mp.si(a * b))
-
-    def tail4(y):
-        a = 2 * mp.pi * y
-        iu3 = mp.sin(a * b) / (2 * b * b) + a * tail2(y) / 2
-        return mp.cos(a * b) / (3 * b ** 3) - a / 3 * iu3
-
     ys = [50.0, 50.3, 77.7, 1000.3, 7458.1, 300000.1]
     got_k = khat_many(np.array(ys))
     got_p = kpp_transform_many(np.array(ys))
     for y, gk, gp in zip(ys, got_k, got_p):
-        my = mp.mpf(y)
-        want_k = float(2 * boundary(my, 0) + tail2(my) / 2)
-        want_p = float(2 * boundary(my, 2) + 3 * tail4(my))
+        with mp.workdps(50):
+            my = mp.mpf(y)
+            want_k = float(2 * boundary(my, 0) + tail_cos_oracle(my, 2) / 2)
+            want_p = float(2 * boundary(my, 2) + 3 * tail_cos_oracle(my, 4))
         # what is left is the rounding of the 1/y coefficient, which
         # cancels to 0 for khat and to pi^7/2 - 4 pi^5 for k''
         assert abs(gk - want_k) <= 1e-15 / y

@@ -28,6 +28,11 @@ def test_theta_against_loggamma_quadrature():
         assert theta(t) == pytest.approx(theta_binet_oracle(t), abs=1e-10)
 
 
+def test_theta_exact_against_mpmath_siegeltheta():
+    for t in (0.0, 0.1, 1.0, 3.7, 2 * PI, 9.99, 10.0):
+        assert abs(theta_exact(t) - float(mpmath.siegeltheta(t))) <= 1e-14
+
+
 def test_theta_exact_matches_series_overlap():
     t = np.array([10.0, 25.0, 300.0])
     assert np.max(np.abs(theta_exact(t) - theta(t))) < 1e-9
@@ -126,6 +131,14 @@ def test_find_zeros_idempotent():
     a = find_zeros(60.0)
     b = find_zeros(60.0)
     assert np.array_equal(a.ordinates, b.ordinates)
+
+
+def test_riemann_siegel_Z_against_mpmath_siegelz():
+    # the Riemann-Siegel branch well above its switch, to the 1.5e-7 the
+    # zeros module states
+    for t in (1600.3, 5000.7, 9999.1, 30000.5, 99000.2):
+        exact = float(mpmath.siegelz(t))
+        assert abs(riemann_siegel_Z(t) - exact) <= 1.5e-7, t
 
 
 def test_find_zeros_domain():
