@@ -17,11 +17,10 @@ from .paircorr import (PairCorrelationCurve, RDecomposition, lemma5_check,
 from .primes import (PrimeSumBundle, PrimeTable, build_prime_table,
                      closed_form_S1_minus_2S2, prime_power_double_sum,
                      prime_sum_terms)
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .s_of_t import (SEvaluator, g_and_h_direct, s_exact, s_explicit,
                      second_moment, sin_sinh_integral)
 from .theorem import (FModel, MomentReport, conjectural_F, full_report,
-                      g_plus_h_closed, lemma_8_9_10_eval, theorem_rhs)
+                      lemma_8_9_10_eval, theorem_rhs)
 from .zeros import (ZeroSet, export_zeros, find_zeros, import_zeros,
                     riemann_siegel_Z, theta, theta_exact)
 

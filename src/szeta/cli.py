@@ -3,8 +3,8 @@
 Every command writes byte-stable output: floats are rounded to 12
 significant digits before serialization and dict keys are emitted in fixed
 order, so identical inputs reproduce identical files.  Expected failures
-print a one-line message and exit nonzero (1 usage, 2 validation/coverage);
-stack traces are reserved for genuine bugs.
+print a one-line message and exit nonzero (1 usage, 2 validation, coverage
+or out of memory); stack traces are reserved for genuine bugs.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ def _load_zeros(path: str) -> ZeroSet:
 
 
 def _threads(args) -> int:
-    env = os.environ.get("SZETA_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError("SZETA_THREADS must be an integer")
     if args.threads is not None:
         return max(1, args.threads)
     return os.cpu_count() or 1
@@ -168,6 +162,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_s(args) -> int:
+    if args.step <= 0:
+        raise _UsageError("--step must be positive")
     zs = _load_zeros(args.zeros)
     table = build_prime_table(max(64, int(args.x) + 1))
     ev = SEvaluator(zeros=zs, prime_table=table)
@@ -204,29 +200,10 @@ def _cmd_pcf(args) -> int:
     return 0
 
 
-def _parse_params(spec_text: str) -> dict:
-    out = {}
-    if not spec_text:
-        return out
-    for item in spec_text.split(","):
-        if "=" not in item:
-            raise _UsageError(f"bad --params entry {item!r}, need k=v")
-        key, val = item.split("=", 1)
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            out[key.strip()] = val.strip()
-    return out
-
-
 def _cmd_check(args) -> int:
     name = args.identity
-    params = _parse_params(args.params)
-    if args.tol is not None:
-        params.setdefault("tol", args.tol)
     if name in _KERNEL_IDENTITIES:
-        rep = check_identity(name, params)
-        reports = [rep]
+        reports = [check_identity(name, args.tol)]
     elif name in _PAIR_IDENTITIES:
         if not args.zeros:
             raise _UsageError(f"{name} needs --zeros")
@@ -235,14 +212,14 @@ def _cmd_check(args) -> int:
         beta = args.beta
         if name == "lemma5":
             rep = lemma5_check(zs, T, beta,
-                               tol=params.get("tol", 1e-4))
+                               tol=1e-4 if args.tol is None else args.tol)
             reports = [rep]
         else:
             dec = lemma6_eval(zs, T, beta)
             term_sum = dec.term_main + dec.term_F_beta - dec.term_k2_integral
             rep = _report(
                 "lemma6", {"T": T, "beta": beta}, dec.r_total, term_sum,
-                params.get("tol", 1e-6),
+                1e-6 if args.tol is None else args.tol,
                 detail={"term_main": dec.term_main,
                         "term_F_beta": dec.term_F_beta,
                         "term_k2_integral": dec.term_k2_integral,
@@ -299,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "identities and the assembled moment comparison.",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--threads", type=int, default=None,
-                   help="cap on worker threads (env SZETA_THREADS wins)")
+                   help="cap on worker threads (unset: all cores)")
     sub = p.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -346,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                        + _COND_IDENTITIES))
     k.add_argument("--tol", type=float, default=None,
                    help="override the identity's pass tolerance")
-    k.add_argument("--params", default="",
-                   help="extra parameters as k=v,k=v")
     k.add_argument("--zeros", default=None,
                    help="zeros file (pair-sum identities)")
     k.add_argument("--t", type=float, default=None, help="height T")
@@ -403,6 +378,9 @@ def main(argv=None) -> int:
         return 2
     except AccuracyError as exc:
         print(f"error: quadrature accuracy: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

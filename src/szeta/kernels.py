@@ -36,8 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import quadrature
 from .errors import DomainError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import integrate
 
 PI = math.pi
 BREAKPOINT = 1.0 / (2.0 * PI)
@@ -468,9 +469,9 @@ def _khat_complex_residual(y: float) -> float:
     integrated without exploiting evenness.  Sanity guard for the transform;
     analytically zero."""
     omega = 2.0 * PI * y
-    sp = QuadratureSpec(breakpoints=(-BREAKPOINT, BREAKPOINT))
     imag, _ = integrate(lambda u: -k_values(u) * np.sin(omega * u),
-                        -40.0, 40.0, sp, omega=omega)
+                        -40.0, 40.0, omega=omega,
+                        breakpoints=(-BREAKPOINT, BREAKPOINT))
     return abs(imag)
 
 
@@ -514,11 +515,8 @@ def _report(name, params, lhs, rhs, tol, assertable=True, scale=None,
                        error_scales=scale or {}, **kw)
 
 
-def _check_w_partition(params):
-    n = int(params.get("n", 10_000))
-    lo = float(params.get("u_min", -10.0))
-    hi = float(params.get("u_max", 10.0))
-    tol = float(params.get("tol", 1e-15))
+def _check_w_partition(tol=1e-15):
+    n, lo, hi = 10_000, -10.0, 10.0
     u = np.linspace(lo, hi, n)
     w = 4.0 / (4.0 + u * u)
     comp = u * u / (4.0 + u * u)
@@ -573,10 +571,9 @@ def _fd_derivatives(x0, h, direction):
     return d1, d2
 
 
-def _check_kernel_derivatives(params):
-    h = float(params.get("step", 1e-3))
-    tol_zero = float(params.get("tol_center", 1e-4))
-    tol_side = float(params.get("tol", 1e-3))
+def _check_kernel_derivatives(tol_side=1e-3):
+    h = 1e-3
+    tol_zero = 1e-4
 
     # central differences at 0: k even, so d1 should vanish
     pts = h * np.array([-2.0, -1.0, 1.0, 2.0])
@@ -619,21 +616,19 @@ def _check_kernel_derivatives(params):
     return rep
 
 
-def _check_fourier_identity(params):
-    ys = params.get("y_values", (0.5, 1.0, 2.0, 5.0, 10.0))
-    tol = float(params.get("tol", 1e-6))
-    pairs = {float(y): (khat(float(y), "direct"), khat(float(y), "closed"))
-             for y in ys}
+def _check_fourier_identity(tol=1e-6):
+    ys = (0.5, 1.0, 2.0, 5.0, 10.0)
+    pairs = {y: (khat(y, "direct"), khat(y, "closed")) for y in ys}
     diffs = {y: a - b for y, (a, b) in pairs.items()}
     worst_y = max(diffs, key=lambda y: abs(diffs[y]))
     worst = abs(diffs[worst_y])
-    imag = _khat_complex_residual(float(min(ys)))
+    imag = _khat_complex_residual(min(ys))
     rep = CheckReport(
-        name="lemma4", params={"y_values": list(map(float, ys))},
+        name="lemma4", params={"y_values": list(ys)},
         lhs=pairs[worst_y][0], rhs=pairs[worst_y][1],
         discrepancy_abs=worst, discrepancy_rel=worst,
         tolerance=tol,
-        passed=(worst <= tol and imag <= DEFAULT_SPEC.abs_tol * 10),
+        passed=(worst <= tol and imag <= quadrature.ABS_TOL * 10),
         detail={"per_y_differences": {f"{y:g}": d for y, d in diffs.items()},
                 "imag_residual": imag})
     return rep
@@ -654,9 +649,8 @@ def t_weighted_kernel_integral(T: float, beta: float,
     return val
 
 
-def _check_parts_identity(params):
-    beta = float(params.get("beta", 0.5))
-    T = float(params.get("T", 1000.0))
+def _check_parts_identity(tol=1e-6):
+    beta, T = 0.5, 1000.0
     logT = math.log(T)
     lhs = t_weighted_kernel_integral(T, beta, deriv=True)
     base = t_weighted_kernel_integral(T, beta)
@@ -670,7 +664,7 @@ def _check_parts_identity(params):
     boundary = (1.0 / c) * tpow * kp_left \
         + (2.0 * logT / c ** 2) * tpow * PI ** 2
     rep = _report("lemma7", {"beta": beta, "T": T}, lhs, rhs,
-                  tol=float(params.get("tol", 1e-6)), assertable=False)
+                  tol=tol, assertable=False)
     rep.detail = {"boundary_terms": boundary,
                   "residual_after_boundary": lhs - rhs - boundary}
     rep.notes.append(
@@ -679,9 +673,10 @@ def _check_parts_identity(params):
     return rep
 
 
-def _check_geometric_moment_bound(params):
-    kk = int(params.get("k", 1))
-    cs = params.get("C_values", (2.0, 4.0, 8.0, 16.0))
+def _check_geometric_moment_bound(tol=None):
+    # the bound is compared exactly, so a tolerance does not apply
+    kk = 1
+    cs = (2.0, 4.0, 8.0, 16.0)
     vals = {}
     for C in cs:
         total = 0.0
@@ -692,13 +687,13 @@ def _check_geometric_moment_bound(params):
             if term < 1e-18 * max(total, 1.0) and n > kk:
                 break
             n += 1
-        vals[float(C)] = C * total
-    seq = [vals[float(C)] for C in cs]
+        vals[C] = C * total
+    seq = [vals[C] for C in cs]
     bound = seq[0] * (1.0 + 1e-12)
     passed = all(v <= bound for v in seq) \
         and all(a >= b for a, b in zip(seq, seq[1:]))
     rep = CheckReport(
-        name="lemma11", params={"k": kk, "C_values": list(map(float, cs))},
+        name="lemma11", params={"k": kk, "C_values": list(cs)},
         lhs=max(seq), rhs=bound, discrepancy_abs=0.0, discrepancy_rel=0.0,
         tolerance=0.0, passed=passed,
         detail={"C_times_sum": {f"{c:g}": v for c, v in vals.items()}})
@@ -716,9 +711,14 @@ _CHECKS = {
 }
 
 
-def check_identity(name: str, params: dict | None = None) -> CheckReport:
-    """Run one of the kernel-level identity checks by name."""
+def check_identity(name: str, tol: float | None = None) -> CheckReport:
+    """Run one of the kernel-level identity checks by name.
+
+    ``tol``, when given, replaces the check's pass tolerance; lemma11
+    compares exactly and ignores it.
+    """
     if name not in _CHECKS:
         raise DomainError(
             f"unknown identity {name!r}; choose from {sorted(_CHECKS)}")
-    return _CHECKS[name](params or {})
+    check = _CHECKS[name]
+    return check() if tol is None else check(float(tol))

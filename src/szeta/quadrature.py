@@ -1,12 +1,13 @@
 """Panel Gauss-Legendre quadrature: an adaptive engine and a fixed gap rule.
 
-:func:`integrate`, driven by a :class:`QuadratureSpec`, splits the range at
-every spec breakpoint falling inside it, lays down fixed panels whose width
-respects an oscillation cap (phase advance at most pi/2 per panel for an
-``exp(i*omega*u)`` factor), and refines by doubling the panel count until
-two successive levels agree to tolerance, all segments in one vectorized
-pass.  :func:`gap_rule` instead puts one fixed rule on each of many
-segments where the integrand is smooth (the zero gaps).  Both raise an
+:func:`integrate` splits the range at every breakpoint it is given inside
+it, lays down fixed panels whose width respects an oscillation cap (phase
+advance at most pi/2 per panel for an ``exp(i*omega*u)`` factor), and
+refines by doubling the panel count until two successive levels agree to
+the module tolerances ``ABS_TOL`` and ``REL_TOL``, all segments in one
+vectorized pass.  :func:`gap_rule` instead puts one fixed rule on each of
+many segments where the integrand is smooth (the zero gaps).  Both take an
+integrand returning a stack of rows, and both raise an
 :class:`AccuracyError` naming the worst segment and carrying the estimate
 instead of silently returning it.
 """
@@ -14,7 +15,6 @@ instead of silently returning it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +28,6 @@ def _gl(n: int):
         _GL_NODES[n] = np.polynomial.legendre.leggauss(n)
     return _GL_NODES[n]
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances, depth limits and mandatory breakpoints for integration.
-
-    ``breakpoints`` are subdivision points the panels may never straddle
-    (integrand kinks, derivative jumps).
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_depth: int = 24
-    breakpoints: tuple = ()
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 1 <= self.max_depth <= 60:
-            raise ValueError("max_depth must lie in [1, 60]")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 _CHUNK_POINTS = 512    # points per call of f; bounds (points x ordinates) f
 
@@ -77,6 +55,13 @@ def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
             sums = np.zeros((len(lo),) + y.shape[:-2])
         np.add.at(sums, seg, np.moveaxis((y @ w_gl) * half, -1, 0))
     return sums.T
+
+
+def _result(value, err):
+    """Floats for one integrand, arrays for a stack of rows."""
+    if np.ndim(value):
+        return value, err
+    return float(value), float(err)
 
 
 GAP_RULE_TOL = 1e-10   # gap_rule's bound on err / sum of |segment values|
@@ -115,51 +100,71 @@ def gap_rule(f, edges, omega: float = 0.0):
             f"worst on [{lo[worst]:g}, {hi[worst]:g}] ({row[worst]:.3e})",
             achieved=float(np.ravel(err)[r]),
             estimate=float(np.ravel(value)[r]))
-    if np.ndim(value):
-        return value, err
-    return float(value), float(err)
+    return _result(value, err)
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
-              omega: float = 0.0, nodes: int = 10):
+# integrate's convergence test, read at call time: a segment is done when
+# two successive levels differ by at most max(ABS_TOL, REL_TOL * |value|)
+# in every row, and the call fails after MAX_DEPTH doublings
+ABS_TOL = 1e-9
+REL_TOL = 1e-9
+MAX_DEPTH = 24
+
+
+def integrate(f, a: float, b: float, omega: float = 0.0, breakpoints=()):
     """Integrate ``f`` over ``[a, b]``; returns ``(value, error_estimate)``.
 
-    Each segment between breakpoints starts at ``max(4, ceil(width/h))``
-    panels, ``h = min(width/4, pi/(2|omega|))`` so no panel spans more than a
-    quarter period of a phase ``omega*u``, and doubles them until two levels
-    agree to tolerance; converged segments drop out.  Vectorized ``f``
-    required; each call gets the nodes of many segments.
+    The range is split at every one of ``breakpoints`` inside it (kinks,
+    derivative jumps the panels must not straddle), and the segments are
+    refined by :func:`_adaptive`.  Vectorized ``f`` required; an ``f``
+    returning a stack of rows gets one value and one estimate per row.
     """
     if not b > a:
         if b == a:
             return 0.0, 0.0
         raise ValueError("integrate requires b >= a")
     # sorted(set()) rather than np.unique, whose first call imports numpy.ma
-    bp = sorted({float(p) for p in spec.breakpoints if a < p < b})
-    cuts = np.array([a, *bp, b], dtype=float)
+    bp = sorted({float(p) for p in breakpoints if a < p < b})
+    return _adaptive(f, np.array([a, *bp, b], dtype=float), omega)
+
+
+def _adaptive(f, cuts, omega: float):
+    """Adaptive 10-node Gauss-Legendre over the segments between ``cuts``
+    (increasing, no two equal); returns ``(value, error_estimate)``.
+
+    Each segment starts at ``max(4, ceil(width/h))`` panels, ``h =
+    min(width/4, pi/(2|omega|))`` so no panel spans more than a quarter
+    period of a phase ``omega*u``, and doubles them until two levels agree
+    to tolerance in every row; converged segments drop out, and each call
+    of ``f`` gets the nodes of many segments.  Raises
+    :class:`AccuracyError` naming the worst open segment.
+    """
     lo, hi = cuts[:-1], cuts[1:]
     width = hi - lo
     h = width / 4.0
     if omega:
         h = np.minimum(h, math.pi / (2.0 * abs(omega)))
     n = np.maximum(4, np.ceil(width / h)).astype(np.int64)
-    value = np.zeros(len(lo))
-    err = np.zeros(len(lo))
+    prev = _level_sums(f, lo, hi, n, 10)
+    value = np.zeros_like(prev)
+    err = np.zeros_like(prev)
     live = np.arange(len(lo))
-    prev = _level_sums(f, lo, hi, n, nodes)
-    for _ in range(spec.max_depth):
+    for _ in range(MAX_DEPTH):
         n = 2 * n
-        cur = _level_sums(f, lo[live], hi[live], n, nodes)
+        cur = _level_sums(f, lo[live], hi[live], n, 10)
         change = np.abs(cur - prev)
-        value[live] = cur
-        err[live] = change
-        todo = ~(change <= np.maximum(spec.abs_tol,
-                                      spec.rel_tol * np.abs(cur)))
-        live, n, prev = live[todo], n[todo], cur[todo]
+        value[..., live] = cur
+        err[..., live] = change
+        done = change <= np.maximum(ABS_TOL, REL_TOL * np.abs(cur))
+        todo = ~np.atleast_2d(done).all(axis=0)
+        live, n, prev = live[todo], n[todo], cur[..., todo]
         if not len(live):
-            return float(np.sum(value)), float(np.sum(err))
-    worst = live[np.argmax(err[live])]
+            return _result(np.sum(value, axis=-1), np.sum(err, axis=-1))
+    open_err = np.atleast_2d(err)[:, live]
+    row, j = np.unravel_index(np.argmax(open_err), open_err.shape)
+    worst = live[j]
     raise AccuracyError(
         f"quadrature did not converge on [{lo[worst]:g}, {hi[worst]:g}] "
-        f"(last change {err[worst]:.3e}, {len(live)} of {len(lo)} segments "
-        "open)", achieved=float(err[worst]), estimate=float(np.sum(value)))
+        f"(last change {open_err[row, j]:.3e}, {len(live)} of {len(lo)} "
+        "segments open)", achieved=float(open_err[row, j]),
+        estimate=float(np.sum(np.atleast_2d(value)[row])))

@@ -30,7 +30,7 @@ from .kernels import (CheckReport, _report, k_values, kpp_values,
 from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                        pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import build_prime_table, prime_power_double_sum
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .s_of_t import (SEvaluator, _s_squared_integral, g_and_h_direct,
                      second_moment)
 from .zeros import ZeroSet
@@ -78,19 +78,6 @@ def conjectural_F(alpha, model: FModel):
     return float(out) if scalar else out
 
 
-def g_plus_h_closed(T: float, x: float, p_cutoff: int = 10 ** 6,
-                    m_cutoff: int = 64) -> float:
-    """(T/2pi^2) [ -log log x + log(pi/2) - pi^2/8 + 1 - C0
-    + sum (1/m - 1/m^2) p^-m ]."""
-    if x < 16:
-        raise DomainError("closed form stated for x >= 16")
-    ds, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2,
-                                   p_cutoff, m_cutoff)
-    bracket = (-math.log(math.log(x)) + math.log(PI / 2.0) - PI ** 2 / 8.0
-               + 1.0 - np.euler_gamma + ds)
-    return T / (2.0 * PI ** 2) * bracket
-
-
 @dataclass(frozen=True)
 class TheoremBreakdown:
     """Right-hand side of the second-moment formula, term by term.
@@ -110,14 +97,12 @@ class TheoremBreakdown:
     rhs_goldston: float
 
 
-def theorem_rhs(T: float, f_tail: float, p_cutoff: int = 10 ** 6,
-                m_cutoff: int = 64) -> TheoremBreakdown:
+def theorem_rhs(T: float, f_tail: float) -> TheoremBreakdown:
     """Evaluate the right-hand side with a given F-tail integral."""
     if T < 100.0:
         raise DomainError("bracket evaluation stated for T >= 100")
     scale = T / (2.0 * PI ** 2)
-    ds_pos, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2,
-                                       p_cutoff, m_cutoff)
+    ds_pos, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2)
     # coefficients -1/m + 1/m^2 negate every term, so the opposite-sign
     # double sum is exactly -ds_pos
     ds_neg = -ds_pos
@@ -147,17 +132,18 @@ def _model_kernel_integral(T: float, beta: float, deriv: bool) -> float:
     pts = tuple(p for p in sorted({beta, model.regime_boundary}) if p < 1.0)
     val, _ = integrate(
         lambda a: conjectural_F(a, model) * fn(a / (2.0 * PI * beta)),
-        0.0, 1.0, QuadratureSpec(breakpoints=pts))
+        0.0, 1.0, breakpoints=pts)
     tail = 8.0 * PI ** 4 * beta ** 4 if deriv else PI ** 2 * beta ** 2
     return 2.0 * (val + tail)
 
 
-def _f_tail_values(f_source, curve, alpha_cut, tail_model):
-    """(int_1^inf F/a^2, int_1^inf F/a^4) from curve or model."""
+def _f_tail_values(f_source, curve, alpha_cut):
+    """(int_1^inf F/a^2, int_1^inf F/a^4) from curve or model, F = 1
+    beyond the curve."""
     if f_source == "model":
         return 1.0, 1.0 / 3.0
-    return (tail_integral(curve, 2, alpha_cut, tail_model),
-            tail_integral(curve, 4, alpha_cut, tail_model))
+    return (tail_integral(curve, 2, alpha_cut),
+            tail_integral(curve, 4, alpha_cut))
 
 
 def _require_curve(zeros, T, curve):
@@ -168,8 +154,7 @@ def _require_curve(zeros, T, curve):
 
 def lemma8_check(T: float, beta: float, zeros: ZeroSet | None = None,
                  f_source: str = "empirical",
-                 curve: PairCorrelationCurve | None = None,
-                 tail_model: str = "constant_one") -> CheckReport:
+                 curve: PairCorrelationCurve | None = None) -> CheckReport:
     """F-weighted kernel integral vs its conditional closed form."""
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
@@ -179,7 +164,7 @@ def lemma8_check(T: float, beta: float, zeros: ZeroSet | None = None,
         lhs = f_weighted_kernel_integral(zeros, T, beta, deriv=False)
     else:
         lhs = _model_kernel_integral(T, beta, deriv=False)
-    ft2, _ = _f_tail_values(f_source, curve, 4.0, tail_model)
+    ft2, _ = _f_tail_values(f_source, curve, 4.0)
     rhs = 2.0 * PI ** 2 * beta ** 2 * (
         1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)) \
         + 2.0 * (logT + EQ2_CONSTANT) \
@@ -198,8 +183,7 @@ def lemma8_check(T: float, beta: float, zeros: ZeroSet | None = None,
 
 def lemma9_check(T: float, beta: float, zeros: ZeroSet | None = None,
                  f_source: str = "empirical",
-                 curve: PairCorrelationCurve | None = None,
-                 tail_model: str = "constant_one") -> CheckReport:
+                 curve: PairCorrelationCurve | None = None) -> CheckReport:
     """Same comparison with the second-derivative kernel."""
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
@@ -209,7 +193,7 @@ def lemma9_check(T: float, beta: float, zeros: ZeroSet | None = None,
         lhs = f_weighted_kernel_integral(zeros, T, beta, deriv=True)
     else:
         lhs = _model_kernel_integral(T, beta, deriv=True)
-    _, ft4 = _f_tail_values(f_source, curve, 4.0, tail_model)
+    _, ft4 = _f_tail_values(f_source, curve, 4.0)
     rhs = 4.0 * PI ** 6 * beta ** 2 - 24.0 * PI ** 4 * beta ** 4 \
         + 48.0 * PI ** 4 * beta ** 4 * ft4 \
         + 32.0 * PI ** 2 * beta ** 2 * logT ** 2 * (logT + EQ2_CONSTANT) \
@@ -227,8 +211,7 @@ def lemma9_check(T: float, beta: float, zeros: ZeroSet | None = None,
 
 def lemma10_check(T: float, beta: float, zeros: ZeroSet,
                   f_source: str = "empirical",
-                  curve: PairCorrelationCurve | None = None,
-                  tail_model: str = "constant_one") -> CheckReport:
+                  curve: PairCorrelationCurve | None = None) -> CheckReport:
     """R (pair-sum route) vs its combined conditional closed form."""
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
@@ -237,7 +220,7 @@ def lemma10_check(T: float, beta: float, zeros: ZeroSet,
     lhs = weighted_khat_sum(zeros, x, "none", T=T) / (PI ** 2 * math.log(x))
     if f_source == "empirical":
         curve = _require_curve(zeros, T, curve)
-    ft2, ft4 = _f_tail_values(f_source, curve, 4.0, tail_model)
+    ft2, ft4 = _f_tail_values(f_source, curve, 4.0)
     rhs = T / (2.0 * PI ** 2) * (
         1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)) \
         + 3.0 * T / (8.0 * PI ** 2 * logT ** 2) \
@@ -255,19 +238,17 @@ def lemma10_check(T: float, beta: float, zeros: ZeroSet,
 
 
 def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
-                      f_source: str = "empirical",
-                      tail_model: str = "constant_one") -> dict:
+                      f_source: str = "empirical") -> dict:
     """All three conditional evaluators over one shared curve."""
     curve = None
     if f_source == "empirical":
         curve = _require_curve(zeros, T, curve)
     out = {
-        "lemma8": lemma8_check(T, beta, zeros, f_source, curve, tail_model),
-        "lemma9": lemma9_check(T, beta, zeros, f_source, curve, tail_model),
+        "lemma8": lemma8_check(T, beta, zeros, f_source, curve),
+        "lemma9": lemma9_check(T, beta, zeros, f_source, curve),
     }
     if zeros is not None:
-        out["lemma10"] = lemma10_check(T, beta, zeros, f_source, curve,
-                                       tail_model)
+        out["lemma10"] = lemma10_check(T, beta, zeros, f_source, curve)
     return out
 
 
@@ -295,12 +276,12 @@ def full_report(T: float, x: float, zeros: ZeroSet,
                 alpha_max: float = 4.0, alpha_step: float = 0.025,
                 f_tail_source: str = "empirical",
                 tail_model: str = "constant_one",
-                prime_table=None, section3: bool = True) -> MomentReport:
+                prime_table=None) -> MomentReport:
     """Measure int_0^T S^2 and compare against the assembled right side.
 
     Also evaluates the squared-formula intermediate identity
-    ``int_1^T S^2 + G + H = R + O(sqrt(T x))`` when ``section3`` is on,
-    reporting the residual against its sqrt(T x) scale in the notes.
+    ``int_1^T S^2 + G + H = R + O(sqrt(T x))``, reporting the residual
+    against its sqrt(T x) scale in the notes.
     Deterministic: identical inputs give identical reports.
     """
     if x < 4.0:
@@ -334,16 +315,15 @@ def full_report(T: float, x: float, zeros: ZeroSet,
         "F(alpha)=1 beyond the curve is the uniformity conjecture used as "
         "a labeled model, not an assumption being verified",
     ]
-    if section3:
-        gh = g_and_h_direct(T, x, ev)
-        r_total = weighted_khat_sum(zeros, x, "none", T=T) \
-            / (PI ** 2 * math.log(x))
-        resid = sm_1 + gh.g + gh.h - r_total
-        scale = math.sqrt(T * x)
-        notes.append(
-            f"squared-formula identity: int_1^T S^2 + G + H = {sm_1 + gh.g + gh.h:.12g}, "
-            f"R = {r_total:.12g}, residual = {resid:.12g}, "
-            f"sqrt(T x) scale = {scale:.12g}")
+    gh = g_and_h_direct(T, x, ev)
+    r_total = weighted_khat_sum(zeros, x, "none", T=T) \
+        / (PI ** 2 * math.log(x))
+    resid = sm_1 + gh.g + gh.h - r_total
+    scale = math.sqrt(T * x)
+    notes.append(
+        f"squared-formula identity: int_1^T S^2 + G + H = {sm_1 + gh.g + gh.h:.12g}, "
+        f"R = {r_total:.12g}, residual = {resid:.12g}, "
+        f"sqrt(T x) scale = {scale:.12g}")
     return MomentReport(T=T, x=x, beta=beta, lhs_integral=lhs, breakdown=bd,
                         f_tail_source=f_tail_source, discrepancy_abs=d,
                         discrepancy_rel=d / bd.rhs_theorem,

@@ -207,34 +207,27 @@ def _z_rs(ts: np.ndarray) -> np.ndarray:
     return main + sign * tau ** (-0.25) * corr
 
 
-def riemann_siegel_Z(t, method: str = "auto"):
+def riemann_siegel_Z(t):
     """Real rotated zeta Z(t); sign changes locate zero ordinates.
 
-    ``auto`` uses Euler-Maclaurin below ``RS_MIN_T`` and the corrected
-    Riemann-Siegel sum from there on, next to the main-sum transitions
-    (sqrt(t/2pi) near an integer) too.  Measured against Euler-Maclaurin
-    on a dense grid over [500, 1500] and at sqrt(t/2pi) = n +- 1e-4, the
-    error is below 1.5e-7, largest near t = 500 and falling as t grows,
-    hence under 1e-6 across the supported range t <= 1e5.  Both routes
-    sum in blocks of bounded size, so memory does not grow with t.
+    Euler-Maclaurin (:func:`_z_em`) below ``RS_MIN_T`` and the corrected
+    Riemann-Siegel sum (:func:`_z_rs`) from there on, next to the main-sum
+    transitions (sqrt(t/2pi) near an integer) too.  Measured against
+    Euler-Maclaurin on a dense grid over [500, 1500] and at sqrt(t/2pi) =
+    n +- 1e-4, the error is below 1.5e-7, largest near t = 500 and falling
+    as t grows, hence under 1e-6 across the supported range t <= 1e5.  Both
+    routes sum in blocks of bounded size, so memory does not grow with t.
     """
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < THETA_MIN_T):
         raise DomainError("Z supported for t >= 10")
-    if method == "em":
-        out = _z_em(ts)
-    elif method == "rs":
-        out = _z_rs(ts)
-    elif method == "auto":
-        out = np.empty_like(ts)
-        low = ts < RS_MIN_T
-        if np.any(low):
-            out[low] = _z_em(ts[low])
-        if not np.all(low):
-            out[~low] = _z_rs(ts[~low])
-    else:
-        raise DomainError(f"unknown Z method {method!r}")
+    out = np.empty_like(ts)
+    low = ts < RS_MIN_T
+    if np.any(low):
+        out[low] = _z_em(ts[low])
+    if not np.all(low):
+        out[~low] = _z_rs(ts[~low])
     return float(out[0]) if scalar else out
 
 

@@ -212,12 +212,39 @@ def test_report_beyond_coverage_exits_2(tmp_path, zeros_file, capsys):
     assert "cover" in capsys.readouterr().err
 
 
-def test_threads_env_used(tmp_path, monkeypatch):
-    monkeypatch.setenv("SZETA_THREADS", "2")
-    out = tmp_path / "z.txt"
-    assert main(["zeros", "--t-max", "40", "--out", str(out)]) == 0
-    monkeypatch.setenv("SZETA_THREADS", "zebra")
-    assert main(["zeros", "--t-max", "40", "--out", str(out)]) == 1
+@pytest.fixture()
+def address_space_cap():
+    """Cap this process's address space 2 GB above its current size, so
+    an oversized allocation fails at once whatever the overcommit policy."""
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        pytest.skip("the cap is sized from /proc/self/statm")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (2 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("s --zeros {z} --t-min 20 --t-max 30 --step 0", 1),
+    ("s --zeros {z} --t 30 --method explicit --x 1e12", 2),
+    ("pcf --zeros {z} --t 200 --step 1e-12 --out {out}", 2),
+    ("check --identity lemma4 --params tol=1", 1),
+])
+def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
+                                       capsys, address_space_cap):
+    # a zero step, an allocation beyond memory and an unknown option each
+    # end in an exit code and an error line, not a stack trace
+    argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv").split()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
 
 
 _NO_SCIPY = """

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from szeta import quadrature
 from szeta.errors import AccuracyError
-from szeta.quadrature import QuadratureSpec, gap_rule, integrate
+from szeta.quadrature import gap_rule, integrate
 
 
 def test_polynomial_exact():
@@ -26,8 +27,8 @@ def test_high_frequency_cosine():
 
 
 def test_breakpoint_handles_kink():
-    spec = QuadratureSpec(breakpoints=(0.3,))
-    val, _ = integrate(lambda x: np.abs(x - 0.3), 0.0, 1.0, spec)
+    val, _ = integrate(lambda x: np.abs(x - 0.3), 0.0, 1.0,
+                       breakpoints=(0.3,))
     exact = 0.5 * (0.3 ** 2 + 0.7 ** 2)
     assert abs(val - exact) < 1e-13
 
@@ -38,12 +39,22 @@ def test_empty_and_reversed_ranges():
         integrate(np.sin, 3.0, 2.0)
 
 
-def test_nonconvergence_reports_estimate():
+def test_rows_get_one_value_and_estimate_each():
+    val, err = integrate(lambda x: np.stack([np.sin(x), np.cos(x)]),
+                         0.0, math.pi, omega=1.0)
+    assert val.shape == err.shape == (2,)
+    assert abs(val[0] - 2.0) < 1e-12 and abs(val[1]) < 1e-12
+    assert np.all(err < 1e-9)
+
+
+def test_nonconvergence_reports_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
     for breakpoints in ((), (-0.5, 0.0, 0.5)):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_depth=2,
-                              breakpoints=breakpoints)
         with pytest.raises(AccuracyError) as info:
-            integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, spec)
+            integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0,
+                      breakpoints=breakpoints)
         assert info.value.achieved is not None
         # the estimate is the whole integral, the message names one segment
         assert info.value.estimate == pytest.approx(4.0 / 3.0, abs=1e-3)
@@ -51,15 +62,6 @@ def test_nonconvergence_reports_estimate():
         lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]",
                                       str(info.value)).groups())
         assert (lo, hi) in zip(cuts[:-1], cuts[1:])
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=100)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=0)
 
 
 def test_gap_rule_on_segments():

@@ -174,17 +174,18 @@ def test_second_moment_positive(ev_120):
         assert second_moment(T, ev_120) > 0.0
 
 
-def test_second_moment_grid_stable(ev_120):
+def test_second_moment_grid_stable(ev_120, monkeypatch):
     # the fixed gap rule against adaptive panels refined to 1e-13, the
     # ordinates as breakpoints
-    from szeta.quadrature import QuadratureSpec, integrate
+    from szeta import quadrature
     from szeta.s_of_t import _s_between_zeros
     g = ev_120.zeros.ordinates
     base = second_moment(60.0, ev_120)
-    tight, _ = integrate(
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-13)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
+    tight, _ = quadrature.integrate(
         lambda t: _s_between_zeros(t, ev_120.zeros) ** 2, 0.0, 60.0,
-        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13,
-                       breakpoints=tuple(g[g < 60.0])))
+        breakpoints=tuple(g[g < 60.0]))
     assert abs(base - tight) / base < 1e-9
 
 

@@ -1,16 +1,15 @@
 import math
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szeta.errors import DomainError
 from szeta.paircorr import lemma6_eval
-from szeta.primes import prime_power_double_sum, prime_sum_terms
+from szeta.primes import prime_power_double_sum
 from szeta.theorem import (EQ2_CONSTANT, FModel, MomentReport, conjectural_F,
-                           full_report, g_plus_h_closed, lemma8_check,
+                           full_report, lemma8_check,
                            lemma9_check, lemma10_check, lemma_8_9_10_eval,
                            theorem_rhs)
 
@@ -80,30 +79,6 @@ def test_bracket_forms_bit_equal():
 def test_theorem_rhs_domain():
     with pytest.raises(DomainError):
         theorem_rhs(50.0, 1.0)
-
-
-def test_g_plus_h_closed_linear_in_T():
-    a = g_plus_h_closed(1000.0, 100.0)
-    b = g_plus_h_closed(2000.0, 100.0)
-    assert b == 2.0 * a
-
-
-def test_g_plus_h_bracket_decreasing_in_x():
-    vals = [g_plus_h_closed(1000.0, x) for x in (16.0, 100.0, 1000.0)]
-    assert vals[0] > vals[1] > vals[2]
-
-
-def test_g_plus_h_closed_matches_prime_sums(prime_table_1e6):
-    # cross-module oracle: the closed form vs the exact four-sum bundle;
-    # the gap is governed by the dropped O(1/log^4 x) plus the tail of s3
-    T, x = 1000.0, 10 ** 4
-    bundle = prime_sum_terms(x, prime_table_1e6)
-    direct = T / (2 * PI ** 2) * (bundle.s1 - 2 * bundle.s2 - bundle.s3
-                                  + bundle.s4)
-    closed = g_plus_h_closed(T, x)
-    slack = T / (2 * PI ** 2) * (bundle.s4 + 10.0 / math.log(x) ** 4
-                                 + bundle.tail_bound_s3)
-    assert abs(direct - closed) < slack
 
 
 def test_lemma8_model_self_consistency_trend():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import theta_binet_oracle, zeta_em_oracle
 from szeta.errors import DomainError, MissedZerosError, ZerosParseError
-from szeta.zeros import (RS_MIN_T, ZeroSet, export_zeros, find_zeros,
-                         gram_points, import_zeros, riemann_siegel_Z, theta,
-                         theta_exact)
+from szeta.zeros import (RS_MIN_T, ZeroSet, _z_em, _z_rs, export_zeros,
+                         find_zeros, gram_points, import_zeros,
+                         riemann_siegel_Z, theta, theta_exact)
 
 PI = math.pi
 
@@ -62,8 +62,8 @@ def test_z_squared_matches_zeta_oracle():
     for t in (1200.0, 2 * PI * (12 + 1e-3) ** 2):
         assert t > RS_MIN_T
         oracle = abs(zeta_em_oracle(t)) ** 2
-        assert riemann_siegel_Z(t, "rs") ** 2 == pytest.approx(oracle,
-                                                               abs=1e-6)
+        assert _z_rs(np.array([t]))[0] ** 2 == pytest.approx(oracle,
+                                                             abs=1e-6)
         assert riemann_siegel_Z(t) ** 2 == pytest.approx(oracle, abs=1e-6)
 
 
@@ -75,9 +75,9 @@ def test_z_branches_agree_on_overlap():
     ts = np.concatenate([np.linspace(500.0, 1500.0, 700),
                          2 * PI * (n - 1e-4) ** 2, 2 * PI * (n + 1e-4) ** 2])
     assert np.min(ts) >= RS_MIN_T
-    em = riemann_siegel_Z(ts, "em")
-    assert np.max(np.abs(riemann_siegel_Z(ts, "auto") - em)) < 3e-7
-    assert np.max(np.abs(riemann_siegel_Z(ts, "rs") - em)) < 3e-7
+    em = _z_em(ts)
+    assert np.max(np.abs(riemann_siegel_Z(ts) - em)) < 3e-7
+    assert np.max(np.abs(_z_rs(ts) - em)) < 3e-7
 
 
 def _psi_exact(p):
@@ -108,8 +108,6 @@ def test_z_is_real_valued():
 def test_z_domain():
     with pytest.raises(DomainError):
         riemann_siegel_Z(5.0)
-    with pytest.raises(DomainError):
-        riemann_siegel_Z(50.0, "bogus")
 
 
 def test_find_zeros_first_zero_only():
@@ -292,8 +290,8 @@ def test_persistent_deficit_raises_with_gap(monkeypatch):
     # inside the Rosser block [g_2, g_4) = [27.67, 35.47)
     a, b = 27.72, 35.26
 
-    def hidden(t, method="auto"):
-        out = real(t, method)
+    def hidden(t):
+        out = real(t)
         inside = (np.asarray(t) > a) & (np.asarray(t) < b)
         return np.where(inside, np.abs(out), out)
 
