@@ -165,7 +165,9 @@ def _cmd_s(args) -> int:
     if args.step <= 0:
         raise _UsageError("--step must be positive")
     zs = _load_zeros(args.zeros)
-    table = build_prime_table(max(64, int(args.x) + 1))
+    table = None
+    if args.method == "explicit":
+        table = build_prime_table(max(64, int(args.x) + 1))
     ev = SEvaluator(zeros=zs, prime_table=table)
     if args.t is not None:
         points = [args.t]

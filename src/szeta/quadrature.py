@@ -1,12 +1,13 @@
-"""Panel Gauss-Legendre quadrature: an adaptive engine and a fixed gap rule.
+"""Panel Gauss-Legendre quadrature: one engine, the gap rule.
 
-:func:`integrate` splits the range at every breakpoint it is given inside
-it, lays down fixed panels whose width respects an oscillation cap (phase
-advance at most pi/2 per panel for an ``exp(i*omega*u)`` factor), and
-refines by doubling the panel count until two successive levels agree to
-the module tolerances ``ABS_TOL`` and ``REL_TOL``, all segments in one
-vectorized pass.  :func:`gap_rule` instead puts one fixed rule on each of
-many segments where the integrand is smooth (the zero gaps).  Both take an
+:func:`gap_rule` integrates over many segments where the integrand is
+smooth (the zero gaps, or the pieces between a kernel's kinks), all in one
+vectorized pass.  Each segment gets equal panels whose width respects an
+oscillation cap (phase advance at most pi/2 per panel for an
+``exp(i*omega*u)`` factor), an 8-node value and a 6-node error estimate.
+When the estimate misses its bound, only the segments above their share
+of it have their panels halved and are summed again.  :func:`integrate` is
+the same engine over one range split at given breakpoints.  Both take an
 integrand returning a stack of rows, and both raise an
 :class:`AccuracyError` naming the worst segment and carrying the estimate
 instead of silently returning it.
@@ -57,14 +58,15 @@ def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
     return sums.T
 
 
-def _result(value, err):
-    """Floats for one integrand, arrays for a stack of rows."""
-    if np.ndim(value):
-        return value, err
-    return float(value), float(err)
-
-
 GAP_RULE_TOL = 1e-10   # gap_rule's bound on err / sum of |segment values|
+MAX_DEPTH = 24         # panel halvings of one segment before AccuracyError
+
+
+def _rule(f, lo, hi, n):
+    """The 8-node sums over segments of ``n`` panels and, per segment,
+    their distance from the 6-node sums."""
+    fine = _level_sums(f, lo, hi, n, 8)
+    return fine, np.abs(fine - _level_sums(f, lo, hi, n, 6))
 
 
 def gap_rule(f, edges, omega: float = 0.0):
@@ -74,11 +76,14 @@ def gap_rule(f, edges, omega: float = 0.0):
     Each segment gets equal panels no wider than h = min(1, pi/(2|omega|)).
     The value is the 8-node Gauss-Legendre sum; the error estimate is the
     sum over segments of its distance from the 6-node sum, an estimate of
-    the 6-node sum's error and so, generously, of the value's.  Raises
-    :class:`AccuracyError` when the estimate exceeds ``GAP_RULE_TOL`` times
-    the sum of |segment values|.  Vectorized ``f`` required.  An ``f``
-    returning a stack of rows (one integrand each) gets one value and one
-    estimate per row, each row held to the tolerance on its own.
+    the 6-node sum's error and so, generously, of the value's.  While the
+    estimate exceeds the bound ``GAP_RULE_TOL`` times the sum of |segment
+    values|, the panels of every segment whose own estimate is above its
+    share of the bound (bound / number of segments) are halved and only
+    those segments summed again; after ``MAX_DEPTH`` halvings it raises
+    :class:`AccuracyError` naming the worst segment.  Vectorized ``f``
+    required.  An ``f`` returning a stack of rows (one integrand each) gets
+    one value and one estimate per row, each row held to its own bound.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -86,37 +91,39 @@ def gap_rule(f, edges, omega: float = 0.0):
         return 0.0, 0.0
     h = min(1.0, math.pi / (2.0 * abs(omega))) if omega else 1.0
     n = np.maximum(1, np.ceil((hi - lo) / h)).astype(np.int64)
-    fine = _level_sums(f, lo, hi, n, 8)
-    change = np.abs(fine - _level_sums(f, lo, hi, n, 6))
-    value, err = np.sum(fine, axis=-1), np.sum(change, axis=-1)
-    bad = np.flatnonzero(~(err <= GAP_RULE_TOL
-                           * np.sum(np.abs(fine), axis=-1)))
-    if len(bad):
-        r = int(bad[0])
-        row = np.atleast_2d(change)[r]
-        worst = int(np.argmax(row))
-        raise AccuracyError(
-            f"gap rule estimate {np.ravel(err)[r]:.3e} above tolerance, "
-            f"worst on [{lo[worst]:g}, {hi[worst]:g}] ({row[worst]:.3e})",
-            achieved=float(np.ravel(err)[r]),
-            estimate=float(np.ravel(value)[r]))
-    return _result(value, err)
-
-
-# integrate's convergence test, read at call time: a segment is done when
-# two successive levels differ by at most max(ABS_TOL, REL_TOL * |value|)
-# in every row, and the call fails after MAX_DEPTH doublings
-ABS_TOL = 1e-9
-REL_TOL = 1e-9
-MAX_DEPTH = 24
+    fine, change = _rule(f, lo, hi, n)
+    for depth in range(MAX_DEPTH + 1):
+        value, err = np.sum(fine, axis=-1), np.sum(change, axis=-1)
+        bound = GAP_RULE_TOL * np.sum(np.abs(fine), axis=-1)
+        failing = np.atleast_1d(~(err <= bound))
+        if not failing.any():
+            if np.ndim(value):      # a stack of rows
+                return value, err
+            return float(value), float(err)
+        share = np.atleast_1d(bound)[failing, None] / len(lo)
+        redo = np.flatnonzero(
+            (np.atleast_2d(change)[failing] > share).any(axis=0))
+        if depth == MAX_DEPTH or not len(redo):   # NaN is above no share
+            break
+        n[redo] *= 2
+        fine[..., redo], change[..., redo] = _rule(f, lo[redo], hi[redo],
+                                                   n[redo])
+    r = int(np.argmax(failing))
+    row = np.atleast_2d(change)[r]
+    worst = int(np.argmax(row))
+    raise AccuracyError(
+        f"gap rule estimate {np.ravel(err)[r]:.3e} above tolerance, "
+        f"worst on [{lo[worst]:g}, {hi[worst]:g}] ({row[worst]:.3e})",
+        achieved=float(np.ravel(err)[r]),
+        estimate=float(np.ravel(value)[r]))
 
 
 def integrate(f, a: float, b: float, omega: float = 0.0, breakpoints=()):
     """Integrate ``f`` over ``[a, b]``; returns ``(value, error_estimate)``.
 
-    The range is split at every one of ``breakpoints`` inside it (kinks,
-    derivative jumps the panels must not straddle), and the segments are
-    refined by :func:`_adaptive`.  Vectorized ``f`` required; an ``f``
+    :func:`gap_rule` over the segments between ``a``, every one of
+    ``breakpoints`` inside the range (kinks, derivative jumps the panels
+    must not straddle) and ``b``.  Vectorized ``f`` required; an ``f``
     returning a stack of rows gets one value and one estimate per row.
     """
     if not b > a:
@@ -125,46 +132,4 @@ def integrate(f, a: float, b: float, omega: float = 0.0, breakpoints=()):
         raise ValueError("integrate requires b >= a")
     # sorted(set()) rather than np.unique, whose first call imports numpy.ma
     bp = sorted({float(p) for p in breakpoints if a < p < b})
-    return _adaptive(f, np.array([a, *bp, b], dtype=float), omega)
-
-
-def _adaptive(f, cuts, omega: float):
-    """Adaptive 10-node Gauss-Legendre over the segments between ``cuts``
-    (increasing, no two equal); returns ``(value, error_estimate)``.
-
-    Each segment starts at ``max(4, ceil(width/h))`` panels, ``h =
-    min(width/4, pi/(2|omega|))`` so no panel spans more than a quarter
-    period of a phase ``omega*u``, and doubles them until two levels agree
-    to tolerance in every row; converged segments drop out, and each call
-    of ``f`` gets the nodes of many segments.  Raises
-    :class:`AccuracyError` naming the worst open segment.
-    """
-    lo, hi = cuts[:-1], cuts[1:]
-    width = hi - lo
-    h = width / 4.0
-    if omega:
-        h = np.minimum(h, math.pi / (2.0 * abs(omega)))
-    n = np.maximum(4, np.ceil(width / h)).astype(np.int64)
-    prev = _level_sums(f, lo, hi, n, 10)
-    value = np.zeros_like(prev)
-    err = np.zeros_like(prev)
-    live = np.arange(len(lo))
-    for _ in range(MAX_DEPTH):
-        n = 2 * n
-        cur = _level_sums(f, lo[live], hi[live], n, 10)
-        change = np.abs(cur - prev)
-        value[..., live] = cur
-        err[..., live] = change
-        done = change <= np.maximum(ABS_TOL, REL_TOL * np.abs(cur))
-        todo = ~np.atleast_2d(done).all(axis=0)
-        live, n, prev = live[todo], n[todo], cur[..., todo]
-        if not len(live):
-            return _result(np.sum(value, axis=-1), np.sum(err, axis=-1))
-    open_err = np.atleast_2d(err)[:, live]
-    row, j = np.unravel_index(np.argmax(open_err), open_err.shape)
-    worst = live[j]
-    raise AccuracyError(
-        f"quadrature did not converge on [{lo[worst]:g}, {hi[worst]:g}] "
-        f"(last change {open_err[row, j]:.3e}, {len(live)} of {len(lo)} "
-        "segments open)", achieved=float(open_err[row, j]),
-        estimate=float(np.sum(np.atleast_2d(value)[row])))
+    return gap_rule(f, [a, *bp, b], omega)

@@ -14,10 +14,11 @@ v = 60), vectorized over all zeros at once.
 ``second_moment``, ``s_mean`` and ``g_and_h_direct`` integrate up to T
 over the zero gaps.  On each gap S is the smooth function
 (constant - theta/pi), so one fixed Gauss-Legendre rule per gap
-(:func:`~szeta.quadrature.gap_rule`) covers all gaps at once.  Only the
-head below the first ordinate goes through the adaptive engine:
-below t = 10 the asymptotic theta is invalid, and the exact log-Gamma
-theta used there is singular at t = +-i/2.
+(:func:`~szeta.quadrature.gap_rule`) covers all gaps at once, the head
+below the first ordinate included.  Below t = 10 the asymptotic theta is
+invalid, and the exact log-Gamma theta used there is singular at
+t = +-i/2; where that makes the error estimate miss its bound, the rule
+halves the head's panels and sums the other gaps only once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import _ABS_BERNOULLI, f_weight
 from .primes import PrimeTable
-from .quadrature import _adaptive, gap_rule
+from .quadrature import gap_rule
 from .zeros import ZeroSet, theta, theta_exact
 
 PI = math.pi
@@ -39,10 +40,11 @@ ZERO_WINDOW_SCALE = 50.0      # explicit-formula zero sum keeps |t-g| <= 50/log 
 
 @dataclass(frozen=True)
 class SEvaluator:
-    """Bundle of the inputs S-evaluation needs: zeros and a prime table."""
+    """Bundle of the inputs S-evaluation needs: zeros and a prime table
+    (which the zero-counting routes never read)."""
 
     zeros: ZeroSet
-    prime_table: PrimeTable
+    prime_table: PrimeTable | None
 
 
 def s_exact(t: float, ev: SEvaluator) -> float:
@@ -212,10 +214,11 @@ def _gap_integral(f, lo: float, hi: float, ev: SEvaluator,
     """int_lo^hi f over the zero gaps; returns ``(value, error_estimate)``.
 
     The set must be complete and cover hi, or the zero count in S is wrong.
-    The head [lo, g_1] below the first ordinate goes through the adaptive
-    engine, since theta_exact's singularities at t = +-i/2 sit too close
-    for a fixed rule; every gap beyond is one segment of ``gap_rule``.  An
-    ``f`` returning a stack of rows gives arrays, one entry per row.
+    Every gap is one segment of ``gap_rule``, the head [lo, g_1] below the
+    first ordinate included: theta_exact's singularities at t = +-i/2 sit
+    close to t = 0, and when that makes the estimate miss its bound the
+    rule halves the head's panels.  An ``f`` returning a stack of rows
+    gives arrays, one entry per row.
     """
     zeros = ev.zeros
     if not zeros.claimed_complete:
@@ -223,14 +226,8 @@ def _gap_integral(f, lo: float, hi: float, ev: SEvaluator,
     if not hi <= zeros.t_max:
         raise DomainError("T outside zero coverage")
     g = zeros.ordinates
-    edges = np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
-    if not lo < g[0]:
-        return gap_rule(f, edges, omega)
-    # the engine itself rather than ``integrate``: the benchmark harness
-    # wraps ``integrate`` and reads its estimate as one float
-    head, head_err = _adaptive(f, edges[:2], omega)
-    body, body_err = gap_rule(f, edges[1:], omega)
-    return head + body, head_err + body_err
+    return gap_rule(f, np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi])),
+                    omega)
 
 
 def second_moment(T: float, ev: SEvaluator, t_lo: float = 0.0) -> float:

@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from szeta import theorem
+from szeta import cli, theorem
 from szeta.cli import _check_report_obj, _jsonable, build_parser, main
 from szeta.primes import build_prime_table
-from szeta.s_of_t import SEvaluator, s_explicit
+from szeta.s_of_t import SEvaluator, s_exact, s_explicit
 from szeta.zeros import export_zeros, import_zeros
 
 
@@ -61,6 +61,21 @@ def test_s_range_csv(tmp_path, zeros_file):
     assert lines[0] == "t,S"
     assert len(lines) == 4
     float(lines[1].split(",")[1])
+
+
+def test_s_exact_builds_no_prime_table(tmp_path, zeros_file, monkeypatch):
+    # only the explicit route reads the table; --x 1e8 would sieve to 1e8
+    def refuse(limit):
+        raise AssertionError(f"prime table to {limit} built")
+
+    monkeypatch.setattr(cli, "build_prime_table", refuse)
+    out = tmp_path / "s.csv"
+    rc = main(["s", "--zeros", zeros_file, "--t", "30", "--x", "1e8",
+               "--out", str(out)])
+    assert rc == 0
+    with open(zeros_file, encoding="ascii") as fh:
+        ev = SEvaluator(zeros=import_zeros(fh.read()), prime_table=None)
+    assert out.read_text() == f"t,S\n30,{s_exact(30.0, ev):.12g}\n"
 
 
 def test_s_explicit_rows_match_library(tmp_path, zeros_file):

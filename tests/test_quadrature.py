@@ -48,8 +48,6 @@ def test_rows_get_one_value_and_estimate_each():
 
 
 def test_nonconvergence_reports_estimate(monkeypatch):
-    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-15)
-    monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
     for breakpoints in ((), (-0.5, 0.0, 0.5)):
         with pytest.raises(AccuracyError) as info:
@@ -74,13 +72,38 @@ def test_gap_rule_on_segments():
     assert gap_rule(np.sin, [2.0]) == (0.0, 0.0)
 
 
-def test_gap_rule_raises_when_estimate_fails():
+def test_gap_rule_raises_when_estimate_fails(monkeypatch):
     # a gap 5 wide with omega undeclared gets 1-wide panels, far too
-    # coarse for cos(40 x): 6 and 8 nodes disagree
-    with pytest.raises(AccuracyError) as info:
-        gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0])
+    # coarse for cos(40 x): 6 and 8 nodes disagree, and with no halvings
+    # allowed the rule raises
+    exact = math.sin(200.0) / 40.0
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "MAX_DEPTH", 0)
+        with pytest.raises(AccuracyError) as info:
+            gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0])
     assert info.value.achieved > 1e-10
     assert "[0, 5]" in str(info.value)
-    # declared, the panels shrink to a quarter period and it converges
+    # halving the panels, it converges
+    val, _ = gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0])
+    assert abs(val - exact) < 1e-13
+    # declared, the panels shrink to a quarter period at once
     val, _ = gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0], omega=40.0)
-    assert abs(val - math.sin(200.0) / 40.0) < 1e-13
+    assert abs(val - exact) < 1e-13
+
+
+def test_gap_rule_refines_only_failing_segments():
+    # x^2 on [0, 1] is exact at 6 nodes; cos(40 x) on [1, 6] needs its
+    # 1-wide panels halved several times, and only it is summed again
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return np.where(x < 1.0, x * x, np.cos(40.0 * x))
+
+    val, err = gap_rule(f, [0.0, 1.0, 6.0])
+    exact = 1.0 / 3.0 + (math.sin(240.0) - math.sin(40.0)) / 40.0
+    assert abs(val - exact) < 1e-13
+    assert err <= 1e-10 * (1.0 / 3.0 + abs(exact - 1.0 / 3.0))
+    x = np.concatenate(nodes)
+    assert np.count_nonzero(x < 1.0) == 8 + 6
+    assert np.count_nonzero(x > 1.0) > 2 * (8 + 6) * 5

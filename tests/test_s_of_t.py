@@ -174,18 +174,17 @@ def test_second_moment_positive(ev_120):
         assert second_moment(T, ev_120) > 0.0
 
 
-def test_second_moment_grid_stable(ev_120, monkeypatch):
-    # the fixed gap rule against adaptive panels refined to 1e-13, the
-    # ordinates as breakpoints
-    from szeta import quadrature
+def test_second_moment_grid_stable(ev_120):
+    # the gap rule against itself on a grid with every gap split in four
+    from szeta.quadrature import gap_rule
     from szeta.s_of_t import _s_between_zeros
     g = ev_120.zeros.ordinates
     base = second_moment(60.0, ev_120)
-    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-13)
-    monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
-    tight, _ = quadrature.integrate(
-        lambda t: _s_between_zeros(t, ev_120.zeros) ** 2, 0.0, 60.0,
-        breakpoints=tuple(g[g < 60.0]))
+    edges = np.concatenate(([0.0], g[g < 60.0], [60.0]))
+    quarters = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4
+    fine = np.append(quarters.ravel(), 60.0)
+    tight, _ = gap_rule(lambda t: _s_between_zeros(t, ev_120.zeros) ** 2,
+                        fine)
     assert abs(base - tight) / base < 1e-9
 
 
@@ -220,12 +219,12 @@ def test_g_and_h_requires_regime(ev_120):
 
 
 def test_gap_integrals_against_quad_oracle(zeros_220, prime_table_small):
-    # the adaptive head and the fixed rule on every gap vs scipy quad gap
-    # by gap
+    # the gap rule on every gap, the refined head included, vs scipy quad
+    # gap by gap
     ev = SEvaluator(zeros=zeros_220, prime_table=prime_table_small)
     g = zeros_220.ordinates
     T, x = 200.0, 9.0
-    for top in (60.0, T):
+    for top in (14.0, 60.0, T):     # 14: the head below gamma_1 alone
         assert second_moment(top, ev) == pytest.approx(
             gap_integral_oracle(lambda t, s: s * s, g, 0.0, top), rel=1e-10)
     assert s_mean(T, ev) == pytest.approx(
