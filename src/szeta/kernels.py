@@ -466,11 +466,12 @@ def khat(y: float, method: str = "direct") -> float:
 def _khat_complex_residual(y: float) -> float:
     """|imaginary part| of int over [-40, 40] of k(u) e(-2 pi i u y),
     integrated without exploiting evenness.  Sanity guard for the transform;
-    analytically zero."""
+    analytically zero.  The breakpoints at +-1 keep refinement of the 1/u^2
+    tail near the kernel's break from halving the panels out to 40."""
     omega = 2.0 * PI * y
     imag, _ = integrate(lambda u: -k_values(u) * np.sin(omega * u),
                         -40.0, 40.0, omega=omega,
-                        breakpoints=(-BREAKPOINT, BREAKPOINT))
+                        breakpoints=(-1.0, -BREAKPOINT, BREAKPOINT, 1.0))
     return abs(imag)
 
 

@@ -2,16 +2,20 @@
 
 F(alpha, T) with Montgomery's weight w(u) = 4/(4+u^2), the khat pair sums
 (plain, w- or complement-weighted) and the F-weighted kernel integrals are
-all sums of an even kernel over ordered ordinate pairs.  One engine,
-:func:`_pair_sum`, computes them in O(N): pairs in the same or adjacent
-leaves of a uniform binary tree are summed directly with the caller's
-vectorized kernel, all others through a 1D Chebyshev fast multipole far
-field (Greengard-Rokhlin; the black-box FMM of Fong and Darve, 2009).  Every
-kernel is Re[K(d) e^(i omega d)] with K smooth away from d = 0: the
-Lorentzian w itself for F, and (P - iQ)(d log x) times a weight for the
-khat and k'' transforms, whose P cos + Q sin split for y >= 50 lives in
-:mod:`szeta.kernels`.  A caller needing several sums passes one near-field
-kernel returning them all, and an alpha grid becomes charge columns.
+all sums of an even kernel over ordered ordinate pairs.  One engine, the
+tree :class:`_Tree` behind :func:`_pair_sum`, computes them in O(N): pairs
+in the same or adjacent leaves of a uniform binary tree are summed directly
+with the caller's vectorized kernel, all others through a 1D Chebyshev fast
+multipole far field (Greengard-Rokhlin; the black-box FMM of Fong and
+Darve, 2009).  Every kernel is Re[K(d) e^(i omega d)] with K smooth away
+from d = 0: the Lorentzian w itself for F, and (P - iQ)(d log x) times a
+weight for the khat and k'' transforms, whose P cos + Q sin split for
+y >= 50 lives in :mod:`szeta.kernels`.  A caller needing several sums
+passes one near-field kernel returning them all.  The alpha grid of
+:func:`pcf_curve` becomes charge columns, each the one before times a
+phase: the far field takes them in passes, and the near field is a batched
+product, over each leaf and its right neighbour, of their padded charge
+blocks and the matrix of w at the ordinate differences.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ _P = 20             # Chebyshev nodes per box of the far field
 _LEAF = 24          # mean ordinates per leaf the tree aims for
 _COLUMNS = 16       # charge columns per far-field pass
 _NEAR = 1 << 16     # near-field differences per kernel call
+_BATCH = 1 << 14    # charges per leaf batch (256 KB of complex)
 
 
 def pair_weight(u):
@@ -64,9 +69,33 @@ def _interp(x):
 _M2M = (_interp(0.5 * (_NODES - 1.0)).T, _interp(0.5 * (_NODES + 1.0)).T)
 
 
+def _columns(first, rot, count):
+    """first * rot^k for k = 0 .. count - 1, along a new last axis.
+
+    Column k + j is column j times rot^k, for k = 1, 2, 4, ...: one complex
+    multiply per entry and column, no exp, in about log2(count) array
+    products.  The phase of column k carries k times the rounding of rot's,
+    as a direct exp of k times its argument would.
+    """
+    q = np.empty((count,) + first.shape, dtype=complex)
+    q[0] = first
+    k = 1
+    while k < count:
+        np.multiply(q[:min(k, count - k)], rot, out=q[k:2 * k])
+        k *= 2
+        if k < count:
+            rot = rot * rot
+    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+
+
 class _Tree:
     """Uniform binary tree over [g[0], g[-1]] with about _LEAF ordinates
-    per leaf and leaves at least ``min_width`` wide."""
+    per leaf and leaves at least ``min_width`` wide.
+
+    ``slots[a]`` lists the ordinates of leaf a in order, padded to the
+    fullest leaf; ``filled`` marks the slots that hold one.  Both the P2M
+    weights and the leaf-pair products of the near field read this layout.
+    """
 
     def __init__(self, g: np.ndarray, min_width: float):
         n = len(g)
@@ -78,24 +107,37 @@ class _Tree:
             levels += 1
         self.levels = levels
         n_leaf = 2 ** levels
-        h = self.width / n_leaf
+        self.h = h = self.width / n_leaf
         pos = (g - g[0]) / h if h > 0 else np.zeros(n)
         leaf = np.minimum(pos.astype(np.int64), n_leaf - 1)
         ends = np.searchsorted(leaf, np.arange(n_leaf), "right")
         # near field of ordinate i: i+1 .. lim[i]-1, its leaf and the next
         self.lim = ends[np.minimum(leaf + 1, n_leaf - 1)]
         self.centre = 0.5 * (g[0] + g[-1])
-        if levels < 2:
-            return
-        # P2M as one (node x slot) weight matrix per leaf, its slots the
-        # leaf's ordinates padded to the fullest leaf with zero weights
-        xi = np.clip(2.0 * (pos - leaf) - 1.0, -1.0, 1.0)
         first = ends - np.diff(ends, prepend=0)
         slot = np.arange(n) - first[leaf]
-        self.p2m_idx = np.zeros((n_leaf, int(slot.max()) + 1), dtype=np.int64)
-        self.p2m_idx[leaf, slot] = np.arange(n)
-        self.p2m = np.zeros((n_leaf, _P, self.p2m_idx.shape[1]))
+        shape = (n_leaf, int(slot.max()) + 1)
+        self.slots = np.zeros(shape, dtype=np.int64)
+        self.slots[leaf, slot] = np.arange(n)
+        self.filled = np.zeros(shape, dtype=bool)
+        self.filled[leaf, slot] = True
+        if levels < 2:
+            return
+        # P2M as one (node x slot) weight matrix per leaf, zero on padding
+        xi = np.clip(2.0 * (pos - leaf) - 1.0, -1.0, 1.0)
+        self.p2m = np.zeros((n_leaf, _P, shape[1]))
         self.p2m[leaf, :, slot] = _interp(xi)
+
+    def _batches(self, columns):
+        """Leaf ranges [a, b) whose (leaf, slot, column) charges hold about
+        _BATCH entries, each with the slot width the near field needs: the
+        fullest of leaves a .. b, b for the right neighbour of b - 1."""
+        counts = self.filled.sum(axis=1)
+        n_leaf, slots = self.slots.shape
+        step = max(1, _BATCH // (slots * columns))
+        for a in range(0, n_leaf, step):
+            b = min(a + step, n_leaf)
+            yield a, b, max(int(counts[a:b + 1].max()), 1)
 
     def near(self):
         """Positive differences g[j] - g[i] of the near pairs, i < j <
@@ -116,11 +158,59 @@ class _Tree:
                 yield g[j] - g[i]
             start = stop
 
-    def far(self, kernel, omegas) -> np.ndarray:
-        """sum over far pairs i < j of Re[kernel(d) exp(i omega d)],
-        d = g[j] - g[i], one entry per omega."""
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        out = np.zeros(len(omegas))
+    def near_columns(self, kernel, step, count) -> np.ndarray:
+        """sum over near pairs i < j of Re[kernel(d) exp(i k step d)], d =
+        g[j] - g[i], for k = 0 .. count - 1; ``kernel`` real at every d.
+
+        Each leaf a gives Re conj(C_a)^T W_a [C_a; C_b] per column: b is
+        the leaf to its right, W_a = kernel(g_j - g_i) for i in a and j in
+        a or b, masked to i < j, and C = exp(i k step (g - o)) the charges,
+        zero on padding.  The origin o is one leaf edge per batch of
+        leaves, so every pair's phase is that of g_j - g_i itself; a phase
+        factor between leaf edges would carry their rounding, which near
+        t = 1e5 turns the phase of alpha = 4 by about 1e-9.  A batch pads
+        its leaves only to the fullest among them, so one leaf holding a
+        cluster of ordinates widens no other.
+        """
+        g = self.g
+        n_leaf = len(self.slots)
+        out = np.zeros(2 * count)
+        for a, b, width in self._batches(count):
+            # the batch's leaves and the leaf right of its last one, empty
+            # past the end of the tree
+            idx = self.slots[a:b + 1, :width]
+            filled = self.filled[a:b + 1, :width]
+            if b == n_leaf:
+                idx = np.concatenate([idx, idx[-1:]])
+                filled = np.concatenate([filled, np.zeros_like(filled[-1:])])
+            gi = g[idx]
+            c = _columns(filled.astype(complex),
+                         np.exp(1j * step * (gi - (g[0] + a * self.h))), count)
+            pair = np.concatenate([gi[:-1], gi[1:]], axis=1)
+            # [C_a; C_b] of every leaf a: consecutive rows of c, as a view
+            cf = c.view(float)
+            both = np.lib.stride_tricks.as_strided(
+                cf, (b - a, 2 * width, 2 * count), cf.strides)
+            # W in blocks of rows of about _BATCH entries: one block unless
+            # a leaf holds a cluster of ordinates
+            rows = max(1, _BATCH // ((b - a) * 2 * width))
+            for i in range(0, width, rows):
+                r = slice(i, i + rows)
+                w = kernel(pair[:, None, :] - gi[:-1, r, None]) \
+                    * (np.arange(2 * width) > np.arange(width)[r, None])
+                # Re(conj(x) y) = Re x Re y + Im x Im y, on float views
+                out += np.einsum("lsk,lsk->k", cf[:-1, r], np.matmul(w, both))
+        return out.reshape(count, 2).sum(axis=1)
+
+    def far(self, kernel, omega, step=0.0, count=1) -> np.ndarray:
+        """sum over far pairs i < j of Re[kernel(d) exp(i w d)], d = g[j] -
+        g[i], for w = omega + k step, k = 0 .. count - 1.
+
+        The charges exp(-i w (g - centre)) of each column are those of the
+        column before times exp(-i step (g - centre)); a pass of _COLUMNS
+        columns starts from the last column of the pass before.
+        """
+        out = np.zeros(count)
         if self.levels < 2:
             return out
         # M2L per level: target node m against source node n of the box
@@ -130,17 +220,32 @@ class _Tree:
         for lev in range(2, self.levels + 1):
             h = self.width / 2 ** lev
             m2l[lev] = [kernel(off * h + h * gap) for off in (2, 3)]
-        for k in range(0, len(omegas), _COLUMNS):
-            w = omegas[k:k + _COLUMNS]
-            q = np.exp(-1j * np.outer(self.g - self.centre, w))
-            m = self.p2m @ q.view(float)[self.p2m_idx]
-            m = np.ascontiguousarray(m.transpose(1, 0, 2)).view(complex)
+        x = self.g[self.slots] - self.centre
+        q = np.exp(-1j * omega * x)
+        rot = np.exp(-1j * step * x) if count > 1 else np.ones_like(q)
+        for k in range(0, count, _COLUMNS):
+            cols = min(_COLUMNS, count - k)
+            m = np.empty((_P, len(x), 2 * cols))
+            for a, b, _ in self._batches(cols):
+                c = _columns(q[a:b], rot[a:b], cols)
+                if k + cols < count:
+                    q[a:b] = c[..., -1] * rot[a:b]
+                m[:, a:b] = (self.p2m[a:b] @ c.view(float)).transpose(1, 0, 2)
+            m = m.view(complex)
             for lev in range(self.levels, 1, -1):
-                out[k:k + _COLUMNS] += _m2l_dot(m2l[lev], m)
-                m = _M2M[0] @ m[:, 0::2].reshape(_P, -1) \
-                    + _M2M[1] @ m[:, 1::2].reshape(_P, -1)
-                m = m.reshape(_P, -1, len(w))
+                out[k:k + cols] += _m2l_dot(m2l[lev], m)
+                m = _times(_M2M[0], m[:, 0::2]) + _times(_M2M[1], m[:, 1::2])
         return out
+
+
+def _times(mat, m):
+    """mat @ m over the node axis of box expansions m (node, box, column);
+    a real mat multiplies the float view of m, half the work of a complex
+    product."""
+    if np.iscomplexobj(mat):
+        return (mat @ m.reshape(_P, -1)).reshape(m.shape)
+    return (mat @ m.view(float).reshape(_P, -1)).view(complex).reshape(
+        m.shape)
 
 
 def _m2l_dot(mats, m):
@@ -148,16 +253,14 @@ def _m2l_dot(mats, m):
     conj(M_target) . K M_source.  M2L into local expansions followed by
     L2L and L2P against the targets' own charges is this same bilinear
     form, since L2L and L2P are the transposes of M2M and P2M."""
-    out = 0.0
+    out = np.zeros(2 * m.shape[2])
     for mat, tgt, src in ((mats[0], m[:, 2:], m[:, :-2]),
                           (mats[1], m[:, 3::2], m[:, 0:-3:2])):
         if tgt.shape[1]:
-            phi = (mat @ src.reshape(_P, -1)).reshape(tgt.shape)
             # Re(conj(a) b) = Re a Re b + Im a Im b, on float views
-            out = out + np.einsum("pbcr,pbcr->c",
-                                  tgt.view(float).reshape(*tgt.shape, 2),
-                                  phi.view(float).reshape(*tgt.shape, 2))
-    return out
+            out += np.einsum("pbk,pbk->k", tgt.view(float),
+                             _times(mat, src).view(float))
+    return out.reshape(-1, 2).sum(axis=1)
 
 
 def _pair_sum(g: np.ndarray, near, far, min_width: float = 0.0):
@@ -165,9 +268,9 @@ def _pair_sum(g: np.ndarray, near, far, min_width: float = 0.0):
 
     ``near`` maps positive differences to their kernel sum (a scalar, or a
     vector of several sums).  ``far`` gives the same sums as a list of
-    ``(K, omegas)``, one output per omega, with near(d) = Re[K(d) e^(i omega
-    d)] wherever d >= ``min_width``; K must be smooth there.  Pairs in the
-    same or adjacent leaves of :class:`_Tree` go through ``near``, the rest
+    ``(K, omega)``, one output each, with near(d) = Re[K(d) e^(i omega d)]
+    wherever d >= ``min_width``; K must be smooth there.  Pairs in the same
+    or adjacent leaves of :class:`_Tree` go through ``near``, the rest
     through a Chebyshev far field (black-box FMM: P2M, M2M, M2L on the
     charges e^(-i omega g), p = _P nodes per box).
     """
@@ -235,34 +338,24 @@ def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
     """F on the grid 0, step, ..., n step, the first multiple of ``step``
     at or beyond ``alpha_max``.
 
-    Each grid point is one charge column of the pair engine's far field.
-    In the near field each alpha step multiplies a running complex phase by
-    exp(i * step * log T * d), one complex multiply per pair per grid point.
+    The grid is uniform in omega = alpha log T, so the pair engine carries
+    every grid point as one column of charges, each column the one before
+    times a phase: the far field in passes of _COLUMNS columns, the near
+    field as products over leaf pairs of their charge blocks with the
+    weight matrix w(g_j - g_i) (:meth:`_Tree.near_columns`).
     """
     if step <= 0 or alpha_max < 1.0:
         raise DomainError("need step > 0 and alpha_max >= 1")
     g = _restrict(zeros, T)
     n_steps = math.ceil(alpha_max / step - 1e-9)
     grid = np.linspace(0.0, n_steps * step, n_steps + 1)
-    logT = math.log(T)
-
-    def sums(d):
-        rot = np.exp(1j * step * logT * d)
-        cur = pair_weight(d).astype(complex)
-        out = np.empty(n_steps + 1)
-        out[0] = np.sum(cur.real)
-        for k in range(1, n_steps + 1):
-            cur *= rot
-            out[k] = np.sum(cur.real)
-        return out
-
-    values = _pair_sum(g, sums, [(pair_weight, grid * logT)]) / _normalizer(T)
+    omega = step * math.log(T)
+    tree = _Tree(g, 0.0)
+    pairs = tree.near_columns(pair_weight, omega, len(grid)) \
+        + tree.far(pair_weight, 0.0, omega, len(grid))
+    values = (len(g) + 2.0 * pairs) / _normalizer(T)
     return PairCorrelationCurve(T=float(T), alpha_grid=grid, values=values,
                                 zero_count=int(len(g)))
-
-
-def _curve_value_at(curve: PairCorrelationCurve, alpha: float) -> float:
-    return float(np.interp(alpha, curve.alpha_grid, curve.values))
 
 
 def tail_integral(curve: PairCorrelationCurve, power: int, alpha_cut: float,
@@ -286,7 +379,7 @@ def tail_integral(curve: PairCorrelationCurve, power: int, alpha_cut: float,
 
     inner = grid[(grid > 1.0) & (grid < alpha_cut)]
     xs = np.concatenate(([1.0], inner, [alpha_cut]))
-    fs = np.array([_curve_value_at(curve, x) for x in xs])
+    fs = np.interp(xs, grid, curve.values)
     total = 0.0
     for a, b, fa, fb in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
         if b <= a:

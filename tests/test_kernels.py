@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import kernel_transforms_oracle, tail_cos_oracle
+from szeta import kernels
 from szeta.errors import DomainError
 from szeta.kernels import (_KD_BP, BREAKPOINT, _g_raw, _gp_raw,
                            check_identity, f_weight, k_values, khat,
@@ -109,6 +110,20 @@ def test_fourier_identity_lemma4():
     assert rep.passed
     assert rep.discrepancy_abs < 1e-6
     assert rep.detail["imag_residual"] < 1e-8
+
+
+def test_imag_residual_refines_near_the_break(monkeypatch):
+    # with [1/(2 pi), 40] as one segment, refining the 1/u^2 tail near its
+    # left end halved the panels out to 40: 15694 points at y = 0.5
+    points = []
+
+    def counted(u):
+        points.append(np.size(u))
+        return k_values(u)
+
+    monkeypatch.setattr(kernels, "k_values", counted)
+    assert kernels._khat_complex_residual(0.5) < 1e-15
+    assert sum(points) < 3000
 
 
 def test_fast_path_matches_quadrature():

@@ -374,6 +374,61 @@ def test_pair_functions_on_synthetic_sets(monkeypatch):
     _assert_matches_oracle(zset(gappy), 200.0, 0.45)
 
 
+def _assert_curve_matches_oracle(g, T):
+    """pcf_curve on the full 161-point grid against the ordered-pair sum
+    of w(d) cos(alpha log T d), 1e-12 relative at every grid point."""
+    zs = ZeroSet(ordinates=np.asarray(g, dtype=float), t_max=T,
+                 source="imported")
+    curve = pcf_curve(zs, T, 4.0, 0.025)
+    assert len(curve.alpha_grid) == 161
+    logT = math.log(T)
+    omegas = curve.alpha_grid * logT
+    want = ordered_pair_sum_oracle(
+        zs.up_to(T), lambda d: np.cos(np.outer(omegas, d)) * pair_weight(d))
+    got = curve.values * (T / (2 * PI)) * logT
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_curve_against_ordered_oracle_at_the_top_of_the_range():
+    # ordinates near 1e5 with alpha up to 4: near-field charges with phases
+    # taken from g itself (up to 4.6e6), or a factor exp(i omega h) between
+    # leaf edges that are h apart only up to rounding, put 1e-11 to 3e-11
+    # relative error into these sums; 160 steps of the column recurrence
+    # must keep the phases too
+    rng = np.random.default_rng(11)
+    g = 99000.0 + np.arange(300) + rng.uniform(-0.4, 0.4, 300)
+    assert paircorr._Tree(g, 0.0).levels >= 2
+    _assert_curve_matches_oracle(g, 99300.0)
+
+
+def test_curve_against_ordered_oracle_with_empty_leaves():
+    # an empty stretch wider than two leaves: one leaf holds no ordinate,
+    # and the partly filled leaves are padded to the fullest
+    g = np.concatenate([20.0 + 0.08 * np.arange(120),
+                        39.42 + 0.08 * np.arange(180)])
+    tree = paircorr._Tree(g, 0.0)
+    assert tree.levels >= 2
+    assert not np.all(tree.filled.any(axis=1))
+    assert len(set(tree.filled.sum(axis=1))) > 2
+    _assert_curve_matches_oracle(g, 60.0)
+
+
+def test_curve_against_ordered_oracle_with_a_cluster():
+    # 200 ordinates within 0.2 fill one leaf: the near field takes that
+    # leaf's weight matrix in blocks of rows, and the sparse leaves at
+    # their own width rather than padded to the cluster's
+    g = np.concatenate([20.0 + 0.001 * np.arange(200),
+                        21.0 + 2.5 * np.arange(100)])
+    tree = paircorr._Tree(g, 0.0)
+    width = tree.filled.sum(axis=1)
+    assert width.max() > 200 and np.median(width) < 20
+    _assert_curve_matches_oracle(g, 270.0)
+
+
+def test_curve_of_a_single_ordinate():
+    _assert_curve_matches_oracle([30.0], 100.0)
+
+
 def test_pair_engine_far_field_on_a_flat_kernel():
     # kernel 1: the ordered pair sum of cos(omega d) is |sum e^(i omega g)|^2,
     # and every pair between non-adjacent leaves goes through the far field
