@@ -37,17 +37,22 @@ class PrimeTable:
     support_m: np.ndarray
 
 
-def build_prime_table(x: int) -> PrimeTable:
-    """Sieve primes and prime powers up to x (x >= 4)."""
-    if x < 4:
-        raise DomainError("prime table needs x >= 4")
-    x = int(x)
+def _sieve(x: int) -> np.ndarray:
+    """The primes up to x, ascending."""
     sieve = np.ones(x + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(x) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    primes = np.nonzero(sieve)[0].astype(np.int64)
+    return np.nonzero(sieve)[0].astype(np.int64)
+
+
+def build_prime_table(x: int) -> PrimeTable:
+    """Sieve primes and prime powers up to x (x >= 4)."""
+    if x < 4:
+        raise DomainError("prime table needs x >= 4")
+    x = int(x)
+    primes = _sieve(x)
 
     ns = [primes]
     ps = [primes]
@@ -72,7 +77,12 @@ def build_prime_table(x: int) -> PrimeTable:
 
 @lru_cache(maxsize=8)
 def _primes_up_to(p_cutoff: int) -> np.ndarray:
-    return build_prime_table(max(4, p_cutoff)).primes
+    return _sieve(p_cutoff)
+
+
+# an order's primes are cut where the dropped ones sum below 2^-_CUT_BITS
+# of the order's first term 2^-m
+_CUT_BITS = 60
 
 
 def prime_power_double_sum(coeff, p_cutoff: int = 10 ** 6,
@@ -81,32 +91,43 @@ def prime_power_double_sum(coeff, p_cutoff: int = 10 ** 6,
 
     Returns ``(value, tail_bound)`` where the bound covers both truncations
     (p > p_cutoff and m > m_cutoff) assuming |coeff(m)| <= 1, via geometric
-    comparison with the odd integers beyond the prime cutoff.
+    comparison with the odd integers beyond the prime cutoff.  Order m sums
+    only the primes below the first q whose odd integers n >= q sum, as
+    q^-m + q^(1-m)/(2(m-1)), below 2^-60 of 2^-m; that comparison's
+    value at the prime where the order stops joins the bound.
     """
     if p_cutoff < 3 or m_cutoff < 2:
         raise DomainError("need p_cutoff >= 3 and m_cutoff >= 2")
-    ms = np.arange(2, m_cutoff + 1)
-    cvals = np.array([float(coeff(int(m))) for m in ms])
+    orders = range(2, m_cutoff + 1)
+    cvals = np.array([float(coeff(m)) for m in orders])
     if np.any(np.abs(cvals) > 1.0 + 1e-12):
         raise DomainError("coeff(m) must be bounded by 1 in absolute value")
 
-    inv = 1.0 / _primes_up_to(int(p_cutoff)).astype(float)
+    primes = _primes_up_to(int(p_cutoff))
+    inv = 1.0 / primes.astype(float)
     power = inv * inv
-    total = 0.0
-    for c in cvals:
+    total = dropped = 0.0
+    for m, c in zip(orders, cvals):
+        # q^(1-m) (1/(2(m-1)) + 1/q) <= 2^-(m + _CUT_BITS) for q >= q0,
+        # as q >= 3; q0 > 2 for every m and falls as m grows
+        q0 = 2.0 ** ((math.log2(0.5 / (m - 1) + 1.0 / 3.0) + m + _CUT_BITS)
+                     / (m - 1))
+        keep = int(np.searchsorted(primes[:len(power)],
+                                   math.ceil(min(q0, p_cutoff + 1.0))))
+        if keep < len(primes):
+            q = float(primes[keep])
+            dropped += abs(c) * (q ** -m + q ** (1 - m) / (2 * (m - 1)))
+        power, inv = power[:keep], inv[:keep]
         if c != 0.0:
             total += c * float(np.sum(power))
         power = power * inv
-        # primes ascend, so the powers that underflowed to 0 are a suffix
-        live = np.count_nonzero(power)
-        power, inv = power[:live], inv[:live]
 
     P, M = float(p_cutoff), int(m_cutoff)
     # primes beyond P are odd and >= P+1: sum_m [(P+1)^-m + (P+1)^(1-m)/(2(m-1))]
     tail_p = 0.5 / P + 1.0 / (P * (P + 1.0))
     # all primes, orders beyond M: 2^-m plus odd integers >= 3
     tail_m = 2.0 ** (-M) + 0.5 * 3.0 ** (-M) + 3.0 ** (1 - M) / (4.0 * M)
-    return total, tail_p + tail_m
+    return total, tail_p + tail_m + dropped
 
 
 @dataclass(frozen=True)

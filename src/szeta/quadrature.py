@@ -30,7 +30,9 @@ def _gl(n: int):
     return _GL_NODES[n]
 
 
-_CHUNK_POINTS = 512    # points per call of f; bounds (points x ordinates) f
+# points per call of f: bounds the temporaries of f and of the sums, and
+# fixes how the partial sums of a segment spread over calls are grouped
+_CHUNK_POINTS = 512
 
 
 def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:

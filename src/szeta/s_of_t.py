@@ -18,7 +18,13 @@ over the zero gaps.  On each gap S is the smooth function
 below the first ordinate included.  Below t = 10 the asymptotic theta is
 invalid, and the exact log-Gamma theta used there is singular at
 t = +-i/2; where that makes the error estimate miss its bound, the rule
-halves the head's panels and sums the other gaps only once.
+halves the head's panels and sums the other gaps only once.  At a node,
+S costs one search of the ordinates and the theta series.
+
+``g_and_h_direct`` is the report's one pass over the gaps of [1, T]: its
+integrand stacks [S^2, D^2, S*D] for the Dirichlet polynomial D, so
+int_1^T S^2 (``GHResult.s_squared``) comes with G and H, on the panels
+D's phase asks for, each row held to its own bound.
 """
 
 from __future__ import annotations
@@ -194,11 +200,12 @@ def make_sinh_table() -> None:
 
 def _theta_any(t):
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
     lo = t < 10.0
-    if np.any(lo):
-        out[lo] = theta_exact(t[lo])
-    if np.any(~lo):
+    if not lo.any():        # every node past the head
+        return theta(t)
+    out = np.empty_like(t)
+    out[lo] = theta_exact(t[lo])
+    if not lo.all():
         out[~lo] = theta(t[~lo])
     return out
 
@@ -261,7 +268,8 @@ def s_mean(T: float, ev: SEvaluator) -> float:
 
 @dataclass(frozen=True)
 class GHResult:
-    """Direct integrals G, H next to their asymptotic sum-formula values."""
+    """Direct integrals G, H next to their asymptotic sum-formula values,
+    with int_1^T S^2 from the same pass over the zero gaps."""
 
     g: float
     h: float
@@ -269,6 +277,8 @@ class GHResult:
     h_sum_formula: float
     g_err: float      # quadrature error estimates of g and h
     h_err: float
+    s_squared: float  # int_1^T S^2, the squared formula's first term
+    s_squared_err: float
 
 
 def _dirichlet_coeffs(x: float, table: PrimeTable):
@@ -283,10 +293,12 @@ def _dirichlet_coeffs(x: float, table: PrimeTable):
 def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     """G(T) and H(T) by direct quadrature, with companion sum formulas.
 
-    G integrates the squared prime sum, H the cross term against S(t);
-    both run over the zero gaps of [1, T].  Sum-formula
-    companions:  G ~ (T/2pi^2) sum Lambda^2(n) f^2 / (n log^2 n) and
-    H ~ -(T/pi^2) sum Lambda^2(n) f / (n log^2 n).
+    G integrates the squared prime sum, H the cross term against S(t).
+    One pass over the zero gaps of [1, T] integrates the rows [S^2, D^2,
+    S*D] from one S and one Dirichlet polynomial D per node, so
+    int_1^T S^2 comes with G and H; each row is held to its own bound.
+    Sum-formula companions:  G ~ (T/2pi^2) sum Lambda^2(n) f^2 / (n log^2 n)
+    and H ~ -(T/pi^2) sum Lambda^2(n) f / (n log^2 n).
     """
     if x > math.sqrt(T):
         raise DomainError("requires x <= sqrt(T)")
@@ -298,16 +310,19 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     def dirichlet(t):
         return np.sin(np.outer(np.asarray(t, dtype=float), logn)) @ coef
 
-    def both(t):
+    def rows(t):
+        s = _s_between_zeros(t, ev.zeros)
         d = dirichlet(t)
-        return np.stack([d ** 2, _s_between_zeros(t, ev.zeros) * d])
+        return np.stack([s * s, d * d, s * d])
 
-    vals, errs = _gap_integral(both, 1.0, T, ev, omega)
-    (g_total, h_total), (g_err, h_err) = map(float, vals), map(float, errs)
+    vals, errs = _gap_integral(rows, 1.0, T, ev, omega)
+    (s2, g_total, h_total), (s2_err, g_err, h_err) = (map(float, vals),
+                                                      map(float, errs))
 
     w = logp ** 2 / (n * logn ** 2)
     g_sum = T / (2.0 * PI * PI) * float(np.sum(w * fv * fv))
     h_sum = -T / (PI * PI) * float(np.sum(w * fv))
     return GHResult(g=g_total / (PI * PI), h=h_total * (2.0 / PI),
                     g_sum_formula=g_sum, h_sum_formula=h_sum,
-                    g_err=g_err / (PI * PI), h_err=h_err * (2.0 / PI))
+                    g_err=g_err / (PI * PI), h_err=h_err * (2.0 / PI),
+                    s_squared=s2, s_squared_err=s2_err)

@@ -31,8 +31,7 @@ from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                        pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import build_prime_table, prime_power_double_sum
 from .quadrature import integrate
-from .s_of_t import (SEvaluator, _s_squared_integral, g_and_h_direct,
-                     second_moment)
+from .s_of_t import SEvaluator, _s_squared_integral, g_and_h_direct
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -297,10 +296,10 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     if prime_table is None:
         prime_table = build_prime_table(max(64, int(x) + 1))
     ev = SEvaluator(zeros=zeros, prime_table=prime_table)
-    # one pass over the zero gaps: int_0^T S^2 adds the piece over [0, 1],
-    # below every ordinate, to the int_1^T S^2 of the squared formula
-    sm_1 = second_moment(T, ev, t_lo=1.0)
-    lhs = _s_squared_integral(0.0, 1.0, ev) + sm_1
+    # one pass over the zero gaps of [1, T] gives int_1^T S^2, G and H;
+    # int_0^T S^2 adds the piece over [0, 1], below every ordinate
+    gh = g_and_h_direct(T, x, ev)
+    lhs = _s_squared_integral(0.0, 1.0, ev) + gh.s_squared
 
     curve = pcf_curve(zeros, T, alpha_max, alpha_step)
     if f_tail_source == "empirical":
@@ -315,13 +314,13 @@ def full_report(T: float, x: float, zeros: ZeroSet,
         "F(alpha)=1 beyond the curve is the uniformity conjecture used as "
         "a labeled model, not an assumption being verified",
     ]
-    gh = g_and_h_direct(T, x, ev)
     r_total = weighted_khat_sum(zeros, x, "none", T=T) \
         / (PI ** 2 * math.log(x))
-    resid = sm_1 + gh.g + gh.h - r_total
+    left = gh.s_squared + gh.g + gh.h
+    resid = left - r_total
     scale = math.sqrt(T * x)
     notes.append(
-        f"squared-formula identity: int_1^T S^2 + G + H = {sm_1 + gh.g + gh.h:.12g}, "
+        f"squared-formula identity: int_1^T S^2 + G + H = {left:.12g}, "
         f"R = {r_total:.12g}, residual = {resid:.12g}, "
         f"sqrt(T x) scale = {scale:.12g}")
     return MomentReport(T=T, x=x, beta=beta, lhs_integral=lhs, breakdown=bd,

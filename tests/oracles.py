@@ -146,3 +146,30 @@ def gap_integral_oracle(kernel, ordinates, a, b):
         parts.append(val)
         count += 1
     return math.fsum(parts)
+
+
+def theta_series_oracle(t):
+    """The four-term asymptotic theta series, each term c_n t^(1-2n) from its
+    own power and added in series order, c_n = (1 - 2^(1-2n)) |B_2n| /
+    (4n (2n-1)) with mpmath's Bernoulli numbers."""
+    t = np.asarray(t, dtype=float)
+    val = 0.5 * t * np.log(t / (2 * PI)) - 0.5 * t - PI / 8.0
+    for n in range(1, 5):
+        c = float((1 - mpmath.mpf(2) ** (1 - 2 * n))
+                  * abs(mpmath.bernoulli(2 * n)) / (4 * n * (2 * n - 1)))
+        val = val + c * t ** (1 - 2 * n)
+    return val
+
+
+def prime_power_double_sum_oracle(coeff, p_cutoff, m_cutoff):
+    """sum_{m=2}^{m_cutoff} sum_{p <= p_cutoff} coeff(m) p^-m, every order
+    over every prime: a plain sieve, then one exactly rounded sum
+    (math.fsum) per order."""
+    flags = np.ones(p_cutoff + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(p_cutoff) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    p = np.flatnonzero(flags).astype(float)
+    return math.fsum(coeff(m) * math.fsum(p ** -m)
+                     for m in range(2, m_cutoff + 1))

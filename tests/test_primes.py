@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import prime_power_double_sum_oracle
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
 from szeta.primes import (build_prime_table, closed_form_S1_minus_2S2,
@@ -93,6 +95,23 @@ def test_double_sum_against_fsum_oracle():
                        for p in primes for m in range(2, 65))
     val, _ = prime_power_double_sum(coeff, 10 ** 4, 64)
     assert val == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("coeff", [lambda m: 1.0 / m - 1.0 / m ** 2,
+                                   lambda m: 1.0 / m],
+                         ids=["bracket", "closed_form"])
+def test_double_sum_against_untrimmed_oracle(coeff):
+    # each order stops where the rest of its primes is below 2^-60 of
+    # 2^-m; the full loop runs every order over all 78498 primes
+    val, bound = prime_power_double_sum(coeff)
+    full = prime_power_double_sum_oracle(coeff, 10 ** 6, 64)
+    assert val == pytest.approx(full, rel=1e-15, abs=0.0)
+    assert abs(val - full) <= bound
+    # and the bound covers the infinite double sum
+    with mpmath.workdps(30):
+        exact = float(mpmath.fsum(coeff(m) * mpmath.primezeta(m)
+                                  for m in range(2, 200)))
+    assert abs(val - exact) <= bound
 
 
 def test_double_sum_tail_bound_is_true_bound():

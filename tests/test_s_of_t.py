@@ -213,6 +213,23 @@ def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):
     assert abs(res.h - res.h_sum_formula) < 0.25 * abs(res.h_sum_formula)
 
 
+@pytest.mark.parametrize("T, x, top, g_want, h_want", [
+    # G and H as the two-row pass gave them, before S^2 joined it
+    (200.0, 9.0, "zeros_220", 7.152930795888013, -17.823628963041347),
+    (2000.0, 40.0, "zeros_10k", 115.01475529116054, -269.6603952167609),
+])
+def test_gap_pass_s_squared_row(request, prime_table_small, T, x, top,
+                                g_want, h_want):
+    ev = SEvaluator(zeros=request.getfixturevalue(top),
+                    prime_table=prime_table_small)
+    res = g_and_h_direct(T, x, ev)
+    sm = second_moment(T, ev, t_lo=1.0)
+    assert res.s_squared == pytest.approx(sm, rel=1e-12, abs=0.0)
+    assert res.s_squared_err <= 1e-10 * res.s_squared
+    assert res.g == pytest.approx(g_want, rel=1e-14, abs=0.0)
+    assert res.h == pytest.approx(h_want, rel=1e-14, abs=0.0)
+
+
 def test_g_and_h_requires_regime(ev_120):
     with pytest.raises(DomainError):
         g_and_h_direct(100.0, 50.0, ev_120)

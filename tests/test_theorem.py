@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,19 +136,23 @@ def test_full_report_r_matches_lemma6(zeros_220, prime_table_small):
     assert f"R = {dec.r_total:.12g}," in note
 
 
-def test_full_report_one_second_moment(zeros_220, prime_table_small,
-                                       monkeypatch):
-    # int_0^T S^2 and the squared formula's int_1^T S^2 share one pass
-    from szeta import s_of_t, theorem
-    calls = []
+def test_full_report_one_gap_pass(zeros_220, prime_table_small,
+                                  monkeypatch):
+    # S^2, G and H share one pass over the zero gaps of [1, T]; the piece
+    # of int_0^T S^2 below t = 1 is the only other one
+    from szeta import s_of_t
+    edges = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return s_of_t.second_moment(*args, **kwargs)
+    def counted(f, e, *args, **kwargs):
+        edges.append(np.asarray(e))
+        return gap_rule(f, e, *args, **kwargs)
 
-    monkeypatch.setattr(theorem, "second_moment", counted)
+    gap_rule = s_of_t.gap_rule
+    monkeypatch.setattr(s_of_t, "gap_rule", counted)
     rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
-    assert calls == [200.0]
+    assert sorted((e[0], e[-1]) for e in edges) == [(0.0, 1.0), (1.0, 200.0)]
+    g = zeros_220.ordinates
+    assert np.array_equal(max(edges, key=len)[1:-1], g[g < 200.0])
     ev = s_of_t.SEvaluator(zeros=zeros_220, prime_table=prime_table_small)
     assert rep.lhs_integral == pytest.approx(
         s_of_t.second_moment(200.0, ev), rel=1e-12)

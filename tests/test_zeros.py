@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import theta_binet_oracle, zeta_em_oracle
+from oracles import theta_binet_oracle, theta_series_oracle, zeta_em_oracle
 from szeta.errors import DomainError, MissedZerosError, ZerosParseError
 from szeta.zeros import (RS_MIN_T, ZeroSet, _z_em, _z_rs, export_zeros,
                          find_zeros, gram_points, import_zeros,
@@ -31,6 +31,17 @@ def test_theta_against_loggamma_quadrature():
 def test_theta_exact_against_mpmath_siegeltheta():
     for t in (0.0, 0.1, 1.0, 3.7, 2 * PI, 9.99, 10.0):
         assert abs(theta_exact(t) - float(mpmath.siegeltheta(t))) <= 1e-14
+
+
+def test_theta_matches_four_power_series():
+    # powers by recurrence in 1/t^2 keep the term-by-term sum's roundings
+    t = np.geomspace(10.0, 1e6, 20001)
+    want = theta_series_oracle(t)
+    # relative, but theta crosses 0 near t = 17.8
+    scale = np.maximum(np.abs(want), 1.0)
+    assert np.max(np.abs(theta(t) - want) / scale) <= 4e-16
+    lo = np.linspace(10.0, 200.0, 2001)
+    assert np.max(np.abs(theta(lo) - theta_exact(lo))) <= 1e-12
 
 
 def test_theta_exact_matches_series_overlap():
@@ -266,6 +277,24 @@ def test_count_up_to_half_weight(zeros_120):
     assert zeros_120.count_up_to(g0 - 1e-9) == 0
     assert zeros_120.count_up_to(g0) == 0.5
     assert zeros_120.count_up_to(g0 + 1e-9) == 1
+    # one search, the ordinate found checked for equality, against the
+    # weight from two searches: at, between, below and above the ordinates
+    g = zeros_120.ordinates
+
+    def two_searches(t):
+        left = np.searchsorted(g, t, "left")
+        return left + 0.5 * (np.searchsorted(g, t, "right") - left)
+
+    mids = 0.5 * (g[:-1] + g[1:])
+    t = np.concatenate(([1.5, g[0] - 1e-12], g, mids,
+                        [g[-1] + 1e-12, zeros_120.t_max, 1e6]))
+    np.random.default_rng(0).shuffle(t)
+    got = zeros_120.count_up_to(t)
+    assert np.array_equal(got, two_searches(t))
+    assert got.dtype == np.float64
+    for s in (1.5, g[0], mids[3], g[-1], 1e6):
+        assert zeros_120.count_up_to(s) == two_searches(s)
+    assert zeros_120.count_up_to(g[-1]) == len(g) - 0.5
 
 
 def test_threads_give_same_result():
