@@ -30,7 +30,7 @@ from .errors import DomainError
 from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
                       khat_pq, kpp_pq, kpp_transform_many)
 from .quadrature import gap_rule
-from .s_of_t import sin_sinh_integral
+from .s_of_t import _SINH_SWITCH, _sinh_series, sin_sinh_integral
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -495,29 +495,69 @@ class RDecomposition:
     r_direct_err: float | None = None
 
 
+# nodes x ordinates per block of the direct R integrand: temporaries this
+# small are reused from the heap instead of mapped and faulted in anew
+_BLOCK = 16384
+
+
+def _zero_sum(t, g, logx: float):
+    """sum_gamma sin(v) I(|v|) with v = (t - gamma) log x, for each node t
+    against every ordinate in ``g`` (ascending), in blocks of nodes.
+
+    Only the band of ordinates within ``_SINH_SWITCH / log x`` of a block's
+    node range goes through :func:`sin_sinh_integral`.  Every other one is
+    farther than the switch from each node of the block, so it takes the
+    series in 1/v^2 (:func:`szeta.s_of_t._sinh_series`), and sin(v) comes
+    from shared phases: with c the block's lowest node, sin((t - gamma) L) =
+    sin((t - c) L) cos((c - gamma) L) + cos((t - c) L) sin((c - gamma) L),
+    so the far sum is two matrix-vector products.  Phases measured from c,
+    not from 0, keep their arguments as small as the block and its
+    distances to the ordinates: products t L and gamma L near t = 1e5 would
+    cost digits.
+    """
+    t = np.asarray(t, dtype=float)
+    s = np.empty(len(t))
+    # a margin on the band's reach leaves only |v| beyond the switch
+    # outside it, whatever the rounding of (t - gamma) log x
+    reach = _SINH_SWITCH / logx * (1.0 + 1e-9)
+    rows = max(1, _BLOCK // max(1, len(g)))
+    for k in range(0, len(t), rows):
+        tb = t[k:k + rows]
+        c, top = tb.min(), tb.max()
+        a, b = np.searchsorted(g, [c - reach, top + reach])
+        v = np.subtract.outer(tb, g[a:b])
+        v *= logx
+        s[k:k + rows] = sin_sinh_integral(v).sum(axis=1)
+        if b - a < len(g):
+            far = np.concatenate((g[:a], g[b:]))
+            iv2 = np.subtract.outer(tb, far)
+            iv2 *= logx
+            iv2 *= iv2
+            np.reciprocal(iv2, out=iv2)
+            ph = (c - far) * logx
+            cs = _sinh_series(iv2) @ np.stack((np.cos(ph), np.sin(ph)), 1)
+            u = (tb - c) * logx
+            s[k:k + rows] += np.sin(u) * cs[:, 0] + np.cos(u) * cs[:, 1]
+    return s
+
+
 def _r_time_integral(zeros: ZeroSet, T: float, x: float):
     """int_1^T of the squared zero sum of the explicit formula, directly;
     returns ``(value, error_estimate)``.
 
-    Every ordinate of the set participates at every node (no window: a
-    moving window would put kinks inside the integration intervals), with
-    the sinh integral from its closed form.  The sum jumps at each
-    ordinate and is smooth between, so every zero gap of [1, T] is one
-    segment of the fixed gap rule; its nearest singularities sit pi/log x
-    beyond each gap's ends, two panel widths away.
+    Every ordinate of the set counts at every node (no window: a moving
+    window would put kinks inside the integration intervals), those near
+    the node through the sinh integral's closed form and all others
+    through its series, with shared phases (:func:`_zero_sum`).  The sum
+    jumps at each ordinate and is smooth between, so every zero gap of
+    [1, T] is one segment of the fixed gap rule; its nearest singularities
+    sit pi/log x beyond each gap's ends, two panel widths away.
     """
     logx = math.log(x)
     g = zeros.ordinates
 
     def zero_sum_sq(t):
-        t = np.asarray(t, dtype=float)
-        s = np.empty(len(t))
-        # blocks of about 16k nodes x ordinates: temporaries this small
-        # are reused from the heap instead of mapped and faulted in anew
-        rows = max(1, 16384 // len(g))
-        for k in range(0, len(t), rows):
-            v = (t[k:k + rows, None] - g[None, :]) * logx
-            s[k:k + rows] = sin_sinh_integral(v).sum(axis=1)
+        s = _zero_sum(t, g, logx)
         s /= PI
         return s * s
 

@@ -9,7 +9,7 @@ infinite sum returns a rigorous geometric tail bound next to its value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +27,9 @@ class PrimeTable:
     ``support_n``/``support_p``/``support_m`` list every prime power
     ``n = p^m <= limit`` (m >= 1) in increasing n; Lambda(n) = log p on these
     and 0 elsewhere.  Immutable after construction; all reads are
-    thread-safe.
+    thread-safe.  ``memo`` holds values derived from the table by its
+    readers (the explicit formula's prime terms at one x), so they live
+    and die with the table they were derived from.
     """
 
     limit: int
@@ -35,6 +37,8 @@ class PrimeTable:
     support_n: np.ndarray
     support_p: np.ndarray
     support_m: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
 
 def _sieve(x: int) -> np.ndarray:

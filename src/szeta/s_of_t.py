@@ -101,6 +101,19 @@ _SINH_ASYM = [(-1) ** k * (1.0 - 2.0 ** (-2 * k - 2)) * float(b)
               for k, b in enumerate(_ABS_BERNOULLI[:8])]
 
 
+def _sinh_series(iv2):
+    """I(v) above ``_SINH_SWITCH`` from ``iv2`` = 1/v^2: the asymptotic
+    series sum_k c_k iv2^(k+1) by Horner's rule.  ``sin_sinh_integral``
+    takes it above the switch, and the direct R integral
+    (:func:`szeta.paircorr._zero_sum`) for every ordinate farther than the
+    switch from a whole block of nodes, where no sin per element is needed."""
+    acc = _SINH_ASYM[-1] * iv2
+    for c in reversed(_SINH_ASYM[:-1]):
+        acc += c
+        acc *= iv2
+    return acc
+
+
 def sin_sinh_integral(v):
     """sin(v) * I(|v|) for array v, with I(v) = int_0^inf u / ((u^2 + v^2)
     sinh u) du; the midpoint value 0 at v = 0 (the limits are +-pi/2).
@@ -109,8 +122,9 @@ def sin_sinh_integral(v):
     with b = v/pi and beta(s) = [psi((s+1)/2) - psi(s/2)]/2 (psi = digamma),
     from the cosine transform (pi^2/4) sech^2(pi s/2) of u/sinh u.  The
     bracket cancels in proportion to v, so above the switch the asymptotic
-    series in 1/v^2 takes over.  Relative error below 1e-12 against a
-    30-digit quadrature of the definition on [1e-3, 1e3].
+    series in 1/v^2 (:func:`_sinh_series`) takes over.  Relative error
+    below 1e-12 against a 30-digit quadrature of the definition on
+    [1e-3, 1e3].
     """
     v = np.asarray(v, dtype=float)
     av = np.abs(v)
@@ -126,10 +140,7 @@ def sin_sinh_integral(v):
         iv2 = av[hi]
         iv2 *= iv2
         np.reciprocal(iv2, out=iv2)
-        acc = _SINH_ASYM[-1] * iv2
-        for c in reversed(_SINH_ASYM[:-1]):
-            acc += c
-            acc *= iv2
+        acc = _sinh_series(iv2)
         acc *= np.sin(v[hi])
         out[hi] = acc
     return out
@@ -176,12 +187,7 @@ def s_explicit(t: float, x: float, ev: SEvaluator, *, table=None):
     if ev.zeros.t_max < t + window:
         raise DomainError("zero coverage must extend to t + 50/log x")
 
-    tab = ev.prime_table
-    sel = tab.support_n <= x
-    n = tab.support_n[sel].astype(float)
-    logp = np.log(tab.support_p[sel].astype(float))
-    logn = np.log(n)
-    coef = logp / (np.sqrt(n) * logn) * f_weight(logn / logx)
+    coef, logn = _prime_terms(x, ev.prime_table)
     prime_part = -float(np.sum(coef * np.sin(t * logn))) / PI
 
     g = ev.zeros.ordinates
@@ -191,6 +197,17 @@ def s_explicit(t: float, x: float, ev: SEvaluator, *, table=None):
     budget = (math.sqrt(x) / (t * t * logx) + 1.0 / (t * logx)
               + _zero_tail_bound(t, window, logx, ev.zeros) / PI)
     return prime_part + zero_part, budget
+
+
+def _prime_terms(x: float, table: PrimeTable):
+    """``coef, logn`` of the explicit formula's prime sum at x, computed
+    once per (x, table): kept in the table's ``memo`` for the last x asked,
+    so they cannot outlive the table or be read for another one."""
+    hit = table.memo.get("prime_terms")
+    if hit is None or hit[0] != x:
+        hit = (x, *_dirichlet_coeffs(x, table)[:2])
+        table.memo["prime_terms"] = hit
+    return hit[1], hit[2]
 
 
 def make_sinh_table() -> None:

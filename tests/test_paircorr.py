@@ -195,6 +195,77 @@ def test_lemma6_direct_against_quad_oracle(zeros_120):
     assert dec.r_direct_err <= 1e-10 * dec.r_total_direct
 
 
+def _assert_zero_sum_matches_dense(t, g, logx):
+    # the direct R integrand's split zero sum (near band by the closed form,
+    # the rest by the series with shared phases) against every ordinate
+    # through sin_sinh_integral at every node
+    got = paircorr._zero_sum(np.asarray(t, dtype=float), g, logx)
+    want = sin_sinh_integral(np.subtract.outer(t, g) * logx).sum(axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_zero_sum_split_blocks_all_near_or_all_far(monkeypatch):
+    logx = math.log(100.0)
+    reach = paircorr._SINH_SWITCH / logx
+    g = np.array([20.0, 21.5, 24.0, 27.25])
+    # every ordinate inside the band of every node: no far part
+    t = np.linspace(22.0, 23.0, 9)
+    assert np.all(np.abs(np.subtract.outer(t, g)) * logx < 60.0)
+    _assert_zero_sum_matches_dense(t, g, logx)
+    # blocks of four nodes: the first sits in a cluster of ordinates, the
+    # next two farther than the switch from every ordinate (no band; a sum
+    # of such terms alone is too small to carry 1e-15 of itself, since
+    # rounding the phases, densely or split, costs that much)
+    g = np.array([10.0, 14.0, 18.0, 120.0, 131.0])
+    monkeypatch.setattr(paircorr, "_BLOCK", 4 * len(g))
+    t = np.concatenate((np.linspace(12.0, 16.0, 4),
+                        np.linspace(60.0, 64.0, 8)))
+    assert np.all(np.abs(np.subtract.outer(t[4:], g)) > reach)
+    _assert_zero_sum_matches_dense(t, g, logx)
+
+
+def test_zero_sum_split_at_the_switch_and_at_ordinates(zeros_220):
+    g = zeros_220.ordinates
+    logx = 0.4 * math.log(100.0)
+    reach = paircorr._SINH_SWITCH / logx
+    # nodes exactly one reach from an ordinate on either side, and nodes
+    # equal to ordinates (v = 0, the midpoint value 0)
+    j = 40
+    t = np.array([g[j] - reach, g[j] + reach, g[j], g[j + 1],
+                  0.5 * (g[j] + g[j + 1])])
+    _assert_zero_sum_matches_dense(t, g, logx)
+    # one node whose band's first and last ordinates sit one reach from
+    # it, and the next ordinates out just beyond, on the series' side
+    logx = math.log(100.0)
+    reach = paircorr._SINH_SWITCH / logx
+    t0 = 50.0
+    g = np.array([t0 - reach - 1e-7, t0 - reach, t0 - 1.0, t0 + 2.0,
+                  t0 + reach, t0 + reach + 1e-7])
+    _assert_zero_sum_matches_dense([t0], g, logx)
+
+
+def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
+    g = zeros_220.ordinates
+    logx = math.log(20.0)
+    # blocks whose band takes in the first ordinate, the last one, and one
+    # node set spread so wide that several blocks cover the whole set
+    for t in (np.linspace(g[0] - 2.0, g[0] + 3.0, 40),
+              np.linspace(g[-1] - 3.0, g[-1] + 2.0, 40),
+              np.linspace(1.0, g[-1] + 5.0, 700)):
+        _assert_zero_sum_matches_dense(t, g, logx)
+
+
+def test_zero_sum_split_keeps_digits_near_t_1e5():
+    # 3000 ordinates at the density near t = 99000: phases measured from 0
+    # (sin(t L) cos(gamma L) - cos(t L) sin(gamma L)) put about 1.7e-14
+    # relative into the sum, phases from each block's lowest node 5e-16
+    rng = np.random.default_rng(7)
+    g = np.sort(99000.0 + rng.uniform(-975.0, 975.0, 3000))
+    logx = 0.5 * math.log(99000.0)
+    t = np.sort(99000.0 + rng.uniform(-40.0, 40.0, 200))
+    _assert_zero_sum_matches_dense(t, g, logx)
+
+
 def test_lemma6_skips_direct_at_large_T(zeros_220):
     dec = lemma6_eval(zeros_220, 200.0, 0.4, direct_limit=150.0)
     assert dec.r_total_direct is None

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from oracles import (gap_integral_oracle, sinh_integral_oracle,
                      theta_binet_oracle)
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
+from szeta.primes import build_prime_table
 from szeta.s_of_t import (SEvaluator, g_and_h_direct, s_exact, s_explicit,
                           s_mean, second_moment, sin_sinh_integral)
 from szeta.zeros import ZeroSet
@@ -153,6 +155,41 @@ def test_s_explicit_residual_shrinks_with_x(zeros_120, prime_table_small):
     near, _ = s_explicit(t, math.sqrt(t), ev)
     far, _ = s_explicit(t, t * t, ev)
     assert abs(far - exact) < abs(near - exact)
+
+
+def _s_explicit_per_call(t, x, ev):
+    # s_explicit's value with its prime terms rebuilt from the table on
+    # every call, operation for operation
+    logx = math.log(x)
+    tab = ev.prime_table
+    sel = tab.support_n <= x
+    n = tab.support_n[sel].astype(float)
+    logp = np.log(tab.support_p[sel].astype(float))
+    logn = np.log(n)
+    coef = logp / (np.sqrt(n) * logn) * f_weight(logn / logx)
+    prime = -float(np.sum(coef * np.sin(t * logn))) / PI
+    g = ev.zeros.ordinates
+    near = g[np.abs(g - t) <= 50.0 / logx]
+    return prime + float(np.sum(sin_sinh_integral((t - near) * logx))) / PI
+
+
+def test_s_explicit_prime_terms_kept_per_x_and_table(zeros_120):
+    # two values of x on one table, back and forth, and a second table of
+    # the same limit: every value bit-identical to the per-call formula
+    ev = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(3000))
+    other = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(3000))
+    for e, x, t in ((ev, 100.0, 40.0), (ev, 30.0, 40.0), (ev, 100.0, 57.5),
+                    (other, 100.0, 57.5), (ev, 30.0, 63.25)):
+        assert s_explicit(t, x, e)[0] == _s_explicit_per_call(t, x, e)
+    # a freed table's terms are not read for a new one, even one that may
+    # reuse its id: at x = 100 a table of limit 64 keeps only n <= 64
+    del ev, other
+    gc.collect()
+    small = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(64))
+    val = s_explicit(57.5, 100.0, small)[0]
+    assert val == _s_explicit_per_call(57.5, 100.0, small)
+    full = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(3000))
+    assert val != s_explicit(57.5, 100.0, full)[0]
 
 
 def test_s_explicit_domain(ev_120):
