@@ -180,6 +180,8 @@ def s_explicit(t: float, x: float, ev: SEvaluator, *, table=None):
     """
     if x < 4.0:
         raise DomainError("explicit formula needs x >= 4")
+    if x > ev.prime_table.limit:
+        raise DomainError("x beyond the prime table's limit")
     if t < 10.0:
         raise DomainError("t >= 10 required")
     logx = math.log(x)

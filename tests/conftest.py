@@ -1,7 +1,9 @@
+import pathlib
+
 import pytest
 
 from szeta.primes import build_prime_table
-from szeta.zeros import find_zeros
+from szeta.zeros import find_zeros, import_zeros
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +29,15 @@ def zeros_2510():
 @pytest.fixture(scope="session")
 def zeros_10k():
     return find_zeros(10010.0)
+
+
+@pytest.fixture(scope="session")
+def zeros_ref():
+    # the benchmark's reference ordinates below 10010, refined with mpmath:
+    # fixed bits, whatever the zero finder's polish does
+    ref = (pathlib.Path(__file__).resolve().parents[1]
+           / "perfbench" / "data" / "zeros_t10010.txt")
+    return import_zeros(ref.read_text(encoding="ascii"))
 
 
 @pytest.fixture(scope="session")

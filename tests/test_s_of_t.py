@@ -182,14 +182,17 @@ def test_s_explicit_prime_terms_kept_per_x_and_table(zeros_120):
                     (other, 100.0, 57.5), (ev, 30.0, 63.25)):
         assert s_explicit(t, x, e)[0] == _s_explicit_per_call(t, x, e)
     # a freed table's terms are not read for a new one, even one that may
-    # reuse its id: at x = 100 a table of limit 64 keeps only n <= 64
+    # reuse its id: the new table's memo starts empty and holds its own x
     del ev, other
     gc.collect()
     small = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(64))
-    val = s_explicit(57.5, 100.0, small)[0]
-    assert val == _s_explicit_per_call(57.5, 100.0, small)
-    full = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(3000))
-    assert val != s_explicit(57.5, 100.0, full)[0]
+    assert "prime_terms" not in small.prime_table.memo
+    assert s_explicit(57.5, 50.0, small)[0] \
+        == _s_explicit_per_call(57.5, 50.0, small)
+    assert small.prime_table.memo["prime_terms"][0] == 50.0
+    # x beyond the table's limit is refused, not summed over n <= 64 only
+    with pytest.raises(DomainError):
+        s_explicit(57.5, 100.0, small)
 
 
 def test_s_explicit_domain(ev_120):
@@ -251,9 +254,11 @@ def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):
 
 
 @pytest.mark.parametrize("T, x, top, g_want, h_want", [
-    # G and H as the two-row pass gave them, before S^2 joined it
-    (200.0, 9.0, "zeros_220", 7.152930795888013, -17.823628963041347),
-    (2000.0, 40.0, "zeros_10k", 115.01475529116054, -269.6603952167609),
+    # G and H as the two-row pass gave them, before S^2 joined it, on the
+    # reference zeros: H moves with every ordinate, so computed zeros would
+    # pin the polish's last bits as well
+    (200.0, 9.0, "zeros_ref", 7.152930795888007, -17.823628966660614),
+    (2000.0, 40.0, "zeros_ref", 115.0147552911603, -269.6603949363169),
 ])
 def test_gap_pass_s_squared_row(request, prime_table_small, T, x, top,
                                 g_want, h_want):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import theta_binet_oracle, theta_series_oracle, zeta_em_oracle
 from szeta.errors import DomainError, MissedZerosError, ZerosParseError
-from szeta.zeros import (RS_MIN_T, ZeroSet, _z_em, _z_rs, export_zeros,
-                         find_zeros, gram_points, import_zeros,
-                         riemann_siegel_Z, theta, theta_exact)
+from szeta.zeros import (_EM_COEF, RS_MIN_T, ZeroSet, _em_length, _z_em,
+                         _z_rs, export_zeros, find_zeros, gram_points,
+                         import_zeros, riemann_siegel_Z, theta, theta_exact)
 
 PI = math.pi
 
@@ -89,6 +89,65 @@ def test_z_branches_agree_on_overlap():
     em = _z_em(ts)
     assert np.max(np.abs(riemann_siegel_Z(ts) - em)) < 3e-7
     assert np.max(np.abs(_z_rs(ts) - em)) < 3e-7
+
+
+def test_z_em_against_mpmath_siegelz():
+    # a dense grid over [10, 500), t just above 10, and both sides of every
+    # step of the rounded sum length N = 16 ceil((t/pi + 6)/16)
+    steps = PI * (16.0 * np.arange(1, 11) - 6.0)
+    ts = np.concatenate([np.linspace(10.0, 499.9, 200),
+                         [10.0 + 1e-9, 10.001, 10.3],
+                         steps - 1e-9, steps + 1e-9])
+    lengths = _em_length(ts)
+    assert np.all(lengths[-10:] == lengths[-20:-10] + 16)
+    ref = np.array([float(mpmath.siegelz(t)) for t in ts])
+    assert np.max(np.abs(_z_em(ts) - ref)) <= 1e-12
+
+
+def test_z_em_remainder_bound():
+    # Edwards 6.4: |R| <= |s+2m+1|/(sigma+2m+1) |T_m+1|, T_m+1 the first
+    # omitted Bernoulli term, below 1e-16 at the sum length of every t
+    # below the switch; and the tail's coefficients B_2k/(2k)!
+    m = len(_EM_COEF)
+    for k, c in enumerate(_EM_COEF, 1):
+        exact = mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+        assert abs(c / float(exact) - 1.0) <= 4e-15, k
+    t = np.linspace(10.0, RS_MIN_T, 49001)
+    s = 0.5 + 1j * t
+    k = m + 1
+    log_b = float(mpmath.log(abs(mpmath.bernoulli(2 * k))
+                             / mpmath.factorial(2 * k)))
+    log_bound = (np.log(np.abs(s + 2 * m + 1)) - math.log(0.5 + 2 * m + 1)
+                 + log_b
+                 + sum(np.log(np.abs(s + j)) for j in range(2 * m + 1))
+                 - (0.5 + 2 * m + 1) * np.log(_em_length(t)))
+    assert np.max(log_bound) < math.log(1e-16)
+
+
+def test_polish_brackets_every_ordinate(zeros_1010):
+    # each ordinate is the midpoint of a bracket of width <= 1e-9 around a
+    # sign change of Z, on both branches
+    g = zeros_1010.ordinates
+    assert np.any(g < RS_MIN_T) and np.any(g > RS_MIN_T)
+    assert np.all(riemann_siegel_Z(g - 0.6e-9)
+                  * riemann_siegel_Z(g + 0.6e-9) < 0.0)
+
+
+def test_find_zeros_z_points(monkeypatch):
+    # the scan, its refinement and the Anderson-Bjorck polish of the 657
+    # zeros below 1010 take 4968 Z points (7.6 a zero; Illinois steps took
+    # 5596): a slower polish fails here
+    from szeta import zeros as zmod
+    real = zmod.riemann_siegel_Z
+    points = []
+
+    def counted(t):
+        points.append(np.size(t))
+        return real(t)
+
+    monkeypatch.setattr(zmod, "riemann_siegel_Z", counted)
+    assert len(zmod.find_zeros(1010.0)) == 657
+    assert sum(points) <= 4968
 
 
 def _psi_exact(p):
