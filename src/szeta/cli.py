@@ -10,6 +10,7 @@ or out of memory); stack traces are reserved for genuine bugs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -70,20 +71,9 @@ def _write_json(path: str, obj) -> None:
 
 
 def _check_report_obj(rep: CheckReport) -> dict:
-    return {
-        "identity": rep.name,
-        "params": rep.params,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "discrepancy_abs": rep.discrepancy_abs,
-        "discrepancy_rel": rep.discrepancy_rel,
-        "tolerance": rep.tolerance,
-        "passed": rep.passed,
-        "assertable": rep.assertable,
-        "error_scales": rep.error_scales,
-        "notes": list(rep.notes),
-        "detail": rep.detail,
-    }
+    # CheckReport's fields are in the JSON key order; only name is renamed
+    obj = dataclasses.asdict(rep)
+    return {"identity" if k == "name" else k: v for k, v in obj.items()}
 
 
 def _moment_report_obj(rep) -> dict:
@@ -366,16 +356,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MissedZerosError, ZerosParseError) as exc:
+    except (_ValidationError, MissedZerosError, ZerosParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

@@ -7,8 +7,8 @@ oscillation cap (phase advance at most pi/2 per panel for an
 ``exp(i*omega*u)`` factor), an 8-node value and a 6-node error estimate.
 When the estimate misses its bound, only the segments above their share
 of it have their panels halved and are summed again.  :func:`integrate` is
-the same engine over one range split at given breakpoints.  Both take an
-integrand returning a stack of rows, and both raise an
+the same engine over one range split at given breakpoints.  Both take a
+scalar integrand, vectorized over its nodes, and both raise an
 :class:`AccuracyError` naming the worst segment and carrying the estimate
 instead of silently returning it.
 """
@@ -21,13 +21,8 @@ import numpy as np
 
 from .errors import AccuracyError
 
-_GL_NODES = {}
-
-
-def _gl(n: int):
-    if n not in _GL_NODES:
-        _GL_NODES[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES[n]
+# the value's 8-node rule and the estimate's 6-node rule
+_GL = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8)}
 
 
 # points per call of f: bounds the temporaries of f and of the sums, and
@@ -37,14 +32,13 @@ _CHUNK_POINTS = 512
 
 def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
     """Gauss-Legendre sums of ``f`` over segments ``[lo_i, hi_i]`` of ``n_i``
-    equal panels, all segments' nodes going to ``f`` in bounded chunks.
-    An ``f`` returning a stack of rows gives one row of sums per row."""
-    x_gl, w_gl = _gl(nodes)
+    equal panels, all segments' nodes going to ``f`` in bounded chunks."""
+    x_gl, w_gl = _GL[nodes]
     step = (hi - lo) / n
     ends = np.cumsum(n)
     starts = ends - n
     total = int(ends[-1])
-    sums = None
+    sums = np.zeros(len(lo))
     per_call = max(1, _CHUNK_POINTS // nodes)
     for first in range(0, total, per_call):
         panel = np.arange(first, min(first + per_call, total))
@@ -52,12 +46,9 @@ def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
         half = 0.5 * step[seg]
         mid = lo[seg] + (2 * (panel - starts[seg]) + 1) * half
         x = (mid[:, None] + half[:, None] * x_gl).ravel()
-        y = np.asarray(f(x), dtype=float)
-        y = y.reshape(*y.shape[:-1], len(panel), nodes)
-        if sums is None:
-            sums = np.zeros((len(lo),) + y.shape[:-2])
-        np.add.at(sums, seg, np.moveaxis((y @ w_gl) * half, -1, 0))
-    return sums.T
+        y = np.asarray(f(x), dtype=float).reshape(len(panel), nodes)
+        np.add.at(sums, seg, (y @ w_gl) * half)
+    return sums
 
 
 GAP_RULE_TOL = 1e-10   # gap_rule's bound on err / sum of |segment values|
@@ -84,8 +75,7 @@ def gap_rule(f, edges, omega: float = 0.0):
     share of the bound (bound / number of segments) are halved and only
     those segments summed again; after ``MAX_DEPTH`` halvings it raises
     :class:`AccuracyError` naming the worst segment.  Vectorized ``f``
-    required.  An ``f`` returning a stack of rows (one integrand each) gets
-    one value and one estimate per row, each row held to its own bound.
+    required.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -95,29 +85,20 @@ def gap_rule(f, edges, omega: float = 0.0):
     n = np.maximum(1, np.ceil((hi - lo) / h)).astype(np.int64)
     fine, change = _rule(f, lo, hi, n)
     for depth in range(MAX_DEPTH + 1):
-        value, err = np.sum(fine, axis=-1), np.sum(change, axis=-1)
-        bound = GAP_RULE_TOL * np.sum(np.abs(fine), axis=-1)
-        failing = np.atleast_1d(~(err <= bound))
-        if not failing.any():
-            if np.ndim(value):      # a stack of rows
-                return value, err
+        value, err = np.sum(fine), np.sum(change)
+        bound = GAP_RULE_TOL * np.sum(np.abs(fine))
+        if err <= bound:
             return float(value), float(err)
-        share = np.atleast_1d(bound)[failing, None] / len(lo)
-        redo = np.flatnonzero(
-            (np.atleast_2d(change)[failing] > share).any(axis=0))
+        redo = np.flatnonzero(change > bound / len(lo))
         if depth == MAX_DEPTH or not len(redo):   # NaN is above no share
             break
         n[redo] *= 2
-        fine[..., redo], change[..., redo] = _rule(f, lo[redo], hi[redo],
-                                                   n[redo])
-    r = int(np.argmax(failing))
-    row = np.atleast_2d(change)[r]
-    worst = int(np.argmax(row))
+        fine[redo], change[redo] = _rule(f, lo[redo], hi[redo], n[redo])
+    worst = int(np.argmax(change))
     raise AccuracyError(
-        f"gap rule estimate {np.ravel(err)[r]:.3e} above tolerance, "
-        f"worst on [{lo[worst]:g}, {hi[worst]:g}] ({row[worst]:.3e})",
-        achieved=float(np.ravel(err)[r]),
-        estimate=float(np.ravel(value)[r]))
+        f"gap rule estimate {err:.3e} above tolerance, "
+        f"worst on [{lo[worst]:g}, {hi[worst]:g}] ({change[worst]:.3e})",
+        achieved=float(err), estimate=float(value))
 
 
 def integrate(f, a: float, b: float, omega: float = 0.0, breakpoints=()):
@@ -125,8 +106,7 @@ def integrate(f, a: float, b: float, omega: float = 0.0, breakpoints=()):
 
     :func:`gap_rule` over the segments between ``a``, every one of
     ``breakpoints`` inside the range (kinks, derivative jumps the panels
-    must not straddle) and ``b``.  Vectorized ``f`` required; an ``f``
-    returning a stack of rows gets one value and one estimate per row.
+    must not straddle) and ``b``.  Vectorized ``f`` required.
     """
     if not b > a:
         if b == a:

@@ -11,20 +11,18 @@ truncated away from the summation window.  ``sin_sinh_integral`` gives
 sin(v) I(v) in closed form (digamma, then an asymptotic series above
 v = 60), vectorized over all zeros at once.
 
-``second_moment``, ``s_mean`` and ``g_and_h_direct`` integrate up to T
-over the zero gaps.  On each gap S is the smooth function
-(constant - theta/pi), so one fixed Gauss-Legendre rule per gap
-(:func:`~szeta.quadrature.gap_rule`) covers all gaps at once, the head
-below the first ordinate included.  Below t = 10 the asymptotic theta is
-invalid, and the exact log-Gamma theta used there is singular at
-t = +-i/2; where that makes the error estimate miss its bound, the rule
-halves the head's panels and sums the other gaps only once.  At a node,
-S costs one search of the ordinates and the theta series.
+``second_moment`` and ``s_mean`` integrate up to T over the zero gaps.
+On each gap S is the smooth function (constant - theta/pi), so one fixed
+Gauss-Legendre rule per gap (:func:`~szeta.quadrature.gap_rule`) covers
+all gaps at once, the head below the first ordinate included.  Below
+t = 10 the asymptotic theta is invalid, and the exact log-Gamma theta used
+there is singular at t = +-i/2; where that makes the error estimate miss
+its bound, the rule halves the head's panels and sums the other gaps only
+once.  At a node, S costs one search of the ordinates and the theta
+series.
 
-``g_and_h_direct`` is the report's one pass over the gaps of [1, T]: its
-integrand stacks [S^2, D^2, S*D] for the Dirichlet polynomial D, so
-int_1^T S^2 (``GHResult.s_squared``) comes with G and H, on the panels
-D's phase asks for, each row held to its own bound.
+``g_and_h_direct`` makes no pass over the gaps: G and H are finite sums
+over the prime powers, and for H's zero count over the ordinates.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ import numpy as np
 from .errors import DomainError
 from .kernels import _ABS_BERNOULLI, f_weight
 from .primes import PrimeTable
-from .quadrature import gap_rule
-from .zeros import ZeroSet, theta, theta_exact
+from .quadrature import gap_rule, integrate
+from .zeros import _THETA_COEF, ZeroSet, theta, theta_exact
 
 PI = math.pi
 ZERO_WINDOW_SCALE = 50.0      # explicit-formula zero sum keeps |t-g| <= 50/log x
@@ -235,29 +233,22 @@ def _s_between_zeros(t, zeros: ZeroSet):
     return zeros.count_up_to(t) - 1.0 - _theta_any(t) / PI
 
 
-def _gap_integral(f, lo: float, hi: float, ev: SEvaluator,
-                  omega: float = 0.0):
-    """int_lo^hi f over the zero gaps; returns ``(value, error_estimate)``.
-
-    The set must be complete and cover hi, or the zero count in S is wrong.
-    Every gap is one segment of ``gap_rule``, the head [lo, g_1] below the
-    first ordinate included: theta_exact's singularities at t = +-i/2 sit
-    close to t = 0, and when that makes the estimate miss its bound the
-    rule halves the head's panels.  An ``f`` returning a stack of rows
-    gives arrays, one entry per row.
-    """
-    zeros = ev.zeros
+def _gap_edges(lo: float, hi: float, zeros: ZeroSet) -> np.ndarray:
+    """[lo, the ordinates strictly inside (lo, hi), hi]: the segments on
+    which S is smooth, the head below the first ordinate included (where
+    theta_exact's singularities at t = +-i/2 may make ``gap_rule`` halve
+    its panels).  The set must be complete and cover hi, or the zero count
+    in S is wrong."""
     if not zeros.claimed_complete:
         raise DomainError("zero set not validated as complete")
     if not hi <= zeros.t_max:
         raise DomainError("T outside zero coverage")
     g = zeros.ordinates
-    return gap_rule(f, np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi])),
-                    omega)
+    return np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
 
 
-def second_moment(T: float, ev: SEvaluator, t_lo: float = 0.0) -> float:
-    """int_{t_lo}^T S(t)^2 dt, exact-per-interval.
+def second_moment(T: float, ev: SEvaluator) -> float:
+    """int_0^T S(t)^2 dt, exact-per-interval.
 
     Between consecutive ordinates S is smooth, so every zero gap is one
     segment of the fixed gap rule, whose error estimate is held below
@@ -267,37 +258,32 @@ def second_moment(T: float, ev: SEvaluator, t_lo: float = 0.0) -> float:
     """
     if not 10.0 <= T:
         raise DomainError("T outside zero coverage")
-    if not 0.0 <= t_lo < T:
-        raise DomainError("t_lo must sit in [0, T)")
-    return _s_squared_integral(t_lo, T, ev)
+    return _s_squared_integral(0.0, T, ev)
 
 
 def _s_squared_integral(lo: float, hi: float, ev: SEvaluator) -> float:
     """int_lo^hi S^2 over the zero gaps, without ``second_moment``'s
-    domain floor (``full_report`` adds the piece over [0, 1] this way)."""
-    return _gap_integral(lambda t: _s_between_zeros(t, ev.zeros) ** 2,
-                         lo, hi, ev)[0]
+    domain floor (``full_report`` integrates [0, 1] and [1, T] this way)."""
+    return gap_rule(lambda t: _s_between_zeros(t, ev.zeros) ** 2,
+                    _gap_edges(lo, hi, ev.zeros))[0]
 
 
 def s_mean(T: float, ev: SEvaluator) -> float:
     """(1/T) int_0^T S(t) dt, to the gap rule's tolerance."""
-    return _gap_integral(lambda t: _s_between_zeros(t, ev.zeros),
-                         0.0, T, ev)[0] / T
+    return gap_rule(lambda t: _s_between_zeros(t, ev.zeros),
+                    _gap_edges(0.0, T, ev.zeros))[0] / T
 
 
 @dataclass(frozen=True)
 class GHResult:
-    """Direct integrals G, H next to their asymptotic sum-formula values,
-    with int_1^T S^2 from the same pass over the zero gaps."""
+    """Direct integrals G, H next to their asymptotic sum-formula values."""
 
     g: float
     h: float
     g_sum_formula: float
     h_sum_formula: float
-    g_err: float      # quadrature error estimates of g and h
-    h_err: float
-    s_squared: float  # int_1^T S^2, the squared formula's first term
-    s_squared_err: float
+    g_err: float      # a bound on the rounding of G's closed-form terms
+    h_err: float      # theta head's quadrature estimate + by-parts bound
 
 
 def _dirichlet_coeffs(x: float, table: PrimeTable):
@@ -309,13 +295,45 @@ def _dirichlet_coeffs(x: float, table: PrimeTable):
     return logp / (np.sqrt(n) * logn) * fv, logn, fv, logp, n
 
 
-def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
-    """G(T) and H(T) by direct quadrature, with companion sum formulas.
+# theta's part of H: a quadrature up to t = 100, by parts above
+_BY_PARTS_T0, _BY_PARTS_TERMS = 100.0, 24
+_EPS = float(np.finfo(float).eps)
 
-    G integrates the squared prime sum, H the cross term against S(t).
-    One pass over the zero gaps of [1, T] integrates the rows [S^2, D^2,
-    S*D] from one S and one Dirichlet polynomial D per node, so
-    int_1^T S^2 comes with G and H; each row is held to its own bound.
+
+def _theta_sin_tail(logn: np.ndarray, a: float, b: float) -> np.ndarray:
+    """int_a^b theta(t) sin(l t) dt for every l of ``logn``, a >= 100: the
+    terms Im[e^(ilt) sum_k (-1)^k theta^(k)(t)/(il)^(k+1)], k < K = 24, of
+    integration by parts, from a to b, theta^(k) from the series of
+    :func:`szeta.zeros.theta`.  The k-th term is about
+    (k-2)!/(2 t^(k-1) l^(k+1)); the remainder is below
+    (K-3)!/(2 a^(K-2) l^K), 1.7e-21 at a = 100 for every l >= log 2."""
+    k = np.arange(_BY_PARTS_TERMS)
+    w = np.array([1j, -1.0, -1j, 1.0])[k % 4] / logn[:, None] ** (k + 1)
+
+    def antiderivative(t):
+        # theta's main term has derivatives (1/2) log(t/2pi) and then
+        # (1/2) (-1)^k (k-2)!/t^(k-1); each c_n t^p its falling factorials
+        d = np.concatenate(([theta(t), 0.5 * math.log(t / (2.0 * PI))],
+                            0.5 * (-1.0) ** k[2:] / t ** (k[2:] - 1)
+                            * np.cumprod(np.maximum(1, k[:-2]))))
+        for n, c in enumerate(_THETA_COEF, 1):
+            p = 1 - 2 * n
+            d[1:] += c * np.cumprod(p - k[:-1]) * t ** (p - k[1:])
+        return -np.imag(np.exp(1j * logn * t) * (w @ d))
+
+    return antiderivative(b) - antiderivative(a)
+
+
+def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
+    """G(T) and H(T) as finite sums, with companion sum formulas.
+
+    With D(t) = sum_n c_n sin(l_n t) over the prime powers n <= x,
+    G = (1/pi^2) int_1^T D^2 sums c_m c_n [I(l_m - l_n) - I(l_m + l_n)]/2,
+    I(nu) = int_1^T cos(nu t) dt.  H = (2/pi) int_1^T S*D, S = N - 1 -
+    theta/pi: the zero count N summed by parts, one cosine per ordinate
+    below T and prime power; theta by quadrature on [1, min(T, 100)] and by
+    parts (:func:`_theta_sin_tail`) above.
+
     Sum-formula companions:  G ~ (T/2pi^2) sum Lambda^2(n) f^2 / (n log^2 n)
     and H ~ -(T/pi^2) sum Lambda^2(n) f / (n log^2 n).
     """
@@ -324,24 +342,35 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     if x < 4.0 or x > ev.prime_table.limit:
         raise DomainError("x outside prime table range")
     coef, logn, fv, logp, n = _dirichlet_coeffs(x, ev.prime_table)
-    omega = float(np.max(logn))
+    g = _gap_edges(1.0, T, ev.zeros)[1:-1]    # every ordinate exceeds 1
 
-    def dirichlet(t):
-        return np.sin(np.outer(np.asarray(t, dtype=float), logn)) @ coef
+    nu = np.stack([logn[:, None] - logn, logn[:, None] + logn])
+    with np.errstate(invalid="ignore"):
+        cos_int = (np.sin(nu * T) - np.sin(nu)) / nu
+    cos_int[nu == 0.0] = T - 1.0              # int_1^T cos(nu t) dt
+    g_total = float(coef @ (0.5 * (cos_int[0] - cos_int[1])) @ coef)
+    # each cos_int carries about eps T from the rounding of its phase nu T
+    g_err = 2.0 * T * float(np.sum(np.abs(coef))) ** 2 * _EPS
 
-    def rows(t):
-        s = _s_between_zeros(t, ev.zeros)
-        d = dirichlet(t)
-        return np.stack([s * s, d * d, s * d])
-
-    vals, errs = _gap_integral(rows, 1.0, T, ev, omega)
-    (s2, g_total, h_total), (s2_err, g_err, h_err) = (map(float, vals),
-                                                      map(float, errs))
+    # one cosine sum per l: an (ordinates x l) array would not fit at the
+    # top of the range
+    cos_sums = np.array([np.sum(np.cos(ln * g)) for ln in logn])
+    step = (cos_sums - (len(g) - 1) * np.cos(logn * T) - np.cos(logn)) / logn
+    t0 = min(T, _BY_PARTS_T0)
+    theta_part, theta_err = integrate(
+        lambda t: _theta_any(t) * (np.sin(np.outer(t, logn)) @ coef),
+        1.0, t0, omega=float(np.max(logn)), breakpoints=(10.0,))
+    if T > t0:
+        theta_part += float(coef @ _theta_sin_tail(logn, t0, T))
+        k = _BY_PARTS_TERMS
+        theta_err += math.factorial(k - 3) / (2.0 * t0 ** (k - 2)) \
+            * float(np.abs(coef) @ logn ** -float(k))
+    h_total = float(coef @ step) - theta_part / PI
 
     w = logp ** 2 / (n * logn ** 2)
     g_sum = T / (2.0 * PI * PI) * float(np.sum(w * fv * fv))
     h_sum = -T / (PI * PI) * float(np.sum(w * fv))
     return GHResult(g=g_total / (PI * PI), h=h_total * (2.0 / PI),
                     g_sum_formula=g_sum, h_sum_formula=h_sum,
-                    g_err=g_err / (PI * PI), h_err=h_err * (2.0 / PI),
-                    s_squared=s2, s_squared_err=s2_err)
+                    g_err=g_err / (PI * PI),
+                    h_err=theta_err * (2.0 / PI / PI))

@@ -296,10 +296,11 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     if prime_table is None:
         prime_table = build_prime_table(max(64, int(x) + 1))
     ev = SEvaluator(zeros=zeros, prime_table=prime_table)
-    # one pass over the zero gaps of [1, T] gives int_1^T S^2, G and H;
-    # int_0^T S^2 adds the piece over [0, 1], below every ordinate
+    # int_1^T S^2 is the squared formula's first term; int_0^T S^2 adds
+    # the piece over [0, 1], below every ordinate
+    s_squared = _s_squared_integral(1.0, T, ev)
+    lhs = _s_squared_integral(0.0, 1.0, ev) + s_squared
     gh = g_and_h_direct(T, x, ev)
-    lhs = _s_squared_integral(0.0, 1.0, ev) + gh.s_squared
 
     curve = pcf_curve(zeros, T, alpha_max, alpha_step)
     if f_tail_source == "empirical":
@@ -316,7 +317,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     ]
     r_total = weighted_khat_sum(zeros, x, "none", T=T) \
         / (PI ** 2 * math.log(x))
-    left = gh.s_squared + gh.g + gh.h
+    left = s_squared + gh.g + gh.h
     resid = left - r_total
     scale = math.sqrt(T * x)
     notes.append(

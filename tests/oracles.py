@@ -148,6 +148,28 @@ def gap_integral_oracle(kernel, ordinates, a, b):
     return math.fsum(parts)
 
 
+def gh_gap_pass_oracle(zeros, T, x, prime_table):
+    """(G, H) as the report's pass over the zero gaps of [1, T] gave them
+    before their closed forms: the package's gap rule on D^2 and then on
+    S*D, D the Dirichlet polynomial at each node, with panels no wider
+    than D's phase allows.  The replaced algorithm, kept as the reference
+    it was checked against."""
+    from szeta.quadrature import gap_rule
+    from szeta.s_of_t import _dirichlet_coeffs, _s_between_zeros
+    coef, logn = _dirichlet_coeffs(x, prime_table)[:2]
+    g = zeros.ordinates
+    edges = np.concatenate(([1.0], g[(g > 1.0) & (g < T)], [T]))
+    omega = float(np.max(logn))
+
+    def dirichlet(t):
+        return np.sin(np.outer(t, logn)) @ coef
+
+    d2, _ = gap_rule(lambda t: dirichlet(t) ** 2, edges, omega)
+    sd, _ = gap_rule(lambda t: _s_between_zeros(t, zeros) * dirichlet(t),
+                     edges, omega)
+    return d2 / PI ** 2, sd * 2.0 / PI
+
+
 def theta_series_oracle(t):
     """The four-term asymptotic theta series, each term c_n t^(1-2n) from its
     own power and added in series order, c_n = (1 - 2^(1-2n)) |B_2n| /

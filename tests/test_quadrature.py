@@ -39,14 +39,6 @@ def test_empty_and_reversed_ranges():
         integrate(np.sin, 3.0, 2.0)
 
 
-def test_rows_get_one_value_and_estimate_each():
-    val, err = integrate(lambda x: np.stack([np.sin(x), np.cos(x)]),
-                         0.0, math.pi, omega=1.0)
-    assert val.shape == err.shape == (2,)
-    assert abs(val[0] - 2.0) < 1e-12 and abs(val[1]) < 1e-12
-    assert np.all(err < 1e-9)
-
-
 def test_nonconvergence_reports_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
     for breakpoints in ((), (-0.5, 0.0, 0.5)):

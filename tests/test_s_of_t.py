@@ -2,16 +2,18 @@ import gc
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import (gap_integral_oracle, sinh_integral_oracle,
-                     theta_binet_oracle)
+from oracles import (gap_integral_oracle, gh_gap_pass_oracle,
+                     sinh_integral_oracle, theta_binet_oracle)
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
 from szeta.primes import build_prime_table
-from szeta.s_of_t import (SEvaluator, g_and_h_direct, s_exact, s_explicit,
-                          s_mean, second_moment, sin_sinh_integral)
+from szeta.s_of_t import (SEvaluator, _s_squared_integral, _theta_sin_tail,
+                          g_and_h_direct, s_exact, s_explicit, s_mean,
+                          second_moment, sin_sinh_integral)
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -205,7 +207,7 @@ def test_s_explicit_domain(ev_120):
 def test_second_moment_additive(ev_120):
     m100 = second_moment(100.0, ev_120)
     m50 = second_moment(50.0, ev_120)
-    upper = second_moment(100.0, ev_120, t_lo=50.0)
+    upper = _s_squared_integral(50.0, 100.0, ev_120)
     assert abs(m100 - (m50 + upper)) < 1e-10
 
 
@@ -254,9 +256,9 @@ def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):
 
 
 @pytest.mark.parametrize("T, x, top, g_want, h_want", [
-    # G and H as the two-row pass gave them, before S^2 joined it, on the
-    # reference zeros: H moves with every ordinate, so computed zeros would
-    # pin the polish's last bits as well
+    # G and H as the two-row gap pass gave them, on the reference zeros: H
+    # moves with every ordinate, so computed zeros would pin the polish's
+    # last bits as well
     (200.0, 9.0, "zeros_ref", 7.152930795888007, -17.823628966660614),
     (2000.0, 40.0, "zeros_ref", 115.0147552911603, -269.6603949363169),
 ])
@@ -265,11 +267,43 @@ def test_gap_pass_s_squared_row(request, prime_table_small, T, x, top,
     ev = SEvaluator(zeros=request.getfixturevalue(top),
                     prime_table=prime_table_small)
     res = g_and_h_direct(T, x, ev)
-    sm = second_moment(T, ev, t_lo=1.0)
-    assert res.s_squared == pytest.approx(sm, rel=1e-12, abs=0.0)
-    assert res.s_squared_err <= 1e-10 * res.s_squared
     assert res.g == pytest.approx(g_want, rel=1e-14, abs=0.0)
     assert res.h == pytest.approx(h_want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("T, x", [(2500.0, 20.0), (1e4, 90.0)])
+def test_g_and_h_against_gap_pass_oracle(zeros_ref, prime_table_small, T, x):
+    # the closed forms against the quadrature over the zero gaps that they
+    # replaced; T = 1e4 takes the by-parts tail over [100, 1e4]
+    ev = SEvaluator(zeros=zeros_ref, prime_table=prime_table_small)
+    res = g_and_h_direct(T, x, ev)
+    g_want, h_want = gh_gap_pass_oracle(zeros_ref, T, x, prime_table_small)
+    assert res.g == pytest.approx(g_want, rel=1e-13, abs=0.0)
+    assert res.h == pytest.approx(h_want, rel=1e-13, abs=0.0)
+
+
+def test_theta_tail_by_parts_against_mpmath():
+    # Riemann-Siegel theta from mpmath at 25 digits, at the same float
+    # frequencies; what is left is the rounding of the phases l t
+    logn = np.log([2.0, 97.0])
+    got = _theta_sin_tail(logn, 100.0, 600.0)
+    with mpmath.workdps(25):
+        pts = mpmath.linspace(100, 600, 126)
+        want = [mpmath.quad(lambda u, L=mpmath.mpf(ln):
+                            mpmath.siegeltheta(u) * mpmath.sin(L * u),
+                            pts, method="gauss-legendre") for ln in logn]
+    assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0.0)
+
+
+def test_h_continuous_across_an_ordinate(zeros_ref, prime_table_small):
+    # the zero count below T is N(T-), ordinates strictly below T: at T an
+    # ordinate, a half-weight count would move H by about c cos(l T)/(2 l)
+    ev = SEvaluator(zeros=zeros_ref, prime_table=prime_table_small)
+    gamma = float(zeros_ref.ordinates[np.searchsorted(
+        zeros_ref.ordinates, 2000.0)])
+    at = g_and_h_direct(gamma, 20.0, ev).h
+    for T in (gamma - 1e-9, gamma + 1e-9):
+        assert abs(g_and_h_direct(T, 20.0, ev).h - at) < 1e-7
 
 
 def test_g_and_h_requires_regime(ev_120):

@@ -138,8 +138,8 @@ def test_full_report_r_matches_lemma6(zeros_220, prime_table_small):
 
 def test_full_report_one_gap_pass(zeros_220, prime_table_small,
                                   monkeypatch):
-    # S^2, G and H share one pass over the zero gaps of [1, T]; the piece
-    # of int_0^T S^2 below t = 1 is the only other one
+    # int_1^T S^2 is one pass over the zero gaps of [1, T] and the piece
+    # of int_0^T S^2 below t = 1 the only other one; G and H make none
     from szeta import s_of_t
     edges = []
 
