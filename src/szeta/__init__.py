@@ -12,8 +12,8 @@ from .errors import (AccuracyError, DomainError, MissedZerosError,
                      ZerosParseError)
 from .kernels import CheckReport, check_identity, khat
 from .paircorr import (PairCorrelationCurve, RDecomposition, lemma5_check,
-                       lemma6_eval, pcf, pcf_curve, tail_integral,
-                       weighted_khat_sum)
+                       lemma6_check, lemma6_eval, pcf, pcf_curve,
+                       tail_integral, weighted_khat_sum)
 from .primes import (PrimeSumBundle, PrimeTable, build_prime_table,
                      closed_form_S1_minus_2S2, prime_power_double_sum,
                      prime_sum_terms)

@@ -20,17 +20,16 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, MissedZerosError,
                      ZerosParseError)
-from .kernels import CheckReport, _report, check_identity
-from .paircorr import lemma5_check, lemma6_eval, pcf_curve
+from .kernels import CheckReport, check_identity
+from .paircorr import lemma5_check, lemma6_check, pcf_curve
 from .primes import build_prime_table
 from .s_of_t import SEvaluator, s_exact, s_explicit
-from .theorem import (full_report, lemma8_check, lemma9_check,
-                      lemma10_check)
+from .theorem import full_report, lemma_8_9_10_eval
 from .zeros import ZeroSet, export_zeros, find_zeros, import_zeros
 
-_KERNEL_IDENTITIES = ("w_partition", "lemma3", "lemma4", "lemma7", "lemma11")
-_PAIR_IDENTITIES = ("lemma5", "lemma6")
-_COND_IDENTITIES = ("lemma8", "lemma9", "lemma10")
+# kernel identities first, then the pair sums, then the conditional ones
+_IDENTITIES = ("w_partition", "lemma3", "lemma4", "lemma7", "lemma11",
+               "lemma5", "lemma6", "lemma8", "lemma9", "lemma10")
 
 
 class _UsageError(Exception):
@@ -192,56 +191,40 @@ def _cmd_pcf(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
+def _check(args) -> CheckReport:
+    """The report of ``--identity``.  T defaults to min(200, top of the
+    zeros) for lemma5/6, to the top (or 1000 with model F) for lemma8-10."""
     name = args.identity
-    if name in _KERNEL_IDENTITIES:
-        reports = [check_identity(name, args.tol)]
-    elif name in _PAIR_IDENTITIES:
-        if not args.zeros:
-            raise _UsageError(f"{name} needs --zeros")
-        zs = _load_zeros(args.zeros)
+    if name not in _IDENTITIES:
+        raise _UsageError(f"unknown identity {name!r}; known: "
+                          + ", ".join(_IDENTITIES))
+    if name in _IDENTITIES[:5]:
+        return check_identity(name, args.tol)
+    if args.f_source == "model" and name in ("lemma8", "lemma9", "lemma10"):
+        if name == "lemma10":
+            raise _UsageError("lemma10 requires --zeros and empirical F "
+                              "(R is a sum over zeros)")
+        T = args.t if args.t is not None else 1000.0
+        return lemma_8_9_10_eval(None, T, args.beta, "model")[name]
+    if not args.zeros:
+        raise _UsageError(f"{name} requires --zeros")
+    zs = _load_zeros(args.zeros)
+    if name in ("lemma5", "lemma6"):
         T = args.t if args.t is not None else min(200.0, zs.t_max)
-        beta = args.beta
-        if name == "lemma5":
-            rep = lemma5_check(zs, T, beta,
-                               tol=1e-4 if args.tol is None else args.tol)
-            reports = [rep]
-        else:
-            dec = lemma6_eval(zs, T, beta)
-            term_sum = dec.term_main + dec.term_F_beta - dec.term_k2_integral
-            rep = _report(
-                "lemma6", {"T": T, "beta": beta}, dec.r_total, term_sum,
-                1e-6 if args.tol is None else args.tol,
-                detail={"term_main": dec.term_main,
-                        "term_F_beta": dec.term_F_beta,
-                        "term_k2_integral": dec.term_k2_integral,
-                        "r_total_direct": dec.r_total_direct})
-            reports = [rep]
-    elif name in _COND_IDENTITIES:
-        zs = None
-        if args.f_source == "empirical":
-            if not args.zeros:
-                raise _UsageError(
-                    f"{name} with empirical F needs --zeros")
-            zs = _load_zeros(args.zeros)
-        if name == "lemma10" and zs is None:
-            raise _UsageError(f"{name} requires --zeros (needs R)")
-        T = args.t if args.t is not None else (zs.t_max if zs else 1000.0)
-        check = {"lemma8": lemma8_check, "lemma9": lemma9_check,
-                 "lemma10": lemma10_check}[name]
-        reports = [check(T, args.beta, zs, f_source=args.f_source)]
-    else:
-        raise _UsageError(
-            f"unknown identity {name!r}; known: "
-            + ", ".join(_KERNEL_IDENTITIES + _PAIR_IDENTITIES
-                        + _COND_IDENTITIES))
-    obj = _check_report_obj(reports[0]) if len(reports) == 1 \
-        else [_check_report_obj(r) for r in reports]
+        check = lemma5_check if name == "lemma5" else lemma6_check
+        tol = {} if args.tol is None else {"tol": args.tol}
+        return check(zs, T, args.beta, **tol)
+    T = args.t if args.t is not None else zs.t_max
+    return lemma_8_9_10_eval(zs, T, args.beta)[name]
+
+
+def _cmd_check(args) -> int:
+    rep = _check(args)
+    obj = _check_report_obj(rep)
     if args.out:
         _write_json(args.out, obj)
     print(json.dumps(_jsonable(obj), indent=2))
-    failed = [r for r in reports if r.assertable and not r.passed]
-    return 2 if failed else 0
+    return 2 if rep.assertable and not rep.passed else 0
 
 
 def _cmd_report(args) -> int:
@@ -310,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", formatter_class=fmt,
                        help="run a named identity check")
     k.add_argument("--identity", required=True,
-                   help="one of: " + ", ".join(
-                       _KERNEL_IDENTITIES + _PAIR_IDENTITIES
-                       + _COND_IDENTITIES))
+                   help="one of: " + ", ".join(_IDENTITIES))
     k.add_argument("--tol", type=float, default=None,
                    help="override the identity's pass tolerance")
     k.add_argument("--zeros", default=None,

@@ -16,12 +16,18 @@ passes one near-field kernel returning them all.  The alpha grid of
 phase: the far field takes them in passes, and the near field is a batched
 product, over each leaf and its right neighbour, of their padded charge
 blocks and the matrix of w at the ordinate differences.
+
+Engine callers: :func:`pcf`, :func:`weighted_khat_sum` (the report's R),
+:func:`pcf_curve` (through the tree), and :func:`_beta_pair_sums`, five sums
+at L = beta log T in one call for Lemmas 5, 6 and 8-10;
+:func:`f_weighted_kernel_integral` repeats two of them, one sum per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -330,7 +336,6 @@ class PairCorrelationCurve:
     alpha_grid: np.ndarray
     values: np.ndarray
     zero_count: int
-    weight_note: str = "w(u)=4/(4+u^2)"
 
 
 def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
@@ -433,6 +438,50 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
     return float(total) * 2.0 * PI * beta / _normalizer(T)
 
 
+class _BetaSums(NamedTuple):
+    """The pair sums of Lemmas 5, 6 and 8-10 at L = beta log T."""
+
+    zero_count: int
+    r_total: float        # sum of khat(d L) over pi^2 L: the moment R
+    khat_c: float         # sum of khat(d L) d^2/(4 + d^2)
+    k_integral: float     # int F(alpha) k(alpha/(2 pi beta)) d alpha
+    kpp_integral: float   # the same with k''
+    f_beta: float         # F(beta, T)
+
+
+def _beta_pair_sums(zeros: ZeroSet, T: float, beta: float) -> _BetaSums:
+    """One engine call for the five pair sums at L = beta log T over the
+    ordinates up to T: khat, khat w, khat (1 - w), k'' w and cos(L d) w.
+    The three khat sums share each near-field khat evaluation; the w ones
+    are :func:`f_weighted_kernel_integral`'s, operation for operation."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta in (0,1) required")
+    if T ** beta <= 1.05:
+        raise DomainError("T^beta too close to 1 for a meaningful log x")
+    g = _restrict(zeros, T)
+    L = beta * math.log(T)
+    comp = _WEIGHTS["complement"]
+
+    def sums(d):
+        kh = khat_many(d * L)
+        w = pair_weight(d)
+        return np.array([np.sum(kh), np.sum(kh * w), np.sum(kh * comp(d)),
+                         np.sum(kpp_transform_many(d * L) * w),
+                         np.sum(np.cos(L * d) * w)])
+
+    far = [(_phasor(khat_pq, L, _WEIGHTS["none"]), L),
+           (_phasor(khat_pq, L, pair_weight), L),
+           (_phasor(khat_pq, L, comp), L),
+           (_phasor(kpp_pq, L, pair_weight), L), (pair_weight, L)]
+    kh, kh_w, kh_c, kpp_w, f = map(float, _pair_sum(
+        g, sums, far, _FAST_Y_SWITCH / L))
+    norm = _normalizer(T)
+    return _BetaSums(zero_count=int(len(g)), r_total=kh / (PI ** 2 * L),
+                     khat_c=kh_c, k_integral=kh_w * 2.0 * PI * beta / norm,
+                     kpp_integral=kpp_w * 2.0 * PI * beta / norm,
+                     f_beta=f / norm)
+
+
 def lemma5_check(zeros: ZeroSet, T: float, beta: float,
                  tol: float = 1e-4) -> CheckReport:
     """Complement-weighted khat pair sum vs its F-side rearrangement.
@@ -441,36 +490,29 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
     RHS: (pi^2 T / (16 log T)) F(beta)/beta^2
          - (T / (64 pi^4 log T beta^3)) * int F(alpha) k''(alpha/2pi beta).
     Holds for any ordinate set (unconditional rearrangement), so it is
-    asserted, not just reported.  One engine call sums all three.
+    asserted, not just reported.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
-    x = T ** beta
-    if x <= 1.05:
-        raise DomainError("T^beta too close to 1 for a meaningful log x")
-    g = _restrict(zeros, T)
+    s = _beta_pair_sums(zeros, T, beta)
     logT = math.log(T)
-    logx = math.log(x)
-    a = beta * logT
-    comp = _WEIGHTS["complement"]
+    rhs = (PI ** 2 * T / (16.0 * logT)) * s.f_beta / beta ** 2 \
+        - (T / (64.0 * PI ** 4 * logT * beta ** 3)) * s.kpp_integral
+    return _report("lemma5", {"T": T, "beta": beta}, s.khat_c, rhs, tol,
+                   detail={"F_beta": s.f_beta, "kpp_integral": s.kpp_integral,
+                           "zero_count": s.zero_count})
 
-    def sums(d):
-        w = pair_weight(d)
-        return np.array([
-            np.sum(khat_many(d * logx) * comp(d)),
-            np.sum(np.cos(a * d) * w), np.sum(kpp_transform_many(d * a) * w)])
 
-    far = [(_phasor(khat_pq, logx, comp), logx), (pair_weight, a),
-           (_phasor(kpp_pq, a, pair_weight), a)]
-    lhs, pairs_f, pairs_kpp = map(float, _pair_sum(
-        g, sums, far, _FAST_Y_SWITCH / min(logx, a)))
-    f_beta = pairs_f / _normalizer(T)
-    integral = pairs_kpp * 2.0 * PI * beta / _normalizer(T)
-    rhs = (PI ** 2 * T / (16.0 * logT)) * f_beta / beta ** 2 \
-        - (T / (64.0 * PI ** 4 * logT * beta ** 3)) * integral
-    return _report("lemma5", {"T": T, "beta": beta}, lhs, rhs, tol,
-                   detail={"F_beta": f_beta, "kpp_integral": integral,
-                           "zero_count": int(len(g))})
+def lemma6_check(zeros: ZeroSet, T: float, beta: float,
+                 tol: float = 1e-6) -> CheckReport:
+    """R against its three-term regrouping (Lemma 6), from
+    :func:`lemma6_eval`.  Like Lemma 5's rearrangement it holds for any
+    ordinate set, so it is asserted; the direct time integral (T <= 500)
+    is reported in the detail."""
+    dec = lemma6_eval(zeros, T, beta)
+    return _report(
+        "lemma6", {"T": T, "beta": beta}, dec.r_total,
+        dec.term_main + dec.term_F_beta - dec.term_k2_integral, tol,
+        detail={k: getattr(dec, k) for k in (
+            "term_main", "term_F_beta", "term_k2_integral", "r_total_direct")})
 
 
 @dataclass(frozen=True)
@@ -572,42 +614,19 @@ def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
     For T <= direct_limit the defining time integral is also computed by
     quadrature so the regrouping can be sanity-checked end to end; its
     difference from the pair-sum route is report-only (the dropped
-    remainder is O(log^3 T) scale).  One engine call gives all four pair
-    sums; in its near field R and the w-weighted sum share each khat
-    evaluation.
+    remainder is O(log^3 T) scale).  The four pair sums come from
+    :func:`_beta_pair_sums`.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
+    s = _beta_pair_sums(zeros, T, beta)
     x = T ** beta
-    if x <= 1.05:
-        raise DomainError("T^beta too close to 1 for a meaningful log x")
-    g = _restrict(zeros, T)
     logT = math.log(T)
-    logx = beta * logT
-
-    def sums(d):
-        kh = khat_many(d * logx)
-        w = pair_weight(d)
-        return np.array([np.sum(kh), np.sum(kh * w),
-                         np.sum(kpp_transform_many(d * logx) * w),
-                         np.sum(np.cos(logx * d) * w)])
-
-    far = [(_phasor(khat_pq, logx, _WEIGHTS["none"]), logx),
-           (_phasor(khat_pq, logx, pair_weight), logx),
-           (_phasor(kpp_pq, logx, pair_weight), logx), (pair_weight, logx)]
-    pairs_r, pairs_k, pairs_kpp, pairs_f = map(float, _pair_sum(
-        g, sums, far, _FAST_Y_SWITCH / logx))
-    r_total = pairs_r / (PI ** 2 * logx)
-    fk = pairs_k * 2.0 * PI * beta / _normalizer(T)
-    fk2 = pairs_kpp * 2.0 * PI * beta / _normalizer(T)
-    f_beta = pairs_f / _normalizer(T)
-    term_main = T / (2.0 * PI ** 2 * beta) ** 2 * fk
-    term_f = T / (16.0 * logT ** 2) * f_beta / beta ** 3
-    term_k2 = T / (64.0 * PI ** 6 * beta ** 4 * logT ** 2) * fk2
+    term_main = T / (2.0 * PI ** 2 * beta) ** 2 * s.k_integral
+    term_f = T / (16.0 * logT ** 2) * s.f_beta / beta ** 3
+    term_k2 = T / (64.0 * PI ** 6 * beta ** 4 * logT ** 2) * s.kpp_integral
     direct = direct_err = None
     if T <= direct_limit:
         direct, direct_err = _r_time_integral(zeros, T, x)
-    return RDecomposition(r_total=r_total, term_main=term_main,
+    return RDecomposition(r_total=s.r_total, term_main=term_main,
                           term_F_beta=term_f, term_k2_integral=term_k2,
                           beta=beta, x=x, r_total_direct=direct,
                           r_direct_err=direct_err)

@@ -9,8 +9,10 @@ The target statement reads
 
 with the F-tail integral taken either from the empirical pair-correlation
 curve or from the piecewise conjectural model of F.  Everything conditional
-is evaluated, never asserted: the per-lemma evaluators report discrepancies
-next to the printed sizes of the error terms they drop.
+is evaluated, never asserted: :func:`lemma_8_9_10_eval` reports Lemmas
+8-10 next to the printed sizes of the error terms they drop, with all three
+left sides from one pair-engine call
+(:func:`szeta.paircorr._beta_pair_sums`).
 
 The bracket also appears with the opposite-sign double sum (the earlier
 form of the result); both are computed and their equality is exact by sign
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import (CheckReport, _report, k_values, kpp_values,
+from .kernels import (_report, k_values, kpp_values,
                       t_weighted_kernel_integral)
-from .paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
-                       pcf_curve, tail_integral, weighted_khat_sum)
+from .paircorr import (PairCorrelationCurve, _beta_pair_sums, pcf_curve,
+                       tail_integral, weighted_khat_sum)
 from .primes import build_prime_table, prime_power_double_sum
 from .quadrature import integrate
 from .s_of_t import SEvaluator, _s_squared_integral, g_and_h_direct
@@ -50,7 +52,6 @@ class FModel:
     """
 
     T: float
-    epsilon: float = 0.1
 
     def __post_init__(self):
         if self.T < 100.0:
@@ -136,118 +137,71 @@ def _model_kernel_integral(T: float, beta: float, deriv: bool) -> float:
     return 2.0 * (val + tail)
 
 
-def _f_tail_values(f_source, curve, alpha_cut):
-    """(int_1^inf F/a^2, int_1^inf F/a^4) from curve or model, F = 1
-    beyond the curve."""
-    if f_source == "model":
-        return 1.0, 1.0 / 3.0
-    return (tail_integral(curve, 2, alpha_cut),
-            tail_integral(curve, 4, alpha_cut))
-
-
-def _require_curve(zeros, T, curve):
-    if curve is not None:
-        return curve
-    return pcf_curve(zeros, T, alpha_max=4.0, step=0.025)
-
-
-def lemma8_check(T: float, beta: float, zeros: ZeroSet | None = None,
-                 f_source: str = "empirical",
-                 curve: PairCorrelationCurve | None = None) -> CheckReport:
-    """F-weighted kernel integral vs its conditional closed form."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
-    logT = math.log(T)
-    if f_source == "empirical":
-        curve = _require_curve(zeros, T, curve)
-        lhs = f_weighted_kernel_integral(zeros, T, beta, deriv=False)
-    else:
-        lhs = _model_kernel_integral(T, beta, deriv=False)
-    ft2, _ = _f_tail_values(f_source, curve, 4.0)
-    rhs = 2.0 * PI ** 2 * beta ** 2 * (
-        1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)) \
-        + 2.0 * (logT + EQ2_CONSTANT) \
-        * t_weighted_kernel_integral(T, beta)
-    scales = {
-        "inv_beta2_log4T": 1.0 / (beta ** 2 * logT ** 4),
-        "logT_T_pow": logT * T ** (-(0.5 - 0.1) * beta),
-        "beta2_inv_log2T": beta ** 2 / logT ** 2,
-    }
-    return _report(
-        "lemma8", {"T": T, "beta": beta, "f_source": f_source}, lhs, rhs,
-        0.0, assertable=False, scale=scales,
-        notes=["conditional asymptotic: discrepancy reported against the "
-               "printed error scales, never asserted"])
-
-
-def lemma9_check(T: float, beta: float, zeros: ZeroSet | None = None,
-                 f_source: str = "empirical",
-                 curve: PairCorrelationCurve | None = None) -> CheckReport:
-    """Same comparison with the second-derivative kernel."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
-    logT = math.log(T)
-    if f_source == "empirical":
-        curve = _require_curve(zeros, T, curve)
-        lhs = f_weighted_kernel_integral(zeros, T, beta, deriv=True)
-    else:
-        lhs = _model_kernel_integral(T, beta, deriv=True)
-    _, ft4 = _f_tail_values(f_source, curve, 4.0)
-    rhs = 4.0 * PI ** 6 * beta ** 2 - 24.0 * PI ** 4 * beta ** 4 \
-        + 48.0 * PI ** 4 * beta ** 4 * ft4 \
-        + 32.0 * PI ** 2 * beta ** 2 * logT ** 2 * (logT + EQ2_CONSTANT) \
-        * t_weighted_kernel_integral(T, beta)
-    scales = {
-        "inv_log2T": 1.0 / logT ** 2,
-        "logT_T_pow": logT * T ** (-(0.5 - 0.1) * beta),
-    }
-    return _report(
-        "lemma9", {"T": T, "beta": beta, "f_source": f_source}, lhs, rhs,
-        0.0, assertable=False, scale=scales,
-        notes=["shares the T^(-2 alpha) kernel integral implementation "
-               "with the parts-integration check"])
-
-
-def lemma10_check(T: float, beta: float, zeros: ZeroSet,
-                  f_source: str = "empirical",
-                  curve: PairCorrelationCurve | None = None) -> CheckReport:
-    """R (pair-sum route) vs its combined conditional closed form."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
-    logT = math.log(T)
-    x = T ** beta
-    lhs = weighted_khat_sum(zeros, x, "none", T=T) / (PI ** 2 * math.log(x))
-    if f_source == "empirical":
-        curve = _require_curve(zeros, T, curve)
-    ft2, ft4 = _f_tail_values(f_source, curve, 4.0)
-    rhs = T / (2.0 * PI ** 2) * (
-        1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)) \
-        + 3.0 * T / (8.0 * PI ** 2 * logT ** 2) \
-        - 3.0 * T / (4.0 * PI ** 2 * logT ** 2) * ft4
-    scales = {
-        "T_inv_log2T": T / logT ** 2,
-        "T_inv_beta4_log4T": T / (beta ** 4 * logT ** 4),
-    }
-    return _report(
-        "lemma10", {"T": T, "beta": beta, "f_source": f_source}, lhs, rhs,
-        0.0, assertable=False, scale=scales,
-        notes=["the source display shows the F-tail integral from 0; it is "
-               "evaluated from 1 here (the 0 end diverges as printed and "
-               "the final statement uses the from-1 form)"])
-
-
 def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
                       f_source: str = "empirical") -> dict:
-    """All three conditional evaluators over one shared curve."""
-    curve = None
-    if f_source == "empirical":
-        curve = _require_curve(zeros, T, curve)
+    """Lemmas 8-10 against their conditional closed forms, as report-only
+    checks keyed by name: int F(alpha) k(alpha/(2 pi beta)) d alpha (k''
+    for lemma9) and the moment R.  Empirical F takes all three from one
+    pair-engine call and the F-tails int_1^inf F/alpha^2, F/alpha^4 from
+    one curve on [0, 4] (F = 1 beyond); the model F takes its integrals
+    and the tails 1, 1/3 from the conjectural F, with no lemma10 (R is a
+    sum over zeros)."""
+    if f_source not in ("empirical", "model"):
+        raise DomainError("f_source must be empirical|model")
+    if f_source == "empirical" and zeros is None:
+        raise DomainError("empirical F needs a zero set")
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta in (0,1) required")
+    if f_source == "model":
+        k_int, kpp_int = (_model_kernel_integral(T, beta, d)
+                          for d in (False, True))
+        ft2, ft4 = 1.0, 1.0 / 3.0
+    else:
+        sums = _beta_pair_sums(zeros, T, beta)
+        k_int, kpp_int = sums.k_integral, sums.kpp_integral
+        curve = pcf_curve(zeros, T, alpha_max=4.0, step=0.025)
+        ft2, ft4 = (tail_integral(curve, p, 4.0) for p in (2, 4))
+    logT = math.log(T)
+    t_int = t_weighted_kernel_integral(T, beta)
+    bracket = 1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)
+
+    def report(name, lhs, rhs, scale, note):
+        return _report(name, {"T": T, "beta": beta, "f_source": f_source},
+                       lhs, rhs, 0.0, assertable=False, scale=scale,
+                       notes=[note])
+
     out = {
-        "lemma8": lemma8_check(T, beta, zeros, f_source, curve),
-        "lemma9": lemma9_check(T, beta, zeros, f_source, curve),
+        "lemma8": report(
+            "lemma8", k_int,
+            2.0 * PI ** 2 * beta ** 2 * bracket
+            + 2.0 * (logT + EQ2_CONSTANT) * t_int,
+            {"inv_beta2_log4T": 1.0 / (beta ** 2 * logT ** 4),
+             "logT_T_pow": logT * T ** (-(0.5 - 0.1) * beta),
+             "beta2_inv_log2T": beta ** 2 / logT ** 2},
+            "conditional asymptotic: discrepancy reported against the "
+            "printed error scales, never asserted"),
+        "lemma9": report(
+            "lemma9", kpp_int,
+            4.0 * PI ** 6 * beta ** 2 - 24.0 * PI ** 4 * beta ** 4
+            + 48.0 * PI ** 4 * beta ** 4 * ft4
+            + 32.0 * PI ** 2 * beta ** 2 * logT ** 2 * (logT + EQ2_CONSTANT)
+            * t_int,
+            {"inv_log2T": 1.0 / logT ** 2,
+             "logT_T_pow": logT * T ** (-(0.5 - 0.1) * beta)},
+            "shares the T^(-2 alpha) kernel integral implementation with "
+            "the parts-integration check"),
     }
-    if zeros is not None:
-        out["lemma10"] = lemma10_check(T, beta, zeros, f_source, curve)
+    if f_source == "empirical":
+        out["lemma10"] = report(
+            "lemma10", sums.r_total,
+            T / (2.0 * PI ** 2) * bracket
+            + 3.0 * T / (8.0 * PI ** 2 * logT ** 2)
+            - 3.0 * T / (4.0 * PI ** 2 * logT ** 2) * ft4,
+            {"T_inv_log2T": T / logT ** 2,
+             "T_inv_beta4_log4T": T / (beta ** 4 * logT ** 4)},
+            "the source display shows the F-tail integral from 0; it is "
+            "evaluated from 1 here (the 0 end diverges as printed and the "
+            "final statement uses the from-1 form)")
     return out
 
 

@@ -172,21 +172,12 @@ def test_check_lemma8_report_only(tmp_path, zeros_file):
     assert obj["error_scales"]
 
 
-@pytest.mark.parametrize("identity", ["lemma8", "lemma9"])
-def test_check_lemma8_9_skip_r(tmp_path, zeros_file, monkeypatch, identity):
-    # R (lemma10's O(N^2) khat pair sum) is not computed for lemma8/9
-    calls = []
-    real = theorem.weighted_khat_sum
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(theorem, "weighted_khat_sum", counted)
+@pytest.mark.parametrize("identity", ["lemma8", "lemma9", "lemma10"])
+def test_check_conditional_matches_library(tmp_path, zeros_file, identity):
+    # the CLI writes the library's report for each conditional identity
     out = tmp_path / "l.json"
     assert main(["check", "--identity", identity, "--zeros", zeros_file,
                  "--t", "200", "--out", str(out)]) == 0
-    assert calls == []
     with open(zeros_file, encoding="ascii") as fh:
         zs = import_zeros(fh.read())
     rep = theorem.lemma_8_9_10_eval(zs, 200.0, 0.5)[identity]
@@ -198,6 +189,14 @@ def test_check_lemma10_needs_zeros(capsys):
     assert main(["check", "--identity", "lemma10", "--f-source",
                  "model"]) == 1
     assert "requires --zeros" in capsys.readouterr().err
+
+def test_check_lemma10_model_is_usage_error(zeros_file, capsys):
+    # R is a sum over zeros: the model F gives no lemma10, even with zeros
+    assert main(["check", "--identity", "lemma10", "--zeros", zeros_file,
+                 "--f-source", "model"]) == 1
+    err = capsys.readouterr().err
+    assert "empirical F" in err and "Traceback" not in err
+
 
 def test_check_lemma5_cli(tmp_path, zeros_file):
     rc = main(["check", "--identity", "lemma5", "--zeros", zeros_file,

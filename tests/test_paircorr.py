@@ -9,8 +9,9 @@ from szeta import paircorr
 from szeta.errors import DomainError
 from szeta.kernels import khat, khat_many, kpp_transform_many
 from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
-                            lemma5_check, lemma6_eval, pair_weight, pcf,
-                            pcf_curve, tail_integral, weighted_khat_sum)
+                            lemma5_check, lemma6_check, lemma6_eval,
+                            pair_weight, pcf, pcf_curve, tail_integral,
+                            weighted_khat_sum)
 from szeta.s_of_t import sin_sinh_integral
 from szeta.zeros import ZeroSet
 
@@ -264,6 +265,32 @@ def test_zero_sum_split_keeps_digits_near_t_1e5():
     logx = 0.5 * math.log(99000.0)
     t = np.sort(99000.0 + rng.uniform(-40.0, 40.0, 200))
     _assert_zero_sum_matches_dense(t, g, logx)
+
+
+def test_lemma6_check_reports_the_regrouping(zeros_220):
+    dec = lemma6_eval(zeros_220, 100.0, 0.4)
+    rep = lemma6_check(zeros_220, 100.0, 0.4)
+    assert rep.lhs == dec.r_total
+    assert rep.rhs == dec.term_main + dec.term_F_beta - dec.term_k2_integral
+    assert rep.assertable and rep.passed and rep.tolerance == 1e-6
+    assert 0.0 < rep.discrepancy_rel < 1e-6
+    assert rep.detail["r_total_direct"] == dec.r_total_direct
+    assert not lemma6_check(zeros_220, 100.0, 0.4, tol=0.0).passed
+
+
+def test_lemma5_and_lemma6_one_engine_call_each(zeros_220, monkeypatch):
+    calls = []
+    real = paircorr._pair_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paircorr, "_pair_sum", counted)
+    lemma5_check(zeros_220, 200.0, 0.5)
+    assert len(calls) == 1
+    lemma6_eval(zeros_220, 200.0, 0.4, direct_limit=0.0)
+    assert len(calls) == 2
 
 
 def test_lemma6_skips_direct_at_large_T(zeros_220):

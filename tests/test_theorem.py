@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szeta import paircorr
 from szeta.errors import DomainError
-from szeta.paircorr import lemma6_eval
+from szeta.paircorr import (f_weighted_kernel_integral, lemma6_eval,
+                            weighted_khat_sum)
 from szeta.primes import prime_power_double_sum
 from szeta.theorem import (EQ2_CONSTANT, FModel, MomentReport, conjectural_F,
-                           full_report, lemma8_check,
-                           lemma9_check, lemma10_check, lemma_8_9_10_eval,
-                           theorem_rhs)
+                           full_report, lemma_8_9_10_eval, theorem_rhs)
 
 PI = math.pi
 
@@ -85,13 +85,13 @@ def test_theorem_rhs_domain():
 def test_lemma8_model_self_consistency_trend():
     gaps = []
     for logT in (8.0, 10.0, 12.0):
-        rep = lemma8_check(math.e ** logT, 0.5, f_source="model")
+        rep = lemma_8_9_10_eval(None, math.e ** logT, 0.5, "model")["lemma8"]
         gaps.append(rep.discrepancy_abs)
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_lemma9_model_reasonable():
-    rep = lemma9_check(math.e ** 10, 0.5, f_source="model")
+    rep = lemma_8_9_10_eval(None, math.e ** 10, 0.5, "model")["lemma9"]
     assert not rep.assertable and rep.passed
     assert rep.discrepancy_rel < 0.05
 
@@ -110,8 +110,57 @@ def test_conditional_checks_empirical(zeros_1010):
 
 
 def test_lemma10_footnote_mentions_tail_form(zeros_220):
-    rep = lemma10_check(200.0, 0.5, zeros_220)
+    rep = lemma_8_9_10_eval(zeros_220, 200.0, 0.5)["lemma10"]
     assert any("from 1" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("T, beta, rel", [(200.0, 0.5, 0.0),
+                                          (100.0, 0.4, 1e-13)])
+def test_conditional_lhs_against_single_sum_routes(zeros_220, T, beta, rel):
+    # the one engine call's lhs against the one-sum public routes: bit for
+    # bit where log(T^beta) == beta log T, as at (200, 0.5); at (100, 0.4)
+    # weighted_khat_sum's log x differs from beta log T in the last bit
+    reps = lemma_8_9_10_eval(zeros_220, T, beta)
+    x = T ** beta
+    want = {
+        "lemma8": f_weighted_kernel_integral(zeros_220, T, beta),
+        "lemma9": f_weighted_kernel_integral(zeros_220, T, beta, deriv=True),
+        "lemma10": weighted_khat_sum(zeros_220, x, "none", T=T)
+        / (PI ** 2 * math.log(x)),
+    }
+    assert (math.log(x) == beta * math.log(T)) == (rel == 0.0)
+    for name, value in want.items():
+        assert reps[name].lhs == pytest.approx(value, rel=rel, abs=0.0)
+
+
+def test_conditional_checks_one_engine_call(zeros_220, monkeypatch):
+    # empirical F: one pair-sum engine call for all three lhs (the curve
+    # for the F-tails has its own engine); model F: none
+    calls = []
+    real = paircorr._pair_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paircorr, "_pair_sum", counted)
+    reps = lemma_8_9_10_eval(zeros_220, 200.0, 0.5)
+    assert len(calls) == 1 and set(reps) == {"lemma8", "lemma9", "lemma10"}
+    calls.clear()
+    reps = lemma_8_9_10_eval(None, 1000.0, 0.4, "model")
+    assert calls == [] and set(reps) == {"lemma8", "lemma9"}
+
+
+def test_conditional_checks_domain(zeros_220):
+    # empirical F without zeros, and an unknown F source, are domain errors
+    # raised before any work
+    with pytest.raises(DomainError, match="zero set"):
+        lemma_8_9_10_eval(None, 1000.0, 0.5)
+    for zs in (None, zeros_220):
+        with pytest.raises(DomainError, match="f_source"):
+            lemma_8_9_10_eval(zs, 200.0, 0.5, "sometimes")
+    with pytest.raises(DomainError):
+        lemma_8_9_10_eval(zeros_220, 200.0, 1.0)
 
 
 def test_full_report_fields_and_isolation(zeros_220, prime_table_small):
