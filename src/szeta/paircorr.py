@@ -36,7 +36,7 @@ from .errors import DomainError
 from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
                       khat_pq, kpp_pq, kpp_transform_many)
 from .quadrature import gap_rule
-from .s_of_t import _SINH_SWITCH, _sinh_series, sin_sinh_integral
+from .s_of_t import _SINH_SWITCH, _sinh_closed, _sinh_series
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -524,7 +524,12 @@ class RDecomposition:
     + term_F_beta - term_k2_integral checks the Lemma 5 rearrangement of the
     complement-weighted part of R.  ``r_total_direct``
     (when present) is the time-domain quadrature of the defining integral,
-    feasible at small T only, and ``r_direct_err`` its error estimate.
+    feasible at small T only.  Its zero sum runs over every ordinate of the
+    set, those above T included, so it depends on how far the set reaches:
+    at T = 500, beta = 0.5 the reference ordinates up to 512 give
+    32.16247473609716 and those up to 2000 give 32.1622600056337, 6.7e-6
+    apart.  ``r_direct_err`` is the quadrature's error estimate alone
+    (8.5e-13 there), not a bound on that dependence.
     """
 
     r_total: float
@@ -537,49 +542,107 @@ class RDecomposition:
     r_direct_err: float | None = None
 
 
-# nodes x ordinates per block of the direct R integrand: temporaries this
-# small are reused from the heap instead of mapped and faulted in anew
-_BLOCK = 16384
+# the direct R integrand: blocks of nodes at most _SPAN wide; ordinates
+# within _REACH of a block are summed at its every node, all others at
+# _CHEB first-kind Chebyshev points of the block and interpolated
+_SPAN, _REACH, _CHEB = 6.0, 5.0, 32
+_CHEB_X = np.cos((2.0 * np.arange(_CHEB) + 1.0) * PI / (2.0 * _CHEB))
+_CHEB_W = (-1.0) ** np.arange(_CHEB) * np.sqrt(1.0 - _CHEB_X ** 2)
+
+
+def _barycentric(t, x):
+    """M[i, k]: weight of the value at Chebyshev point x[k] (``_CHEB_X``
+    mapped to the block) in the interpolant at t[i], by the barycentric
+    formula; a node equal to a point takes that point's value."""
+    d = np.subtract.outer(t, x)
+    hit = d == 0.0
+    d[hit] = 1.0
+    m = _CHEB_W / d
+    rows = hit.any(axis=1)
+    m[rows] = hit[rows]
+    m /= m.sum(axis=1, keepdims=True)
+    return m
 
 
 def _zero_sum(t, g, logx: float):
     """sum_gamma sin(v) I(|v|) with v = (t - gamma) log x, for each node t
-    against every ordinate in ``g`` (ascending), in blocks of nodes.
+    against every ordinate in ``g`` (ascending), block by block.
 
-    Only the band of ordinates within ``_SINH_SWITCH / log x`` of a block's
-    node range goes through :func:`sin_sinh_integral`.  Every other one is
-    farther than the switch from each node of the block, so it takes the
-    series in 1/v^2 (:func:`szeta.s_of_t._sinh_series`), and sin(v) comes
-    from shared phases: with c the block's lowest node, sin((t - gamma) L) =
-    sin((t - c) L) cos((c - gamma) L) + cos((t - c) L) sin((c - gamma) L),
-    so the far sum is two matrix-vector products.  Phases measured from c,
-    not from 0, keep their arguments as small as the block and its
-    distances to the ordinates: products t L and gamma L near t = 1e5 would
-    cost digits.
+    The nodes are sorted once and cut into blocks at most ``_SPAN`` wide.
+    The ordinates within ``_REACH`` of a block, its near band, are summed
+    at its every node.  For all other ordinates, sin((t - gamma) L) is
+    split at the block's lowest node c into sin((t - c) L) cos((c - gamma) L)
+    + cos((t - c) L) sin((c - gamma) L), so their sum is
+    sin((t - c) L) A(t) + cos((t - c) L) B(t) with
+    A(t) = sum I(|t - gamma| L) cos((c - gamma) L) and B likewise with sin.
+    A and B do not oscillate: they are evaluated at ``_CHEB`` first-kind
+    Chebyshev points of the block and interpolated to its nodes
+    (:func:`_barycentric`); a block of no more nodes than that takes them
+    at its nodes.  Each ordinate takes one form of I at all points of a
+    block: the closed form (:func:`szeta.s_of_t._sinh_closed`) if it lies
+    within ``_SINH_SWITCH / log x`` of the block or in the near band, the
+    series (:func:`szeta.s_of_t._sinh_series`) if farther, so no switch
+    falls inside an interpolant.  A closed-form ordinate meets |v| of at
+    most 60 + ``_SPAN`` L, or (``_REACH`` + ``_SPAN``) L in the near band,
+    where the closed form stays within 8e-14 relative up to |v| = 1000.
+    One closed-form call per block takes the near band and the
+    interpolated closed-form values together.
+
+    Error: each term of A and B is analytic in t but for its pole at
+    t = gamma (the poles of the closed form's digamma lie beyond gamma, on
+    the far side from the block).  With the ordinate at least R from a
+    block of half-width a, it is analytic inside the Bernstein ellipse
+    rho = x + sqrt(x^2 - 1), x = 1 + R/a, and p points leave an error of
+    order rho^-p.  With R = ``_REACH`` = 5, a <= ``_SPAN``/2 = 3 and
+    p = 32: rho >= 5.1 and rho^-32 <= 2e-23.  Phases measured from c, not
+    from 0, keep their arguments as small as the block and its distances to
+    the ordinates: products t L and gamma L near t = 1e5 would cost digits.
     """
     t = np.asarray(t, dtype=float)
+    order = np.argsort(t)
+    ts = t[order]
     s = np.empty(len(t))
-    # a margin on the band's reach leaves only |v| beyond the switch
-    # outside it, whatever the rounding of (t - gamma) log x
-    reach = _SINH_SWITCH / logx * (1.0 + 1e-9)
-    rows = max(1, _BLOCK // max(1, len(g)))
-    for k in range(0, len(t), rows):
-        tb = t[k:k + rows]
-        c, top = tb.min(), tb.max()
-        a, b = np.searchsorted(g, [c - reach, top + reach])
-        v = np.subtract.outer(tb, g[a:b])
-        v *= logx
-        s[k:k + rows] = sin_sinh_integral(v).sum(axis=1)
-        if b - a < len(g):
-            far = np.concatenate((g[:a], g[b:]))
-            iv2 = np.subtract.outer(tb, far)
-            iv2 *= logx
-            iv2 *= iv2
-            np.reciprocal(iv2, out=iv2)
-            ph = (c - far) * logx
-            cs = _sinh_series(iv2) @ np.stack((np.cos(ph), np.sin(ph)), 1)
-            u = (tb - c) * logx
-            s[k:k + rows] += np.sin(u) * cs[:, 0] + np.cos(u) * cs[:, 1]
+    # a margin on the switch's reach leaves only |v| beyond the switch on
+    # the series' side, whatever the rounding of (t - gamma) log x
+    switch = _SINH_SWITCH / logx * (1.0 + 1e-9)
+    i = 0
+    while i < len(ts):
+        c = ts[i]
+        j = int(np.searchsorted(ts, c + _SPAN, "right"))
+        tb = ts[i:j]
+        top = tb[-1]
+        a, b, a2, b2 = np.searchsorted(
+            g, [c - _REACH, top + _REACH, c - switch, top + switch])
+        a2, b2 = min(a2, a), max(b2, b)
+        pts = tb if j - i <= _CHEB else \
+            0.5 * (c + top) + 0.5 * (top - c) * _CHEB_X
+        near = np.subtract.outer(tb, g[a:b])
+        near *= logx
+        sin_near = np.sin(near)
+        np.abs(near, out=near)
+        near[near == 0.0] = 1.0    # sin(v) = 0 there: the midpoint value 0
+        far = np.concatenate((g[a2:a], g[b:b2], g[:a2], g[b2:]))
+        k = (a - a2) + (b2 - b)    # the closed-form ones come first
+        closed = np.subtract.outer(pts, far[:k])
+        closed *= logx
+        np.abs(closed, out=closed)
+        both = _sinh_closed(np.concatenate((near.ravel(), closed.ravel())))
+        sin_near *= both[:near.size].reshape(near.shape)
+        sb = sin_near.sum(axis=1)
+        iv2 = np.subtract.outer(pts, far[k:])
+        iv2 *= logx
+        iv2 *= iv2
+        np.reciprocal(iv2, out=iv2)
+        ph = (c - far) * logx
+        cs = np.stack((np.cos(ph), np.sin(ph)), 1)
+        ab = both[near.size:].reshape(closed.shape) @ cs[:k]
+        ab += _sinh_series(iv2) @ cs[k:]
+        if pts is not tb:
+            ab = _barycentric(tb, pts) @ ab
+        u = (tb - c) * logx
+        sb += np.sin(u) * ab[:, 0] + np.cos(u) * ab[:, 1]
+        s[order[i:j]] = sb
+        i = j
     return s
 
 
@@ -587,13 +650,14 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float):
     """int_1^T of the squared zero sum of the explicit formula, directly;
     returns ``(value, error_estimate)``.
 
-    Every ordinate of the set counts at every node (no window: a moving
-    window would put kinks inside the integration intervals), those near
-    the node through the sinh integral's closed form and all others
-    through its series, with shared phases (:func:`_zero_sum`).  The sum
-    jumps at each ordinate and is smooth between, so every zero gap of
-    [1, T] is one segment of the fixed gap rule; its nearest singularities
-    sit pi/log x beyond each gap's ends, two panel widths away.
+    Every ordinate of the set counts at every node, those above T too (no
+    window: a moving window would put kinks inside the integration
+    intervals).  Those within ``_REACH`` of a block of nodes are summed at
+    each node, all others interpolated over the block (:func:`_zero_sum`).
+    The sum jumps at each ordinate and is smooth between, so every zero gap
+    of [1, T] is one segment of the fixed gap rule; its nearest
+    singularities sit pi/log x beyond each gap's ends, two panel widths
+    away.  The error estimate is the gap rule's alone.
     """
     logx = math.log(x)
     g = zeros.ordinates

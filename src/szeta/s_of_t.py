@@ -7,9 +7,12 @@ from a damped prime sum plus a sum over zeros of ``sin((t-gamma) log x)``
 times the sinh-kernel integral I(v), and reports an error budget instead
 of pretending to exactness: the two O-terms of the formula are carried
 with unit effective constants, plus a rigorous bound for the zeros
-truncated away from the summation window.  ``sin_sinh_integral`` gives
-sin(v) I(v) in closed form (digamma, then an asymptotic series above
-v = 60), vectorized over all zeros at once.
+truncated away from the summation window.  ``sinh_integral`` is the one
+evaluator of I(v): the closed form in a digamma difference up to v = 60,
+an asymptotic series in 1/v^2 above.  ``sin_sinh_integral`` is sin(v)
+I(|v|) on top of it, vectorized over all zeros at once; the direct R
+integral of :mod:`szeta.paircorr` takes the two forms one ordinate at a
+time.
 
 ``second_moment`` and ``s_mean`` integrate up to T over the zero gaps.
 On each gap S is the smooth function (constant - theta/pi), so one fixed
@@ -61,39 +64,47 @@ def s_exact(t: float, ev: SEvaluator) -> float:
 
 
 # psi(x) = log x - 1/(2x) - sum_k B_2k / (2k x^2k) for x >= 6, reached by
-# the recurrence through _PSI_STEPS; the ten terms leave under 3e-15 there
-_PSI_STEPS = np.arange(6.0)
+# the recurrence psi(x) = psi(x + 6) - sum_{j<6} 1/(x + j); the ten terms
+# leave under 3e-15 there, and their difference between x and x + 1/2
+# under 4e-16
+_PSI_STEPS = 6
+_HALF_STEPS = np.arange(_PSI_STEPS) + 0.5
+_PSI_SHIFTS = np.array([_PSI_STEPS + 1.0, _PSI_STEPS + 0.5])
 _PSI_ASYM = [float(b) / (2 * k) * (-1) ** (k + 1)
              for k, b in enumerate(_ABS_BERNOULLI, 1)]
 
 
-def _digamma(x):
-    """psi(x) for an array of x > 0: the recurrence psi(x) = psi(x + 6) -
-    sum_{j<6} 1/(x + j), then the asymptotic series at x + 6 >= 6 with the
-    Bernoulli numbers of :mod:`szeta.kernels`.  The recurrence's six terms
-    are summed over a leading axis and the series runs in place: few NumPy
-    calls for the small arrays of ``s_explicit``, few passes for large ones."""
-    x = np.asarray(x, dtype=float)
-    w = x + len(_PSI_STEPS)
+def _psi_half_step(z):
+    """psi(z + 1) - psi(z + 1/2) for an array of z >= 0, without taking
+    two digammas apart: with w = z + 6 + (1, 1/2), the recurrence's terms
+    pair up as 1/(2 (z + 1/2 + j)(z + 1 + j)), the logarithms as
+    log1p(1/(2 w_2)), -1/(2w) as 1/(4 w_1 w_2), and only the Bernoulli
+    series, below 2.3e-3 at w >= 6, is taken at each w and subtracted.
+    So the difference, about 1/(2z) for large z, keeps its relative
+    accuracy, where two digammas of about log z would lose it."""
+    w = z + _PSI_SHIFTS.reshape((2,) + (1,) * z.ndim)
     ix2 = 1.0 / (w * w)
     acc = _PSI_ASYM[-1] * ix2
     for c in reversed(_PSI_ASYM[:-1]):
         acc += c
         acc *= ix2
-    acc += 0.5 / w
-    acc -= np.log(w)
-    steps = _PSI_STEPS.reshape((-1,) + (1,) * x.ndim)
-    acc += (1.0 / (x + steps)).sum(axis=0)
-    return -acc
+    out = acc[1]
+    out -= acc[0]
+    out += np.log1p(0.5 / w[1])
+    out += 0.25 / (w[0] * w[1])
+    q = z + _HALF_STEPS.reshape((-1,) + (1,) * z.ndim)
+    q *= q + 0.5
+    np.divide(0.5, q, out=q)
+    out += q.sum(axis=0)
+    return out
 
 
 # I(v) ~ sum_k c_k / v^(2k+2) above _SINH_SWITCH, with
 # c_k = (-1)^k 2 (1 - 2^(-2k-2)) (2k+1)! zeta(2k+2)
 #     = (-1)^k (1 - 2^(-2k-2)) |B_2k+2| (2 pi)^(2k+2) / (2k+2);
 # eight terms leave under 1e-14 relative above v = 60, and below it the
-# digamma form, which loses digits in proportion to v, stays under 1e-12
+# closed form, which loses digits in proportion to v, stays under 1e-14
 _SINH_SWITCH = 60.0
-_BETA_ARGS = np.array([[1.0], [0.5]])   # beta(s) from psi at s/2 + (1, 1/2)
 _SINH_ASYM = [(-1) ** k * (1.0 - 2.0 ** (-2 * k - 2)) * float(b)
               * (2.0 * PI) ** (2 * k + 2) / (2 * k + 2)
               for k, b in enumerate(_ABS_BERNOULLI[:8])]
@@ -101,10 +112,10 @@ _SINH_ASYM = [(-1) ** k * (1.0 - 2.0 ** (-2 * k - 2)) * float(b)
 
 def _sinh_series(iv2):
     """I(v) above ``_SINH_SWITCH`` from ``iv2`` = 1/v^2: the asymptotic
-    series sum_k c_k iv2^(k+1) by Horner's rule.  ``sin_sinh_integral``
+    series sum_k c_k iv2^(k+1) by Horner's rule.  :func:`sinh_integral`
     takes it above the switch, and the direct R integral
     (:func:`szeta.paircorr._zero_sum`) for every ordinate farther than the
-    switch from a whole block of nodes, where no sin per element is needed."""
+    switch from a whole block of nodes, at all of its points."""
     acc = _SINH_ASYM[-1] * iv2
     for c in reversed(_SINH_ASYM[:-1]):
         acc += c
@@ -112,35 +123,51 @@ def _sinh_series(iv2):
     return acc
 
 
-def sin_sinh_integral(v):
-    """sin(v) * I(|v|) for array v, with I(v) = int_0^inf u / ((u^2 + v^2)
-    sinh u) du; the midpoint value 0 at v = 0 (the limits are +-pi/2).
+def _sinh_closed(av):
+    """I(v) for an array of v > 0 in closed form, I(v) = (pi/v) [1/2 -
+    b beta(b+1)] with b = v/pi and beta(s) = [psi((s+1)/2) - psi(s/2)]/2
+    (psi = digamma), from the cosine transform (pi^2/4) sech^2(pi s/2) of
+    u/sinh u; b beta(b+1) = z (psi(z+1) - psi(z+1/2)) with z = v/(2 pi)
+    (:func:`_psi_half_step`).  The bracket, about pi/(4v), loses digits in
+    proportion to v, so :func:`sinh_integral` takes it only up to
+    ``_SINH_SWITCH``."""
+    z = av / (2.0 * PI)
+    bracket = _psi_half_step(z)
+    bracket *= -z
+    bracket += 0.5
+    bracket *= PI
+    bracket /= av
+    return bracket
 
-    Up to ``_SINH_SWITCH`` the closed form I(v) = (pi/v) [1/2 - b beta(b+1)]
-    with b = v/pi and beta(s) = [psi((s+1)/2) - psi(s/2)]/2 (psi = digamma),
-    from the cosine transform (pi^2/4) sech^2(pi s/2) of u/sinh u.  The
-    bracket cancels in proportion to v, so above the switch the asymptotic
-    series in 1/v^2 (:func:`_sinh_series`) takes over.  Relative error
-    below 1e-12 against a 30-digit quadrature of the definition on
-    [1e-3, 1e3].
-    """
-    v = np.asarray(v, dtype=float)
-    av = np.abs(v)
+
+def sinh_integral(av):
+    """I(v) = int_0^inf u / ((u^2 + v^2) sinh u) du for an array of v > 0:
+    the closed form (:func:`_sinh_closed`) up to ``_SINH_SWITCH``, the
+    asymptotic series in 1/v^2 (:func:`_sinh_series`) above: the one place
+    the two forms meet.  Relative error below 1e-14 against a 30-digit
+    quadrature of the definition on [1e-3, 1e3]."""
+    av = np.asarray(av, dtype=float)
     lo = av <= _SINH_SWITCH
-    out = np.zeros_like(av)
-    mid = lo & (av > 0.0)
-    b = av[mid] / PI
-    psi = _digamma(0.5 * b + _BETA_ARGS)
-    beta = 0.5 * (psi[0] - psi[1])
-    out[mid] = PI * np.sin(v[mid]) / av[mid] * (0.5 - b * beta)
-    if not lo.all():
-        hi = ~lo
-        iv2 = av[hi]
-        iv2 *= iv2
-        np.reciprocal(iv2, out=iv2)
-        acc = _sinh_series(iv2)
-        acc *= np.sin(v[hi])
-        out[hi] = acc
+    if lo.all():    # always in s_explicit, whose window stops at v = 50
+        return _sinh_closed(av)
+    out = np.empty_like(av)
+    out[lo] = _sinh_closed(av[lo])
+    iv2 = av[~lo]
+    iv2 *= iv2
+    np.reciprocal(iv2, out=iv2)
+    out[~lo] = _sinh_series(iv2)
+    return out
+
+
+def sin_sinh_integral(v):
+    """sin(v) * I(|v|) for array v (:func:`sinh_integral`); the midpoint
+    value 0 at v = 0 (the limits are +-pi/2)."""
+    v = np.asarray(v, dtype=float)
+    nz = v != 0.0
+    if nz.all():
+        return np.sin(v) * sinh_integral(np.abs(v))
+    out = np.zeros_like(v)
+    out[nz] = np.sin(v[nz]) * sinh_integral(np.abs(v[nz]))
     return out
 
 

@@ -205,23 +205,26 @@ def _assert_zero_sum_matches_dense(t, g, logx):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_zero_sum_split_blocks_all_near_or_all_far(monkeypatch):
+def test_zero_sum_split_blocks_all_near_or_all_far():
     logx = math.log(100.0)
-    reach = paircorr._SINH_SWITCH / logx
     g = np.array([20.0, 21.5, 24.0, 27.25])
-    # every ordinate inside the band of every node: no far part
+    # one block with every ordinate within the near reach: nothing is
+    # interpolated
     t = np.linspace(22.0, 23.0, 9)
-    assert np.all(np.abs(np.subtract.outer(t, g)) * logx < 60.0)
+    assert np.all((g > t[0] - paircorr._REACH) & (g < t[-1] + paircorr._REACH))
     _assert_zero_sum_matches_dense(t, g, logx)
-    # blocks of four nodes: the first sits in a cluster of ordinates, the
-    # next two farther than the switch from every ordinate (no band; a sum
-    # of such terms alone is too small to carry 1e-15 of itself, since
-    # rounding the phases, densely or split, costs that much)
-    g = np.array([10.0, 14.0, 18.0, 120.0, 131.0])
-    monkeypatch.setattr(paircorr, "_BLOCK", 4 * len(g))
-    t = np.concatenate((np.linspace(12.0, 16.0, 4),
-                        np.linspace(60.0, 64.0, 8)))
-    assert np.all(np.abs(np.subtract.outer(t[4:], g)) > reach)
+    # two blocks: the first, of four nodes, sits in a cluster of
+    # ordinates, two nodes 0.1 from one (so the sums reach about 1, and
+    # 1e-15 of that lies above the rounding of the closed form's terms);
+    # the second, of more nodes than Chebyshev points, has no ordinate
+    # within the near reach (no band), and takes every ordinate from its
+    # interpolant, two by the closed form and five by the series
+    g = np.array([10.0, 14.0, 18.0, 50.0, 75.0, 120.0, 131.0])
+    t = np.concatenate(([12.0, 13.9, 14.1, 16.0],
+                        np.linspace(60.0, 64.0, 2 * paircorr._CHEB)))
+    far = np.abs(np.subtract.outer(t[4:], g)).min(axis=0)
+    assert np.all(far > paircorr._REACH)
+    assert np.sum(far * logx < 60.0) == 2 and np.sum(far * logx > 60.0) == 5
     _assert_zero_sum_matches_dense(t, g, logx)
 
 
@@ -248,11 +251,18 @@ def test_zero_sum_split_at_the_switch_and_at_ordinates(zeros_220):
 def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
     g = zeros_220.ordinates
     logx = math.log(20.0)
+    rng = np.random.default_rng(5)
     # blocks whose band takes in the first ordinate, the last one, and one
-    # node set spread so wide that several blocks cover the whole set
+    # node set spread so wide that several blocks cover the whole set; then
+    # nodes sparser than one per block, one block of exactly as many nodes
+    # as Chebyshev points (summed at its nodes), and a dense node set in
+    # random order
     for t in (np.linspace(g[0] - 2.0, g[0] + 3.0, 40),
               np.linspace(g[-1] - 3.0, g[-1] + 2.0, 40),
-              np.linspace(1.0, g[-1] + 5.0, 700)):
+              np.linspace(1.0, g[-1] + 5.0, 700),
+              np.linspace(2.0, 215.0, 30),
+              np.linspace(100.0, 104.0, paircorr._CHEB),
+              rng.permutation(np.linspace(40.0, 90.0, 800))):
         _assert_zero_sum_matches_dense(t, g, logx)
 
 
@@ -264,6 +274,18 @@ def test_zero_sum_split_keeps_digits_near_t_1e5():
     g = np.sort(99000.0 + rng.uniform(-975.0, 975.0, 3000))
     logx = 0.5 * math.log(99000.0)
     t = np.sort(99000.0 + rng.uniform(-40.0, 40.0, 200))
+    _assert_zero_sum_matches_dense(t, g, logx)
+
+
+def test_zero_sum_split_with_clustered_ordinates():
+    # 3000 of 4500 ordinates within 3 of each other: blocks inside the
+    # cluster take it all in their near band, blocks beside it interpolate
+    # it, by the closed form within the switch and by the series beyond
+    rng = np.random.default_rng(11)
+    g = np.sort(np.concatenate((rng.uniform(200.0, 203.0, 3000),
+                                rng.uniform(10.0, 1000.0, 1500))))
+    logx = math.log(100.0)
+    t = np.linspace(180.0, 225.0, 400)
     _assert_zero_sum_matches_dense(t, g, logx)
 
 

@@ -13,7 +13,7 @@ from szeta.kernels import f_weight
 from szeta.primes import build_prime_table
 from szeta.s_of_t import (SEvaluator, _s_squared_integral, _theta_sin_tail,
                           g_and_h_direct, s_exact, s_explicit, s_mean,
-                          second_moment, sin_sinh_integral)
+                          second_moment, sin_sinh_integral, sinh_integral)
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -65,13 +65,17 @@ def test_s_exact_decreasing_between_zeros(ev_120):
 
 def test_sinh_integral_against_oracle():
     # log-spaced grid, both sides of v = 30 (the old asymptotic switch) and
-    # of v = 60 (the digamma/series switch), both signs: sin(v) I(|v|) is odd
+    # of v = 60 (the digamma/series switch): I(v) itself, then sin(v) I(|v|)
+    # at both signs (it is odd)
     vs = np.concatenate((np.logspace(-3.0, 3.0, 60),
                          [29.999, 30.001, 59.999, 60.0, 60.001]))
-    for v in np.concatenate((vs, -vs)):
-        want = math.sin(v) * sinh_integral_oracle(v)
-        got = float(sin_sinh_integral(v))
-        assert abs(got - want) <= 1e-12 * abs(want), v
+    for v, i in zip(vs, sinh_integral(vs)):
+        want_i = sinh_integral_oracle(v)
+        assert abs(i - want_i) <= 1e-12 * want_i, v
+        for sv in (v, -v):
+            want = math.sin(sv) * want_i
+            got = float(sin_sinh_integral(sv))
+            assert abs(got - want) <= 1e-12 * abs(want), sv
 
 
 def test_sinh_integral_zero_and_limits():
