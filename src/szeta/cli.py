@@ -151,28 +151,24 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_s(args) -> int:
-    if args.step <= 0:
+    if not args.step > 0:
         raise _UsageError("--step must be positive")
+    lo, hi = ((args.t, args.t) if args.t is not None
+              else (args.t_min, args.t_max))
+    if lo is None or hi is None:
+        raise _UsageError("s needs --t or both --t-min/--t-max")
     zs = _load_zeros(args.zeros)
-    table = None
-    if args.method == "explicit":
-        table = build_prime_table(max(64, int(args.x) + 1))
-    ev = SEvaluator(zeros=zs, prime_table=table)
-    if args.t is not None:
-        points = [args.t]
+    if not hi <= zs.t_max:      # before any point is built
+        raise _ValidationError(f"zeros file does not cover t = {hi:.12g}")
+    n = int(math.floor((hi - lo) / args.step)) + 1
+    points = lo + np.arange(n) * args.step
+    if args.method == "exact":
+        vals = s_exact(points, SEvaluator(zs, None))
     else:
-        if args.t_min is None or args.t_max is None:
-            raise _UsageError("s needs --t or both --t-min/--t-max")
-        n = int(math.floor((args.t_max - args.t_min) / args.step)) + 1
-        points = [args.t_min + i * args.step for i in range(n)]
-    rows = ["t,S"]
-    for t in points:
-        if args.method == "exact":
-            val = s_exact(t, ev)
-        else:
-            val, _ = s_explicit(t, args.x, ev)
-        rows.append(f"{t:.12g},{val:.12g}")
-    text = "\n".join(rows) + "\n"
+        table = build_prime_table(max(64, int(args.x) + 1))
+        vals = s_explicit(points, args.x, SEvaluator(zs, table))[0]
+    text = "t,S\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v
+                             in zip(points.tolist(), vals.tolist()))
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)

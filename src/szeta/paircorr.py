@@ -36,7 +36,7 @@ from .errors import DomainError
 from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
                       khat_pq, kpp_pq, kpp_transform_many)
 from .quadrature import gap_rule
-from .s_of_t import _SINH_SWITCH, _sinh_closed, _sinh_series
+from .s_of_t import _zero_sum
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -542,122 +542,17 @@ class RDecomposition:
     r_direct_err: float | None = None
 
 
-# the direct R integrand: blocks of nodes at most _SPAN wide; ordinates
-# within _REACH of a block are summed at its every node, all others at
-# _CHEB first-kind Chebyshev points of the block and interpolated
-_SPAN, _REACH, _CHEB = 6.0, 5.0, 32
-_CHEB_X = np.cos((2.0 * np.arange(_CHEB) + 1.0) * PI / (2.0 * _CHEB))
-_CHEB_W = (-1.0) ** np.arange(_CHEB) * np.sqrt(1.0 - _CHEB_X ** 2)
-
-
-def _barycentric(t, x):
-    """M[i, k]: weight of the value at Chebyshev point x[k] (``_CHEB_X``
-    mapped to the block) in the interpolant at t[i], by the barycentric
-    formula; a node equal to a point takes that point's value."""
-    d = np.subtract.outer(t, x)
-    hit = d == 0.0
-    d[hit] = 1.0
-    m = _CHEB_W / d
-    rows = hit.any(axis=1)
-    m[rows] = hit[rows]
-    m /= m.sum(axis=1, keepdims=True)
-    return m
-
-
-def _zero_sum(t, g, logx: float):
-    """sum_gamma sin(v) I(|v|) with v = (t - gamma) log x, for each node t
-    against every ordinate in ``g`` (ascending), block by block.
-
-    The nodes are sorted once and cut into blocks at most ``_SPAN`` wide.
-    The ordinates within ``_REACH`` of a block, its near band, are summed
-    at its every node.  For all other ordinates, sin((t - gamma) L) is
-    split at the block's lowest node c into sin((t - c) L) cos((c - gamma) L)
-    + cos((t - c) L) sin((c - gamma) L), so their sum is
-    sin((t - c) L) A(t) + cos((t - c) L) B(t) with
-    A(t) = sum I(|t - gamma| L) cos((c - gamma) L) and B likewise with sin.
-    A and B do not oscillate: they are evaluated at ``_CHEB`` first-kind
-    Chebyshev points of the block and interpolated to its nodes
-    (:func:`_barycentric`); a block of no more nodes than that takes them
-    at its nodes.  Each ordinate takes one form of I at all points of a
-    block: the closed form (:func:`szeta.s_of_t._sinh_closed`) if it lies
-    within ``_SINH_SWITCH / log x`` of the block or in the near band, the
-    series (:func:`szeta.s_of_t._sinh_series`) if farther, so no switch
-    falls inside an interpolant.  A closed-form ordinate meets |v| of at
-    most 60 + ``_SPAN`` L, or (``_REACH`` + ``_SPAN``) L in the near band,
-    where the closed form stays within 8e-14 relative up to |v| = 1000.
-    One closed-form call per block takes the near band and the
-    interpolated closed-form values together.
-
-    Error: each term of A and B is analytic in t but for its pole at
-    t = gamma (the poles of the closed form's digamma lie beyond gamma, on
-    the far side from the block).  With the ordinate at least R from a
-    block of half-width a, it is analytic inside the Bernstein ellipse
-    rho = x + sqrt(x^2 - 1), x = 1 + R/a, and p points leave an error of
-    order rho^-p.  With R = ``_REACH`` = 5, a <= ``_SPAN``/2 = 3 and
-    p = 32: rho >= 5.1 and rho^-32 <= 2e-23.  Phases measured from c, not
-    from 0, keep their arguments as small as the block and its distances to
-    the ordinates: products t L and gamma L near t = 1e5 would cost digits.
-    """
-    t = np.asarray(t, dtype=float)
-    order = np.argsort(t)
-    ts = t[order]
-    s = np.empty(len(t))
-    # a margin on the switch's reach leaves only |v| beyond the switch on
-    # the series' side, whatever the rounding of (t - gamma) log x
-    switch = _SINH_SWITCH / logx * (1.0 + 1e-9)
-    i = 0
-    while i < len(ts):
-        c = ts[i]
-        j = int(np.searchsorted(ts, c + _SPAN, "right"))
-        tb = ts[i:j]
-        top = tb[-1]
-        a, b, a2, b2 = np.searchsorted(
-            g, [c - _REACH, top + _REACH, c - switch, top + switch])
-        a2, b2 = min(a2, a), max(b2, b)
-        pts = tb if j - i <= _CHEB else \
-            0.5 * (c + top) + 0.5 * (top - c) * _CHEB_X
-        near = np.subtract.outer(tb, g[a:b])
-        near *= logx
-        sin_near = np.sin(near)
-        np.abs(near, out=near)
-        near[near == 0.0] = 1.0    # sin(v) = 0 there: the midpoint value 0
-        far = np.concatenate((g[a2:a], g[b:b2], g[:a2], g[b2:]))
-        k = (a - a2) + (b2 - b)    # the closed-form ones come first
-        closed = np.subtract.outer(pts, far[:k])
-        closed *= logx
-        np.abs(closed, out=closed)
-        both = _sinh_closed(np.concatenate((near.ravel(), closed.ravel())))
-        sin_near *= both[:near.size].reshape(near.shape)
-        sb = sin_near.sum(axis=1)
-        iv2 = np.subtract.outer(pts, far[k:])
-        iv2 *= logx
-        iv2 *= iv2
-        np.reciprocal(iv2, out=iv2)
-        ph = (c - far) * logx
-        cs = np.stack((np.cos(ph), np.sin(ph)), 1)
-        ab = both[near.size:].reshape(closed.shape) @ cs[:k]
-        ab += _sinh_series(iv2) @ cs[k:]
-        if pts is not tb:
-            ab = _barycentric(tb, pts) @ ab
-        u = (tb - c) * logx
-        sb += np.sin(u) * ab[:, 0] + np.cos(u) * ab[:, 1]
-        s[order[i:j]] = sb
-        i = j
-    return s
-
-
 def _r_time_integral(zeros: ZeroSet, T: float, x: float):
     """int_1^T of the squared zero sum of the explicit formula, directly;
     returns ``(value, error_estimate)``.
 
-    Every ordinate of the set counts at every node, those above T too (no
-    window: a moving window would put kinks inside the integration
-    intervals).  Those within ``_REACH`` of a block of nodes are summed at
-    each node, all others interpolated over the block (:func:`_zero_sum`).
-    The sum jumps at each ordinate and is smooth between, so every zero gap
-    of [1, T] is one segment of the fixed gap rule; its nearest
-    singularities sit pi/log x beyond each gap's ends, two panel widths
-    away.  The error estimate is the gap rule's alone.
+    Every ordinate of the set counts at every node, those above T too, as
+    in :func:`szeta.s_of_t.s_explicit`: both take the zero sum from
+    :func:`szeta.s_of_t._zero_sum`.  It jumps at each ordinate and is
+    smooth between, so every zero gap of [1, T] is one segment of the
+    fixed gap rule; its nearest singularities sit pi/log x beyond each
+    gap's ends, two panel widths away.  The error estimate is the gap
+    rule's alone.
     """
     logx = math.log(x)
     g = zeros.ordinates

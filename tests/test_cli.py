@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from szeta import cli, theorem
@@ -89,10 +90,46 @@ def test_s_explicit_rows_match_library(tmp_path, zeros_file):
                         prime_table=build_prime_table(64))
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 5
-    for row in rows:
-        t = float(row.split(",")[0])
-        val, _ = s_explicit(t, 50.0, ev)
+    ts = [float(row.split(",")[0]) for row in rows]
+    # one array call for all rows; in a block of at most _CHEB points it
+    # gives each point the bits of a call of its own
+    vals, budgets = s_explicit(np.array(ts), 50.0, ev)
+    for row, t, val, budget in zip(rows, ts, vals, budgets):
+        one, one_budget = s_explicit(t, 50.0, ev)
+        assert val == one and budget == pytest.approx(one_budget, 1e-15)
         assert row == f"{t:.12g},{val:.12g}"
+
+
+def test_s_range_beyond_coverage_exits_2(tmp_path, capsys,
+                                        address_space_cap):
+    # checked before a point is built: a range of 1e15 points ends at once
+    short = tmp_path / "short.txt"
+    short.write_text("14.134725142\n21.022039639\n25.010857580\n",
+                     encoding="ascii")
+    for argv in (["--t-min", "20", "--t-max", "1e9", "--step", "1e-6",
+                  "--method", "exact"], ["--t", "30"]):
+        assert main(["s", "--zeros", str(short)] + argv) == 2
+        err = capsys.readouterr().err
+        assert "does not cover" in err and "Traceback" not in err
+
+
+def test_s_range_out_of_memory_exits_2(zeros_file, monkeypatch, capsys,
+                                       address_space_cap):
+    # the points come from one np.arange: a size beyond memory raises
+    # MemoryError there, which exits 2 with one line (the 1.8e14 points
+    # are refused here without an attempt)
+    arange = np.arange
+
+    def refuse_large(n, *args, **kwargs):
+        if isinstance(n, int) and n > 10 ** 12:
+            raise MemoryError(f"cannot allocate {n} points")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refuse_large)
+    assert main(["s", "--zeros", zeros_file, "--t-min", "20", "--t-max",
+                 "200", "--step", "1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Traceback" not in err
 
 
 def test_pcf_csv_header(tmp_path, zeros_file):

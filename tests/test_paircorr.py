@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import gap_integral_oracle, ordered_pair_sum_oracle
-from szeta import paircorr
+from szeta import paircorr, s_of_t
 from szeta.errors import DomainError
 from szeta.kernels import khat, khat_many, kpp_transform_many
 from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
@@ -197,12 +197,36 @@ def test_lemma6_direct_against_quad_oracle(zeros_120):
 
 
 def _assert_zero_sum_matches_dense(t, g, logx):
-    # the direct R integrand's split zero sum (near band by the closed form,
-    # the rest by the series with shared phases) against every ordinate
-    # through sin_sinh_integral at every node
-    got = paircorr._zero_sum(np.asarray(t, dtype=float), g, logx)
+    # the explicit formula's zero sum (in blocks of more than _CHEB points:
+    # near band by the closed form, the rest interpolated, with shared
+    # phases) against every ordinate through sin_sinh_integral at every
+    # point
+    got = s_of_t._zero_sum(np.asarray(t, dtype=float), g, logx)
     want = sin_sinh_integral(np.subtract.outer(t, g) * logx).sum(axis=1)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _blocks(t):
+    # the zero sum's blocks: from the lowest point left, all points within
+    # _SPAN of it
+    ts, out = np.sort(t), []
+    while len(ts):
+        j = int(np.searchsorted(ts, ts[0] + s_of_t._SPAN, "right"))
+        out.append(ts[:j])
+        ts = ts[j:]
+    return out
+
+
+def _in_wide_blocks(special):
+    # each special point among 2 _CHEB + 1 others within 1 of it, so that
+    # its block is interpolated (asserted)
+    t = np.concatenate([special] + [np.linspace(p - 1.0, p + 1.0,
+                                                2 * s_of_t._CHEB + 1)
+                                    for p in special])
+    for block in _blocks(t):
+        if np.isin(special, block).any():
+            assert len(block) > s_of_t._CHEB
+    return t
 
 
 def test_zero_sum_split_blocks_all_near_or_all_far():
@@ -210,42 +234,47 @@ def test_zero_sum_split_blocks_all_near_or_all_far():
     g = np.array([20.0, 21.5, 24.0, 27.25])
     # one block with every ordinate within the near reach: nothing is
     # interpolated
-    t = np.linspace(22.0, 23.0, 9)
-    assert np.all((g > t[0] - paircorr._REACH) & (g < t[-1] + paircorr._REACH))
+    t = np.linspace(22.0, 23.0, 2 * s_of_t._CHEB)
+    assert np.all((g > t[0] - s_of_t._REACH) & (g < t[-1] + s_of_t._REACH))
     _assert_zero_sum_matches_dense(t, g, logx)
-    # two blocks: the first, of four nodes, sits in a cluster of
-    # ordinates, two nodes 0.1 from one (so the sums reach about 1, and
-    # 1e-15 of that lies above the rounding of the closed form's terms);
-    # the second, of more nodes than Chebyshev points, has no ordinate
-    # within the near reach (no band), and takes every ordinate from its
-    # interpolant, two by the closed form and five by the series
+    # two blocks: the first sits in a cluster of ordinates, with points
+    # 0.1 from one (so the sums reach about 1, and 1e-15 of that lies
+    # above the rounding of the closed form's terms); the second has no
+    # ordinate within the near reach (no band), and takes every ordinate
+    # from its interpolant, two by the closed form and five by the series
     g = np.array([10.0, 14.0, 18.0, 50.0, 75.0, 120.0, 131.0])
-    t = np.concatenate(([12.0, 13.9, 14.1, 16.0],
-                        np.linspace(60.0, 64.0, 2 * paircorr._CHEB)))
-    far = np.abs(np.subtract.outer(t[4:], g)).min(axis=0)
-    assert np.all(far > paircorr._REACH)
+    near = _in_wide_blocks(np.array([12.0, 13.9, 14.1, 16.0]))
+    wide = np.linspace(60.0, 64.0, 2 * s_of_t._CHEB)
+    far = np.abs(np.subtract.outer(wide, g)).min(axis=0)
+    assert np.all(far > s_of_t._REACH)
     assert np.sum(far * logx < 60.0) == 2 and np.sum(far * logx > 60.0) == 5
-    _assert_zero_sum_matches_dense(t, g, logx)
+    _assert_zero_sum_matches_dense(np.concatenate((near, wide)), g, logx)
 
 
 def test_zero_sum_split_at_the_switch_and_at_ordinates(zeros_220):
     g = zeros_220.ordinates
     logx = 0.4 * math.log(100.0)
-    reach = paircorr._SINH_SWITCH / logx
-    # nodes exactly one reach from an ordinate on either side, and nodes
-    # equal to ordinates (v = 0, the midpoint value 0)
+    reach = s_of_t._SINH_SWITCH / logx
+    # points exactly one reach from an ordinate on either side, and points
+    # equal to ordinates (v = 0, the midpoint value 0), in blocks that
+    # interpolate
     j = 40
     t = np.array([g[j] - reach, g[j] + reach, g[j], g[j + 1],
                   0.5 * (g[j] + g[j + 1])])
-    _assert_zero_sum_matches_dense(t, g, logx)
-    # one node whose band's first and last ordinates sit one reach from
-    # it, and the next ordinates out just beyond, on the series' side
+    _assert_zero_sum_matches_dense(_in_wide_blocks(t), g, logx)
+    # one wide block whose lowest and highest points sit one reach from the
+    # last ordinates of the closed form's side, with the next ordinates
+    # just beyond, on the series' side, and whose near band ends exactly at
+    # two ordinates
     logx = math.log(100.0)
-    reach = paircorr._SINH_SWITCH / logx
-    t0 = 50.0
-    g = np.array([t0 - reach - 1e-7, t0 - reach, t0 - 1.0, t0 + 2.0,
-                  t0 + reach, t0 + reach + 1e-7])
-    _assert_zero_sum_matches_dense([t0], g, logx)
+    reach = s_of_t._SINH_SWITCH / logx
+    lo, hi = 50.0, 54.0
+    t = np.linspace(lo, hi, 2 * s_of_t._CHEB)
+    assert len(_blocks(t)) == 1
+    g = np.array([lo - reach - 1e-7, lo - reach, lo - s_of_t._REACH, lo - 1.0,
+                  lo + 2.0, hi + s_of_t._REACH, hi + reach,
+                  hi + reach + 1e-7])
+    _assert_zero_sum_matches_dense(t, g, logx)
 
 
 def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
@@ -253,15 +282,16 @@ def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
     logx = math.log(20.0)
     rng = np.random.default_rng(5)
     # blocks whose band takes in the first ordinate, the last one, and one
-    # node set spread so wide that several blocks cover the whole set; then
-    # nodes sparser than one per block, one block of exactly as many nodes
-    # as Chebyshev points (summed at its nodes), and a dense node set in
-    # random order
+    # point set spread so wide that several blocks cover the whole set;
+    # then points sparser than one per block, blocks of exactly as many
+    # points as Chebyshev points (summed at their points) and of one more,
+    # and a dense point set in random order
     for t in (np.linspace(g[0] - 2.0, g[0] + 3.0, 40),
               np.linspace(g[-1] - 3.0, g[-1] + 2.0, 40),
               np.linspace(1.0, g[-1] + 5.0, 700),
               np.linspace(2.0, 215.0, 30),
-              np.linspace(100.0, 104.0, paircorr._CHEB),
+              np.linspace(100.0, 104.0, s_of_t._CHEB),
+              np.linspace(100.0, 104.0, s_of_t._CHEB + 1),
               rng.permutation(np.linspace(40.0, 90.0, 800))):
         _assert_zero_sum_matches_dense(t, g, logx)
 
@@ -269,11 +299,12 @@ def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
 def test_zero_sum_split_keeps_digits_near_t_1e5():
     # 3000 ordinates at the density near t = 99000: phases measured from 0
     # (sin(t L) cos(gamma L) - cos(t L) sin(gamma L)) put about 1.7e-14
-    # relative into the sum, phases from each block's lowest node 5e-16
+    # relative into the sum, phases from each block's lowest point 5e-16
     rng = np.random.default_rng(7)
     g = np.sort(99000.0 + rng.uniform(-975.0, 975.0, 3000))
     logx = 0.5 * math.log(99000.0)
-    t = np.sort(99000.0 + rng.uniform(-40.0, 40.0, 200))
+    t = np.sort(99000.0 + rng.uniform(-40.0, 40.0, 1000))
+    assert all(len(b) > s_of_t._CHEB for b in _blocks(t)[:-1])
     _assert_zero_sum_matches_dense(t, g, logx)
 
 

@@ -122,11 +122,10 @@ def test_s_explicit_support_at_x4(ev_120):
         ln = math.log(n)
         prime -= lam / math.sqrt(n) * math.sin(t * ln) / ln \
             * f_weight(ln / logx) / PI
-    window = 50.0 / logx
     zpart = 0.0
     for g in ev_120.zeros.ordinates:
         v = (t - g) * logx
-        if v != 0.0 and abs(t - g) <= window:
+        if v != 0.0:
             zpart += math.sin(v) * sinh_integral_oracle(v) / PI
     val, _ = s_explicit(t, x, ev_120)
     assert val == pytest.approx(prime + zpart, abs=1e-7)
@@ -175,8 +174,7 @@ def _s_explicit_per_call(t, x, ev):
     coef = logp / (np.sqrt(n) * logn) * f_weight(logn / logx)
     prime = -float(np.sum(coef * np.sin(t * logn))) / PI
     g = ev.zeros.ordinates
-    near = g[np.abs(g - t) <= 50.0 / logx]
-    return prime + float(np.sum(sin_sinh_integral((t - near) * logx))) / PI
+    return prime + float(np.sum(sin_sinh_integral((t - g) * logx))) / PI
 
 
 def test_s_explicit_prime_terms_kept_per_x_and_table(zeros_120):
@@ -205,7 +203,71 @@ def test_s_explicit_domain(ev_120):
     with pytest.raises(DomainError):
         s_explicit(50.0, 3.0, ev_120)
     with pytest.raises(DomainError):
-        s_explicit(119.0, 100.0, ev_120)   # window exceeds coverage
+        s_explicit(119.0, 100.0, ev_120)   # t + 50/log x beyond coverage
+    # an array is refused if any of its points is
+    for t in ([30.0, 119.0], [30.0, 9.0], [30.0, math.nan]):
+        with pytest.raises(DomainError):
+            s_explicit(np.array(t), 100.0, ev_120)
+    for t in ([30.0, 121.0], [30.0, 9.0], [30.0, math.nan]):
+        with pytest.raises(DomainError):
+            s_exact(np.array(t), ev_120)
+
+
+def _windowed_s_explicit(t, x, ev):
+    # the explicit formula as it was summed before every ordinate counted:
+    # the zeros with |t - gamma| <= 50/log x only, and the bound on the
+    # value of the ordinates it leaves out, (1/pi) sum pi^2/(4 v^2) by
+    # I(v) <= pi^2/(4 v^2), next to the same bound for those beyond the
+    # file, by the zero density
+    logx = math.log(x)
+    g = ev.zeros.ordinates
+    near = np.abs(g - t) <= 50.0 / logx
+    value = _s_explicit_per_call(t, x, ev) \
+        - float(np.sum(sin_sinh_integral((t - g[~near]) * logx))) / PI
+    inside = float(np.sum(1.0 / (g[~near] - t) ** 2))
+    a = ev.zeros.t_max
+    beyond = (math.log(a / (2 * PI)) / (a - t)
+              + math.log(a / (a - t)) / t) / (2 * PI)
+    scale = PI / 4.0 / (logx * logx)
+    return value, scale * inside, scale * beyond
+
+
+def test_s_explicit_differs_from_the_window_within_its_bound(ev_120):
+    # the sum over every ordinate moves the old windowed value by less
+    # than the old bound on the in-range ordinates the window left out;
+    # the budget keeps only the bound for the ordinates beyond the file
+    x = 100.0
+    logx = math.log(x)
+    ts = np.linspace(15.0, ev_120.zeros.t_max - 50.0 / logx, 60)
+    vals, budgets = s_explicit(ts, x, ev_120)
+    for t, val, budget in zip(ts, vals, budgets):
+        old, inside, beyond = _windowed_s_explicit(float(t), x, ev_120)
+        assert abs(val - old) < inside
+        terms = math.sqrt(x) / (t * t * logx) + 1.0 / (t * logx)
+        assert budget == pytest.approx(terms + beyond, rel=1e-13)
+
+
+def test_s_routes_on_arrays_match_the_scalar_calls(ev_120):
+    # an array of t gets the values, and the shape, of one call per point;
+    # s_exact's to the bit, and s_explicit's to the bit in blocks of at
+    # most _CHEB points, to the interpolant's accuracy in wider ones
+    ts = np.array([[20.0, 31.25], [14.134725141734695, 101.5]])
+    exact = s_exact(ts, ev_120)
+    assert exact.shape == ts.shape
+    assert all(exact[i] == s_exact(float(ts[i]), ev_120)
+               for i in np.ndindex(ts.shape))
+    vals, budgets = s_explicit(ts, 50.0, ev_120)
+    assert vals.shape == budgets.shape == ts.shape
+    for i in np.ndindex(ts.shape):
+        val, budget = s_explicit(float(ts[i]), 50.0, ev_120)
+        assert vals[i] == val and budgets[i] == pytest.approx(budget, 1e-15)
+    assert s_exact(np.array([]), ev_120).shape == (0,)
+    assert s_explicit(np.array([]), 50.0, ev_120)[0].shape == (0,)
+    dense = np.linspace(40.0, 44.0, 200)
+    one_by_one = np.array([s_explicit(float(t), 50.0, ev_120)[0]
+                           for t in dense])
+    vals, _ = s_explicit(dense, 50.0, ev_120)
+    assert np.max(np.abs(vals - one_by_one)) < 1e-13
 
 
 def test_second_moment_additive(ev_120):
