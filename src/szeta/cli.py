@@ -157,6 +157,10 @@ def _cmd_s(args) -> int:
               else (args.t_min, args.t_max))
     if lo is None or hi is None:
         raise _UsageError("s needs --t or both --t-min/--t-max")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError("t must be finite")
+    if lo > hi:
+        raise _UsageError("--t-min must not exceed --t-max")
     zs = _load_zeros(args.zeros)
     if not hi <= zs.t_max:      # before any point is built
         raise _ValidationError(f"zeros file does not cover t = {hi:.12g}")

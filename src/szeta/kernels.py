@@ -359,10 +359,10 @@ def _tail_cos(y, n: int):
 _LOW_PANELS = 100
 _LOW_DEG = 10
 _LOW_WIDTH = _FAST_Y_SWITCH / _LOW_PANELS
-_CHEB_X = np.cos(PI * (np.arange(_LOW_DEG + 1) + 0.5) / (_LOW_DEG + 1))
-# coefficients from values at _CHEB_X, by the discrete orthogonality of T_k
+_LOW_X = np.cos(PI * (np.arange(_LOW_DEG + 1) + 0.5) / (_LOW_DEG + 1))
+# coefficients from values at _LOW_X, by the discrete orthogonality of T_k
 _CHEB_FIT = np.cos(np.outer(np.arange(_LOW_DEG + 1),
-                            np.arccos(_CHEB_X))) * (2.0 / (_LOW_DEG + 1))
+                            np.arccos(_LOW_X))) * (2.0 / (_LOW_DEG + 1))
 _CHEB_FIT[0] *= 0.5
 # transform -> (h, n, weight): 2 int_0^bp h cos + weight int_bp^inf cos/u^n
 _LOW_SPECS = {"khat": (k_values, 2, 0.5), "kpp": (kpp_values, 4, 3.0)}
@@ -377,7 +377,7 @@ def _low_table(name: str) -> np.ndarray:
         x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
         tab = h(x) * _GRID_W
         y = (_LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
-                           + 0.5 * (_CHEB_X[None, :] + 1.0))).ravel()
+                           + 0.5 * (_LOW_X[None, :] + 1.0))).ravel()
         vals = 2.0 * _cos_moments_low(2.0 * PI * y, tab) \
             + weight * _tail_cos(y, n)
         _LOW_COEF[name] = _CHEB_FIT @ vals.reshape(_LOW_PANELS, -1).T

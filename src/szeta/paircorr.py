@@ -2,15 +2,13 @@
 
 F(alpha, T) with Montgomery's weight w(u) = 4/(4+u^2), the khat pair sums
 (plain, w- or complement-weighted) and the F-weighted kernel integrals are
-all sums of an even kernel over ordered ordinate pairs.  One engine, the
-tree :class:`_Tree` behind :func:`_pair_sum`, computes them in O(N): pairs
-in the same or adjacent leaves of a uniform binary tree are summed directly
-with the caller's vectorized kernel, all others through a 1D Chebyshev fast
-multipole far field (Greengard-Rokhlin; the black-box FMM of Fong and
-Darve, 2009).  Every kernel is Re[K(d) e^(i omega d)] with K smooth away
-from d = 0: the Lorentzian w itself for F, and (P - iQ)(d log x) times a
-weight for the khat and k'' transforms, whose P cos + Q sin split for
-y >= 50 lives in :mod:`szeta.kernels`.  A caller needing several sums
+all sums of an even kernel over ordered ordinate pairs.  One engine,
+:func:`_pair_sum` on the tree of :mod:`szeta._tree`, computes them in O(N):
+near pairs with the caller's vectorized kernel, the rest through the
+tree's far field.  Every kernel is Re[K(d) e^(i omega d)] with K smooth
+away from d = 0: the Lorentzian w itself for F, and (P - iQ)(d log x)
+times a weight for the khat and k'' transforms, whose P cos + Q sin split
+for y >= 50 lives in :mod:`szeta.kernels`.  A caller needing several sums
 passes one near-field kernel returning them all.  The alpha grid of
 :func:`pcf_curve` becomes charge columns, each the one before times a
 phase: the far field takes them in passes, and the near field is a batched
@@ -21,6 +19,9 @@ Engine callers: :func:`pcf`, :func:`weighted_khat_sum` (the report's R),
 :func:`pcf_curve` (through the tree), and :func:`_beta_pair_sums`, five sums
 at L = beta log T in one call for Lemmas 5, 6 and 8-10;
 :func:`f_weighted_kernel_integral` repeats two of them, one sum per call.
+The same tree, with its targets apart from its sources, is the far field
+of the explicit formula's zero sum (:func:`szeta.s_of_t._zero_field`),
+which :func:`lemma6_eval` squares and integrates over [1, T] at every T.
 """
 
 from __future__ import annotations
@@ -30,21 +31,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
+from ._tree import _Tree
 from .errors import DomainError
 from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
                       khat_pq, kpp_pq, kpp_transform_many)
 from .quadrature import gap_rule
-from .s_of_t import _zero_sum
+from .s_of_t import _zero_field
 from .zeros import ZeroSet
 
 PI = math.pi
-_P = 20             # Chebyshev nodes per box of the far field
-_LEAF = 24          # mean ordinates per leaf the tree aims for
-_COLUMNS = 16       # charge columns per far-field pass
-_NEAR = 1 << 16     # near-field differences per kernel call
-_BATCH = 1 << 14    # charges per leaf batch (256 KB of complex)
 
 
 def pair_weight(u):
@@ -58,215 +54,6 @@ _WEIGHTS = {
     "w": pair_weight,
     "complement": lambda u: u * u / (4.0 + u * u),
 }
-
-
-_NODES = np.cos((2.0 * np.arange(_P) + 1.0) * PI / (2.0 * _P))
-
-
-def _interp(x):
-    """S[i, n]: weight of Chebyshev node n in the degree _P - 1 interpolant
-    at x[i] in [-1, 1]."""
-    scale = np.full(_P, 2.0 / _P)
-    scale[0] = 1.0 / _P
-    return (chebvander(x, _P - 1) * scale) @ chebvander(_NODES, _P - 1).T
-
-
-# M2M: a child's expansion (left, right half) re-expanded on its parent
-_M2M = (_interp(0.5 * (_NODES - 1.0)).T, _interp(0.5 * (_NODES + 1.0)).T)
-
-
-def _columns(first, rot, count):
-    """first * rot^k for k = 0 .. count - 1, along a new last axis.
-
-    Column k + j is column j times rot^k, for k = 1, 2, 4, ...: one complex
-    multiply per entry and column, no exp, in about log2(count) array
-    products.  The phase of column k carries k times the rounding of rot's,
-    as a direct exp of k times its argument would.
-    """
-    q = np.empty((count,) + first.shape, dtype=complex)
-    q[0] = first
-    k = 1
-    while k < count:
-        np.multiply(q[:min(k, count - k)], rot, out=q[k:2 * k])
-        k *= 2
-        if k < count:
-            rot = rot * rot
-    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
-
-
-class _Tree:
-    """Uniform binary tree over [g[0], g[-1]] with about _LEAF ordinates
-    per leaf and leaves at least ``min_width`` wide.
-
-    ``slots[a]`` lists the ordinates of leaf a in order, padded to the
-    fullest leaf; ``filled`` marks the slots that hold one.  Both the P2M
-    weights and the leaf-pair products of the near field read this layout.
-    """
-
-    def __init__(self, g: np.ndarray, min_width: float):
-        n = len(g)
-        self.g = g
-        self.width = float(g[-1] - g[0])
-        levels = 0
-        while (n / 2 ** (levels + 1) >= _LEAF
-               and self.width / 2 ** (levels + 1) >= min_width):
-            levels += 1
-        self.levels = levels
-        n_leaf = 2 ** levels
-        self.h = h = self.width / n_leaf
-        pos = (g - g[0]) / h if h > 0 else np.zeros(n)
-        leaf = np.minimum(pos.astype(np.int64), n_leaf - 1)
-        ends = np.searchsorted(leaf, np.arange(n_leaf), "right")
-        # near field of ordinate i: i+1 .. lim[i]-1, its leaf and the next
-        self.lim = ends[np.minimum(leaf + 1, n_leaf - 1)]
-        self.centre = 0.5 * (g[0] + g[-1])
-        first = ends - np.diff(ends, prepend=0)
-        slot = np.arange(n) - first[leaf]
-        shape = (n_leaf, int(slot.max()) + 1)
-        self.slots = np.zeros(shape, dtype=np.int64)
-        self.slots[leaf, slot] = np.arange(n)
-        self.filled = np.zeros(shape, dtype=bool)
-        self.filled[leaf, slot] = True
-        if levels < 2:
-            return
-        # P2M as one (node x slot) weight matrix per leaf, zero on padding
-        xi = np.clip(2.0 * (pos - leaf) - 1.0, -1.0, 1.0)
-        self.p2m = np.zeros((n_leaf, _P, shape[1]))
-        self.p2m[leaf, :, slot] = _interp(xi)
-
-    def _batches(self, columns):
-        """Leaf ranges [a, b) whose (leaf, slot, column) charges hold about
-        _BATCH entries, each with the slot width the near field needs: the
-        fullest of leaves a .. b, b for the right neighbour of b - 1."""
-        counts = self.filled.sum(axis=1)
-        n_leaf, slots = self.slots.shape
-        step = max(1, _BATCH // (slots * columns))
-        for a in range(0, n_leaf, step):
-            b = min(a + step, n_leaf)
-            yield a, b, max(int(counts[a:b + 1].max()), 1)
-
-    def near(self):
-        """Positive differences g[j] - g[i] of the near pairs, i < j <
-        lim[i], in pieces of about _NEAR."""
-        g, n = self.g, len(self.g)
-        counts = self.lim - np.arange(n) - 1
-        cum = np.cumsum(counts)
-        start = 0
-        while start < n:
-            base = cum[start - 1] if start else 0
-            stop = max(int(np.searchsorted(cum, base + _NEAR, "right")),
-                       start + 1)
-            c = counts[start:stop]
-            first = np.repeat(cum[start:stop] - c - base, c)
-            i = np.repeat(np.arange(start, stop), c)
-            j = i + 1 + np.arange(len(i)) - first
-            if len(i):
-                yield g[j] - g[i]
-            start = stop
-
-    def near_columns(self, kernel, step, count) -> np.ndarray:
-        """sum over near pairs i < j of Re[kernel(d) exp(i k step d)], d =
-        g[j] - g[i], for k = 0 .. count - 1; ``kernel`` real at every d.
-
-        Each leaf a gives Re conj(C_a)^T W_a [C_a; C_b] per column: b is
-        the leaf to its right, W_a = kernel(g_j - g_i) for i in a and j in
-        a or b, masked to i < j, and C = exp(i k step (g - o)) the charges,
-        zero on padding.  The origin o is one leaf edge per batch of
-        leaves, so every pair's phase is that of g_j - g_i itself; a phase
-        factor between leaf edges would carry their rounding, which near
-        t = 1e5 turns the phase of alpha = 4 by about 1e-9.  A batch pads
-        its leaves only to the fullest among them, so one leaf holding a
-        cluster of ordinates widens no other.
-        """
-        g = self.g
-        n_leaf = len(self.slots)
-        out = np.zeros(2 * count)
-        for a, b, width in self._batches(count):
-            # the batch's leaves and the leaf right of its last one, empty
-            # past the end of the tree
-            idx = self.slots[a:b + 1, :width]
-            filled = self.filled[a:b + 1, :width]
-            if b == n_leaf:
-                idx = np.concatenate([idx, idx[-1:]])
-                filled = np.concatenate([filled, np.zeros_like(filled[-1:])])
-            gi = g[idx]
-            c = _columns(filled.astype(complex),
-                         np.exp(1j * step * (gi - (g[0] + a * self.h))), count)
-            pair = np.concatenate([gi[:-1], gi[1:]], axis=1)
-            # [C_a; C_b] of every leaf a: consecutive rows of c, as a view
-            cf = c.view(float)
-            both = np.lib.stride_tricks.as_strided(
-                cf, (b - a, 2 * width, 2 * count), cf.strides)
-            # W in blocks of rows of about _BATCH entries: one block unless
-            # a leaf holds a cluster of ordinates
-            rows = max(1, _BATCH // ((b - a) * 2 * width))
-            for i in range(0, width, rows):
-                r = slice(i, i + rows)
-                w = kernel(pair[:, None, :] - gi[:-1, r, None]) \
-                    * (np.arange(2 * width) > np.arange(width)[r, None])
-                # Re(conj(x) y) = Re x Re y + Im x Im y, on float views
-                out += np.einsum("lsk,lsk->k", cf[:-1, r], np.matmul(w, both))
-        return out.reshape(count, 2).sum(axis=1)
-
-    def far(self, kernel, omega, step=0.0, count=1) -> np.ndarray:
-        """sum over far pairs i < j of Re[kernel(d) exp(i w d)], d = g[j] -
-        g[i], for w = omega + k step, k = 0 .. count - 1.
-
-        The charges exp(-i w (g - centre)) of each column are those of the
-        column before times exp(-i step (g - centre)); a pass of _COLUMNS
-        columns starts from the last column of the pass before.
-        """
-        out = np.zeros(count)
-        if self.levels < 2:
-            return out
-        # M2L per level: target node m against source node n of the box
-        # 2 or 3 boxes to the left
-        gap = 0.5 * (_NODES[:, None] - _NODES[None, :])
-        m2l = {}
-        for lev in range(2, self.levels + 1):
-            h = self.width / 2 ** lev
-            m2l[lev] = [kernel(off * h + h * gap) for off in (2, 3)]
-        x = self.g[self.slots] - self.centre
-        q = np.exp(-1j * omega * x)
-        rot = np.exp(-1j * step * x) if count > 1 else np.ones_like(q)
-        for k in range(0, count, _COLUMNS):
-            cols = min(_COLUMNS, count - k)
-            m = np.empty((_P, len(x), 2 * cols))
-            for a, b, _ in self._batches(cols):
-                c = _columns(q[a:b], rot[a:b], cols)
-                if k + cols < count:
-                    q[a:b] = c[..., -1] * rot[a:b]
-                m[:, a:b] = (self.p2m[a:b] @ c.view(float)).transpose(1, 0, 2)
-            m = m.view(complex)
-            for lev in range(self.levels, 1, -1):
-                out[k:k + cols] += _m2l_dot(m2l[lev], m)
-                m = _times(_M2M[0], m[:, 0::2]) + _times(_M2M[1], m[:, 1::2])
-        return out
-
-
-def _times(mat, m):
-    """mat @ m over the node axis of box expansions m (node, box, column);
-    a real mat multiplies the float view of m, half the work of a complex
-    product."""
-    if np.iscomplexobj(mat):
-        return (mat @ m.reshape(_P, -1)).reshape(m.shape)
-    return (mat @ m.view(float).reshape(_P, -1)).view(complex).reshape(
-        m.shape)
-
-
-def _m2l_dot(mats, m):
-    """Re of the sum over well-separated boxes (source left of target) of
-    conj(M_target) . K M_source.  M2L into local expansions followed by
-    L2L and L2P against the targets' own charges is this same bilinear
-    form, since L2L and L2P are the transposes of M2M and P2M."""
-    out = np.zeros(2 * m.shape[2])
-    for mat, tgt, src in ((mats[0], m[:, 2:], m[:, :-2]),
-                          (mats[1], m[:, 3::2], m[:, 0:-3:2])):
-        if tgt.shape[1]:
-            # Re(conj(a) b) = Re a Re b + Im a Im b, on float views
-            out += np.einsum("pbk,pbk->k", tgt.view(float),
-                             _times(mat, src).view(float))
-    return out.reshape(-1, 2).sum(axis=1)
 
 
 def _pair_sum(g: np.ndarray, near, far, min_width: float = 0.0):
@@ -505,8 +292,8 @@ def lemma6_check(zeros: ZeroSet, T: float, beta: float,
                  tol: float = 1e-6) -> CheckReport:
     """R against its three-term regrouping (Lemma 6), from
     :func:`lemma6_eval`.  Like Lemma 5's rearrangement it holds for any
-    ordinate set, so it is asserted; the direct time integral (T <= 500)
-    is reported in the detail."""
+    ordinate set, so it is asserted; the direct time integral is reported
+    in the detail."""
     dec = lemma6_eval(zeros, T, beta)
     return _report(
         "lemma6", {"T": T, "beta": beta}, dec.r_total,
@@ -522,10 +309,10 @@ class RDecomposition:
     ``r_total`` is the plain khat pair sum over (pi^2 log x) and shares its
     khat evaluations with ``term_main``, so the invariant r_total = term_main
     + term_F_beta - term_k2_integral checks the Lemma 5 rearrangement of the
-    complement-weighted part of R.  ``r_total_direct``
-    (when present) is the time-domain quadrature of the defining integral,
-    feasible at small T only.  Its zero sum runs over every ordinate of the
-    set, those above T included, so it depends on how far the set reaches:
+    complement-weighted part of R.  ``r_total_direct`` is the time-domain
+    quadrature of the defining integral, at every T.  Its zero sum runs
+    over every ordinate of the set, those above T included, so it depends
+    on how far the set reaches:
     at T = 500, beta = 0.5 the reference ordinates up to 512 give
     32.16247473609716 and those up to 2000 give 32.1622600056337, 6.7e-6
     apart.  ``r_direct_err`` is the quadrature's error estimate alone
@@ -538,8 +325,8 @@ class RDecomposition:
     term_k2_integral: float
     beta: float
     x: float
-    r_total_direct: float | None = None
-    r_direct_err: float | None = None
+    r_total_direct: float
+    r_direct_err: float
 
 
 def _r_time_integral(zeros: ZeroSet, T: float, x: float):
@@ -547,32 +334,27 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float):
     returns ``(value, error_estimate)``.
 
     Every ordinate of the set counts at every node, those above T too, as
-    in :func:`szeta.s_of_t.s_explicit`: both take the zero sum from
-    :func:`szeta.s_of_t._zero_sum`.  It jumps at each ordinate and is
-    smooth between, so every zero gap of [1, T] is one segment of the
-    fixed gap rule; its nearest singularities sit pi/log x beyond each
-    gap's ends, two panel widths away.  The error estimate is the gap
-    rule's alone.
+    in :func:`szeta.s_of_t.s_explicit`: both take the zero sum from the
+    tree of :func:`szeta.s_of_t._zero_field`, whose expansions are built
+    once here, so a chunk of nodes costs only L2P and the near field.  The
+    sum jumps at each ordinate and is smooth between, so every zero gap of
+    [1, T] is one segment of the fixed gap rule; its nearest singularities
+    sit pi/log x beyond each gap's ends, two panel widths away.  The error
+    estimate is the gap rule's alone.
     """
     logx = math.log(x)
     g = zeros.ordinates
-
-    def zero_sum_sq(t):
-        s = _zero_sum(t, g, logx)
-        s /= PI
-        return s * s
-
+    field = _zero_field(g, logx, 1.0, T)
     edges = np.concatenate(([1.0], g[(g > 1.0) & (g < T)], [T]))
-    return gap_rule(zero_sum_sq, edges, omega=logx)
+    return gap_rule(lambda t: (field(t) / PI) ** 2, edges, omega=logx)
 
 
-def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
-                direct_limit: float = 500.0) -> RDecomposition:
+def lemma6_eval(zeros: ZeroSet, T: float, beta: float) -> RDecomposition:
     """Evaluate R and its three-term decomposition from one ordinate set.
 
-    For T <= direct_limit the defining time integral is also computed by
-    quadrature so the regrouping can be sanity-checked end to end; its
-    difference from the pair-sum route is report-only (the dropped
+    The defining time integral is also computed by quadrature
+    (:func:`_r_time_integral`), so the regrouping is checked end to end;
+    its difference from the pair-sum route is report-only (the dropped
     remainder is O(log^3 T) scale).  The four pair sums come from
     :func:`_beta_pair_sums`.
     """
@@ -582,9 +364,7 @@ def lemma6_eval(zeros: ZeroSet, T: float, beta: float,
     term_main = T / (2.0 * PI ** 2 * beta) ** 2 * s.k_integral
     term_f = T / (16.0 * logT ** 2) * s.f_beta / beta ** 3
     term_k2 = T / (64.0 * PI ** 6 * beta ** 4 * logT ** 2) * s.kpp_integral
-    direct = direct_err = None
-    if T <= direct_limit:
-        direct, direct_err = _r_time_integral(zeros, T, x)
+    direct, direct_err = _r_time_integral(zeros, T, x)
     return RDecomposition(r_total=s.r_total, term_main=term_main,
                           term_F_beta=term_f, term_k2_integral=term_k2,
                           beta=beta, x=x, r_total_direct=direct,

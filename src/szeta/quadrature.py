@@ -27,7 +27,7 @@ _GL = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8)}
 
 # points per call of f: bounds the temporaries of f and of the sums, and
 # fixes how the partial sums of a segment spread over calls are grouped
-_CHUNK_POINTS = 512
+_CHUNK_POINTS = 4096
 
 
 def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:

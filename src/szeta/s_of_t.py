@@ -11,8 +11,12 @@ the zeros above the zero file.  Both routes take a number or an array of t.
 ``sinh_integral`` is the one evaluator of I(v): the closed form in a
 digamma difference up to v = 60, an asymptotic series in 1/v^2 above.
 ``sin_sinh_integral`` is sin(v) I(|v|) on top of it.  ``_zero_sum``, over
-every ordinate at an array of points, is the one zero sum, for S(t) and
-for the direct R integral of :mod:`szeta.paircorr`.
+every ordinate at an array of points, is the one zero sum: a few points
+summed at every ordinate, more through the far field of the tree of
+:mod:`szeta._tree` (``_zero_field``), which the direct R integral of
+:mod:`szeta.paircorr` builds once for all its nodes.  The budget's bound
+for the zeros above the file adds to the zero density's integral the
+by-parts term of Trudgian's bound on N - N0.
 
 ``second_moment`` and ``s_mean`` integrate up to T over the zero gaps.
 On each gap S is the smooth function (constant - theta/pi), so one fixed
@@ -30,12 +34,12 @@ over the prime powers, and for H's zero count over the ordinates.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._tree import _Tree
 from .errors import DomainError
 from .kernels import _ABS_BERNOULLI, f_weight
 from .primes import PrimeTable
@@ -121,50 +125,37 @@ _SINH_ASYM = [(-1) ** k * (1.0 - 2.0 ** (-2 * k - 2)) * float(b)
               for k, b in enumerate(_ABS_BERNOULLI[:8])]
 
 
-def _sinh_series(iv2):
-    """I(v) above ``_SINH_SWITCH`` from ``iv2`` = 1/v^2: the asymptotic
-    series sum_k c_k iv2^(k+1) by Horner's rule.  :func:`sinh_integral`
-    takes it above the switch, and :func:`_zero_sum`, in a block of more
-    than ``_CHEB`` points, for every ordinate farther than the switch from
-    the whole block, at all of its Chebyshev points."""
-    acc = _SINH_ASYM[-1] * iv2
-    for c in reversed(_SINH_ASYM[:-1]):
-        acc += c
-        acc *= iv2
-    return acc
+def sinh_integral(av):
+    """I(v) = int_0^inf u / ((u^2 + v^2) sinh u) du for an array of v > 0.
 
-
-def _sinh_closed(av):
-    """I(v) for an array of v > 0 in closed form, I(v) = (pi/v) [1/2 -
+    Up to ``_SINH_SWITCH`` the closed form I(v) = (pi/v) [1/2 -
     b beta(b+1)] with b = v/pi and beta(s) = [psi((s+1)/2) - psi(s/2)]/2
     (psi = digamma), from the cosine transform (pi^2/4) sech^2(pi s/2) of
     u/sinh u; b beta(b+1) = z (psi(z+1) - psi(z+1/2)) with z = v/(2 pi)
     (:func:`_psi_half_step`).  The bracket, about pi/(4v), loses digits in
-    proportion to v, so :func:`sinh_integral` takes it only up to
-    ``_SINH_SWITCH``."""
-    z = av / (2.0 * PI)
+    proportion to v, so above the switch the asymptotic series
+    sum_k c_k / v^(2k+2) takes over, by Horner's rule in 1/v^2.  Relative
+    error below 1e-14 against a 30-digit quadrature of the definition on
+    [1e-3, 1e3]."""
+    av = np.asarray(av, dtype=float)
+    lo = av <= _SINH_SWITCH
+    out = np.empty_like(av)
+    a = av[lo]
+    z = a / (2.0 * PI)
     bracket = _psi_half_step(z)
     bracket *= -z
     bracket += 0.5
     bracket *= PI
-    bracket /= av
-    return bracket
-
-
-def sinh_integral(av):
-    """I(v) = int_0^inf u / ((u^2 + v^2) sinh u) du for an array of v > 0:
-    the closed form (:func:`_sinh_closed`) up to ``_SINH_SWITCH``, the
-    asymptotic series in 1/v^2 (:func:`_sinh_series`) above: the one place
-    the two forms meet.  Relative error below 1e-14 against a 30-digit
-    quadrature of the definition on [1e-3, 1e3]."""
-    av = np.asarray(av, dtype=float)
-    lo = av <= _SINH_SWITCH
-    out = np.empty_like(av)
-    out[lo] = _sinh_closed(av[lo])
+    bracket /= a
+    out[lo] = bracket
     iv2 = av[~lo]
     iv2 *= iv2
     np.reciprocal(iv2, out=iv2)
-    out[~lo] = _sinh_series(iv2)
+    acc = _SINH_ASYM[-1] * iv2
+    for c in reversed(_SINH_ASYM[:-1]):
+        acc += c
+        acc *= iv2
+    out[~lo] = acc
     return out
 
 
@@ -180,119 +171,77 @@ def sin_sinh_integral(v):
     return out
 
 
-# the zero sum: blocks of points at most _SPAN wide; a block of more than
-# _CHEB points sums the ordinates within _REACH at its every point, all
-# others at _CHEB first-kind Chebyshev points of the block, interpolated
-_SPAN, _REACH, _CHEB = 6.0, 5.0, 32
-_CHEB_X = np.cos((2.0 * np.arange(_CHEB) + 1.0) * PI / (2.0 * _CHEB))
-_CHEB_W = (-1.0) ** np.arange(_CHEB) * np.sqrt(1.0 - _CHEB_X ** 2)
+# a call of at most _DENSE points sums every ordinate at every point
+_DENSE = 32
 
 
-def _barycentric(t, x):
-    """M[i, k]: weight of the value at Chebyshev point x[k] (``_CHEB_X``
-    mapped to the block) in the interpolant at t[i], by the barycentric
-    formula; a point equal to a Chebyshev point takes that point's value."""
-    d = np.subtract.outer(t, x)
-    hit = d == 0.0
-    d[hit] = 1.0
-    m = _CHEB_W / d
-    rows = hit.any(axis=1)
-    m[rows] = hit[rows]
-    m /= m.sum(axis=1, keepdims=True)
-    return m
+def _zero_field(g, logx: float, lo: float, hi: float):
+    """t -> sum_gamma sin(v) I(|v|), v = (t - gamma) log x, over every
+    ordinate of ``g`` (ascending) at a 1-d array of t in [lo, hi].
+
+    The sum is Im sum_gamma I(|t - gamma| L) e^(i L (t - gamma)), and I is
+    smooth and does not oscillate away from t = gamma: the far field of
+    :class:`~szeta._tree._Tree` with K = I.  The ordinates' expansions are
+    built once, here; at each point the field then costs L2P plus the
+    ordinates of its leaf and the two next to it, summed by
+    :func:`sin_sinh_integral` as the dense sum takes them.
+    """
+    tree = _Tree.over(g, lo, hi)
+    loc = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
+
+    def field(t):
+        s = tree.far_at(t, loc, logx).imag
+        for i, j in tree.near_at(t):
+            # each point's terms are one run; reduceat sums a run pairwise
+            run = np.flatnonzero(np.diff(i, prepend=-1))
+            s[i[run]] += np.add.reduceat(
+                sin_sinh_integral((t[i] - g[j]) * logx), run)
+        return s
+
+    return field
 
 
 def _zero_sum(t, g, logx: float):
     """sum_gamma sin(v) I(|v|) with v = (t - gamma) log x, for each point
     of the 1-d array t against every ordinate in ``g`` (ascending).
 
-    The points are sorted once and cut into blocks at most ``_SPAN`` wide.
-    A block of at most ``_CHEB`` points is summed at its points over every
-    ordinate (:func:`sin_sinh_integral`).  In a wider block, the ordinates
-    within ``_REACH`` of the block, its near band, are summed at its every
-    point.  For all other ordinates, sin((t - gamma) L) is split at the
-    block's lowest point c into sin((t - c) L) cos((c - gamma) L)
-    + cos((t - c) L) sin((c - gamma) L), so their sum is
-    sin((t - c) L) A(t) + cos((t - c) L) B(t) with
-    A(t) = sum I(|t - gamma| L) cos((c - gamma) L) and B likewise with sin.
-    A and B do not oscillate: they are evaluated at ``_CHEB`` first-kind
-    Chebyshev points of the block and interpolated to its points
-    (:func:`_barycentric`).  Each ordinate takes one form of I at all
-    points of such a block: the closed form (:func:`_sinh_closed`) if it
-    lies within ``_SINH_SWITCH / log x`` of the block or in the near band,
-    the series (:func:`_sinh_series`) if farther, so no switch falls inside
-    an interpolant.  A closed-form ordinate meets |v| of at most
-    60 + ``_SPAN`` L, or (``_REACH`` + ``_SPAN``) L in the near band, where
-    the closed form stays within 8e-14 relative up to |v| = 1000.  One
-    closed-form call per block takes the near band and the interpolated
-    closed-form values together.
-
-    Error: each term of A and B is analytic in t but for its pole at
-    t = gamma (the poles of the closed form's digamma lie beyond gamma, on
-    the far side from the block).  With the ordinate at least R from a
-    block of half-width a, it is analytic inside the Bernstein ellipse
-    rho = x + sqrt(x^2 - 1), x = 1 + R/a, and p points leave an error of
-    order rho^-p.  With R = ``_REACH`` = 5, a <= ``_SPAN``/2 = 3 and
-    p = 32: rho >= 5.1 and rho^-32 <= 2e-23.  Phases measured from c, not
-    from 0, keep their arguments as small as the block and its distances to
-    the ordinates: products t L and gamma L near t = 1e5 would cost digits.
+    At most ``_DENSE`` points are summed at every ordinate
+    (:func:`sin_sinh_integral`), so each point gets the bits of a call of
+    its own; more go through the tree (:func:`_zero_field`).
     """
-    t = np.asarray(t, dtype=float)
-    order = np.argsort(t)
-    ts = t[order]
-    tl = ts.tolist()    # bisect on a list: cheaper than searchsorted per block
-    s = np.empty(len(t))
-    # a margin on the switch's reach leaves only |v| beyond the switch on
-    # the series' side, whatever the rounding of (t - gamma) log x
-    switch = _SINH_SWITCH / logx * (1.0 + 1e-9)
-    i = 0
-    while i < len(tl):
-        c = tl[i]
-        j = bisect.bisect_right(tl, c + _SPAN)
-        tb, idx, i = ts[i:j], order[i:j], j
-        if len(tb) <= _CHEB:
-            s[idx] = sin_sinh_integral(np.subtract.outer(tb, g) * logx).sum(1)
-            continue
-        top = tb[-1]
-        a, b, a2, b2 = np.searchsorted(
-            g, [c - _REACH, top + _REACH, c - switch, top + switch])
-        a2, b2 = min(a2, a), max(b2, b)
-        pts = 0.5 * (c + top) + 0.5 * (top - c) * _CHEB_X
-        near = np.subtract.outer(tb, g[a:b])
-        near *= logx
-        sin_near = np.sin(near)
-        np.abs(near, out=near)
-        near[near == 0.0] = 1.0    # sin(v) = 0 there: the midpoint value 0
-        far = np.concatenate((g[a2:a], g[b:b2], g[:a2], g[b2:]))
-        k = (a - a2) + (b2 - b)    # the closed-form ones come first
-        closed = np.subtract.outer(pts, far[:k])
-        closed *= logx
-        np.abs(closed, out=closed)
-        both = _sinh_closed(np.concatenate((near.ravel(), closed.ravel())))
-        sin_near *= both[:near.size].reshape(near.shape)
-        sb = sin_near.sum(axis=1)
-        iv2 = np.subtract.outer(pts, far[k:])
-        iv2 *= logx
-        iv2 *= iv2
-        np.reciprocal(iv2, out=iv2)
-        ph = (c - far) * logx
-        cs = np.stack((np.cos(ph), np.sin(ph)), 1)
-        ab = both[near.size:].reshape(closed.shape) @ cs[:k]
-        ab += _sinh_series(iv2) @ cs[k:]
-        ab = _barycentric(tb, pts) @ ab
-        u = (tb - c) * logx
-        sb += np.sin(u) * ab[:, 0] + np.cos(u) * ab[:, 1]
-        s[idx] = sb
-    return s
+    if len(t) <= _DENSE:
+        return sin_sinh_integral(np.subtract.outer(t, g) * logx).sum(axis=1)
+    return _zero_field(g, logx, t.min(), t.max())(t)
+
+
+# |N(s) - N0(s)| <= 0.112 log s + 0.278 log log s + 2.510 for s >= e,
+# N0(s) = (s/2pi) log(s/2pi e) + 7/8 (Trudgian, J. Number Theory 2014)
+_TRUDGIAN = (0.112, 0.278, 2.510)
 
 
 def _zero_tail_bound(t, logx: float, zeros: ZeroSet):
     """Bound for the ordinates beyond the top a of the file, at each t < a,
-    on (1/pi) sum_gamma sin(v) I(|v|): I(v) <= pi^2/(4 v^2), with the zero
-    density log(s/2pi)/(2pi) integrated over s > a in closed form."""
-    a = zeros.t_max     # (pi/4) / (2 pi) = 1/8
-    return (math.log(a / (2 * PI)) / (a - t) + np.log(a / (a - t)) / t) \
-        / (8.0 * logx * logx)
+    on (1/pi) sum_gamma sin(v) I(|v|): I(v) <= pi^2/(4 v^2), so it is at
+    most pi/(4 L^2) sum_{gamma > a} f(gamma), f(s) = 1/(s - t)^2.
+
+    By parts, that sum is int_a^inf f dN0 + int_a^inf f dE with E = N - N0:
+    the first is the zero density log(s/2pi)/(2pi) integrated in closed
+    form, the second at most f(a) B(a) + int_a^inf B |f'| for |E| <= B
+    (``_TRUDGIAN``).  On s >= a, B(s) <= c log s + k, the tangent of
+    log log s at a taken for it, with c log a + k = B(a); and
+    int_a^inf 2 log s/(s - t)^3 ds = log a/d^2 + 1/(t d) - log(a/d)/t^2,
+    d = a - t.
+    """
+    a = zeros.t_max
+    d = a - t
+    c1, c2, c3 = _TRUDGIAN
+    loga = math.log(a)
+    b_a = c1 * loga + c2 * math.log(loga) + c3
+    c = c1 + c2 / loga
+    density = (math.log(a / (2 * PI)) / d + np.log(a / d) / t) / (2 * PI)
+    by_parts = 2.0 * b_a / (d * d) \
+        + c * (1.0 / (t * d) - np.log(a / d) / (t * t))
+    return (density + by_parts) * PI / (4.0 * logx * logx)
 
 
 def s_explicit(t, x: float, ev: SEvaluator, *, table=None):

@@ -91,7 +91,7 @@ def test_s_explicit_rows_match_library(tmp_path, zeros_file):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 5
     ts = [float(row.split(",")[0]) for row in rows]
-    # one array call for all rows; in a block of at most _CHEB points it
+    # one array call for all rows; a call of at most _DENSE points
     # gives each point the bits of a call of its own
     vals, budgets = s_explicit(np.array(ts), 50.0, ev)
     for row, t, val, budget in zip(rows, ts, vals, budgets):
@@ -284,14 +284,19 @@ def address_space_cap():
 
 @pytest.mark.parametrize("argv, code", [
     ("s --zeros {z} --t-min 20 --t-max 30 --step 0", 1),
+    ("s --zeros {z} --t-min nan --t-max 30", 1),
+    ("s --zeros {z} --t-min=-inf --t-max 30", 1),
+    ("s --zeros {z} --t-min 40 --t-max 30", 1),
+    ("s --zeros {z} --t nan", 1),
     ("s --zeros {z} --t 30 --method explicit --x 1e12", 2),
     ("pcf --zeros {z} --t 200 --step 1e-12 --out {out}", 2),
     ("check --identity lemma4 --params tol=1", 1),
 ])
 def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
                                        capsys, address_space_cap):
-    # a zero step, an allocation beyond memory and an unknown option each
-    # end in an exit code and an error line, not a stack trace
+    # a zero step, a range that is not finite or runs backwards, an
+    # allocation beyond memory and an unknown option each end in an exit
+    # code and an error line, not a stack trace
     argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv").split()
     assert main(argv) == code
     err = capsys.readouterr().err

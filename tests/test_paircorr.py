@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from oracles import gap_integral_oracle, ordered_pair_sum_oracle
-from szeta import paircorr, s_of_t
+from szeta import _tree, paircorr, s_of_t
+from szeta._tree import _Tree
 from szeta.errors import DomainError
 from szeta.kernels import khat, khat_many, kpp_transform_many
 from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                             lemma5_check, lemma6_check, lemma6_eval,
                             pair_weight, pcf, pcf_curve, tail_integral,
                             weighted_khat_sum)
+from szeta.quadrature import gap_rule
 from szeta.s_of_t import sin_sinh_integral
 from szeta.zeros import ZeroSet
 
@@ -197,58 +199,55 @@ def test_lemma6_direct_against_quad_oracle(zeros_120):
 
 
 def _assert_zero_sum_matches_dense(t, g, logx):
-    # the explicit formula's zero sum (in blocks of more than _CHEB points:
-    # near band by the closed form, the rest interpolated, with shared
-    # phases) against every ordinate through sin_sinh_integral at every
-    # point
-    got = s_of_t._zero_sum(np.asarray(t, dtype=float), g, logx)
-    want = sin_sinh_integral(np.subtract.outer(t, g) * logx).sum(axis=1)
+    # the explicit formula's zero sum (through the tree for more than
+    # _DENSE points) against every ordinate through sin_sinh_integral at
+    # every point, in rows of 64 points
+    t = np.asarray(t, dtype=float)
+    got = s_of_t._zero_sum(t, g, logx)
+    want = np.concatenate([
+        sin_sinh_integral(np.subtract.outer(t[k:k + 64], g) * logx).sum(1)
+        for k in range(0, len(t), 64)])
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def _blocks(t):
-    # the zero sum's blocks: from the lowest point left, all points within
-    # _SPAN of it
-    ts, out = np.sort(t), []
-    while len(ts):
-        j = int(np.searchsorted(ts, ts[0] + s_of_t._SPAN, "right"))
-        out.append(ts[:j])
-        ts = ts[j:]
-    return out
+def _with_neighbours(special):
+    # each special point among 2 _DENSE + 1 others within 1 of it, so that
+    # the call goes through the tree
+    return np.concatenate([special] + [
+        np.linspace(p - 1.0, p + 1.0, 2 * s_of_t._DENSE + 1)
+        for p in special])
 
 
-def _in_wide_blocks(special):
-    # each special point among 2 _CHEB + 1 others within 1 of it, so that
-    # its block is interpolated (asserted)
-    t = np.concatenate([special] + [np.linspace(p - 1.0, p + 1.0,
-                                                2 * s_of_t._CHEB + 1)
-                                    for p in special])
-    for block in _blocks(t):
-        if np.isin(special, block).any():
-            assert len(block) > s_of_t._CHEB
-    return t
+def _near_pairs(t, g):
+    # the (point, ordinate) pairs the zero field sums directly
+    tree = _Tree.over(g, t.min(), t.max())
+    return sum(len(i) for i, _ in tree.near_at(t))
 
 
 def test_zero_sum_split_blocks_all_near_or_all_far():
     logx = math.log(100.0)
+    # four ordinates about the points: the smallest tree with a far field
     g = np.array([20.0, 21.5, 24.0, 27.25])
-    # one block with every ordinate within the near reach: nothing is
-    # interpolated
-    t = np.linspace(22.0, 23.0, 2 * s_of_t._CHEB)
-    assert np.all((g > t[0] - s_of_t._REACH) & (g < t[-1] + s_of_t._REACH))
+    t = np.linspace(22.0, 23.0, 2 * s_of_t._DENSE)
+    assert 0 < _near_pairs(t, g) < t.size * g.size
     _assert_zero_sum_matches_dense(t, g, logx)
-    # two blocks: the first sits in a cluster of ordinates, with points
-    # 0.1 from one (so the sums reach about 1, and 1e-15 of that lies
-    # above the rounding of the closed form's terms); the second has no
-    # ordinate within the near reach (no band), and takes every ordinate
-    # from its interpolant, two by the closed form and five by the series
+    # seven ordinates: a cluster of points 0.1 from one (so the sums reach
+    # about 1, and 1e-15 of that lies above the rounding of the closed
+    # form's terms), and points with no ordinate within 5
     g = np.array([10.0, 14.0, 18.0, 50.0, 75.0, 120.0, 131.0])
-    near = _in_wide_blocks(np.array([12.0, 13.9, 14.1, 16.0]))
-    wide = np.linspace(60.0, 64.0, 2 * s_of_t._CHEB)
-    far = np.abs(np.subtract.outer(wide, g)).min(axis=0)
-    assert np.all(far > s_of_t._REACH)
-    assert np.sum(far * logx < 60.0) == 2 and np.sum(far * logx > 60.0) == 5
+    near = _with_neighbours(np.array([12.0, 13.9, 14.1, 16.0]))
+    wide = np.linspace(60.0, 64.0, 2 * s_of_t._DENSE)
     _assert_zero_sum_matches_dense(np.concatenate((near, wide)), g, logx)
+    # 43 ordinates, the same cluster of points, and points with no
+    # ordinate in their leaf or the next two: every ordinate through the
+    # far field, within the switch v = 60 by the closed form and beyond it
+    # by the series
+    g = np.concatenate((10.0 + 0.5 * np.arange(40), [50.0, 75.0, 120.0]))
+    far = np.linspace(36.0, 40.0, 2 * s_of_t._DENSE)
+    assert _near_pairs(far, g) == 0
+    d = np.abs(np.subtract.outer(far, g)) * logx
+    assert np.any(d < s_of_t._SINH_SWITCH) and np.any(d > s_of_t._SINH_SWITCH)
+    _assert_zero_sum_matches_dense(np.concatenate((near, far)), g, logx)
 
 
 def test_zero_sum_split_at_the_switch_and_at_ordinates(zeros_220):
@@ -256,24 +255,20 @@ def test_zero_sum_split_at_the_switch_and_at_ordinates(zeros_220):
     logx = 0.4 * math.log(100.0)
     reach = s_of_t._SINH_SWITCH / logx
     # points exactly one reach from an ordinate on either side, and points
-    # equal to ordinates (v = 0, the midpoint value 0), in blocks that
-    # interpolate
+    # equal to ordinates (v = 0, the midpoint value 0)
     j = 40
     t = np.array([g[j] - reach, g[j] + reach, g[j], g[j + 1],
                   0.5 * (g[j] + g[j + 1])])
-    _assert_zero_sum_matches_dense(_in_wide_blocks(t), g, logx)
-    # one wide block whose lowest and highest points sit one reach from the
-    # last ordinates of the closed form's side, with the next ordinates
-    # just beyond, on the series' side, and whose near band ends exactly at
-    # two ordinates
+    _assert_zero_sum_matches_dense(_with_neighbours(t), g, logx)
+    # points whose lowest and highest sit one reach from the last
+    # ordinates of the closed form's side, with the next ordinates just
+    # beyond, on the series' side
     logx = math.log(100.0)
     reach = s_of_t._SINH_SWITCH / logx
     lo, hi = 50.0, 54.0
-    t = np.linspace(lo, hi, 2 * s_of_t._CHEB)
-    assert len(_blocks(t)) == 1
-    g = np.array([lo - reach - 1e-7, lo - reach, lo - s_of_t._REACH, lo - 1.0,
-                  lo + 2.0, hi + s_of_t._REACH, hi + reach,
-                  hi + reach + 1e-7])
+    t = np.linspace(lo, hi, 2 * s_of_t._DENSE)
+    g = np.array([lo - reach - 1e-7, lo - reach, lo - 5.0, lo - 1.0,
+                  lo + 2.0, hi + 5.0, hi + reach, hi + reach + 1e-7])
     _assert_zero_sum_matches_dense(t, g, logx)
 
 
@@ -281,17 +276,16 @@ def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
     g = zeros_220.ordinates
     logx = math.log(20.0)
     rng = np.random.default_rng(5)
-    # blocks whose band takes in the first ordinate, the last one, and one
-    # point set spread so wide that several blocks cover the whole set;
-    # then points sparser than one per block, blocks of exactly as many
-    # points as Chebyshev points (summed at their points) and of one more,
-    # and a dense point set in random order
+    # points about the first ordinate, the last one, and a point set
+    # spread wider than the whole set; then points sparser than the
+    # ordinates, calls of exactly _DENSE points (summed at every ordinate)
+    # and of one more, and a dense point set in random order
     for t in (np.linspace(g[0] - 2.0, g[0] + 3.0, 40),
               np.linspace(g[-1] - 3.0, g[-1] + 2.0, 40),
               np.linspace(1.0, g[-1] + 5.0, 700),
               np.linspace(2.0, 215.0, 30),
-              np.linspace(100.0, 104.0, s_of_t._CHEB),
-              np.linspace(100.0, 104.0, s_of_t._CHEB + 1),
+              np.linspace(100.0, 104.0, s_of_t._DENSE),
+              np.linspace(100.0, 104.0, s_of_t._DENSE + 1),
               rng.permutation(np.linspace(40.0, 90.0, 800))):
         _assert_zero_sum_matches_dense(t, g, logx)
 
@@ -299,25 +293,34 @@ def test_zero_sum_split_with_the_end_ordinates_in_the_band(zeros_220):
 def test_zero_sum_split_keeps_digits_near_t_1e5():
     # 3000 ordinates at the density near t = 99000: phases measured from 0
     # (sin(t L) cos(gamma L) - cos(t L) sin(gamma L)) put about 1.7e-14
-    # relative into the sum, phases from each block's lowest point 5e-16
+    # relative into the sum, phases from exact box centres 3e-16
     rng = np.random.default_rng(7)
     g = np.sort(99000.0 + rng.uniform(-975.0, 975.0, 3000))
     logx = 0.5 * math.log(99000.0)
     t = np.sort(99000.0 + rng.uniform(-40.0, 40.0, 1000))
-    assert all(len(b) > s_of_t._CHEB for b in _blocks(t)[:-1])
     _assert_zero_sum_matches_dense(t, g, logx)
 
 
 def test_zero_sum_split_with_clustered_ordinates():
-    # 3000 of 4500 ordinates within 3 of each other: blocks inside the
-    # cluster take it all in their near band, blocks beside it interpolate
-    # it, by the closed form within the switch and by the series beyond
+    # 3000 of 4500 ordinates within 3 of each other: points inside the
+    # cluster sum thousands of terms of size about 1 directly, points
+    # beside it take it through the far field, by the closed form within
+    # the switch and by the series beyond
     rng = np.random.default_rng(11)
     g = np.sort(np.concatenate((rng.uniform(200.0, 203.0, 3000),
                                 rng.uniform(10.0, 1000.0, 1500))))
     logx = math.log(100.0)
     t = np.linspace(180.0, 225.0, 400)
     _assert_zero_sum_matches_dense(t, g, logx)
+
+
+def test_zero_sum_at_sparse_points_of_the_reference_set(zeros_ref):
+    # 998 points 10 apart over the 10154 reference ordinates: one tree
+    # over the whole set, a few ordinates summed directly at each point
+    g = zeros_ref.ordinates
+    t = 20.0 + 10.0 * np.arange(998)
+    assert _near_pairs(t, g) < 20 * len(t)
+    _assert_zero_sum_matches_dense(t, g, 0.5 * math.log(1000.0))
 
 
 def test_lemma6_check_reports_the_regrouping(zeros_220):
@@ -342,19 +345,32 @@ def test_lemma5_and_lemma6_one_engine_call_each(zeros_220, monkeypatch):
     monkeypatch.setattr(paircorr, "_pair_sum", counted)
     lemma5_check(zeros_220, 200.0, 0.5)
     assert len(calls) == 1
-    lemma6_eval(zeros_220, 200.0, 0.4, direct_limit=0.0)
+    lemma6_eval(zeros_220, 200.0, 0.4)
     assert len(calls) == 2
 
 
-def test_lemma6_skips_direct_at_large_T(zeros_220):
-    dec = lemma6_eval(zeros_220, 200.0, 0.4, direct_limit=150.0)
-    assert dec.r_total_direct is None
+def test_lemma6_direct_against_the_dense_sum_at_T_1000(zeros_1010):
+    # the direct integral at every T: its integrand through the tree
+    # against every ordinate summed at every node of the same gap rule
+    T, beta = 1000.0, 0.5
+    dec = lemma6_eval(zeros_1010, T, beta)
+    g = zeros_1010.ordinates
+    logx = beta * math.log(T)
+
+    def dense(t):
+        return (sin_sinh_integral(np.subtract.outer(t, g) * logx).sum(1)
+                / PI) ** 2
+
+    edges = np.concatenate(([1.0], g[g < T], [T]))
+    want, err = gap_rule(dense, edges, omega=logx)
+    assert dec.r_total_direct == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert dec.r_direct_err <= 1e-10 * dec.r_total_direct
 
 
 def test_lemma6_single_zero_f_beta_term():
     zs = ZeroSet(ordinates=np.array([30.0]), t_max=120.0, source="imported")
     T, beta = 120.0, 0.5
-    dec = lemma6_eval(zs, T, beta, direct_limit=0.0)
+    dec = lemma6_eval(zs, T, beta)
     norm = (T / (2 * PI)) * math.log(T)
     expect = T / (16 * math.log(T) ** 2) * (1.0 / norm) / beta ** 3
     assert dec.term_F_beta == pytest.approx(expect, rel=1e-12)
@@ -363,7 +379,7 @@ def test_lemma6_single_zero_f_beta_term():
 def _pair_engine_outputs(zs, T, beta):
     """lemma5 sums, lemma6 terms and a pcf curve, all through the engine."""
     rep = lemma5_check(zs, T, beta)
-    dec = lemma6_eval(zs, T, beta, direct_limit=0.0)
+    dec = lemma6_eval(zs, T, beta)
     curve = pcf_curve(zs, T, 2.0, 0.25)
     return ([rep.lhs, rep.detail["F_beta"], rep.detail["kpp_integral"],
              dec.r_total, dec.term_main, dec.term_F_beta,
@@ -410,9 +426,9 @@ def test_pair_engine_against_ordered_oracle(zeros_220, monkeypatch):
     # with the default leaf size 60 ordinates make a tree of at most one
     # level, all near field; two ordinates per leaf force a deep tree
     # (the khat sums stay bounded by the leaf width 50 / log x)
-    assert paircorr._Tree(head, 0.0).levels <= 1
-    monkeypatch.setattr(paircorr, "_LEAF", 2)
-    assert paircorr._Tree(head, 0.0).levels == 4
+    assert _Tree(head, 0.0).levels <= 1
+    monkeypatch.setattr(_tree, "_LEAF", 2)
+    assert _Tree(head, 0.0).levels == 4
     for (zs, T), (sums, curve) in zip(cases, outputs):
         deep_sums, deep_curve = _pair_engine_outputs(zs, T, beta)
         assert deep_sums == pytest.approx(sums, rel=1e-12)
@@ -440,7 +456,7 @@ def _all_pair_sums(zs, T, beta, alphas):
     norm = (T / (2 * PI)) * logT
     kscale = 2 * PI * beta / norm
     rep = lemma5_check(zs, T, beta)
-    dec = lemma6_eval(zs, T, beta, direct_limit=0.0)
+    dec = lemma6_eval(zs, T, beta)
     curve = pcf_curve(zs, T, max(alphas), 0.25)
     on_grid = [curve.values[int(round(a / 0.25))] for a in alphas]
     return {
@@ -479,12 +495,12 @@ def test_pair_functions_against_ordered_oracle(zeros_2510):
     T, beta = 2500.0, math.log(20.0) / math.log(2500.0)
     g = zeros_2510.up_to(T)
     assert len(g) > 1900
-    assert paircorr._Tree(g, 0.0).levels >= 3
-    assert paircorr._Tree(g, 50.0 / (beta * math.log(T))).levels >= 3
+    assert _Tree(g, 0.0).levels >= 3
+    assert _Tree(g, 50.0 / (beta * math.log(T))).levels >= 3
     _assert_matches_oracle(zeros_2510, T, beta)
     # x = 4: the widest near field the khat sums allow, 50 / log 4 ~ 36
     beta4 = math.log(4.0 + 1e-9) / math.log(T)
-    assert paircorr._Tree(g, 50.0 / math.log(4.0)).levels >= 3
+    assert _Tree(g, 50.0 / math.log(4.0)).levels >= 3
     _assert_matches_oracle(zeros_2510, T, beta4, alphas=(1.0,))
     lemma = lemma5_check(zeros_2510, T, beta)
     assert lemma.passed and lemma.discrepancy_rel < 1e-4
@@ -500,7 +516,7 @@ def test_pair_functions_on_synthetic_sets(monkeypatch):
         _assert_matches_oracle(zset(g), 200.0, 0.45)
     # all ordinates in one leaf: at x = 4 the leaves are >= 36 wide
     one_leaf = np.arange(15.0, 41.0)
-    assert paircorr._Tree(one_leaf, 50.0 / math.log(4.0)).levels == 0
+    assert _Tree(one_leaf, 50.0 / math.log(4.0)).levels == 0
     _assert_matches_oracle(zset(one_leaf), 200.0,
                            math.log(4.0 + 1e-9) / math.log(200.0))
     # differences straddling y = 50: pairs at 50 / log x (1 -+ 1e-9)
@@ -509,14 +525,14 @@ def test_pair_functions_on_synthetic_sets(monkeypatch):
     base = 20.0 + 0.37 * np.arange(250)
     straddle = np.sort(np.concatenate(
         [base, base + r * (1 - 1e-9), base + r * (1 + 1e-9)]))
-    assert paircorr._Tree(straddle, r).levels >= 2
+    assert _Tree(straddle, r).levels >= 2
     _assert_matches_oracle(zset(straddle), 200.0, beta)
     # gaps wider than a leaf leave empty leaves
-    monkeypatch.setattr(paircorr, "_LEAF", 4)
+    monkeypatch.setattr(_tree, "_LEAF", 4)
     gappy = np.concatenate([np.arange(20.0, 60.0, 0.25),
                             np.arange(60.0, 160.0, 9.5),
                             np.arange(160.0, 199.0, 0.25)])
-    tree = paircorr._Tree(gappy, 0.0)
+    tree = _Tree(gappy, 0.0)
     h = (gappy[-1] - gappy[0]) / 2 ** tree.levels
     leaf = np.minimum(((gappy - gappy[0]) / h).astype(int),
                       2 ** tree.levels - 1)
@@ -548,7 +564,7 @@ def test_curve_against_ordered_oracle_at_the_top_of_the_range():
     # must keep the phases too
     rng = np.random.default_rng(11)
     g = 99000.0 + np.arange(300) + rng.uniform(-0.4, 0.4, 300)
-    assert paircorr._Tree(g, 0.0).levels >= 2
+    assert _Tree(g, 0.0).levels >= 2
     _assert_curve_matches_oracle(g, 99300.0)
 
 
@@ -557,7 +573,7 @@ def test_curve_against_ordered_oracle_with_empty_leaves():
     # and the partly filled leaves are padded to the fullest
     g = np.concatenate([20.0 + 0.08 * np.arange(120),
                         39.42 + 0.08 * np.arange(180)])
-    tree = paircorr._Tree(g, 0.0)
+    tree = _Tree(g, 0.0)
     assert tree.levels >= 2
     assert not np.all(tree.filled.any(axis=1))
     assert len(set(tree.filled.sum(axis=1))) > 2
@@ -570,7 +586,7 @@ def test_curve_against_ordered_oracle_with_a_cluster():
     # their own width rather than padded to the cluster's
     g = np.concatenate([20.0 + 0.001 * np.arange(200),
                         21.0 + 2.5 * np.arange(100)])
-    tree = paircorr._Tree(g, 0.0)
+    tree = _Tree(g, 0.0)
     width = tree.filled.sum(axis=1)
     assert width.max() > 200 and np.median(width) < 20
     _assert_curve_matches_oracle(g, 270.0)
@@ -586,7 +602,7 @@ def test_pair_engine_far_field_on_a_flat_kernel():
     rng = np.random.default_rng(7)
     g = np.sort(np.concatenate([rng.uniform(0.0, 50.0, 300),
                                 rng.uniform(1000.0, 1100.0, 300)]))
-    tree = paircorr._Tree(g, 0.0)
+    tree = _Tree(g, 0.0)
     assert tree.levels >= 3
     for omega in (0.0, 0.3, 2.9):
         got = paircorr._pair_sum(g, lambda d: np.sum(np.cos(omega * d)),

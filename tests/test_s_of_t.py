@@ -12,8 +12,9 @@ from szeta.errors import DomainError
 from szeta.kernels import f_weight
 from szeta.primes import build_prime_table
 from szeta.s_of_t import (SEvaluator, _s_squared_integral, _theta_sin_tail,
-                          g_and_h_direct, s_exact, s_explicit, s_mean,
-                          second_moment, sin_sinh_integral, sinh_integral)
+                          _zero_tail_bound, g_and_h_direct, s_exact,
+                          s_explicit, s_mean, second_moment,
+                          sin_sinh_integral, sinh_integral)
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -218,7 +219,9 @@ def _windowed_s_explicit(t, x, ev):
     # the zeros with |t - gamma| <= 50/log x only, and the bound on the
     # value of the ordinates it leaves out, (1/pi) sum pi^2/(4 v^2) by
     # I(v) <= pi^2/(4 v^2), next to the same bound for those beyond the
-    # file, by the zero density
+    # file: the zero density's integral and the by-parts term of
+    # |N - N0| <= B = 0.112 log s + 0.278 log log s + 2.510 (Trudgian),
+    # 2 B(a)/d^2 + c (1/(t d) - log(a/d)/t^2), c = d(B)/d(log s) at a
     logx = math.log(x)
     g = ev.zeros.ordinates
     near = np.abs(g - t) <= 50.0 / logx
@@ -226,8 +229,11 @@ def _windowed_s_explicit(t, x, ev):
         - float(np.sum(sin_sinh_integral((t - g[~near]) * logx))) / PI
     inside = float(np.sum(1.0 / (g[~near] - t) ** 2))
     a = ev.zeros.t_max
-    beyond = (math.log(a / (2 * PI)) / (a - t)
-              + math.log(a / (a - t)) / t) / (2 * PI)
+    d = a - t
+    b_a = 0.112 * math.log(a) + 0.278 * math.log(math.log(a)) + 2.510
+    c = 0.112 + 0.278 / math.log(a)
+    beyond = (math.log(a / (2 * PI)) / d + math.log(a / d) / t) / (2 * PI) \
+        + 2.0 * b_a / (d * d) + c * (1.0 / (t * d) - math.log(a / d) / t ** 2)
     scale = PI / 4.0 / (logx * logx)
     return value, scale * inside, scale * beyond
 
@@ -247,10 +253,39 @@ def test_s_explicit_differs_from_the_window_within_its_bound(ev_120):
         assert budget == pytest.approx(terms + beyond, rel=1e-13)
 
 
+def test_zero_tail_bound_covers_the_reference_ordinates(zeros_ref):
+    # a file cut at a = 512: the bound for the ordinates beyond it against
+    # pi/(4 L^2) sum 1/(gamma - t)^2 over the reference ordinates in
+    # (512, 10010]; the density integral alone fell short by up to 0.13 %
+    g = zeros_ref.ordinates
+    cut = ZeroSet(ordinates=g[g <= 512.0], t_max=512.0, source="imported")
+    logx = math.log(100.0)
+    t = np.linspace(20.0, 501.0, 2000)
+    above = g[g > 512.0]
+    total = np.array([np.sum((above - x) ** -2.0) for x in t]) \
+        * PI / (4.0 * logx * logx)
+    assert np.all(_zero_tail_bound(t, logx, cut) >= total)
+    # and it is the integral it states, to the digit: by mpmath, the
+    # density f dN0 plus f(a) B(a) + int B |f'|, with B(s) <= c log s + k
+    # (the tangent of log log s at a) on s >= a
+    a = mpmath.mpf(512)
+    c = 0.112 + 0.278 / mpmath.log(a)
+    k = 0.112 * mpmath.log(a) + 0.278 * mpmath.log(mpmath.log(a)) + 2.510 \
+        - c * mpmath.log(a)
+    for x in (20.0, 250.0, 501.0):
+        want = mpmath.quad(
+            lambda s: mpmath.log(s / (2 * mpmath.pi)) / (2 * mpmath.pi)
+            / (s - x) ** 2 + 2 * (c * mpmath.log(s) + k) / (s - x) ** 3,
+            [a, 2 * a, mpmath.inf]) + (c * mpmath.log(a) + k) / (a - x) ** 2
+        got = _zero_tail_bound(np.array([x]), logx, cut)[0]
+        assert got == pytest.approx(float(want * mpmath.pi / 4) / logx ** 2,
+                                    rel=1e-13)
+
+
 def test_s_routes_on_arrays_match_the_scalar_calls(ev_120):
     # an array of t gets the values, and the shape, of one call per point;
-    # s_exact's to the bit, and s_explicit's to the bit in blocks of at
-    # most _CHEB points, to the interpolant's accuracy in wider ones
+    # s_exact's to the bit, and s_explicit's to the bit in calls of at
+    # most _DENSE points, to the tree's accuracy in larger ones
     ts = np.array([[20.0, 31.25], [14.134725141734695, 101.5]])
     exact = s_exact(ts, ev_120)
     assert exact.shape == ts.shape

@@ -180,7 +180,7 @@ def test_full_report_fields_and_isolation(zeros_220, prime_table_small):
 
 def test_full_report_r_matches_lemma6(zeros_220, prime_table_small):
     rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
-    dec = lemma6_eval(zeros_220, 200.0, rep.beta, direct_limit=0.0)
+    dec = lemma6_eval(zeros_220, 200.0, rep.beta)
     note = next(n for n in rep.notes if n.startswith("squared-formula"))
     assert f"R = {dec.r_total:.12g}," in note
 
