@@ -12,6 +12,11 @@ explicit formula's zero sum of :mod:`szeta.s_of_t`): the local expansion
 of every leaf is built once from the sources (:meth:`_Tree.locals`), and
 a target then costs L2P (:meth:`_Tree.far_at`) plus the sources of its
 leaf and the two next to it (:meth:`_Tree.near_at`).
+
+Temporaries per source or target are bounded by a block: near-field
+kernel calls take pieces of about _NEAR differences, P2M weights are
+built where they are used, _BATCH sources at a time, and L2P sums each
+leaf's Chebyshev series by Clenshaw's recurrence, one vector per degree.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ _P = 20             # Chebyshev nodes per box of the far field
 _LEAF = 24          # mean ordinates per leaf the pair engine's tree aims for
 _FIELD_LEAF = 2     # the same for a tree over targets (``over``), measured
 _COLUMNS = 16       # charge columns per far-field pass
-_NEAR = 1 << 16     # near-field differences per kernel call
-_BATCH = 1 << 14    # charges per leaf batch (256 KB of complex)
+_NEAR = 1 << 14     # near-field differences per kernel call
+_BATCH = 1 << 14    # charges per leaf batch (256 KB of complex), sources
+                    # per block of P2M weights
 
 _NODES = np.cos((2.0 * np.arange(_P) + 1.0) * PI / (2.0 * _P))
 # T_k(node n) at [k, n], and the weight of T_k in the interpolant
@@ -131,8 +137,9 @@ class _Tree:
         self.ends = np.searchsorted(self.leaf, np.arange(2 ** levels),
                                     "right")
         self.first = self.ends - np.diff(self.ends, prepend=0)
-        # P2M: each source's weight at the nodes of its leaf
-        self.weights = _interp(xi) if levels >= 2 else None
+        # each source's place in its leaf; P2M weights are built from it
+        # where they are used, a block of _BATCH sources at a time
+        self.xi = xi
 
     def _locate(self, x):
         """The leaf of each point of x and its place in it, in [-1, 1]."""
@@ -163,7 +170,9 @@ class _Tree:
         leaf, zero on padding; built for the pair engine's far field."""
         p2m = np.zeros((len(self.slots), _P, self.slots.shape[1]))
         slot = np.arange(len(self.g)) - self.first[self.leaf]
-        p2m[self.leaf, :, slot] = self.weights
+        for s in range(0, len(self.g), _BATCH):
+            b = np.s_[s:s + _BATCH]
+            p2m[self.leaf[b], :, slot[b]] = _interp(self.xi[b])
         return p2m
 
     def _batches(self, columns):
@@ -266,9 +275,10 @@ class _Tree:
     # -- sums at targets apart from the sources -------------------------
 
     def locals(self, kernel, omega):
-        """Local expansion (leaf, node) of every leaf for the far field
-        sum_j K(t - g_j) e^(i omega (t - g_j)) over the sources j outside
-        the leaf of t and its two neighbours; None if there are none.
+        """Local expansion of every leaf for the far field sum_j K(t - g_j)
+        e^(i omega (t - g_j)) over the sources j outside the leaf of t and
+        its two neighbours, as Chebyshev coefficients (degree, leaf); None
+        if there are none.
 
         P2M takes the charges e^(-i omega (g_j - c)) from the centre c of
         each source's leaf, M2M and L2L move them from box to box by the
@@ -282,11 +292,16 @@ class _Tree:
             return None
         n_leaf = 2 ** self.levels
         centre = self.origin + (np.arange(n_leaf) + 0.5) * self.h
-        q = np.exp(-1j * omega * (self.g - centre[self.leaf]))
-        full = self.ends > self.first
         m = np.zeros((n_leaf, _P), dtype=complex)
-        m[full] = np.add.reduceat(self.weights * q[:, None],
-                                  self.first[full])
+        for s in range(0, len(self.g), _BATCH):
+            b = np.s_[s:s + _BATCH]
+            leaf = self.leaf[b]
+            q = np.exp(-1j * omega * (self.g[b] - centre[leaf]))
+            # the block's runs of one leaf; a leaf cut by the block's
+            # edge gets a partial sum from each side
+            run = np.flatnonzero(np.diff(leaf, prepend=-1))
+            m[leaf[run]] += np.add.reduceat(_interp(self.xi[b]) * q[:, None],
+                                            run)
         mult = {self.levels: m.T}
         for lev in range(self.levels, 2, -1):
             # a child's centre is half its width left or right of its
@@ -310,16 +325,21 @@ class _Tree:
                                     (-off * h, left, right)):
                     mat = kernel(d + h * _GAP) * np.exp(1j * omega * d)
                     loc[:, tgt] += _times(mat, m[:, src])
-        return np.ascontiguousarray(loc.T)
+        # node values to the coefficients of their interpolant
+        return _times(_SCALE[:, None] * _AT_NODES, loc)
 
-    def far_at(self, t, loc, omega) -> np.ndarray:
-        """L2P: the far field of :meth:`locals` at the points t."""
-        if loc is None:
+    def far_at(self, t, coef, omega) -> np.ndarray:
+        """L2P: the far field of :meth:`locals` at the points t, each
+        leaf's Chebyshev series summed by Clenshaw's recurrence."""
+        if coef is None:
             return np.zeros(len(t), dtype=complex)
         leaf, xi = self._locate(t)
         u = t - (self.origin + (leaf + 0.5) * self.h)
-        return np.exp(1j * omega * u) * np.einsum("ip,ip->i", _interp(xi),
-                                                  loc[leaf])
+        x2 = 2.0 * xi
+        b1 = b2 = np.zeros(len(t), dtype=complex)
+        for k in range(_P - 1, 0, -1):
+            b1, b2 = coef[k][leaf] + x2 * b1 - b2, b1
+        return np.exp(1j * omega * u) * (coef[0][leaf] + xi * b1 - b2)
 
     def near_at(self, t):
         """Index pairs (i, j) of the points t[i] and the sources g[j] in the

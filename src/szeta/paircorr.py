@@ -63,9 +63,10 @@ def _pair_sum(g: np.ndarray, near, far, min_width: float = 0.0):
     vector of several sums).  ``far`` gives the same sums as a list of
     ``(K, omega)``, one output each, with near(d) = Re[K(d) e^(i omega d)]
     wherever d >= ``min_width``; K must be smooth there.  Pairs in the same
-    or adjacent leaves of :class:`_Tree` go through ``near``, the rest
-    through a Chebyshev far field (black-box FMM: P2M, M2M, M2L on the
-    charges e^(-i omega g), p = _P nodes per box).
+    or adjacent leaves of :class:`_Tree` go through ``near``, in pieces of
+    about ``_tree._NEAR`` differences, the rest through a Chebyshev far
+    field (black-box FMM: P2M, M2M, M2L on the charges e^(-i omega g),
+    p = _P nodes per box).
     """
     g = np.sort(np.asarray(g, dtype=float))
     tree = _Tree(g, min_width)

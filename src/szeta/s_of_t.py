@@ -182,15 +182,16 @@ def _zero_field(g, logx: float, lo: float, hi: float):
     The sum is Im sum_gamma I(|t - gamma| L) e^(i L (t - gamma)), and I is
     smooth and does not oscillate away from t = gamma: the far field of
     :class:`~szeta._tree._Tree` with K = I.  The ordinates' expansions are
-    built once, here; at each point the field then costs L2P plus the
-    ordinates of its leaf and the two next to it, summed by
+    built once, here, as each leaf's Chebyshev coefficients; at each point
+    the field then costs L2P (one Clenshaw recurrence) plus the ordinates
+    of its leaf and the two next to it, summed by
     :func:`sin_sinh_integral` as the dense sum takes them.
     """
     tree = _Tree.over(g, lo, hi)
-    loc = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
+    coef = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
 
     def field(t):
-        s = tree.far_at(t, loc, logx).imag
+        s = tree.far_at(t, coef, logx).imag
         for i, j in tree.near_at(t):
             # each point's terms are one run; reduceat sums a run pairwise
             run = np.flatnonzero(np.diff(i, prepend=-1))

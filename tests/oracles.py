@@ -8,6 +8,7 @@ import math
 
 import mpmath
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.integrate import quad
 from scipy.special import loggamma
 
@@ -52,6 +53,24 @@ def ordered_pair_sum_oracle(ordinates, kernel):
     if rows.ndim == 1:
         return math.fsum(rows)
     return np.array([math.fsum(col) for col in rows.T])
+
+
+def chebyshev_nodes(p):
+    """The p Chebyshev nodes of the first kind in [-1, 1]."""
+    return np.cos((2.0 * np.arange(p) + 1.0) * PI / (2.0 * p))
+
+
+def node_interpolant_l2p(xi, u, omega, values):
+    """L2P through the node interpolant: e^(i omega u) times the degree
+    p - 1 interpolant, at xi in [-1, 1], of ``values`` at the p
+    :func:`chebyshev_nodes`, one row of values per point.  The weight of
+    node n at x is sum_k c_k T_k(x) T_k(node n), c_0 = 1/p, c_k = 2/p."""
+    p = values.shape[1]
+    c = np.full(p, 2.0 / p)
+    c[0] = 1.0 / p
+    weights = (chebvander(xi, p - 1) * c) @ chebvander(chebyshev_nodes(p),
+                                                       p - 1).T
+    return np.exp(1j * omega * u) * np.einsum("ip,ip->i", weights, values)
 
 
 def sinh_integral_oracle(v):

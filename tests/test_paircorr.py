@@ -1,10 +1,16 @@
 import cmath
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
-from oracles import gap_integral_oracle, ordered_pair_sum_oracle
+from oracles import (chebyshev_nodes, gap_integral_oracle,
+                     node_interpolant_l2p, ordered_pair_sum_oracle)
 from szeta import _tree, paircorr, s_of_t
 from szeta._tree import _Tree
 from szeta.errors import DomainError
@@ -14,7 +20,7 @@ from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
                             pair_weight, pcf, pcf_curve, tail_integral,
                             weighted_khat_sum)
 from szeta.quadrature import gap_rule
-from szeta.s_of_t import sin_sinh_integral
+from szeta.s_of_t import sin_sinh_integral, sinh_integral
 from szeta.zeros import ZeroSet
 
 PI = math.pi
@@ -321,6 +327,88 @@ def test_zero_sum_at_sparse_points_of_the_reference_set(zeros_ref):
     t = 20.0 + 10.0 * np.arange(998)
     assert _near_pairs(t, g) < 20 * len(t)
     _assert_zero_sum_matches_dense(t, g, 0.5 * math.log(1000.0))
+
+
+def _assert_l2p_matches_the_node_interpolant(g, logx):
+    # the zero field's far field by Clenshaw's recurrence on each leaf's
+    # coefficients against the interpolant of the same expansion's values
+    # at the leaf's Chebyshev nodes, at 5000 random points
+    t = np.random.default_rng(3).uniform(g[0], g[-1], 5000)
+    tree = _Tree.over(g, t.min(), t.max())
+    coef = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
+    leaf, xi = tree._locate(t)
+    u = t - (tree.origin + (leaf + 0.5) * tree.h)
+    values = chebval(chebyshev_nodes(len(coef)), coef)
+    want = node_interpolant_l2p(xi, u, logx, values[leaf])
+    got = tree.far_at(t, coef, logx)
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+def test_l2p_against_the_node_interpolant(zeros_ref):
+    # the dense sums above check the near and far fields only together;
+    # this checks L2P alone, on the sets of
+    # test_zero_sum_split_keeps_digits_near_t_1e5, ..._with_clustered_
+    # ordinates and the reference ordinates (1.04e-15, 0.81e-15 and
+    # 1.24e-15 of the largest value when written)
+    rng = np.random.default_rng(7)
+    g = np.sort(99000.0 + rng.uniform(-975.0, 975.0, 3000))
+    _assert_l2p_matches_the_node_interpolant(g, 0.5 * math.log(99000.0))
+    rng = np.random.default_rng(11)
+    g = np.sort(np.concatenate((rng.uniform(200.0, 203.0, 3000),
+                                rng.uniform(10.0, 1000.0, 1500))))
+    _assert_l2p_matches_the_node_interpolant(g, math.log(100.0))
+    _assert_l2p_matches_the_node_interpolant(zeros_ref.ordinates,
+                                             0.5 * math.log(1000.0))
+
+
+def _traced_peak(f, *args, **kwargs):
+    # the largest traced allocation total during the call, in MiB
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_temporaries_are_bounded_by_a_block(zeros_ref):
+    # tracemalloc traces NumPy's allocations, so the peaks are the same
+    # on every run.  With near-field pieces of 2^16 differences the pair
+    # sum peaked at 6.51 MiB, and L2P through the (4096 x 20) node
+    # interpolant at 2.22 MiB; pieces of 2^14 and Clenshaw's recurrence
+    # read 1.65 and 0.50 MiB
+    assert _traced_peak(weighted_khat_sum, zeros_ref, 20.0, "w",
+                        T=2500.0) <= 3.0
+    logx = math.log(20.0)
+    tree = _Tree.over(zeros_ref.up_to(2500.0), 1.0, 2500.0)
+    coef = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
+    t = np.random.default_rng(1).uniform(1.0, 2500.0, 4096)
+    assert _traced_peak(tree.far_at, t, coef, logx) <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pieces_cover_every_pair_once(data):
+    # random runs [lo[i], hi[i]), empty ones and ones longer than a piece
+    # among them, split at the module's piece size and at small ones
+    near = data.draw(st.sampled_from([1, 3, 16, 100, _tree._NEAR]))
+    counts = np.array(data.draw(st.lists(
+        st.integers(0, 2 * near + 1), max_size=8 if near > 100 else 40)),
+        dtype=np.int64)
+    lo = np.array(data.draw(st.lists(st.integers(0, 50), min_size=len(counts),
+                                     max_size=len(counts))), dtype=np.int64)
+    hi = lo + counts
+    with mock.patch.object(_tree, "_NEAR", near):
+        pieces = list(_tree._pieces(lo, hi))
+    longest = int(counts.max(initial=0))
+    assert all(0 < len(i) <= max(near, longest) for i, _ in pieces)
+    got = np.concatenate([np.stack(p) for p in pieces], axis=1) \
+        if pieces else np.zeros((2, 0), dtype=np.int64)
+    want = np.stack([np.repeat(np.arange(len(lo)), counts),
+                     np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]
+                                    + [np.zeros(0, dtype=np.int64)])])
+    order = np.lexsort(got[::-1])
+    assert np.array_equal(got[:, order], want)
 
 
 def test_lemma6_check_reports_the_regrouping(zeros_220):
