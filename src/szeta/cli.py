@@ -114,6 +114,13 @@ def _load_zeros(path: str) -> ZeroSet:
         raise _ValidationError(f"{path}: {exc}")
 
 
+def _refuse_beyond_memory(count: float, what: str) -> None:
+    """Refuse, as out of memory (exit 2), ``count`` 8-byte entries that no
+    address space holds, where NumPy would raise ValueError; NaN too."""
+    if not count < sys.maxsize / 8:
+        raise MemoryError(f"cannot hold {count:.3g} {what}")
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -164,11 +171,15 @@ def _cmd_s(args) -> int:
     zs = _load_zeros(args.zeros)
     if not hi <= zs.t_max:      # before any point is built
         raise _ValidationError(f"zeros file does not cover t = {hi:.12g}")
-    n = int(math.floor((hi - lo) / args.step)) + 1
-    points = lo + np.arange(n) * args.step
+    rows = (hi - lo) / args.step
+    _refuse_beyond_memory(rows, "rows")
+    points = lo + np.arange(math.floor(rows) + 1) * args.step
     if args.method == "exact":
         vals = s_exact(points, SEvaluator(zs, None))
     else:
+        if not 4.0 <= args.x < math.inf:
+            raise _UsageError("--x must be finite and at least 4")
+        _refuse_beyond_memory(args.x, "sieve entries")
         table = build_prime_table(max(64, int(args.x) + 1))
         vals = s_explicit(points, args.x, SEvaluator(zs, table))[0]
     text = "t,S\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v

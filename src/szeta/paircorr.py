@@ -1,19 +1,19 @@
 """Pair correlation of zero ordinates and the weighted double sums over pairs.
 
-F(alpha, T) with Montgomery's weight w(u) = 4/(4+u^2), the khat pair sums
-(plain, w- or complement-weighted) and the F-weighted kernel integrals are
-all sums of an even kernel over ordered ordinate pairs.  One engine,
-:func:`_pair_sum` on the tree of :mod:`szeta._tree`, computes them in O(N):
-near pairs with the caller's vectorized kernel, the rest through the
-tree's far field.  Every kernel is Re[K(d) e^(i omega d)] with K smooth
-away from d = 0: the Lorentzian w itself for F, and (P - iQ)(d log x)
-times a weight for the khat and k'' transforms, whose P cos + Q sin split
-for y >= 50 lives in :mod:`szeta.kernels`.  A caller needing several sums
-passes one near-field kernel returning them all.  The alpha grid of
-:func:`pcf_curve` becomes charge columns, each the one before times a
-phase: the far field takes them in passes, and the near field is a batched
-product, over each leaf and its right neighbour, of their padded charge
-blocks and the matrix of w at the ordinate differences.
+F(alpha, T) with Montgomery's weight w(u) = 4/(4+u^2), the report's R and
+the sums of Lemmas 5, 6 and 8-10 each sum one transform at d L (cos, khat
+or the k'' transform) times one weight of d (1, w or 1 - w) over ordered
+ordinate pairs.  One engine, :func:`_pair_sum` on the tree of
+:mod:`szeta._tree`, takes a caller's list of such ``(transform, weight)``
+terms and computes their sums in O(N): near pairs directly, each transform
+once per piece, the rest through the tree's far field of Re[K(d) e^(i L d)],
+K the weight for cos and (P - iQ)(d L) times the weight for the khat and
+k'' transforms, whose P cos + Q sin split for y >= 50 lives in
+:mod:`szeta.kernels`.  The alpha grid of :func:`pcf_curve` becomes charge
+columns, each the one before times a phase: the far field takes them in
+passes, and the near field is a batched product, over each leaf and its
+right neighbour, of their padded charge blocks and the matrix of w at the
+ordinate differences.
 
 Engine callers: :func:`pcf`, :func:`weighted_khat_sum` (the report's R),
 :func:`pcf_curve` (through the tree), and :func:`_beta_pair_sums`, five sums
@@ -27,6 +27,7 @@ which :func:`lemma6_eval` squares and integrates over [1, T] at every T.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,43 +50,61 @@ def pair_weight(u):
     return 4.0 / (4.0 + u * u)
 
 
-_WEIGHTS = {
-    "none": lambda u: 1.0,
-    "w": pair_weight,
-    "complement": lambda u: u * u / (4.0 + u * u),
-}
+def _one(u):
+    return np.ones_like(u)
 
 
-def _pair_sum(g: np.ndarray, near, far, min_width: float = 0.0):
-    """Sum of an even kernel over all ordered pairs of ``g``, in O(N).
+def _complement(u):
+    """1 - w(u), as u^2 / (4 + u^2)."""
+    return u * u / (4.0 + u * u)
 
-    ``near`` maps positive differences to their kernel sum (a scalar, or a
-    vector of several sums).  ``far`` gives the same sums as a list of
-    ``(K, omega)``, one output each, with near(d) = Re[K(d) e^(i omega d)]
-    wherever d >= ``min_width``; K must be smooth there.  Pairs in the same
-    or adjacent leaves of :class:`_Tree` go through ``near``, in pieces of
-    about ``_tree._NEAR`` differences, the rest through a Chebyshev far
-    field (black-box FMM: P2M, M2M, M2L on the charges e^(-i omega g),
-    p = _P nodes per box).
+
+# transforms of y = d L and their (P, Q) for y >= _FAST_Y_SWITCH (None for
+# cos); khat_many and kpp_transform_many are looked up at each call, so a
+# wrapper bound to this module's names (perfbench's spans) sees the calls
+_COS = (np.cos, None)
+_KHAT = (lambda y: khat_many(y), khat_pq)
+_KPP = (lambda y: kpp_transform_many(y), kpp_pq)
+
+
+def _pair_sum(g: np.ndarray, L: float, terms) -> np.ndarray:
+    """Per ``(transform, weight)`` of ``terms``, the sum of transform(d L)
+    weight(d) over all ordered pairs of ``g``, d their difference, in O(N).
+
+    A weight is vectorized, even and smooth for d > 0.  Pairs in the same or
+    adjacent leaves of :class:`_Tree` are summed directly, in pieces of
+    about ``_tree._NEAR`` differences, each transform evaluated once per
+    piece; the rest through a Chebyshev far field (black-box FMM: P2M, M2M,
+    M2L on the charges e^(-i L g), p = _P nodes per box) of
+    Re[K(d) e^(i L d)], K the weight for cos and (P - i Q)(d L) weight(d)
+    otherwise.  That split holds for d L >= _FAST_Y_SWITCH, so a khat or
+    k'' term makes the leaves at least _FAST_Y_SWITCH / L wide.
     """
     g = np.sort(np.asarray(g, dtype=float))
-    tree = _Tree(g, min_width)
+    transforms = list(dict.fromkeys(t for t, _ in terms))
+    split = any(pq is not None for _, pq in transforms)
+    tree = _Tree(g, _FAST_Y_SWITCH / L if split else 0.0)
+
+    def near(d):
+        y = d * L
+        value = {t: t[0](y) for t in transforms}
+        return np.array([np.sum(value[t] * weight(d)) for t, weight in terms])
+
+    def far_kernel(transform, weight):
+        pq = transform[1]
+        if pq is None:
+            return weight
+
+        def kernel(d):
+            p, q = pq(d * L)
+            return (p - 1j * q) * weight(d)
+        return kernel
+
     total = len(g) * near(np.zeros(1))
     for d in tree.near():
         total = total + 2.0 * near(d)
-    far_sums = np.concatenate([tree.far(k, w) for k, w in far])
-    return total + 2.0 * far_sums.reshape(np.shape(total))
-
-
-def _phasor(pq, scale, weight):
-    """Far-field kernel of d -> transform(d scale) weight(d) at omega =
-    scale: (P - i Q)(d scale) weight(d), with transform = P cos + Q sin
-    from :func:`~szeta.kernels.khat_pq` or ``kpp_pq`` (valid for d scale
-    >= _FAST_Y_SWITCH, which the leaf width guarantees)."""
-    def kernel(d):
-        p, q = pq(d * scale)
-        return (p - 1j * q) * weight(d)
-    return kernel
+    return total + 2.0 * np.concatenate(
+        [tree.far(far_kernel(*term), L) for term in terms])
 
 
 def _restrict(zeros: ZeroSet, T: float) -> np.ndarray:
@@ -110,9 +129,7 @@ def pcf(alpha: float, zeros: ZeroSet, T: float) -> float:
     real and only the cosine part is evaluated.
     """
     g = _restrict(zeros, T)
-    a = alpha * math.log(T)
-    total = _pair_sum(g, lambda d: np.sum(np.cos(a * d) * pair_weight(d)),
-                      [(pair_weight, a)])
+    total, = _pair_sum(g, alpha * math.log(T), [(_COS, pair_weight)])
     return float(total) / _normalizer(T)
 
 
@@ -137,10 +154,13 @@ def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
     field as products over leaf pairs of their charge blocks with the
     weight matrix w(g_j - g_i) (:meth:`_Tree.near_columns`).
     """
-    if step <= 0 or alpha_max < 1.0:
-        raise DomainError("need step > 0 and alpha_max >= 1")
+    if not (0.0 < step < math.inf and 1.0 <= alpha_max < math.inf):
+        raise DomainError("need a finite step > 0 and finite alpha_max >= 1")
+    n_steps = alpha_max / step
+    if not n_steps < sys.maxsize / 8:       # beyond any address space
+        raise MemoryError(f"cannot hold an alpha grid of {n_steps:.3g} points")
     g = _restrict(zeros, T)
-    n_steps = math.ceil(alpha_max / step - 1e-9)
+    n_steps = math.ceil(n_steps - 1e-9)
     grid = np.linspace(0.0, n_steps * step, n_steps + 1)
     omega = step * math.log(T)
     tree = _Tree(g, 0.0)
@@ -189,27 +209,14 @@ def tail_integral(curve: PairCorrelationCurve, power: int, alpha_cut: float,
     return total
 
 
-def weighted_khat_sum(zeros: ZeroSet, x: float, weight: str = "none", *,
-                      T: float | None = None) -> float:
-    """sum over ordered ordinate pairs of khat((g - g') log x) * weight.
-
-    ``weight``: ``none`` (1), ``w`` (Montgomery weight), or ``complement``
-    (u^2/(4+u^2)).  Diagonal pairs included; khat(0) carries weight w(0)=1
-    for none/w and 0 for complement.  Restricted to ordinates <= T when
-    given, which the set must cover.
-    """
-    if weight not in _WEIGHTS:
-        raise DomainError("weight must be none|w|complement")
-    if x < 4.0:
+def weighted_khat_sum(zeros: ZeroSet, x: float, *, T: float) -> float:
+    """sum over ordered pairs of the ordinates up to T, which the set must
+    cover, of khat((g - g') log x), diagonal pairs included: the report's
+    R times pi^2 log x."""
+    if not x >= 4.0:
         raise DomainError("x >= 4 required")
-    if len(zeros) == 0:
-        raise DomainError("empty zero set")
-    g = _restrict(zeros, T) if T is not None else zeros.ordinates
-    logx = math.log(x)
-    wt = _WEIGHTS[weight]
-    return float(_pair_sum(g, lambda d: np.sum(khat_many(d * logx) * wt(d)),
-                           [(_phasor(khat_pq, logx, wt), logx)],
-                           _FAST_Y_SWITCH / logx))
+    total, = _pair_sum(_restrict(zeros, T), math.log(x), [(_KHAT, _one)])
+    return float(total)
 
 
 def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
@@ -218,11 +225,8 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
     definition into its pair sum, which turns the integral into kernel
     transforms at the pair differences times log x."""
     g = _restrict(zeros, T)
-    logx = beta * math.log(T)
-    fn, pq = (kpp_transform_many, kpp_pq) if deriv else (khat_many, khat_pq)
-    total = _pair_sum(g, lambda d: np.sum(fn(d * logx) * pair_weight(d)),
-                      [(_phasor(pq, logx, pair_weight), logx)],
-                      _FAST_Y_SWITCH / logx)
+    total, = _pair_sum(g, beta * math.log(T),
+                       [(_KPP if deriv else _KHAT, pair_weight)])
     return float(total) * 2.0 * PI * beta / _normalizer(T)
 
 
@@ -240,29 +244,16 @@ class _BetaSums(NamedTuple):
 def _beta_pair_sums(zeros: ZeroSet, T: float, beta: float) -> _BetaSums:
     """One engine call for the five pair sums at L = beta log T over the
     ordinates up to T: khat, khat w, khat (1 - w), k'' w and cos(L d) w.
-    The three khat sums share each near-field khat evaluation; the w ones
-    are :func:`f_weighted_kernel_integral`'s, operation for operation."""
+    The w ones are :func:`f_weighted_kernel_integral`'s, bit for bit."""
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
     if T ** beta <= 1.05:
         raise DomainError("T^beta too close to 1 for a meaningful log x")
     g = _restrict(zeros, T)
     L = beta * math.log(T)
-    comp = _WEIGHTS["complement"]
-
-    def sums(d):
-        kh = khat_many(d * L)
-        w = pair_weight(d)
-        return np.array([np.sum(kh), np.sum(kh * w), np.sum(kh * comp(d)),
-                         np.sum(kpp_transform_many(d * L) * w),
-                         np.sum(np.cos(L * d) * w)])
-
-    far = [(_phasor(khat_pq, L, _WEIGHTS["none"]), L),
-           (_phasor(khat_pq, L, pair_weight), L),
-           (_phasor(khat_pq, L, comp), L),
-           (_phasor(kpp_pq, L, pair_weight), L), (pair_weight, L)]
-    kh, kh_w, kh_c, kpp_w, f = map(float, _pair_sum(
-        g, sums, far, _FAST_Y_SWITCH / L))
+    kh, kh_w, kh_c, kpp_w, f = map(float, _pair_sum(g, L, [
+        (_KHAT, _one), (_KHAT, pair_weight), (_KHAT, _complement),
+        (_KPP, pair_weight), (_COS, pair_weight)]))
     norm = _normalizer(T)
     return _BetaSums(zero_count=int(len(g)), r_total=kh / (PI ** 2 * L),
                      khat_c=kh_c, k_integral=kh_w * 2.0 * PI * beta / norm,

@@ -259,10 +259,9 @@ def s_explicit(t, x: float, ev: SEvaluator, *, table=None):
     ordinates beyond the file.  ``table`` is ignored; it is accepted only
     because the benchmark harness still passes it.
     """
-    if x < 4.0:
-        raise DomainError("explicit formula needs x >= 4")
-    if x > ev.prime_table.limit:
-        raise DomainError("x beyond the prime table's limit")
+    if not 4.0 <= x <= ev.prime_table.limit:
+        raise DomainError("explicit formula needs 4 <= x <= the prime "
+                          "table's limit")
     ta = np.asarray(t, dtype=float)
     logx = math.log(x)
     lo, hi = _ends(ta)

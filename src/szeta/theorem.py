@@ -237,7 +237,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     against its sqrt(T x) scale in the notes.
     Deterministic: identical inputs give identical reports.
     """
-    if x < 4.0:
+    if not x >= 4.0:
         raise DomainError("x >= 4 required")
     beta = math.log(x) / math.log(T)
     if beta >= 0.5:
@@ -269,8 +269,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
         "F(alpha)=1 beyond the curve is the uniformity conjecture used as "
         "a labeled model, not an assumption being verified",
     ]
-    r_total = weighted_khat_sum(zeros, x, "none", T=T) \
-        / (PI ** 2 * math.log(x))
+    r_total = weighted_khat_sum(zeros, x, T=T) / (PI ** 2 * math.log(x))
     left = s_squared + gh.g + gh.h
     resid = left - r_total
     scale = math.sqrt(T * x)

@@ -583,7 +583,7 @@ def _import_certified(ordinates: np.ndarray) -> bool:
             and len(ordinates) == below + int(np.count_nonzero(br[0] < t_max)))
 
 
-def import_zeros(stream) -> ZeroSet:
+def import_zeros(text: str) -> ZeroSet:
     """Parse the zeros text format: one ascending decimal per line,
     '#' comments allowed, LF endings.
 
@@ -597,26 +597,22 @@ def import_zeros(stream) -> ZeroSet:
     listed count below g_b must equal it, which also catches extra
     ordinates.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
     ordinates = []
-    for i, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
+    for i, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         try:
-            val = float(text)
+            val = float(line)
         except ValueError:
-            raise ZerosParseError(f"line {i}: not a decimal: {text!r}",
+            raise ZerosParseError(f"line {i}: not a decimal: {line!r}",
                                   line_number=i) from None
         if ordinates and val <= ordinates[-1]:
             raise ZerosParseError(
                 f"line {i}: ordinate {val!r} not increasing", line_number=i)
         ordinates.append(val)
     if not ordinates:
-        raise ZerosParseError("no ordinates in stream", line_number=0)
+        raise ZerosParseError("no ordinates in the text", line_number=0)
     arr = np.array(ordinates)
     # validate first: the certificate's cost grows with t_max
     zs = ZeroSet(ordinates=arr, t_max=float(arr[-1]), source="imported")

@@ -289,14 +289,28 @@ def address_space_cap():
     ("s --zeros {z} --t-min 40 --t-max 30", 1),
     ("s --zeros {z} --t nan", 1),
     ("s --zeros {z} --t 30 --method explicit --x 1e12", 2),
+    ("s --zeros {z} --t 30 --method explicit --x nan", 1),
+    ("s --zeros {z} --t 30 --method explicit --x inf", 1),
+    ("s --zeros {z} --t 30 --method explicit --x 1e300", 2),
+    ("s --zeros {z} --t-min 20 --t-max 30 --step 1e-300", 2),
     ("pcf --zeros {z} --t 200 --step 1e-12 --out {out}", 2),
+    ("pcf --zeros {z} --t 200 --step nan --out {out}", 1),
+    ("pcf --zeros {z} --t 200 --alpha-max nan --out {out}", 1),
+    ("pcf --zeros {z} --t 200 --alpha-max inf --out {out}", 1),
+    ("pcf --zeros {z} --t 200 --step 1e-300 --out {out}", 2),
+    ("report --zeros {z} --t 200 --x 9 --step nan --out {out}", 1),
+    ("report --zeros {z} --t 200 --x 9 --alpha-max nan --out {out}", 1),
+    ("report --zeros {z} --t 200 --x 9 --alpha-max inf --out {out}", 1),
+    ("report --zeros {z} --t 200 --x 9 --step 1e-300 --out {out}", 2),
+    ("report --zeros {z} --t 200 --x nan --out {out}", 1),
     ("check --identity lemma4 --params tol=1", 1),
 ])
 def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
                                        capsys, address_space_cap):
-    # a zero step, a range that is not finite or runs backwards, an
-    # allocation beyond memory and an unknown option each end in an exit
-    # code and an error line, not a stack trace
+    # a zero step, a range, cutoff or alpha grid that is not finite or runs
+    # backwards, an allocation beyond memory or beyond any address space
+    # and an unknown option each end in an exit code and an error line,
+    # not a stack trace
     argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv").split()
     assert main(argv) == code
     err = capsys.readouterr().err

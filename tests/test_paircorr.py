@@ -15,7 +15,8 @@ from szeta import _tree, paircorr, s_of_t
 from szeta._tree import _Tree
 from szeta.errors import DomainError
 from szeta.kernels import khat, khat_many, kpp_transform_many
-from szeta.paircorr import (PairCorrelationCurve, f_weighted_kernel_integral,
+from szeta.paircorr import (_COS, _KHAT, _KPP, PairCorrelationCurve,
+                            _complement, _one, f_weighted_kernel_integral,
                             lemma5_check, lemma6_check, lemma6_eval,
                             pair_weight, pcf, pcf_curve, tail_integral,
                             weighted_khat_sum)
@@ -124,27 +125,34 @@ def test_goldston_window(zeros_1010):
         assert 2 / 3 - 0.1 < val < 2 + 0.1
 
 
+def _khat_sums(g, logx, weights):
+    """The khat pair sums of ``g`` at log x, one per weight."""
+    return paircorr._pair_sum(g, logx, [(_KHAT, w) for w in weights])
+
+
 def test_weighted_sum_partition(zeros_220):
     x = math.e ** 5
-    sn = weighted_khat_sum(zeros_220, x, "none", T=200.0)
-    sw = weighted_khat_sum(zeros_220, x, "w", T=200.0)
-    sc = weighted_khat_sum(zeros_220, x, "complement", T=200.0)
+    sn, sw, sc = _khat_sums(zeros_220.up_to(200.0), math.log(x),
+                            [_one, pair_weight, _complement])
     assert abs(sn - (sw + sc)) / abs(sn) < 1e-8
+    assert weighted_khat_sum(zeros_220, x, T=200.0) == sn
 
 
 def test_weighted_sum_single_zero():
     zs = ZeroSet(ordinates=np.array([20.0]), t_max=50.0, source="imported")
     x = 16.0
-    assert weighted_khat_sum(zs, x, "none") == pytest.approx(
+    assert weighted_khat_sum(zs, x, T=50.0) == pytest.approx(
         khat(0.0, "direct"), rel=1e-9)
-    assert weighted_khat_sum(zs, x, "complement") == 0.0
+    assert _khat_sums(zs.ordinates, math.log(x), [_complement])[0] == 0.0
 
 
 def test_weighted_sum_validation(zeros_220):
     with pytest.raises(DomainError):
-        weighted_khat_sum(zeros_220, 2.0, "none")
+        weighted_khat_sum(zeros_220, 2.0, T=200.0)
     with pytest.raises(DomainError):
-        weighted_khat_sum(zeros_220, 16.0, "sometimes")
+        weighted_khat_sum(zeros_220, math.nan, T=200.0)
+    with pytest.raises(DomainError):
+        weighted_khat_sum(zeros_220, 16.0, T=300.0)
 
 
 def test_weighted_sum_against_bruteforce(zeros_220):
@@ -159,7 +167,7 @@ def test_weighted_sum_against_bruteforce(zeros_220):
             d = float(g[i] - g[j])
             w = 4.0 / (4.0 + d * d)
             oracle += khat(abs(d) * logx, "direct") * w
-    ours = weighted_khat_sum(zs, x, "w")
+    ours, = _khat_sums(zs.ordinates, math.log(x), [pair_weight])
     assert ours == pytest.approx(oracle, rel=1e-9)
 
 
@@ -374,11 +382,10 @@ def _traced_peak(f, *args, **kwargs):
 def test_tree_temporaries_are_bounded_by_a_block(zeros_ref):
     # tracemalloc traces NumPy's allocations, so the peaks are the same
     # on every run.  With near-field pieces of 2^16 differences the pair
-    # sum peaked at 6.51 MiB, and L2P through the (4096 x 20) node
+    # sum of R peaked at 6.22 MiB, and L2P through the (4096 x 20) node
     # interpolant at 2.22 MiB; pieces of 2^14 and Clenshaw's recurrence
     # read 1.65 and 0.50 MiB
-    assert _traced_peak(weighted_khat_sum, zeros_ref, 20.0, "w",
-                        T=2500.0) <= 3.0
+    assert _traced_peak(weighted_khat_sum, zeros_ref, 20.0, T=2500.0) <= 3.0
     logx = math.log(20.0)
     tree = _Tree.over(zeros_ref.up_to(2500.0), 1.0, 2500.0)
     coef = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
@@ -426,15 +433,15 @@ def test_lemma5_and_lemma6_one_engine_call_each(zeros_220, monkeypatch):
     calls = []
     real = paircorr._pair_sum
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(g, L, terms):
+        calls.append(len(terms))
+        return real(g, L, terms)
 
     monkeypatch.setattr(paircorr, "_pair_sum", counted)
     lemma5_check(zeros_220, 200.0, 0.5)
-    assert len(calls) == 1
+    assert calls == [5]
     lemma6_eval(zeros_220, 200.0, 0.4)
-    assert len(calls) == 2
+    assert calls == [5, 5]
 
 
 def test_lemma6_direct_against_the_dense_sum_at_T_1000(zeros_1010):
@@ -547,13 +554,14 @@ def _all_pair_sums(zs, T, beta, alphas):
     dec = lemma6_eval(zs, T, beta)
     curve = pcf_curve(zs, T, max(alphas), 0.25)
     on_grid = [curve.values[int(round(a / 0.25))] for a in alphas]
+    khat_w, khat_c = _khat_sums(zs.up_to(T), math.log(x),
+                                [pair_weight, _complement])
     return {
-        "khat": [weighted_khat_sum(zs, x, "none", T=T),
+        "khat": [weighted_khat_sum(zs, x, T=T),
                  dec.r_total * PI ** 2 * beta * logT],
-        "khat_w": [weighted_khat_sum(zs, x, "w", T=T),
-                   f_weighted_kernel_integral(zs, T, beta) / kscale,
+        "khat_w": [khat_w, f_weighted_kernel_integral(zs, T, beta) / kscale,
                    dec.term_main * (2 * PI ** 2 * beta) ** 2 / T / kscale],
-        "khat_c": [weighted_khat_sum(zs, x, "complement", T=T), rep.lhs],
+        "khat_c": [khat_c, rep.lhs],
         "kpp_w": [f_weighted_kernel_integral(zs, T, beta, deriv=True)
                   / kscale, rep.detail["kpp_integral"] / kscale,
                   dec.term_k2_integral * 64 * PI ** 6 * beta ** 4
@@ -693,10 +701,42 @@ def test_pair_engine_far_field_on_a_flat_kernel():
     tree = _Tree(g, 0.0)
     assert tree.levels >= 3
     for omega in (0.0, 0.3, 2.9):
-        got = paircorr._pair_sum(g, lambda d: np.sum(np.cos(omega * d)),
-                                 [(np.ones_like, omega)])
+        got, = paircorr._pair_sum(g, omega, [(_COS, _one)])
         want = abs(np.sum(np.exp(1j * omega * (g - g[0])))) ** 2
         assert got == pytest.approx(want, rel=1e-11, abs=1e-9 * len(g))
+
+
+def test_pair_sum_terms_are_independent_and_set_the_leaf_floor(
+        zeros_1010, monkeypatch):
+    # the near field evaluates each transform once per piece for all its
+    # terms: a permuted term list gives the permuted sums bit for bit, and
+    # a term alone its sum in the list, the leaf floor being the same
+    g = zeros_1010.up_to(1000.0)
+    L = 0.5 * math.log(1000.0)
+    terms = [(_KHAT, _one), (_KHAT, pair_weight), (_KHAT, _complement),
+             (_KPP, pair_weight), (_COS, pair_weight)]
+    assert _Tree(g, 50.0 / L).levels >= 3
+    sums = paircorr._pair_sum(g, L, terms)
+    rng = np.random.default_rng(3)
+    for order in [[4, 3, 2, 1, 0], [3, 0, 4, 1, 2]] \
+            + [rng.permutation(5) for _ in range(3)]:
+        got = paircorr._pair_sum(g, L, [terms[k] for k in order])
+        assert np.array_equal(got, sums[order]), order
+    for k in range(4):
+        assert np.array_equal(paircorr._pair_sum(g, L, [terms[k]]),
+                              sums[k:k + 1])
+    # the P/Q far kernels hold for d L >= 50 only: leaves at least 50 / L
+    # wide with any khat or k'' term, no floor for cos terms alone
+    floors = []
+
+    def spy(g, floor):
+        floors.append(floor)
+        return _Tree(g, floor)
+
+    monkeypatch.setattr(paircorr, "_Tree", spy)
+    for chosen in ([4], [4, 4], [0], [3], [4, 3]):
+        paircorr._pair_sum(g, L, [terms[k] for k in chosen])
+    assert floors == [0.0, 0.0, 50.0 / L, 50.0 / L, 50.0 / L]
 
 
 def test_pair_weight_even():

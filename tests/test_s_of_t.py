@@ -201,8 +201,9 @@ def test_s_explicit_prime_terms_kept_per_x_and_table(zeros_120):
 
 
 def test_s_explicit_domain(ev_120):
-    with pytest.raises(DomainError):
-        s_explicit(50.0, 3.0, ev_120)
+    for x in (3.0, math.nan):
+        with pytest.raises(DomainError):
+            s_explicit(50.0, x, ev_120)
     with pytest.raises(DomainError):
         s_explicit(119.0, 100.0, ev_120)   # t + 50/log x beyond coverage
     # an array is refused if any of its points is

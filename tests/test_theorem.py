@@ -125,7 +125,7 @@ def test_conditional_lhs_against_single_sum_routes(zeros_220, T, beta, rel):
     want = {
         "lemma8": f_weighted_kernel_integral(zeros_220, T, beta),
         "lemma9": f_weighted_kernel_integral(zeros_220, T, beta, deriv=True),
-        "lemma10": weighted_khat_sum(zeros_220, x, "none", T=T)
+        "lemma10": weighted_khat_sum(zeros_220, x, T=T)
         / (PI ** 2 * math.log(x)),
     }
     assert (math.log(x) == beta * math.log(T)) == (rel == 0.0)
@@ -139,13 +139,13 @@ def test_conditional_checks_one_engine_call(zeros_220, monkeypatch):
     calls = []
     real = paircorr._pair_sum
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(g, L, terms):
+        calls.append(len(terms))
+        return real(g, L, terms)
 
     monkeypatch.setattr(paircorr, "_pair_sum", counted)
     reps = lemma_8_9_10_eval(zeros_220, 200.0, 0.5)
-    assert len(calls) == 1 and set(reps) == {"lemma8", "lemma9", "lemma10"}
+    assert calls == [5] and set(reps) == {"lemma8", "lemma9", "lemma10"}
     calls.clear()
     reps = lemma_8_9_10_eval(None, 1000.0, 0.4, "model")
     assert calls == [] and set(reps) == {"lemma8", "lemma9"}
@@ -236,7 +236,8 @@ def test_full_report_deterministic(zeros_220, prime_table_small):
 
 
 def test_full_report_regime_guards(zeros_220, prime_table_small):
-    with pytest.raises(DomainError):
-        full_report(200.0, 20.0, zeros_220, prime_table=prime_table_small)
+    for x in (20.0, math.nan):
+        with pytest.raises(DomainError):
+            full_report(200.0, x, zeros_220, prime_table=prime_table_small)
     with pytest.raises(DomainError):
         full_report(500.0, 9.0, zeros_220, prime_table=prime_table_small)
