@@ -17,7 +17,8 @@ ordinate differences.
 
 Engine callers: :func:`pcf`, :func:`weighted_khat_sum` (the report's R),
 :func:`pcf_curve` (through the tree), and :func:`_beta_pair_sums`, five sums
-at L = beta log T in one call for Lemmas 5, 6 and 8-10;
+at L = beta log T in one call, kept in the zero set's ``memo`` for the last
+(T, beta), so that Lemmas 5, 6 and 8-10 at one height share it;
 :func:`f_weighted_kernel_integral` repeats two of them, one sum per call.
 The same tree, with its targets apart from its sources, is the far field
 of the explicit formula's zero sum (:func:`szeta.s_of_t._zero_field`),
@@ -143,6 +144,19 @@ class PairCorrelationCurve:
     zero_count: int
 
 
+def _alpha_steps(alpha_max: float, step: float) -> int:
+    """n of the alpha grid 0, step, ..., n step, the first multiple of
+    ``step`` at or beyond ``alpha_max``; a grid that is not finite raises
+    :class:`DomainError` and one no address space holds MemoryError, so
+    that callers can refuse it before any work."""
+    if not (0.0 < step < math.inf and 1.0 <= alpha_max < math.inf):
+        raise DomainError("need a finite step > 0 and finite alpha_max >= 1")
+    n_steps = alpha_max / step
+    if not n_steps < sys.maxsize / 8:       # beyond any address space
+        raise MemoryError(f"cannot hold an alpha grid of {n_steps:.3g} points")
+    return math.ceil(n_steps - 1e-9)
+
+
 def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
               step: float) -> PairCorrelationCurve:
     """F on the grid 0, step, ..., n step, the first multiple of ``step``
@@ -154,13 +168,8 @@ def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
     field as products over leaf pairs of their charge blocks with the
     weight matrix w(g_j - g_i) (:meth:`_Tree.near_columns`).
     """
-    if not (0.0 < step < math.inf and 1.0 <= alpha_max < math.inf):
-        raise DomainError("need a finite step > 0 and finite alpha_max >= 1")
-    n_steps = alpha_max / step
-    if not n_steps < sys.maxsize / 8:       # beyond any address space
-        raise MemoryError(f"cannot hold an alpha grid of {n_steps:.3g} points")
+    n_steps = _alpha_steps(alpha_max, step)
     g = _restrict(zeros, T)
-    n_steps = math.ceil(n_steps - 1e-9)
     grid = np.linspace(0.0, n_steps * step, n_steps + 1)
     omega = step * math.log(T)
     tree = _Tree(g, 0.0)
@@ -244,21 +253,30 @@ class _BetaSums(NamedTuple):
 def _beta_pair_sums(zeros: ZeroSet, T: float, beta: float) -> _BetaSums:
     """One engine call for the five pair sums at L = beta log T over the
     ordinates up to T: khat, khat w, khat (1 - w), k'' w and cos(L d) w.
-    The w ones are :func:`f_weighted_kernel_integral`'s, bit for bit."""
+    The w ones are :func:`f_weighted_kernel_integral`'s, bit for bit.
+
+    The sums for the last (T, beta) asked are kept in the set's ``memo``,
+    so Lemmas 5, 6 and 8-10 at one (zero set, T, beta) share one call;
+    the set's ordinates are read-only, so the sums cannot go stale."""
     if not 0.0 < beta < 1.0:
         raise DomainError("beta in (0,1) required")
     if T ** beta <= 1.05:
         raise DomainError("T^beta too close to 1 for a meaningful log x")
+    hit = zeros.memo.get("beta_sums")
+    if hit is not None and hit[0] == (T, beta):
+        return hit[1]
     g = _restrict(zeros, T)
     L = beta * math.log(T)
     kh, kh_w, kh_c, kpp_w, f = map(float, _pair_sum(g, L, [
         (_KHAT, _one), (_KHAT, pair_weight), (_KHAT, _complement),
         (_KPP, pair_weight), (_COS, pair_weight)]))
     norm = _normalizer(T)
-    return _BetaSums(zero_count=int(len(g)), r_total=kh / (PI ** 2 * L),
+    sums = _BetaSums(zero_count=int(len(g)), r_total=kh / (PI ** 2 * L),
                      khat_c=kh_c, k_integral=kh_w * 2.0 * PI * beta / norm,
                      kpp_integral=kpp_w * 2.0 * PI * beta / norm,
                      f_beta=f / norm)
+    zeros.memo["beta_sums"] = ((T, beta), sums)
+    return sums
 
 
 def lemma5_check(zeros: ZeroSet, T: float, beta: float,

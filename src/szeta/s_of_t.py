@@ -74,7 +74,8 @@ def s_exact(t, ev: SEvaluator):
     lo, hi = _ends(ta)
     if not (10.0 <= lo and hi <= ev.zeros.t_max):   # inf, -inf if empty
         raise DomainError("t outside zero coverage")
-    s = _s_between_zeros(ta, ev.zeros)
+    # a NumPy scalar for a number t, cheaper than an array
+    s = _s_between_zeros(ta[()], ev.zeros)
     return float(s) if ta.ndim == 0 else s
 
 
@@ -300,7 +301,12 @@ def make_sinh_table() -> None:
 
 
 def _theta_any(t):
+    """theta at a number or an array of t: the series from t = 10 on,
+    the log-Gamma form below, on arrays (its complex arithmetic rounds
+    differently on NumPy scalars); a number from 10 on runs on scalars."""
     t = np.asarray(t, dtype=float)
+    if t.ndim == 0 and t[()] >= 10.0:
+        return theta(t[()])
     lo = t < 10.0
     if not lo.any():        # every node past the head
         return theta(t)

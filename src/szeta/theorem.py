@@ -29,8 +29,8 @@ import numpy as np
 from .errors import DomainError
 from .kernels import (_report, k_values, kpp_values,
                       t_weighted_kernel_integral)
-from .paircorr import (PairCorrelationCurve, _beta_pair_sums, pcf_curve,
-                       tail_integral, weighted_khat_sum)
+from .paircorr import (PairCorrelationCurve, _alpha_steps, _beta_pair_sums,
+                       pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import build_prime_table, prime_power_double_sum
 from .quadrature import integrate
 from .s_of_t import SEvaluator, _s_squared_integral, g_and_h_direct
@@ -246,6 +246,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
         raise DomainError("f_tail_source must be empirical|model")
     if zeros.t_max < T:
         raise DomainError("zero coverage below T")
+    _alpha_steps(alpha_max, alpha_step)     # refuse a bad grid before work
 
     if prime_table is None:
         prime_table = build_prime_table(max(64, int(x) + 1))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -64,10 +64,12 @@ def theta(t):
 
     Truncation error is below 1e-12 for t >= 10 with four terms; the
     series is useless below t ~ 2 pi where its expansion point degenerates,
-    hence the domain floor.
+    hence the domain floor.  A number runs on NumPy scalars, which round
+    as an array's elements do but skip the array overhead.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < THETA_MIN_T):
+    arr = np.asarray(t, dtype=float)[()]     # a NumPy scalar for a number
+    below = arr < THETA_MIN_T
+    if below.any() if arr.ndim else below:
         raise DomainError("theta series requires t >= 10; "
                           "use theta_exact below that")
     val = 0.5 * arr * np.log(arr / TWO_PI) - 0.5 * arr - math.pi / 8.0
@@ -289,16 +291,26 @@ class ZeroSet:
     ``claimed_complete`` records that Turing's method proved the count:
     exactly N(t_max) ordinates, none missing up to t_max (for an imported
     set, on the assumption that each listed ordinate is a zero).
-    Immutable; safe to share across threads.
+    Immutable, ``ordinates`` included: it is a read-only array, a copy of
+    a caller's writeable one.  Safe to share across threads.  ``memo``
+    holds values derived from the set by its readers (the pair sums of
+    :func:`szeta.paircorr._beta_pair_sums` at the last (T, beta) asked),
+    so they live and die with the set; :func:`dataclasses.replace` starts
+    a new set with an empty one.
     """
 
     ordinates: np.ndarray
     t_max: float
     source: str = "computed"
     claimed_complete: bool = False
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.ordinates, dtype=float)
+        if g.flags.writeable:
+            g = g.copy()
+            g.flags.writeable = False
         object.__setattr__(self, "ordinates", g)
         if len(g) == 0:
             raise DomainError("empty zero set")
@@ -320,8 +332,8 @@ class ZeroSet:
         """N(t) with weight 1/2 exactly at an ordinate: one search, the
         ordinates being distinct."""
         g = self.ordinates
-        left = np.searchsorted(g, t, "left")
-        return left + 0.5 * (g[np.minimum(left, len(g) - 1)] == t)
+        left = g.searchsorted(t, "left")
+        return left + 0.5 * (g.take(left, mode="clip") == t)
 
     def up_to(self, t: float) -> np.ndarray:
         return self.ordinates[self.ordinates <= t]
@@ -511,33 +523,37 @@ def _polish(lo, hi, f_lo, f_hi, z):
     halve the width.  Stops at width <= ``_POLISH_WIDTH``; returns the
     midpoints.
     """
-    lo, hi, f_lo, f_hi = (np.array(a, dtype=float)
-                          for a in (lo, hi, f_lo, f_hi))
-    side = np.zeros(len(lo), dtype=int)       # end replaced last: -1 lo, 1 hi
-    ref = hi - lo                             # width at the last halving
-    stall = np.zeros(len(lo), dtype=int)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    # the active brackets only, each sweep; finished ones go back to lo, hi
     act = np.flatnonzero(hi - lo > _POLISH_WIDTH)
+    a, b = lo[act], hi[act]
+    fa, fb = (np.asarray(f, dtype=float)[act] for f in (f_lo, f_hi))
+    side = np.zeros(len(act), dtype=int)      # end replaced last: -1 lo, 1 hi
+    ref = b - a                               # width at the last halving
+    stall = np.zeros(len(act), dtype=int)
     while len(act):
-        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
-        c = np.where(stall[act] >= 3, 0.5 * (a + b),
-                     b - fb * (b - a) / (fb - fa))
+        c = np.where(stall >= 3, 0.5 * (a + b), b - fb * (b - a) / (fb - fa))
         c = np.clip(c, a + _POLISH_MARGIN, b - _POLISH_MARGIN)
         fc = z(c)
         to_lo = np.sign(fc) != np.sign(fb)    # root in [c, b]: c is new lo
-        lo[act] = np.where(to_lo, c, a)
-        hi[act] = np.where(to_lo, b, c)
-        keep_hi = to_lo & (side[act] == -1)
-        keep_lo = ~to_lo & (side[act] == 1)
+        keep_hi = to_lo & (side == -1)
+        keep_lo = ~to_lo & (side == 1)
         m = 1.0 - fc / np.where(to_lo, fa, fb)
         m = np.where(m > 0.0, m, 0.5)
-        f_lo[act] = np.where(to_lo, fc, np.where(keep_lo, m * fa, fa))
-        f_hi[act] = np.where(to_lo, np.where(keep_hi, m * fb, fb), fc)
-        side[act] = np.where(to_lo, -1, 1)
-        w = hi[act] - lo[act]
-        halved = w <= 0.5 * ref[act]
-        ref[act] = np.where(halved, w, ref[act])
-        stall[act] = np.where(halved, 0, stall[act] + 1)
-        act = act[w > _POLISH_WIDTH]
+        a, b = np.where(to_lo, c, a), np.where(to_lo, b, c)
+        fa, fb = (np.where(to_lo, fc, np.where(keep_lo, m * fa, fa)),
+                  np.where(to_lo, np.where(keep_hi, m * fb, fb), fc))
+        side = np.where(to_lo, -1, 1)
+        w = b - a
+        halved = w <= 0.5 * ref
+        ref = np.where(halved, w, ref)
+        stall = np.where(halved, 0, stall + 1)
+        going = w > _POLISH_WIDTH
+        if not going.all():
+            done = ~going
+            lo[act[done]], hi[act[done]] = a[done], b[done]
+            act, a, b, fa, fb, side, ref, stall = (
+                v[going] for v in (act, a, b, fa, fb, side, ref, stall))
     return 0.5 * (lo + hi)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from szeta.paircorr import (_COS, _KHAT, _KPP, PairCorrelationCurve,
                             weighted_khat_sum)
 from szeta.quadrature import gap_rule
 from szeta.s_of_t import sin_sinh_integral, sinh_integral
-from szeta.zeros import ZeroSet
+from szeta.zeros import ZeroSet, export_zeros, import_zeros
 
 PI = math.pi
 
@@ -430,6 +431,8 @@ def test_lemma6_check_reports_the_regrouping(zeros_220):
 
 
 def test_lemma5_and_lemma6_one_engine_call_each(zeros_220, monkeypatch):
+    # a fresh set: the session's may hold pair sums from earlier tests
+    zs = replace(zeros_220)
     calls = []
     real = paircorr._pair_sum
 
@@ -438,10 +441,27 @@ def test_lemma5_and_lemma6_one_engine_call_each(zeros_220, monkeypatch):
         return real(g, L, terms)
 
     monkeypatch.setattr(paircorr, "_pair_sum", counted)
-    lemma5_check(zeros_220, 200.0, 0.5)
+    lemma5_check(zs, 200.0, 0.5)
     assert calls == [5]
-    lemma6_eval(zeros_220, 200.0, 0.4)
+    lemma6_eval(zs, 200.0, 0.4)
     assert calls == [5, 5]
+
+
+def test_zero_set_memo_and_read_only_ordinates(zeros_220):
+    # the pair sums are kept per set: a replaced or re-imported set starts
+    # empty, and the ordinates they were summed over cannot change
+    zs = replace(zeros_220)
+    assert zs.memo == {}
+    lemma5_check(zs, 200.0, 0.5)
+    assert set(zs.memo) == {"beta_sums"}
+    assert replace(zs).memo == {}
+    assert import_zeros(export_zeros(zs)).memo == {}
+    with pytest.raises(ValueError):
+        zs.ordinates[0] = 14.0
+    mine = zeros_220.ordinates.copy()
+    zs = ZeroSet(ordinates=mine, t_max=220.0)
+    mine[0] = 14.0
+    assert zs.ordinates[0] == zeros_220.ordinates[0]
 
 
 def test_lemma6_direct_against_the_dense_sum_at_T_1000(zeros_1010):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szeta import paircorr
+from szeta import paircorr, theorem
 from szeta.errors import DomainError
-from szeta.paircorr import (f_weighted_kernel_integral, lemma6_eval,
-                            weighted_khat_sum)
+from szeta.paircorr import (f_weighted_kernel_integral, lemma5_check,
+                            lemma6_check, lemma6_eval, weighted_khat_sum)
 from szeta.primes import prime_power_double_sum
 from szeta.theorem import (EQ2_CONSTANT, FModel, MomentReport, conjectural_F,
                            full_report, lemma_8_9_10_eval, theorem_rhs)
@@ -135,7 +136,9 @@ def test_conditional_lhs_against_single_sum_routes(zeros_220, T, beta, rel):
 
 def test_conditional_checks_one_engine_call(zeros_220, monkeypatch):
     # empirical F: one pair-sum engine call for all three lhs (the curve
-    # for the F-tails has its own engine); model F: none
+    # for the F-tails has its own engine); model F: none.  A fresh set:
+    # the session's may hold pair sums from earlier tests
+    zs = replace(zeros_220)
     calls = []
     real = paircorr._pair_sum
 
@@ -144,11 +147,53 @@ def test_conditional_checks_one_engine_call(zeros_220, monkeypatch):
         return real(g, L, terms)
 
     monkeypatch.setattr(paircorr, "_pair_sum", counted)
-    reps = lemma_8_9_10_eval(zeros_220, 200.0, 0.5)
+    reps = lemma_8_9_10_eval(zs, 200.0, 0.5)
     assert calls == [5] and set(reps) == {"lemma8", "lemma9", "lemma10"}
     calls.clear()
     reps = lemma_8_9_10_eval(None, 1000.0, 0.4, "model")
     assert calls == [] and set(reps) == {"lemma8", "lemma9"}
+
+
+def test_lemmas_at_one_height_share_one_engine_call(zeros_220, monkeypatch):
+    # Lemmas 5, 6 and 8-10 at one (zero set, T, beta) make one pair-engine
+    # call between them, and read the bits a fresh set gives; another beta
+    # makes a new call
+    T, beta = 200.0, 0.5
+    zs = replace(zeros_220)
+    calls = []
+    real = paircorr._pair_sum
+
+    def counted(g, L, terms):
+        calls.append(len(terms))
+        return real(g, L, terms)
+
+    monkeypatch.setattr(paircorr, "_pair_sum", counted)
+    shared = [lemma5_check(zs, T, beta), lemma6_eval(zs, T, beta),
+              lemma6_check(zs, T, beta), lemma_8_9_10_eval(zs, T, beta)]
+    assert calls == [5]
+    fresh = [lemma5_check(replace(zeros_220), T, beta),
+             lemma6_eval(replace(zeros_220), T, beta),
+             lemma6_check(replace(zeros_220), T, beta),
+             lemma_8_9_10_eval(replace(zeros_220), T, beta)]
+    assert calls == [5] * 5
+    assert repr(shared) == repr(fresh)
+    lemma5_check(zs, T, 0.4)
+    assert calls == [5] * 6
+
+
+def test_full_report_refuses_a_bad_grid_before_any_work(zeros_220,
+                                                         prime_table_small,
+                                                         monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the S^2 pass ran before the grid check")
+
+    monkeypatch.setattr(theorem, "_s_squared_integral", no_work)
+    with pytest.raises(DomainError):
+        full_report(200.0, 9.0, zeros_220, alpha_step=math.nan,
+                    prime_table=prime_table_small)
+    with pytest.raises(MemoryError):
+        full_report(200.0, 9.0, zeros_220, alpha_step=1e-300,
+                    prime_table=prime_table_small)
 
 
 def test_conditional_checks_domain(zeros_220):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import theta_binet_oracle, theta_series_oracle, zeta_em_oracle
 from szeta.errors import DomainError, MissedZerosError, ZerosParseError
+from szeta.s_of_t import _theta_any
 from szeta.zeros import (_EM_COEF, RS_MIN_T, ZeroSet, _em_length, _z_em,
                          _z_rs, export_zeros, find_zeros, gram_points,
                          import_zeros, riemann_siegel_Z, theta, theta_exact)
@@ -21,6 +22,19 @@ def test_theta_monotone_and_domain():
         theta(9.99)
     with pytest.raises(DomainError):
         theta(2 * PI)    # stationary region sits below the domain floor
+    # a number runs on NumPy scalars and gets an array element's bits
+    t = np.geomspace(10.0, 1e5, 2001)
+    on_array = theta(t)
+    assert all(theta(float(v)) == on_array[i] for i, v in enumerate(t))
+    assert math.isnan(theta(math.nan))
+    assert theta(np.array([])).shape == (0,)
+    with pytest.raises(DomainError):
+        theta(np.array([5.0, math.nan]))
+    # the log-Gamma form below 10 and the series above, at a number as in
+    # an array that mixes both
+    t = np.array([0.0, 0.5, 3.7, 9.99, 10.0, 14.134725141734695, 250.0])
+    on_array = _theta_any(t)
+    assert all(_theta_any(float(v)) == on_array[i] for i, v in enumerate(t))
 
 
 def test_theta_against_loggamma_quadrature():
