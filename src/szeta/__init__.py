@@ -8,8 +8,8 @@ F and the weighted pair sums), ``theorem`` (the assembled second-moment
 comparison), ``cli`` (command-line front end).
 """
 
-from .errors import (AccuracyError, DomainError, MissedZerosError,
-                     ZerosParseError)
+from .errors import (AccuracyError, CoverageError, DomainError,
+                     MissedZerosError, ZerosParseError)
 from .kernels import CheckReport, check_identity, khat
 from .paircorr import (PairCorrelationCurve, RDecomposition, lemma5_check,
                        lemma6_check, lemma6_eval, pcf, pcf_curve,

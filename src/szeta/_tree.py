@@ -57,6 +57,16 @@ _M2M = (_interp(0.5 * (_NODES - 1.0)).T, _interp(0.5 * (_NODES + 1.0)).T)
 _GAP = 0.5 * (_NODES[:, None] - _NODES[None, :])
 
 
+def _clenshaw(coef, idx, x):
+    """sum_k coef[k, idx] T_k(x) by Clenshaw's recurrence, one vector per
+    degree: the Chebyshev series of column idx[i] at x[i] in [-1, 1]."""
+    x2 = 2.0 * x
+    b1 = b2 = np.zeros(len(x), dtype=coef.dtype)
+    for k in range(len(coef) - 1, 0, -1):
+        b1, b2 = coef[k, idx] + x2 * b1 - b2, b1
+    return coef[0, idx] + x * b1 - b2
+
+
 def _columns(first, rot, count):
     """first * rot^k for k = 0 .. count - 1, along a new last axis.
 
@@ -335,11 +345,7 @@ class _Tree:
             return np.zeros(len(t), dtype=complex)
         leaf, xi = self._locate(t)
         u = t - (self.origin + (leaf + 0.5) * self.h)
-        x2 = 2.0 * xi
-        b1 = b2 = np.zeros(len(t), dtype=complex)
-        for k in range(_P - 1, 0, -1):
-            b1, b2 = coef[k][leaf] + x2 * b1 - b2, b1
-        return np.exp(1j * omega * u) * (coef[0][leaf] + xi * b1 - b2)
+        return np.exp(1j * omega * u) * _clenshaw(coef, leaf, xi)
 
     def near_at(self, t):
         """Index pairs (i, j) of the points t[i] and the sources g[j] in the

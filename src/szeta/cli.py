@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, MissedZerosError,
-                     ZerosParseError)
+from .errors import (AccuracyError, CoverageError, DomainError,
+                     MissedZerosError, ZerosParseError)
 from .kernels import CheckReport, check_identity
 from .paircorr import lemma5_check, lemma6_check, pcf_curve
 from .primes import build_prime_table
@@ -122,9 +122,11 @@ def _refuse_beyond_memory(count: float, what: str) -> None:
 
 
 def _threads(args) -> int:
+    """Worker threads: ``--threads`` clamped to [1, cores], else all cores."""
+    cores = os.cpu_count() or 1
     if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
+        return min(max(1, args.threads), cores)
+    return cores
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +196,6 @@ def _cmd_s(args) -> int:
 
 def _cmd_pcf(args) -> int:
     zs = _load_zeros(args.zeros)
-    if zs.t_max < args.t:
-        raise _ValidationError("zeros file does not cover --t")
     curve = pcf_curve(zs, args.t, args.alpha_max, args.step)
     _write_curve_csv(args.out, curve)
     print(f"wrote {len(curve.alpha_grid)} samples to {args.out}")
@@ -240,9 +240,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_report(args) -> int:
     zs = _load_zeros(args.zeros)
-    if zs.t_max < args.t:
-        raise _ValidationError(
-            f"zeros cover only t <= {zs.t_max:.6g}, below --t {args.t:g}")
     rep = full_report(args.t, args.x, zs, alpha_max=args.alpha_max,
                       alpha_step=args.step, f_tail_source=args.f_tail,
                       tail_model=args.tail_model)
@@ -348,12 +345,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
+    except (_ValidationError, CoverageError, MissedZerosError,
+            ZerosParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (_UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_ValidationError, MissedZerosError, ZerosParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AccuracyError as exc:
         print(f"error: quadrature accuracy: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,10 @@ class DomainError(ValueError):
     """An argument is outside an operation's supported range."""
 
 
+class CoverageError(DomainError):
+    """The zero set does not reach the height an operation needs."""
+
+
 class AccuracyError(RuntimeError):
     """Quadrature failed to converge within the requested tolerances."""
 

@@ -8,20 +8,24 @@ explicit formula.  The kernel::
 
 arises from squaring the zero-sum side; its Fourier transform
 ``khat(y) = int k(u) e(-u y) du`` (with ``e(v) = exp(2 pi i v)``) drives every
-pair-correlation identity downstream.  khat is real and even, so it is
-computed as a cosine transform; the ``1/(4u^2)`` branch beyond the breakpoint
-(and the ``3/(2u^4)`` branch of k'') is integrated in closed form through
-the generalized exponential integral, int_bp^inf cos(2 pi y u)/u^n du =
-(2 pi)^(n-1) Re E_n(-i y), leaving quadrature only on the finite piece
-``[0, 1/(2 pi)]``.
+pair-correlation identity downstream, with the transform of k'' beside it.
+Both are real and even, so each is a cosine transform, and each is declared
+once, as ``(h, n, weight)`` with h = k^(n-2): beyond the breakpoint h is
+weight / (2 u^n), so the transform at y is 2 int_0^bp h(u) cos(2 pi y u) du
+plus weight (2 pi)^(n-1) Re E_n(-i y), E_n the generalized exponential
+integral.  Only the finite piece ``[0, 1/(2 pi)]`` needs quadrature.
 
-Two independent evaluations of khat are exposed: ``direct`` (transform of k
-itself) and ``closed`` (transform of k'' plus the boundary cosine term picked
-up by parts integration); their agreement is one of the toolkit's primary
-identity checks.  The vectorized ``khat_many`` and ``kpp_transform_many``
-read piecewise Chebyshev tables below y = 50, built at first use from a
-fixed Gauss-Legendre grid on the finite piece plus the E_n tail, and are
-P(y) cos y + Q(y) sin y with P, Q series in 1/y above.
+From the spec come the two evaluations of each transform.  The reference
+one (:func:`khat`) integrates the finite piece by error-estimated panel
+quadrature: ``direct`` is the transform of k itself and ``closed`` that of
+k'' plus the boundary cosine term picked up by parts integration, and their
+agreement is one of the toolkit's primary identity checks.  The vectorized
+one (``khat_many``, ``kpp_transform_many``) reads a piecewise Chebyshev
+table below y = 50, built at first use from a fixed Gauss-Legendre grid on
+the finite piece plus the E_n tail, and above it is P(y) cos y + Q(y) sin y:
+P and Q are series in 1/y, the finite piece's by-parts boundary series plus
+the asymptotic series of E_n.  The pair engine takes each transform as its
+vectorized values and its (P, Q) (``_KHAT``, ``_KPP``).
 
 Near u = 0 both branches of the inner formula cancel to ~4 digits by
 u = 1e-3, so evaluation switches to the Laurent-free power series of
@@ -30,12 +34,14 @@ u = 1e-3, so evaluation switches to the Laurent-free power series of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from ._tree import _clenshaw
 from .errors import DomainError
 from .quadrature import integrate
 
@@ -60,30 +66,6 @@ _G_COEF = [float(Fraction(2 ** (2 * n - 1), math.factorial(2 * n))
 _SERIES_CUT = 0.05   # series/raw switch for g and its derivatives
 
 
-def _g_series(u):
-    u2 = u * u
-    s = 0.0
-    for b in reversed(_G_COEF):
-        s = u2 * s + b
-    return u * s
-
-
-def _gp_series(u):
-    u2 = u * u
-    s = 0.0
-    for n in range(len(_G_COEF), 0, -1):
-        s = u2 * s + (2 * n - 1) * _G_COEF[n - 1]
-    return s
-
-
-def _gpp_series(u):
-    u2 = u * u
-    s = 0.0
-    for n in range(len(_G_COEF), 1, -1):
-        s = u2 * s + (2 * n - 1) * (2 * n - 2) * _G_COEF[n - 1]
-    return u * s
-
-
 def _g_raw(u):
     return 0.5 / u - 0.5 * PI * PI / np.tan(PI * PI * u)
 
@@ -98,12 +80,30 @@ def _gpp_raw(u):
     return 1.0 / u ** 3 - PI ** 6 * np.cos(PI * PI * u) / s ** 3
 
 
-def _inside(u, raw, series):
-    """Evaluate an inside-branch helper with the series/raw switch, |u|<=bp."""
+# g, g' and g'': the raw cotangent form, and below the switch a series in
+# u^2, by its coefficients and whether it is odd (times u)
+_G_DERIVATIVES = (
+    (_g_raw, _G_COEF, True),
+    (_gp_raw, [(2 * n - 1) * b for n, b in enumerate(_G_COEF, 1)], False),
+    (_gpp_raw, [(2 * n - 1) * (2 * n - 2) * b
+                for n, b in enumerate(_G_COEF, 1)][1:], True),
+)
+
+
+def _g_derivatives(u, count):
+    """g, g', g'' (the first ``count`` of them) at |u| <= bp: by Horner
+    below |u| = _SERIES_CUT, the raw cotangent forms above."""
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SERIES_CUT
     safe = np.where(small, _SERIES_CUT, u)   # keep raw() off the singularity
-    return np.where(small, series(u), raw(safe))
+    u2 = u * u
+    out = []
+    for raw, coef, odd in _G_DERIVATIVES[:count]:
+        s = 0.0
+        for b in reversed(coef):
+            s = u2 * s + b
+        out.append(np.where(small, u * s if odd else s, raw(safe)))
+    return out
 
 
 def k_values(u):
@@ -113,16 +113,9 @@ def k_values(u):
     out = np.empty_like(u)
     outside = u > BREAKPOINT
     out[outside] = 0.25 / u[outside] ** 2
-    gi = _inside(u[~outside], _g_raw, _g_series)
+    gi, = _g_derivatives(u[~outside], 1)
     out[~outside] = gi * gi
     return out
-
-
-def _kpp_inside(u):
-    g = _inside(u, _g_raw, _g_series)
-    gp = _inside(u, _gp_raw, _gp_series)
-    gpp = _inside(u, _gpp_raw, _gpp_series)
-    return 2.0 * (gp * gp + g * gpp)
 
 
 def kpp_values(u):
@@ -131,7 +124,8 @@ def kpp_values(u):
     out = np.empty_like(u)
     outside = u > BREAKPOINT
     out[outside] = 1.5 / u[outside] ** 4
-    out[~outside] = _kpp_inside(u[~outside])
+    g, gp, gpp = _g_derivatives(u[~outside], 3)
+    out[~outside] = 2.0 * (gp * gp + g * gpp)
     return out
 
 
@@ -174,97 +168,78 @@ _DERIV_MAX = 14
 _COT_D = _cot_derivative_values(_DERIV_MAX)
 
 
-def _g_derivs_at_breakpoint():
-    out = []
-    for n in range(_DERIV_MAX + 1):
-        t1 = ((-1) ** n) * math.factorial(n) / (2.0 * BREAKPOINT ** (n + 1))
-        t2 = 0.5 * PI * PI * PI ** (2 * n) * _COT_D[n]
-        out.append(t1 - t2)
-    return out
-
-
 def _k_derivs_at_breakpoint():
-    gd = _g_derivs_at_breakpoint()
+    """k^(j)(bp-) = (g^2)^(j) by Leibniz, from g^(n)(bp) = (-1)^n n! /
+    (2 bp^(n+1)) - (pi^2/2) pi^(2n) cot^(n)(pi/2)."""
+    gd = [((-1) ** n) * math.factorial(n) / (2.0 * BREAKPOINT ** (n + 1))
+          - 0.5 * PI * PI * PI ** (2 * n) * _COT_D[n]
+          for n in range(_DERIV_MAX + 1)]
     return [sum(math.comb(j, i) * gd[i] * gd[j - i] for i in range(j + 1))
             for j in range(_DERIV_MAX + 1)]
 
 
 _KD_BP = _k_derivs_at_breakpoint()    # k^(j)(breakpoint-) for j = 0.._DERIV_MAX
 
+# Each transform, as (h, n, weight) with h = k^(n-2): the transform at y is
+#   2 int_0^bp h(u) cos(2 pi y u) du + weight int_bp^inf cos(2 pi y u)/u^n du,
+# h being weight / (2 u^n) beyond the breakpoint
+_KHAT_SPEC = (k_values, 2, 0.5)
+_KPP_SPEC = (kpp_values, 4, 3.0)
+
 _FAST_Y_SWITCH = 50.0                 # P cos y + Q sin y above, fixed grid below
 _SERIES_TERMS = 5                     # boundary series of the finite piece
-_AUX_TERMS = 25                       # asymptotic series of Si/Ci auxiliaries
+_AUX_TERMS = 25                       # terms of P and of Q
 
 
-def _high_y_coefficients(deriv_offset, tail_weight):
+def _into_pq(p, q, k, term):
+    """Add the term of y^-(k+1) to P (k odd) or Q (k even), each indexed
+    by its power of 1/y^2."""
+    (p if k % 2 else q)[(k + 1) // 2] += term
+
+
+@functools.cache
+def _high_y_coefficients(spec):
     """Coefficients of P(y) = sum_m p_m y^-2m and Q(y) = sum_m q_m y^-(2m+1)
     with transform(y) = P cos y + Q sin y for y >= _FAST_Y_SWITCH.
 
     Two pieces, both in powers of 1/y.  The finite piece int_0^bp h(u)
-    cos(a u) du (h = k or k'', a = 2 pi y, a bp = y) is its by-parts
-    boundary series: odd derivatives of k vanish at 0, so only breakpoint
-    data enters.  The tail beyond bp is int cos(a u)/u^2 (khat) or /u^4
-    (k''), whose sine integral is pi/2 - Si(y) = f(y) cos y + g(y) sin y
-    with the auxiliary functions f, g of DLMF 6.2; their asymptotic series
-    (DLMF 6.12.3-4) y f = sum (-1)^n (2n)!/y^2n, y^2 g = sum (-1)^n
-    (2n+1)!/y^2n, remainder below the first omitted term, are summed
-    here with the leading terms cancelled symbolically.  Forming the tail
-    from the sine integral itself instead loses 2 pi y eps (u^2) and
-    (2 pi y)^3 eps (u^4) absolute to cancellation.
+    cos(a u) du (a = 2 pi y, a bp = y) is its by-parts boundary series:
+    odd derivatives of k vanish at 0, so only breakpoint data enters.  The
+    tail is weight (2 pi)^(n-1) Re E_n(-iy), from the asymptotic series
+    E_n(z) ~ (e^-z / z) sum_k (-1)^k (n)_k / z^k (DLMF 8.20.2) at z = -iy,
+    whose remainder is below the first omitted term.  With e^-z = cos y +
+    i sin y and 1/z = i/y, term k is (-1)^(j+1) (n)_k / y^(k+1), j =
+    floor((k+1)/2), in P for odd k and in Q for even k.  No term cancels
+    against another, so the tail keeps the precision that the route
+    through the sine integral loses to cancellation, (2 pi y)^(n-1) eps
+    absolute.
     """
+    _, n, weight = spec
     p = np.zeros(_AUX_TERMS)
     q = np.zeros(_AUX_TERMS)
     two_pi = 2.0 * PI
-    for j in range(_SERIES_TERMS):
-        sign = (-1) ** j
-        q[j] += 2.0 * sign * _KD_BP[2 * j + deriv_offset] / two_pi ** (2 * j + 1)
-        p[j + 1] += 2.0 * sign * _KD_BP[2 * j + 1 + deriv_offset] \
-            / two_pi ** (2 * j + 2)
-    fact = math.factorial
-    if deriv_offset == 0:
-        # int_bp^inf cos(a u)/u^2 du = (1/bp - a f) cos y - a g sin y
-        for m in range(1, _AUX_TERMS):
-            p[m] += tail_weight * two_pi * (-1) ** (m + 1) * fact(2 * m)
-        for m in range(_AUX_TERMS):
-            q[m] -= tail_weight * two_pi * (-1) ** m * fact(2 * m + 1)
-    else:
-        # int_bp^inf cos(a u)/u^4 du, by parts down to the u^-2 tail
-        c = tail_weight * two_pi ** 3 / 6.0
-        for m in range(1, _AUX_TERMS):
-            p[m] += c * (-1) ** (m + 1) * fact(2 * m + 2)
-        for m in range(_AUX_TERMS):
-            q[m] += c * (-1) ** (m + 1) * fact(2 * m + 3)
+    for i in range(2 * _SERIES_TERMS):
+        _into_pq(p, q, i, 2.0 * (-1) ** (i // 2) * _KD_BP[i + n - 2]
+                 / two_pi ** (i + 1))
+    # (n)_k = (k + n - 1)! / (n - 1)!, the (n - 1)! taken into c
+    c = weight * two_pi ** (n - 1) / math.factorial(n - 1)
+    for k in range(2 * _AUX_TERMS - 1):
+        _into_pq(p, q, k, c * (-1) ** ((k + 1) // 2 + 1)
+                 * math.factorial(k + n - 1))
     return p[::-1].copy(), q[::-1].copy()
 
 
-_KHAT_PQ = _high_y_coefficients(0, 0.5)
-_KPP_PQ = _high_y_coefficients(2, 3.0)
-
-
-def _pq(y, coef):
+def _pq(y, spec):
+    """(P, Q) of the transform ``spec`` at y >= _FAST_Y_SWITCH."""
     u = 1.0 / np.asarray(y, dtype=float)
     u2 = u * u
-    p_c, q_c = coef
+    p_c, q_c = _high_y_coefficients(spec)
     p = np.zeros_like(u)
     q = np.zeros_like(u)
     for cp, cq in zip(p_c, q_c):
         p = p * u2 + cp
         q = q * u2 + cq
     return p, q * u
-
-
-def khat_pq(y):
-    """(P, Q) with khat(y) = P(y) cos y + Q(y) sin y for y >= 50.
-
-    P and Q are smooth (polynomials in 1/y), so the pair-sum far field can
-    interpolate them; :func:`khat_many` uses the same split.
-    """
-    return _pq(y, _KHAT_PQ)
-
-
-def kpp_pq(y):
-    """(P, Q) of the k'' transform, as :func:`khat_pq`, for y >= 50."""
-    return _pq(y, _KPP_PQ)
 
 
 def _fixed_grid(n_panels=40, nodes=12):
@@ -364,52 +339,36 @@ _LOW_X = np.cos(PI * (np.arange(_LOW_DEG + 1) + 0.5) / (_LOW_DEG + 1))
 _CHEB_FIT = np.cos(np.outer(np.arange(_LOW_DEG + 1),
                             np.arccos(_LOW_X))) * (2.0 / (_LOW_DEG + 1))
 _CHEB_FIT[0] *= 0.5
-# transform -> (h, n, weight): 2 int_0^bp h cos + weight int_bp^inf cos/u^n
-_LOW_SPECS = {"khat": (k_values, 2, 0.5), "kpp": (kpp_values, 4, 3.0)}
-_LOW_COEF = {}
 
 
-def _low_table(name: str) -> np.ndarray:
+@functools.cache
+def _low_table(spec) -> np.ndarray:
     """Chebyshev coefficients, one column per panel of [0, 50), of the
-    transform ``name``; built at first use (1100 points, milliseconds)."""
-    if name not in _LOW_COEF:
-        h, n, weight = _LOW_SPECS[name]
-        x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
-        tab = h(x) * _GRID_W
-        y = (_LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
-                           + 0.5 * (_LOW_X[None, :] + 1.0))).ravel()
-        vals = 2.0 * _cos_moments_low(2.0 * PI * y, tab) \
-            + weight * _tail_cos(y, n)
-        _LOW_COEF[name] = _CHEB_FIT @ vals.reshape(_LOW_PANELS, -1).T
-    return _LOW_COEF[name]
+    transform ``spec``; built at first use (1100 points, milliseconds)."""
+    h, n, weight = spec
+    x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
+    y = (_LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
+                       + 0.5 * (_LOW_X[None, :] + 1.0))).ravel()
+    vals = 2.0 * _cos_moments_low(2.0 * PI * y, h(x) * _GRID_W) \
+        + weight * _tail_cos(y, n)
+    return _CHEB_FIT @ vals.reshape(_LOW_PANELS, -1).T
 
 
-def _clenshaw_low(y, coef):
-    """The piecewise Chebyshev table ``coef`` at y in [0, 50)."""
-    pos = y / _LOW_WIDTH
-    panel = np.minimum(pos.astype(np.int64), _LOW_PANELS - 1)
-    x = 2.0 * (pos - panel) - 1.0
-    x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(_LOW_DEG, 0, -1):
-        b1, b2 = coef[k, panel] + x2 * b1 - b2, b1
-    return coef[0, panel] + x * b1 - b2
-
-
-def _transform_many(y, coef, name):
-    """2 int_0^bp h(u) cos(2 pi y u) du + the tail beyond bp, h = k or k'':
-    the P/Q split at y >= _FAST_Y_SWITCH, the low-y table below."""
+def _transform_many(y, spec):
+    """The transform ``spec`` at the points y: the P/Q split at y >=
+    _FAST_Y_SWITCH, the low-y table below."""
     y = np.abs(np.asarray(y, dtype=float))
     out = np.empty_like(y)
     hi = y >= _FAST_Y_SWITCH
     if np.any(hi):
         yh = y[hi]
-        p, q = _pq(yh, coef)
+        p, q = _pq(yh, spec)
         out[hi] = p * np.cos(yh) + q * np.sin(yh)
     lo = ~hi
     if np.any(lo):
-        out[lo] = _clenshaw_low(y[lo], _low_table(name))
+        pos = y[lo] / _LOW_WIDTH
+        panel = np.minimum(pos.astype(np.int64), _LOW_PANELS - 1)
+        out[lo] = _clenshaw(_low_table(spec), panel, 2.0 * (pos - panel) - 1.0)
     return out
 
 
@@ -419,17 +378,34 @@ def khat_many(y):
     Matches ``khat(y, method='direct')`` (verified in the test suite); meant
     for the pair sums, where per-pair adaptive quadrature is hopeless.
     """
-    return _transform_many(y, _KHAT_PQ, "khat")
+    return _transform_many(y, _KHAT_SPEC)
 
 
 def kpp_transform_many(y):
     """Vectorized transform of k'': int k''(u) e(-u y) du."""
-    return _transform_many(y, _KPP_PQ, "kpp")
+    return _transform_many(y, _KPP_SPEC)
+
+
+# Each transform as the pair engine takes it: its values at y, looked up in
+# this module at each call, so that a wrapper bound to the name (perfbench's
+# spans) sees the calls, and its (P, Q) for y >= _FAST_Y_SWITCH
+_KHAT = (lambda y: khat_many(y), lambda y: _pq(y, _KHAT_SPEC))
+_KPP = (lambda y: kpp_transform_many(y), lambda y: _pq(y, _KPP_SPEC))
 
 
 # ----------------------------------------------------------------------
 # reference (quadrature) transforms
 # ----------------------------------------------------------------------
+
+def _reference_transform(y: float, spec) -> float:
+    """The transform ``spec`` at y >= 0 by error-estimated panel quadrature
+    on [0, bp] and the closed-form tail."""
+    h, n, weight = spec
+    omega = 2.0 * PI * y
+    main, _ = integrate(lambda u: h(u) * np.cos(omega * u),
+                        0.0, BREAKPOINT, omega=omega)
+    return 2.0 * main + weight * float(_tail_cos(y, n))
+
 
 def khat(y: float, method: str = "direct") -> float:
     """Fourier transform of k at y, by error-estimated panel quadrature.
@@ -440,27 +416,18 @@ def khat(y: float, method: str = "direct") -> float:
         khat(y) = -(2 pi y)^-2 * int k''(u) e(-u y) du
                   + (pi^3 / (2 y^2)) cos y
 
-    Both reduce the infinite range to [0, 1/(2 pi)] plus a closed-form
-    tail (:func:`_tail_cos`, through E_n), since k and k'' coincide with
-    1/(4u^2), 3/(2u^4) beyond the breakpoint.
+    Both take their transform from :func:`_reference_transform`:
+    quadrature on [0, 1/(2 pi)] plus the E_n tail beyond it.
     """
     if method not in ("direct", "closed"):
         raise DomainError(f"unknown khat method {method!r}")
     ya = abs(y)
-    omega = 2.0 * PI * ya
     if method == "direct":
-        main, _ = integrate(lambda u: k_values(u) * np.cos(omega * u),
-                            0.0, BREAKPOINT, omega=omega)
-        val = 2.0 * main + 0.5 * float(_tail_cos(ya, 2))
-    else:
-        if ya <= 1e-3:
-            raise DomainError("closed form is singular at y = 0")
-        main, _ = integrate(lambda u: kpp_values(u) * np.cos(omega * u),
-                            0.0, BREAKPOINT, omega=omega)
-        k2 = 2.0 * main + 3.0 * float(_tail_cos(ya, 4))
-        val = -k2 / (2.0 * PI * ya) ** 2 \
-            + (PI ** 3 / (2.0 * ya * ya)) * math.cos(ya)
-    return val
+        return _reference_transform(ya, _KHAT_SPEC)
+    if ya <= 1e-3:
+        raise DomainError("closed form is singular at y = 0")
+    return -_reference_transform(ya, _KPP_SPEC) / (2.0 * PI * ya) ** 2 \
+        + (PI ** 3 / (2.0 * ya * ya)) * math.cos(ya)
 
 
 def _khat_complex_residual(y: float) -> float:

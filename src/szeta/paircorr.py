@@ -35,9 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tree import _Tree
-from .errors import DomainError
-from .kernels import (_FAST_Y_SWITCH, CheckReport, _report, khat_many,
-                      khat_pq, kpp_pq, kpp_transform_many)
+from .errors import CoverageError, DomainError
+from .kernels import _FAST_Y_SWITCH, _KHAT, _KPP, CheckReport, _report
 from .quadrature import gap_rule
 from .s_of_t import _zero_field
 from .zeros import ZeroSet
@@ -60,12 +59,9 @@ def _complement(u):
     return u * u / (4.0 + u * u)
 
 
-# transforms of y = d L and their (P, Q) for y >= _FAST_Y_SWITCH (None for
-# cos); khat_many and kpp_transform_many are looked up at each call, so a
-# wrapper bound to this module's names (perfbench's spans) sees the calls
+# transforms of y = d L and their (P, Q) for y >= _FAST_Y_SWITCH: cos has
+# none, and kernels declares those of khat and the k'' transform
 _COS = (np.cos, None)
-_KHAT = (lambda y: khat_many(y), khat_pq)
-_KPP = (lambda y: kpp_transform_many(y), kpp_pq)
 
 
 def _pair_sum(g: np.ndarray, L: float, terms) -> np.ndarray:
@@ -112,7 +108,7 @@ def _restrict(zeros: ZeroSet, T: float) -> np.ndarray:
     if T < 20.0:
         raise DomainError("pair correlation needs T >= 20")
     if zeros.t_max < T:
-        raise DomainError("zero set does not cover T")
+        raise CoverageError("zero set does not cover T")
     g = zeros.up_to(T)
     if len(g) == 0:
         raise DomainError("no ordinates below T")

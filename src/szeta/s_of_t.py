@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tree import _Tree
-from .errors import DomainError
+from .errors import CoverageError, DomainError
 from .kernels import _ABS_BERNOULLI, f_weight
 from .primes import PrimeTable
 from .quadrature import gap_rule, integrate
@@ -71,9 +71,11 @@ def s_exact(t, ev: SEvaluator):
     if not ev.zeros.claimed_complete:
         raise DomainError("zero set not validated as complete")
     ta = np.asarray(t, dtype=float)
-    lo, hi = _ends(ta)
-    if not (10.0 <= lo and hi <= ev.zeros.t_max):   # inf, -inf if empty
-        raise DomainError("t outside zero coverage")
+    lo, hi = _ends(ta)      # inf, -inf if empty
+    if not 10.0 <= lo:
+        raise DomainError("t >= 10 required")
+    if not hi <= ev.zeros.t_max:
+        raise CoverageError("t outside zero coverage")
     # a NumPy scalar for a number t, cheaper than an array
     s = _s_between_zeros(ta[()], ev.zeros)
     return float(s) if ta.ndim == 0 else s
@@ -269,7 +271,7 @@ def s_explicit(t, x: float, ev: SEvaluator, *, table=None):
     if not lo >= 10.0:
         raise DomainError("t >= 10 required")
     if not hi + 50.0 / logx <= ev.zeros.t_max:
-        raise DomainError("zero coverage must extend to t + 50/log x")
+        raise CoverageError("zero coverage must extend to t + 50/log x")
     tv = ta.reshape(-1)
 
     coef, logn = _prime_terms(x, ev.prime_table)
@@ -332,7 +334,7 @@ def _gap_edges(lo: float, hi: float, zeros: ZeroSet) -> np.ndarray:
     if not zeros.claimed_complete:
         raise DomainError("zero set not validated as complete")
     if not hi <= zeros.t_max:
-        raise DomainError("T outside zero coverage")
+        raise CoverageError("T outside zero coverage")
     g = zeros.ordinates
     return np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
 
@@ -347,7 +349,7 @@ def second_moment(T: float, ev: SEvaluator) -> float:
     inputs.
     """
     if not 10.0 <= T:
-        raise DomainError("T outside zero coverage")
+        raise DomainError("T >= 10 required")
     return _s_squared_integral(0.0, T, ev)
 
 

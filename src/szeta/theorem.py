@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CoverageError, DomainError
 from .kernels import (_report, k_values, kpp_values,
                       t_weighted_kernel_integral)
 from .paircorr import (PairCorrelationCurve, _alpha_steps, _beta_pair_sums,
@@ -245,7 +245,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     if f_tail_source not in ("empirical", "model"):
         raise DomainError("f_tail_source must be empirical|model")
     if zeros.t_max < T:
-        raise DomainError("zero coverage below T")
+        raise CoverageError("zero coverage below T")
     _alpha_steps(alpha_max, alpha_step)     # refuse a bad grid before work
 
     if prime_table is None:

@@ -298,23 +298,51 @@ def address_space_cap():
     ("pcf --zeros {z} --t 200 --alpha-max nan --out {out}", 1),
     ("pcf --zeros {z} --t 200 --alpha-max inf --out {out}", 1),
     ("pcf --zeros {z} --t 200 --step 1e-300 --out {out}", 2),
+    ("pcf --zeros {z} --t 300 --out {out}", 2),
     ("report --zeros {z} --t 200 --x 9 --step nan --out {out}", 1),
     ("report --zeros {z} --t 200 --x 9 --alpha-max nan --out {out}", 1),
     ("report --zeros {z} --t 200 --x 9 --alpha-max inf --out {out}", 1),
     ("report --zeros {z} --t 200 --x 9 --step 1e-300 --out {out}", 2),
     ("report --zeros {z} --t 200 --x nan --out {out}", 1),
     ("check --identity lemma4 --params tol=1", 1),
+    ("check --identity lemma5 --zeros {z} --t 300", 2),
+    ("check --identity lemma6 --zeros {z} --t 300", 2),
+    ("check --identity lemma8 --zeros {z} --t 300", 2),
 ])
 def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
                                        capsys, address_space_cap):
     # a zero step, a range, cutoff or alpha grid that is not finite or runs
-    # backwards, an allocation beyond memory or beyond any address space
-    # and an unknown option each end in an exit code and an error line,
-    # not a stack trace
+    # backwards, an allocation beyond memory or beyond any address space,
+    # a height beyond the zeros (exit 2, as coverage) and an unknown option
+    # each end in an exit code and an error line, not a stack trace
     argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv").split()
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads, want", [
+    ("100000", 4), ("3", 3), ("0", 1), (None, 4)])
+def test_threads_clamped_to_cores(threads, want, monkeypatch):
+    # --threads is clamped to the cores (4 here); the pool is replaced by
+    # a recorder that raises, so no thread starts and no Z runs
+    from szeta import zeros
+
+    class Started(Exception):
+        pass
+
+    seen = []
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        raise Started
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(zeros, "ThreadPoolExecutor", pool)
+    flag = [] if threads is None else ["--threads", threads]
+    with pytest.raises(Started):
+        main(flag + ["zeros", "--t-max", "20"])
+    assert seen == [want]
 
 
 _NO_SCIPY = """
