@@ -3,8 +3,11 @@
 Every command writes byte-stable output: floats are rounded to 12
 significant digits before serialization and dict keys are emitted in fixed
 order, so identical inputs reproduce identical files.  Expected failures
-print a one-line message and exit nonzero (1 usage, 2 validation, coverage
-or out of memory); stack traces are reserved for genuine bugs.
+are the library's error types, mapped to exit codes by one table
+(``_EXITS``): each prints a one-line message and exits nonzero (1 usage or
+a path that cannot be read or written, 2 validation, coverage, a zeros text
+that does not parse or is not ASCII, or out of memory); stack traces are
+reserved for genuine bugs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import (AccuracyError, CoverageError, DomainError,
-                     MissedZerosError, ZerosParseError)
+                     MissedZerosError, ZerosParseError, refuse_beyond_memory)
 from .kernels import CheckReport, check_identity
 from .paircorr import lemma5_check, lemma6_check, pcf_curve
 from .primes import build_prime_table
@@ -30,14 +33,6 @@ from .zeros import ZeroSet, export_zeros, find_zeros, import_zeros
 # kernel identities first, then the pair sums, then the conditional ones
 _IDENTITIES = ("w_partition", "lemma3", "lemma4", "lemma7", "lemma11",
                "lemma5", "lemma6", "lemma8", "lemma9", "lemma10")
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _ValidationError(Exception):
-    pass
 
 
 def _round12(x: float) -> float:
@@ -52,8 +47,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -63,9 +56,16 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: str, obj) -> None:
-    text = json.dumps(_jsonable(obj), indent=2) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2) + "\n"
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout if it is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
 
 
@@ -96,29 +96,20 @@ def _moment_report_obj(rep) -> dict:
     }
 
 
-def _write_curve_csv(path: str, curve) -> None:
-    lines = ["alpha,F"]
-    for a, v in zip(curve.alpha_grid, curve.values):
-        lines.append(f"{a:.12g},{v:.12g}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _curve_csv(curve) -> str:
+    return "alpha,F\n" + "".join(f"{a:.12g},{v:.12g}\n" for a, v
+                                  in zip(curve.alpha_grid, curve.values))
 
 
 def _load_zeros(path: str) -> ZeroSet:
-    try:
-        with open(path, encoding="ascii") as fh:
+    """The zero set in the text file ``path``, the CLI's one reader: a text
+    that is not ASCII or does not parse raises ZerosParseError naming it."""
+    with open(path, encoding="ascii") as fh:
+        try:
             return import_zeros(fh.read())
-    except FileNotFoundError:
-        raise _UsageError(f"zeros file not found: {path}")
-    except ZerosParseError as exc:
-        raise _ValidationError(f"{path}: {exc}")
-
-
-def _refuse_beyond_memory(count: float, what: str) -> None:
-    """Refuse, as out of memory (exit 2), ``count`` 8-byte entries that no
-    address space holds, where NumPy would raise ValueError; NaN too."""
-    if not count < sys.maxsize / 8:
-        raise MemoryError(f"cannot hold {count:.3g} {what}")
+        except (UnicodeDecodeError, ZerosParseError) as exc:
+            raise ZerosParseError(f"{path}: {exc}",
+                                  getattr(exc, "line_number", None)) from exc
 
 
 def _threads(args) -> int:
@@ -137,67 +128,58 @@ def _cmd_zeros(args) -> int:
     if args.import_path:
         zs = _load_zeros(args.import_path)
         if args.validate and not zs.claimed_complete:
-            raise _ValidationError(
+            raise MissedZerosError(
                 f"{args.import_path}: ordinate count disagrees with "
                 "Turing's count of zeros (set incomplete?)")
         print(f"{len(zs)} ordinates up to {zs.t_max:.12g}"
               f" (complete={zs.claimed_complete})")
         if args.out:
-            with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(export_zeros(zs))
+            _write(args.out, export_zeros(zs))
         return 0
     if args.t_max is None:
-        raise _UsageError("zeros needs --t-max or --import")
+        raise DomainError("zeros needs --t-max or --import")
     zs = find_zeros(args.t_max, threads=_threads(args))
-    text = export_zeros(zs)
+    _write(args.out, export_zeros(zs))
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
         print(f"wrote {len(zs)} ordinates to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
 def _cmd_s(args) -> int:
-    if not args.step > 0:
-        raise _UsageError("--step must be positive")
+    if not 0.0 < args.step < math.inf:
+        raise DomainError(f"--step must be positive and finite: {args.step}")
     lo, hi = ((args.t, args.t) if args.t is not None
               else (args.t_min, args.t_max))
     if lo is None or hi is None:
-        raise _UsageError("s needs --t or both --t-min/--t-max")
+        raise DomainError("s needs --t or both --t-min/--t-max")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _UsageError("t must be finite")
+        raise DomainError("t must be finite")
     if lo > hi:
-        raise _UsageError("--t-min must not exceed --t-max")
+        raise DomainError("--t-min must not exceed --t-max")
     zs = _load_zeros(args.zeros)
     if not hi <= zs.t_max:      # before any point is built
-        raise _ValidationError(f"zeros file does not cover t = {hi:.12g}")
+        raise CoverageError(f"zeros file does not cover t = {hi:.12g}")
     rows = (hi - lo) / args.step
-    _refuse_beyond_memory(rows, "rows")
+    refuse_beyond_memory(rows, "rows")
     points = lo + np.arange(math.floor(rows) + 1) * args.step
     if args.method == "exact":
         vals = s_exact(points, SEvaluator(zs, None))
     else:
         if not 4.0 <= args.x < math.inf:
-            raise _UsageError("--x must be finite and at least 4")
-        _refuse_beyond_memory(args.x, "sieve entries")
+            raise DomainError("--x must be finite and at least 4")
+        refuse_beyond_memory(args.x, "sieve entries")
         table = build_prime_table(max(64, int(args.x) + 1))
         vals = s_explicit(points, args.x, SEvaluator(zs, table))[0]
-    text = "t,S\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v
-                             in zip(points.tolist(), vals.tolist()))
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    body = "".join(f"{t:.12g},{v:.12g}\n" for t, v
+                   in zip(points.tolist(), vals.tolist()))
+    _write(args.out, "t,S\n" + body)
     return 0
 
 
 def _cmd_pcf(args) -> int:
     zs = _load_zeros(args.zeros)
     curve = pcf_curve(zs, args.t, args.alpha_max, args.step)
-    _write_curve_csv(args.out, curve)
+    _write(args.out, _curve_csv(curve))
     print(f"wrote {len(curve.alpha_grid)} samples to {args.out}")
     return 0
 
@@ -206,19 +188,18 @@ def _check(args) -> CheckReport:
     """The report of ``--identity``.  T defaults to min(200, top of the
     zeros) for lemma5/6, to the top (or 1000 with model F) for lemma8-10."""
     name = args.identity
-    if name not in _IDENTITIES:
-        raise _UsageError(f"unknown identity {name!r}; known: "
-                          + ", ".join(_IDENTITIES))
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"--tol must be finite and >= 0: {args.tol}")
     if name in _IDENTITIES[:5]:
         return check_identity(name, args.tol)
     if args.f_source == "model" and name in ("lemma8", "lemma9", "lemma10"):
         if name == "lemma10":
-            raise _UsageError("lemma10 requires --zeros and empirical F "
+            raise DomainError("lemma10 requires --zeros and empirical F "
                               "(R is a sum over zeros)")
         T = args.t if args.t is not None else 1000.0
         return lemma_8_9_10_eval(None, T, args.beta, "model")[name]
     if not args.zeros:
-        raise _UsageError(f"{name} requires --zeros")
+        raise DomainError(f"{name} requires --zeros")
     zs = _load_zeros(args.zeros)
     if name in ("lemma5", "lemma6"):
         T = args.t if args.t is not None else min(200.0, zs.t_max)
@@ -231,10 +212,10 @@ def _check(args) -> CheckReport:
 
 def _cmd_check(args) -> int:
     rep = _check(args)
-    obj = _check_report_obj(rep)
+    text = _json_text(_check_report_obj(rep))
     if args.out:
-        _write_json(args.out, obj)
-    print(json.dumps(_jsonable(obj), indent=2))
+        _write(args.out, text)
+    _write(None, text)
     return 2 if rep.assertable and not rep.passed else 0
 
 
@@ -243,9 +224,9 @@ def _cmd_report(args) -> int:
     rep = full_report(args.t, args.x, zs, alpha_max=args.alpha_max,
                       alpha_step=args.step, f_tail_source=args.f_tail,
                       tail_model=args.tail_model)
-    _write_json(args.out, _moment_report_obj(rep))
+    _write(args.out, _json_text(_moment_report_obj(rep)))
     if args.pcf_out:
-        _write_curve_csv(args.pcf_out, rep.curve)
+        _write(args.pcf_out, _curve_csv(rep.curve))
     print(f"report written to {args.out}"
           + (f", curve to {args.pcf_out}" if args.pcf_out else ""))
     return 0
@@ -300,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("check", formatter_class=fmt,
                        help="run a named identity check")
-    k.add_argument("--identity", required=True,
-                   help="one of: " + ", ".join(_IDENTITIES))
+    k.add_argument("--identity", required=True, choices=_IDENTITIES,
+                   help="identity to check")
     k.add_argument("--tol", type=float, default=None,
                    help="override the identity's pass tolerance")
     k.add_argument("--zeros", default=None,
@@ -337,6 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Expected failures as (error types, exit code, message prefix); the first
+# row that matches wins, so CoverageError comes before DomainError, its base
+_EXITS = (
+    ((CoverageError, MissedZerosError, ZerosParseError), 2, ""),
+    ((DomainError, OSError), 1, ""),
+    ((AccuracyError,), 2, "quadrature accuracy: "),
+    ((MemoryError,), 2, "out of memory: "),
+)
+_EXPECTED = tuple(t for types, _, _ in _EXITS for t in types)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -345,19 +337,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (_ValidationError, CoverageError, MissedZerosError,
-            ZerosParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (_UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AccuracyError as exc:
-        print(f"error: quadrature accuracy: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    except _EXPECTED as exc:
+        code, prefix = next((code, prefix) for types, code, prefix in _EXITS
+                            if isinstance(exc, types))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

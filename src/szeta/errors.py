@@ -1,9 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, and the one guard against sizes beyond memory.
 
 Expected failures carry enough context to act on: accuracy errors report the
 best estimate achieved, missed-zero errors point at the suspect gap, parse
 errors name the offending line.
 """
+
+import sys
 
 
 class DomainError(ValueError):
@@ -38,3 +40,10 @@ class ZerosParseError(ValueError):
     def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
+
+
+def refuse_beyond_memory(count: float, what: str) -> None:
+    """Refuse, as MemoryError, ``count`` 8-byte entries that no address
+    space holds, where NumPy would raise ValueError; NaN too."""
+    if not count < sys.maxsize / 8:
+        raise MemoryError(f"cannot hold {count:.3g} {what}")

@@ -152,20 +152,12 @@ def f_weight(u):
 # derivative tables at the breakpoint, for the high-frequency transform path
 # ----------------------------------------------------------------------
 
-def _cot_derivative_values(nmax):
-    """cot^(n)(pi/2) for n=0..nmax via the polynomial recurrence
-    P_{n+1}(c) = -(1+c^2) P_n'(c) evaluated at c = cot(pi/2) = 0."""
-    from numpy.polynomial import polynomial as P
-    poly = np.array([0.0, 1.0])
-    vals = [0.0]
-    for _ in range(nmax):
-        poly = -P.polymul(np.array([1.0, 0.0, 1.0]), P.polyder(poly))
-        vals.append(float(P.polyval(0.0, poly)))
-    return vals
-
-
 _DERIV_MAX = 14
-_COT_D = _cot_derivative_values(_DERIV_MAX)
+# cot^(n)(pi/2) = -tan^(n)(0): 0 for even n, and for n = 2k - 1 the negated
+# tangent number 2^2k (2^2k - 1) |B_2k| / 2k
+_COT_D = [0.0 if n % 2 == 0 else -float(
+              Fraction(4 ** k * (4 ** k - 1), 2 * k) * _ABS_BERNOULLI[k - 1])
+          for n in range(_DERIV_MAX + 1) for k in [(n + 1) // 2]]
 
 
 def _k_derivs_at_breakpoint():
@@ -471,9 +463,11 @@ class CheckReport:
 
 
 def _report(name, params, lhs, rhs, tol, assertable=True, scale=None,
-            **kw):
+            terms=(), **kw):
+    """The check's report; the relative discrepancy is taken against the
+    largest of |lhs|, |rhs| and the |terms| that the caller names."""
     d_abs = abs(lhs - rhs)
-    ref = max(abs(lhs), abs(rhs))
+    ref = max(abs(lhs), abs(rhs), *map(abs, terms))
     d_rel = d_abs / ref if ref > 0 else 0.0
     passed = True if not assertable else d_rel <= tol
     return CheckReport(name=name, params=params, lhs=lhs, rhs=rhs,

@@ -54,7 +54,7 @@ class FModel:
     T: float
 
     def __post_init__(self):
-        if self.T < 100.0:
+        if not self.T >= 100.0:
             raise DomainError("model needs T >= 100")
         if not 0.0 < self.regime_boundary < 1.0:
             raise DomainError("regime boundary outside (0,1)")
@@ -237,6 +237,8 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     against its sqrt(T x) scale in the notes.
     Deterministic: identical inputs give identical reports.
     """
+    if not T >= 100.0:          # theorem_rhs's floor, before any work
+        raise DomainError(f"bracket evaluation stated for T >= 100: {T}")
     if not x >= 4.0:
         raise DomainError("x >= 4 required")
     beta = math.log(x) / math.log(T)

@@ -308,14 +308,31 @@ def address_space_cap():
     ("check --identity lemma5 --zeros {z} --t 300", 2),
     ("check --identity lemma6 --zeros {z} --t 300", 2),
     ("check --identity lemma8 --zeros {z} --t 300", 2),
+    ("report --zeros {z} --t nan --x 9 --out {out}", 1),
+    ("s --zeros {z} --t 30 --step inf", 1),
+    ("check --identity lemma4 --tol nan", 1),
+    ("check --identity lemma4 --tol -1", 1),
+    ("pcf --zeros {z} --t 200 --out {missing}", 1),
+    ("report --zeros {z} --t 200 --x 9 --out {missing}", 1),
+    ("zeros --t-max 20 --out {missing}", 1),
+    ("s --zeros {z} --t 30 --out {missing}", 1),
+    ("check --identity lemma4 --out {missing}", 1),
+    ("report --zeros {dir} --t 200 --x 9 --out {out}", 1),
+    ("zeros --import {bin}", 2),
 ])
 def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
                                        capsys, address_space_cap):
-    # a zero step, a range, cutoff or alpha grid that is not finite or runs
-    # backwards, an allocation beyond memory or beyond any address space,
-    # a height beyond the zeros (exit 2, as coverage) and an unknown option
-    # each end in an exit code and an error line, not a stack trace
-    argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv").split()
+    # a zero step, a range, cutoff, alpha grid or tolerance that is not
+    # finite or runs backwards, an allocation beyond memory or beyond any
+    # address space, a height beyond the zeros (exit 2, as coverage), an
+    # unknown option, a path that cannot be read or written (exit 1) and a
+    # zeros text that is not ASCII (exit 2) each end in an exit code and an
+    # error line, not a stack trace
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"14.1\n\xff\n")
+    argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv",
+                       missing=tmp_path / "missing" / "out", dir=tmp_path,
+                       bin=binary).split()
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err

@@ -173,8 +173,11 @@ def test_weighted_sum_against_bruteforce(zeros_220):
 
 
 def test_lemma5_real_and_synthetic(zeros_220):
-    rep = lemma5_check(zeros_220, 200.0, 0.5)
-    assert rep.passed and rep.discrepancy_rel < 1e-4
+    # at T = 20 one ordinate lies below T: lhs is 0 and the two right-hand
+    # terms cancel to 1e-14, a discrepancy measured against the terms
+    for T, beta in ((200.0, 0.5), (20.0, 0.4)):
+        rep = lemma5_check(zeros_220, T, beta)
+        assert rep.passed and rep.discrepancy_rel < 1e-4
     zsyn = ZeroSet(ordinates=np.arange(15.0, 41.0), t_max=200.0,
                    source="imported")
     rep2 = lemma5_check(zsyn, 200.0, 0.5)
