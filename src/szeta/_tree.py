@@ -13,6 +13,15 @@ of every leaf is built once from the sources (:meth:`_Tree.locals`), and
 a target then costs L2P (:meth:`_Tree.far_at`) plus the sources of its
 leaf and the two next to it (:meth:`_Tree.near_at`).
 
+The pair engine's leaves are as narrow as its far kernel allows.  A khat
+or k'' term's far kernel, the (P, Q) split of :mod:`szeta.kernels`, holds
+for d L >= 50 only, so its leaves are at least that floor wide, and no
+wider than needed: a near pair costs each such transform a 25-term P/Q
+Horner sum and a cos and sin, or a table read (about 110-170 ns), where a
+far box costs a few 20 x 20 products, so the near field is kept to the
+leaves the floor forces.  A cos-only sum's near pair is a cos and a
+weight; its leaves hold about _LEAF ordinates.
+
 Temporaries per source or target are bounded by a block: near-field
 kernel calls take pieces of about _NEAR differences, P2M weights are
 built where they are used, _BATCH sources at a time, and L2P sums each
@@ -29,7 +38,7 @@ from numpy.polynomial.chebyshev import chebvander
 
 PI = math.pi
 _P = 20             # Chebyshev nodes per box of the far field
-_LEAF = 24          # mean ordinates per leaf the pair engine's tree aims for
+_LEAF = 24          # mean ordinates per leaf of a pair tree without a floor
 _FIELD_LEAF = 2     # the same for a tree over targets (``over``), measured
 _COLUMNS = 16       # charge columns per far-field pass
 _NEAR = 1 << 14     # near-field differences per kernel call
@@ -109,17 +118,22 @@ class _Tree:
     over the ascending sources g, listed leaf by leaf: ``first[a]`` to
     ``ends[a]``.
 
-    ``_Tree(g, min_width)`` is the pair engine's layout over [g[0], g[-1]]:
-    about _LEAF ordinates per leaf and leaves at least ``min_width`` wide.
+    ``_Tree(g, floor)`` is the pair engine's layout over [g[0], g[-1]].
+    With a floor > 0 it has the most levels whose leaves are still at
+    least ``floor`` wide, so a leaf is in [floor, 2 floor) wide unless all
+    of g fits in one; without one, about _LEAF ordinates per leaf.
     :meth:`over` lays out a tree for targets apart from the sources.
     """
 
-    def __init__(self, g: np.ndarray, min_width: float):
+    def __init__(self, g: np.ndarray, floor: float):
         n, width = len(g), float(g[-1] - g[0])
         levels = 0
-        while (n / 2 ** (levels + 1) >= _LEAF
-               and width / 2 ** (levels + 1) >= min_width):
-            levels += 1
+        if floor > 0.0:
+            while width / 2 ** (levels + 1) >= floor:
+                levels += 1
+        else:
+            while n / 2 ** (levels + 1) >= _LEAF:
+                levels += 1
         self._lay_out(g, g[0], width / 2 ** levels, levels)
 
     @classmethod

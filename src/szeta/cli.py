@@ -7,7 +7,8 @@ are the library's error types, mapped to exit codes by one table
 (``_EXITS``): each prints a one-line message and exits nonzero (1 usage or
 a path that cannot be read or written, 2 validation, coverage, a zeros text
 that does not parse or is not ASCII, or out of memory); stack traces are
-reserved for genuine bugs.
+reserved for genuine bugs.  Output paths are checked before any work and
+left as they were until the work succeeds.
 """
 
 from __future__ import annotations
@@ -67,6 +68,19 @@ def _write(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
+
+
+def _probe_writable(path: str | None) -> None:
+    """Raise the OSError that writing the file ``path`` would, before any
+    work: open it for appending, which truncates nothing, and remove it
+    again if it did not exist."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="ascii"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _check_report_obj(rep: CheckReport) -> dict:
@@ -336,6 +350,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        # every output file is checked before any work
+        for path in (args.out, getattr(args, "pcf_out", None)):
+            _probe_writable(path)
         return args.fn(args)
     except _EXPECTED as exc:
         code, prefix = next((code, prefix) for types, code, prefix in _EXITS

@@ -9,7 +9,12 @@ terms and computes their sums in O(N): near pairs directly, each transform
 once per piece, the rest through the tree's far field of Re[K(d) e^(i L d)],
 K the weight for cos and (P - iQ)(d L) times the weight for the khat and
 k'' transforms, whose P cos + Q sin split for y >= 50 lives in
-:mod:`szeta.kernels`.  The alpha grid of :func:`pcf_curve` becomes charge
+:mod:`szeta.kernels`.  That split holds for d L >= 50, so a call with a
+khat or k'' term lays out its tree by that floor alone, leaves in
+[50 / L, 100 / L): near pairs of those transforms cost far more than a far
+box, so the near field is kept as small as the split allows.  Cos-only
+trees hold about ``_tree._LEAF`` ordinates per leaf.
+The alpha grid of :func:`pcf_curve` becomes charge
 columns, each the one before times a phase: the far field takes them in
 passes, and the near field is a batched product, over each leaf and its
 right neighbour, of their padded charge blocks and the matrix of w at the
@@ -74,7 +79,11 @@ def _pair_sum(g: np.ndarray, L: float, terms) -> np.ndarray:
     M2L on the charges e^(-i L g), p = _P nodes per box) of
     Re[K(d) e^(i L d)], K the weight for cos and (P - i Q)(d L) weight(d)
     otherwise.  That split holds for d L >= _FAST_Y_SWITCH, so a khat or
-    k'' term makes the leaves at least _FAST_Y_SWITCH / L wide.
+    k'' term lays out the tree by the floor _FAST_Y_SWITCH / L alone, the
+    most levels whose leaves are at least that wide: each near pair costs
+    those transforms a P/Q sum or a table read, more than a far box's
+    share, so the near field is no wider than the floor makes it.  Cos
+    terms alone take the _LEAF layout.
     """
     g = np.sort(np.asarray(g, dtype=float))
     transforms = list(dict.fromkeys(t for t, _ in terms))

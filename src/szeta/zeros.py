@@ -40,6 +40,7 @@ _REFINE = (4, 16, 64)     # subdivisions of the intervals of a short block
 _POLISH_WIDTH = 1e-9      # bracket width at which a root is done
 _POLISH_MARGIN = 0.45e-9  # least distance of a polish step from its ends
 _Z_PIECE = 1 << 16        # points per Z call of the scan and the polish
+_PARSE_BLOCK = 1 << 16    # characters of zeros text split into lines at once
 
 # B_2n for n = 1..8, signed
 _BERNOULLI = [float(b) * (-1) ** (n + 1)
@@ -613,8 +614,31 @@ def import_zeros(text: str) -> ZeroSet:
     listed count below g_b must equal it, which also catches extra
     ordinates.
     """
-    ordinates = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    arr = _parse_ordinates(text)
+    # validate first: the certificate's cost grows with t_max
+    zs = ZeroSet(ordinates=arr, t_max=float(arr[-1]), source="imported")
+    return replace(zs, claimed_complete=_import_certified(arr))
+
+
+def _text_blocks(text: str):
+    """The lines of text, as ``text.splitlines()`` lists them, in blocks
+    of about _PARSE_BLOCK characters: (number of the block's first line,
+    counted from 1, and its lines).  A block ends just after an LF, which
+    ends a line wherever it stands, so the blocks' lines are the text's."""
+    number = pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _PARSE_BLOCK) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        yield number + 1, lines
+        number += len(lines)
+        pos = end
+
+
+def _refuse_first_fault(lines, number, last):
+    """Raise ZerosParseError for the first line of a block, numbered from
+    ``number``, that is not a decimal or not above the ordinate before it
+    (``last``, None at the first)."""
+    for i, line in enumerate(lines, number):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -623,16 +647,41 @@ def import_zeros(text: str) -> ZeroSet:
         except ValueError:
             raise ZerosParseError(f"line {i}: not a decimal: {line!r}",
                                   line_number=i) from None
-        if ordinates and val <= ordinates[-1]:
+        if last is not None and val <= last:
             raise ZerosParseError(
                 f"line {i}: ordinate {val!r} not increasing", line_number=i)
-        ordinates.append(val)
-    if not ordinates:
+        last = val
+
+
+def _parse_ordinates(text: str) -> np.ndarray:
+    """The ordinates of a zeros text as a read-only array: each line
+    stripped, blank and '#' lines skipped, every other one a Python float
+    above the one before.  The text is read a block of lines at a time
+    into one array sized by its LF count, with no list of the lines or
+    values of the whole text; a block with a fault is read again line by
+    line, so that the first faulty line is the one named."""
+    out = np.empty(text.count("\n") + 1)
+    n = 0
+    for number, lines in _text_blocks(text):
+        kept = [s for s in map(str.strip, lines)
+                if s and not s.startswith("#")]
+        try:
+            vals = np.fromiter(map(float, kept), float, len(kept))
+        except ValueError:
+            vals = None
+        last = float(out[n - 1]) if n else None
+        if (vals is None or np.any(vals[1:] <= vals[:-1])
+                or (len(vals) and last is not None and vals[0] <= last)):
+            _refuse_first_fault(lines, number, last)
+        if n + len(vals) > len(out):    # line breaks other than LF
+            out = np.concatenate((out[:n], np.empty(n + len(vals))))
+        out[n:n + len(vals)] = vals
+        n += len(vals)
+    if not n:
         raise ZerosParseError("no ordinates in the text", line_number=0)
-    arr = np.array(ordinates)
-    # validate first: the certificate's cost grows with t_max
-    zs = ZeroSet(ordinates=arr, t_max=float(arr[-1]), source="imported")
-    return replace(zs, claimed_complete=_import_certified(arr))
+    out.resize(n, refcheck=False)       # in place: the array is ours alone
+    out.flags.writeable = False         # so ZeroSet takes it without a copy
+    return out
 
 
 def export_zeros(zs: ZeroSet) -> str:

@@ -214,3 +214,23 @@ def prime_power_double_sum_oracle(coeff, p_cutoff, m_cutoff):
     p = np.flatnonzero(flags).astype(float)
     return math.fsum(coeff(m) * math.fsum(p ** -m)
                      for m in range(2, m_cutoff + 1))
+
+
+def zeros_text_oracle(text):
+    """The ordinates of a zeros text, or ``(line number, message)`` of the
+    first line refused: all lines listed at once by ``str.splitlines``,
+    each stripped; blank and '#' lines skipped, every other one a Python
+    float, each greater than the one before."""
+    values = []
+    for i, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            val = float(line)
+        except ValueError:
+            return i, f"line {i}: not a decimal: {line!r}"
+        if values and val <= values[-1]:
+            return i, f"line {i}: ordinate {val!r} not increasing"
+        values.append(val)
+    return values

@@ -338,6 +338,58 @@ def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "zeros --t-max 100000 --out {missing}",
+    "zeros --import {z} --out {missing}",
+    "report --zeros {z} --t 200 --x 9 --out {missing}",
+    "report --zeros {z} --t 200 --x 9 --out {ok} --pcf-out {missing}",
+    "pcf --zeros {z} --t 200 --out {missing}",
+    "s --zeros {z} --t 30 --out {missing}",
+    "check --identity lemma4 --out {missing}",
+    "zeros --t-max 100000 --out {dir}",
+])
+def test_out_is_checked_before_any_work(argv, zeros_file, tmp_path,
+                                        monkeypatch, capsys):
+    # an --out that cannot be written exits 1 before the zeros are found
+    # or read and before any check runs (a scan to 1e5 took 3.6 s first)
+    called = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(name)
+        return refuse
+
+    for name in ("find_zeros", "_load_zeros", "check_identity"):
+        monkeypatch.setattr(cli, name, spy(name))
+    argv = argv.format(z=zeros_file, missing=tmp_path / "missing" / "out",
+                       ok=tmp_path / "ok.json", dir=tmp_path).split()
+    assert main(argv) == 1
+    assert called == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "Traceback" not in err
+    assert not (tmp_path / "ok.json").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("report --zeros {z} --t 300 --x 9 --out {out}", 2),
+    ("report --zeros {z} --t 200 --x 9 --out {other} --pcf-out {out} "
+     "--step nan", 1),
+    ("pcf --zeros {z} --t 300 --out {out}", 2),
+    ("s --zeros {z} --t 300 --out {out}", 2),
+    ("check --identity lemma5 --zeros {z} --t 300 --out {out}", 2),
+])
+def test_failed_work_leaves_out_as_it_was(argv, code, zeros_file, tmp_path):
+    # the check before the work truncates nothing and leaves no file
+    # behind; a file is written only once the work succeeds
+    out, other = tmp_path / "out", tmp_path / "other"
+    out.write_text("kept\n", encoding="ascii")
+    argv = argv.format(z=zeros_file, out=out, other=other).split()
+    assert main(argv) == code
+    assert out.read_text(encoding="ascii") == "kept\n"
+    assert not other.exists()
+
+
 @pytest.mark.parametrize("threads, want", [
     ("100000", 4), ("3", 3), ("0", 1), (None, 4)])
 def test_threads_clamped_to_cores(threads, want, monkeypatch):

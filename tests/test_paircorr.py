@@ -541,9 +541,9 @@ def test_pair_engine_against_ordered_oracle(zeros_220, monkeypatch):
             a = float(curve.alpha_grid[k])
             want = oracle(lambda d: np.cos(a * logT * d) * w(d)) / norm
             assert curve.values[k] == pytest.approx(want, rel=1e-12)
-    # with the default leaf size 60 ordinates make a tree of at most one
-    # level, all near field; two ordinates per leaf force a deep tree
-    # (the khat sums stay bounded by the leaf width 50 / log x)
+    # with the default leaf size 60 ordinates make a cos tree of at most
+    # one level, all near field; two ordinates per leaf force a deep one
+    # (the khat and k'' sums' trees are laid out by 50 / log x alone)
     assert _Tree(head, 0.0).levels <= 1
     monkeypatch.setattr(_tree, "_LEAF", 2)
     assert _Tree(head, 0.0).levels == 4
@@ -615,11 +615,12 @@ def test_pair_functions_against_ordered_oracle(zeros_2510):
     g = zeros_2510.up_to(T)
     assert len(g) > 1900
     assert _Tree(g, 0.0).levels >= 3
-    assert _Tree(g, 50.0 / (beta * math.log(T))).levels >= 3
+    # the khat and k'' sums' leaves: 19.4 wide against the floor 16.7
+    assert _Tree(g, 50.0 / (beta * math.log(T))).levels == 7
     _assert_matches_oracle(zeros_2510, T, beta)
     # x = 4: the widest near field the khat sums allow, 50 / log 4 ~ 36
     beta4 = math.log(4.0 + 1e-9) / math.log(T)
-    assert _Tree(g, 50.0 / math.log(4.0)).levels >= 3
+    assert _Tree(g, 50.0 / math.log(4.0)).levels == 6
     _assert_matches_oracle(zeros_2510, T, beta4, alphas=(1.0,))
     lemma = lemma5_check(zeros_2510, T, beta)
     assert lemma.passed and lemma.discrepancy_rel < 1e-4
@@ -738,7 +739,7 @@ def test_pair_sum_terms_are_independent_and_set_the_leaf_floor(
     L = 0.5 * math.log(1000.0)
     terms = [(_KHAT, _one), (_KHAT, pair_weight), (_KHAT, _complement),
              (_KPP, pair_weight), (_COS, pair_weight)]
-    assert _Tree(g, 50.0 / L).levels >= 3
+    assert _Tree(g, 50.0 / L).levels == 6
     sums = paircorr._pair_sum(g, L, terms)
     rng = np.random.default_rng(3)
     for order in [[4, 3, 2, 1, 0], [3, 0, 4, 1, 2]] \
@@ -760,6 +761,37 @@ def test_pair_sum_terms_are_independent_and_set_the_leaf_floor(
     for chosen in ([4], [4, 4], [0], [3], [4, 3]):
         paircorr._pair_sum(g, L, [terms[k] for k in chosen])
     assert floors == [0.0, 0.0, 50.0 / L, 50.0 / L, 50.0 / L]
+
+
+def test_pair_tree_leaves_are_as_narrow_as_the_floor(zeros_ref):
+    # with a floor (a khat or k'' term) the leaves are in [floor, 2 floor)
+    # wide, whatever the ordinates per leaf, unless all fit in one leaf
+    rng = np.random.default_rng(5)
+    sets = [zeros_ref.up_to(T) for T in (30.0, 200.0, 2500.0, 10000.0)]
+    sets += [np.sort(rng.uniform(20.0, 900.0, 50)),
+             np.concatenate([20.0 + 0.001 * np.arange(300),
+                             21.0 + 2.5 * np.arange(100)])]
+    for g in sets:
+        width = g[-1] - g[0]
+        for L in (math.log(4.0), math.log(20.0), 0.5 * math.log(g[-1]),
+                  0.99 * math.log(g[-1]), 40.0):
+            floor = 50.0 / L
+            tree = _Tree(g, floor)
+            assert tree.h * 2 ** tree.levels == pytest.approx(width)
+            if tree.levels:
+                assert floor <= tree.h < 2.0 * floor, (len(g), L)
+            else:
+                assert width < 2.0 * floor, (len(g), L)
+
+
+def test_cos_tree_layout_holds_about_leaf_ordinates(zeros_ref):
+    # without a floor (cos terms alone, the curve) the most levels whose
+    # leaves still hold _LEAF = 24 ordinates on average, as before
+    for T, levels in ((30.0, 0), (200.0, 1), (2500.0, 6), (10000.0, 8)):
+        g = zeros_ref.up_to(T)
+        assert _Tree(g, 0.0).levels == levels, T
+        assert len(g) / 2 ** levels >= 24 or levels == 0
+        assert len(g) / 2 ** (levels + 1) < 24
 
 
 def test_pair_weight_even():

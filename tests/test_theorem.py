@@ -252,19 +252,28 @@ def test_full_report_one_gap_pass(zeros_220, prime_table_small,
         s_of_t.second_moment(200.0, ev), rel=1e-12)
 
 
+def test_prime_double_sum_constant_is_the_sum():
+    ds, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2)
+    assert theorem.PRIME_DOUBLE_SUM == ds
+    assert float.hex(theorem.PRIME_DOUBLE_SUM) == float.hex(float(ds))
+
+
 def test_full_report_one_prime_double_sum(zeros_220, prime_table_small,
                                           monkeypatch):
-    # the opposite-sign bracket negates the one double sum, bit for bit
-    from szeta import primes, theorem
+    # the bracket reads the double sum as a constant: no call of
+    # prime_power_double_sum, under any name, reaches its primes to 1e6;
+    # the opposite-sign bracket negates it, bit for bit
+    from szeta import primes
     calls = []
+    real_primes = primes._primes_up_to
 
-    def counted(*args, **kwargs):
-        calls.append(args[0](2))
-        return primes.prime_power_double_sum(*args, **kwargs)
+    def counted(p_cutoff):
+        calls.append(p_cutoff)
+        return real_primes(p_cutoff)
 
-    monkeypatch.setattr(theorem, "prime_power_double_sum", counted)
+    monkeypatch.setattr(primes, "_primes_up_to", counted)
     rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
-    assert calls == [0.25]
+    assert calls == []
     bd = rep.breakdown
     assert bd.rhs_theorem == bd.rhs_goldston
     ds_neg, _ = primes.prime_power_double_sum(

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import theta_binet_oracle, theta_series_oracle, zeta_em_oracle
+from oracles import (theta_binet_oracle, theta_series_oracle,
+                     zeros_text_oracle, zeta_em_oracle)
 from szeta.errors import DomainError, MissedZerosError, ZerosParseError
 from szeta.s_of_t import _theta_any
 from szeta.zeros import (_EM_COEF, RS_MIN_T, ZeroSet, _em_length, _z_em,
@@ -309,6 +310,70 @@ def test_import_errors_name_lines():
     with pytest.raises(ZerosParseError) as info2:
         import_zeros("14.1\nbogus\n")
     assert info2.value.line_number == 2
+
+
+# pieces of zeros text: decimals in the forms Python's float reads, words
+# it does not, comments, blanks, and every line break str.splitlines knows
+_TEXT_PIECES = ["14.1", "21.0", "21.0", "25.5", " 30 ", "+31.5", "1_2.5",
+                "3.2e1", "nan", "inf", "-inf", "bogus", "1,5", "# c 9",
+                "#", "", "  ", "\t", "\n", "\r\n", "\r", "\v", "\f",
+                "\x1c", "\x85", "\u2028", "\n\n", "\r\n\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=30),
+       st.integers(min_value=1, max_value=12))
+def test_parse_in_blocks_reads_what_whole_lines_read(pieces, block):
+    # blocks of a few characters, cut after any LF, list the same lines
+    # as the whole text's splitlines: the same values, or the same first
+    # refused line and message
+    from szeta import zeros as zmod
+    text = "".join(pieces)
+    want = zeros_text_oracle(text)
+    default, zmod._PARSE_BLOCK = zmod._PARSE_BLOCK, block
+    try:
+        got = zmod._parse_ordinates(text)
+    except ZerosParseError as exc:
+        if not want:
+            assert exc.line_number == 0
+        else:
+            assert (exc.line_number, str(exc)) == want
+        return
+    finally:
+        zmod._PARSE_BLOCK = default
+    assert isinstance(want, list) and want
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not got.flags.writeable
+
+
+def test_import_line_numbers_past_the_first_block():
+    # the line numbers of a refused line count the lines of every block
+    # before it; CR LF endings included
+    body = "".join(f"{20.0 + 0.5 * k!r}\r\n" for k in range(20000))
+    for bad, line, what in (("bogus", 20002, "not a decimal"),
+                            ("15.0", 20002, "not increasing")):
+        text = "# head\r\n" + body + bad + "\r\n30000.0\r\n"
+        with pytest.raises(ZerosParseError) as info:
+            import_zeros(text)
+        assert info.value.line_number == line and what in str(info.value)
+
+
+def test_import_memory_is_the_array(zeros_120):
+    # 1e5 ordinates: the parse adds the array (0.8 MB) and a block of
+    # lines, 1.6 MiB at the peak; Python lists of every line and value
+    # first peaked at 10.1 MiB here (tracemalloc traces NumPy's
+    # allocations too)
+    import tracemalloc
+    g = 20.0 + 0.7 * np.arange(100000) + 0.1 * np.sin(np.arange(100000))
+    text = export_zeros(ZeroSet(g, float(g[-1])))
+    tracemalloc.start()
+    try:
+        zs = import_zeros(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(zs.ordinates, g)
+    assert peak <= g.nbytes + 2 ** 21, peak
 
 
 def test_export_import_roundtrip(zeros_120):
