@@ -26,6 +26,22 @@ Temporaries per source or target are bounded by a block: near-field
 kernel calls take pieces of about _NEAR differences, P2M weights are
 built where they are used, _BATCH sources at a time, and L2P sums each
 leaf's Chebyshev series by Clenshaw's recurrence, one vector per degree.
+
+The pair engine's column sums (:meth:`_Tree.near_columns`,
+:meth:`_Tree.far`) hold one workspace per call: its buffers are allocated
+once, sized by the largest batch of leaves rather than by the tree, and
+every batch and pass writes into them (``out=``, :func:`numpy.copyto`).
+The far field's level loop writes its products and copies into the same
+buffers: the bottom level's expansions and one buffer as large are the
+only ones the tree sizes, since each level's products and copies fit in
+the one that does not hold its expansions, and M2M puts half its products
+where the expansions it has read were.  The reason is glibc's allocator:
+it maps a block above its mmap threshold (128 KiB by default; _NEAR
+doubles are exactly that) with mmap and unmaps it on free, or trims it off
+the heap once the threshold has grown, so a fresh array per batch or pass
+is faulted in again, page by page, each time it is touched.  Every product
+keeps its operands, its arithmetic and its order, so the sums are bit for
+bit those of fresh arrays.
 """
 
 from __future__ import annotations
@@ -76,15 +92,27 @@ def _clenshaw(coef, idx, x):
     return coef[0, idx] + x * b1 - b2
 
 
-def _columns(first, rot, count):
-    """first * rot^k for k = 0 .. count - 1, along a new last axis.
+def _floats(shape, dtype=float):
+    """The number of floats an array of ``shape`` and ``dtype`` holds."""
+    return math.prod(shape) * (np.dtype(dtype).itemsize // 8)
+
+
+def _shaped(buf, shape, dtype=float):
+    """The first entries of the flat float buffer ``buf`` as a C-contiguous
+    array of ``shape`` and ``dtype`` (float or complex)."""
+    return buf[:_floats(shape, dtype)].view(dtype).reshape(shape)
+
+
+def _columns(first, rot, q, out):
+    """first * rot^k for k = 0 .. count - 1 into out[..., k], count =
+    len(q); q, of shape (count,) + first.shape, is scratch.
 
     Column k + j is column j times rot^k, for k = 1, 2, 4, ...: one complex
     multiply per entry and column, no exp, in about log2(count) array
     products.  The phase of column k carries k times the rounding of rot's,
     as a direct exp of k times its argument would.
     """
-    q = np.empty((count,) + first.shape, dtype=complex)
+    count = len(q)
     q[0] = first
     k = 1
     while k < count:
@@ -92,7 +120,8 @@ def _columns(first, rot, count):
         k *= 2
         if k < count:
             rot = rot * rot
-    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+    np.copyto(out, np.moveaxis(q, 0, -1))
+    return out
 
 
 def _pieces(lo, hi):
@@ -234,8 +263,21 @@ class _Tree:
         """
         g = self.g
         n_leaf = len(self.slots)
+        # each batch with its blocks of rows of W, about _BATCH entries
+        # each: one block unless a leaf holds a cluster of ordinates
+        batches = [(a, b, width,
+                    min(width, max(1, _BATCH // ((b - a) * 2 * width))))
+                   for a, b, width in self._batches(count)]
+        # the workspace, as large as the largest batch needs: the charges'
+        # column recurrence, whose buffer then takes W times the charges
+        # (never larger), the charges, and W
+        charges = max(_floats((b - a + 1, width, count), complex)
+                      for a, b, width, _ in batches)
+        q_buf, c_buf = np.empty(charges), np.empty(charges)
+        w_buf = np.empty(max(_floats((b - a, rows, 2 * width))
+                             for a, b, width, rows in batches))
         out = np.zeros(2 * count)
-        for a, b, width in self._batches(count):
+        for a, b, width, rows in batches:
             # the batch's leaves and the leaf right of its last one, empty
             # past the end of the tree
             idx = self.slots[a:b + 1, :width]
@@ -244,22 +286,25 @@ class _Tree:
                 idx = np.concatenate([idx, idx[-1:]])
                 filled = np.concatenate([filled, np.zeros_like(filled[-1:])])
             gi = g[idx]
-            c = _columns(filled.astype(complex),
-                         np.exp(1j * step * (gi - (g[0] + a * self.h))), count)
+            c = _columns(filled,
+                         np.exp(1j * step * (gi - (g[0] + a * self.h))),
+                         _shaped(q_buf, (count,) + gi.shape, complex),
+                         _shaped(c_buf, gi.shape + (count,), complex))
             pair = np.concatenate([gi[:-1], gi[1:]], axis=1)
             # [C_a; C_b] of every leaf a: consecutive rows of c, as a view
             cf = c.view(float)
             both = np.lib.stride_tricks.as_strided(
                 cf, (b - a, 2 * width, 2 * count), cf.strides)
-            # W in blocks of rows of about _BATCH entries: one block unless
-            # a leaf holds a cluster of ordinates
-            rows = max(1, _BATCH // ((b - a) * 2 * width))
             for i in range(0, width, rows):
                 r = slice(i, i + rows)
-                w = kernel(pair[:, None, :] - gi[:-1, r, None]) \
-                    * (np.arange(2 * width) > np.arange(width)[r, None])
+                n = min(rows, width - i)
+                d = np.subtract(pair[:, None, :], gi[:-1, r, None],
+                                out=_shaped(w_buf, (b - a, n, 2 * width)))
+                w = np.multiply(kernel(d), np.arange(2 * width)
+                                > np.arange(width)[r, None], out=d)
                 # Re(conj(x) y) = Re x Re y + Im x Im y, on float views
-                out += np.einsum("lsk,lsk->k", cf[:-1, r], np.matmul(w, both))
+                out += np.einsum("lsk,lsk->k", cf[:-1, r], np.matmul(
+                    w, both, out=_shaped(q_buf, (b - a, n, 2 * count))))
         return out.reshape(count, 2).sum(axis=1)
 
     def far(self, kernel, omega, step=0.0, count=1) -> np.ndarray:
@@ -279,21 +324,46 @@ class _Tree:
         for lev in range(2, self.levels + 1):
             h = self.h * 2 ** (self.levels - lev)
             m2l[lev] = [kernel(off * h + h * _GAP) for off in (2, 3)]
+        # P2M's weights first, so that the transients of building them are
+        # not held with the charges or the workspace
+        p2m = self.p2m
         x = self.g[self.slots] - 0.5 * (self.g[0] + self.g[-1])
         q = np.exp(-1j * omega * x)
         rot = np.exp(-1j * step * x) if count > 1 else np.ones_like(q)
+        # every pass takes the batches of the first, the widest
+        n_leaf, slots = x.shape
+        cols = min(_COLUMNS, count)
+        batches = [(a, b) for a, b, _ in self._batches(cols)]
+        # the workspace: the bottom level's expansions; a buffer as large
+        # that holds a batch's column recurrence and then its P2M product
+        # while P2M runs, and then each level's products and copies of
+        # strided boxes, the expansions of the level above alternating
+        # between the two; and a batch's charges
+        nb = max(b - a for a, b in batches)
+        bottom = np.empty(_floats((_P, n_leaf, 2 * cols)))
+        work = np.empty(max(len(bottom),
+                            _floats((nb, max(slots, _P), cols), complex)))
+        charges = np.empty(_floats((nb, slots, cols), complex))
         for k in range(0, count, _COLUMNS):
             cols = min(_COLUMNS, count - k)
-            m = np.empty((_P, len(x), 2 * cols))
-            for a, b, _ in self._batches(cols):
-                c = _columns(q[a:b], rot[a:b], cols)
+            m = _shaped(bottom, (_P, n_leaf, 2 * cols))
+            for a, b in batches:
+                c = _columns(q[a:b], rot[a:b],
+                             _shaped(work, (cols, b - a, slots), complex),
+                             _shaped(charges, (b - a, slots, cols),
+                                     complex))
                 if k + cols < count:
-                    q[a:b] = c[..., -1] * rot[a:b]
-                m[:, a:b] = (self.p2m[a:b] @ c.view(float)).transpose(1, 0, 2)
-            m = m.view(complex)
+                    np.multiply(c[..., -1], rot[a:b], out=q[a:b])
+                m[:, a:b] = np.matmul(
+                    p2m[a:b], c.view(float),
+                    out=_shaped(work, (b - a, _P, 2 * cols))
+                ).transpose(1, 0, 2)
+            m, held, spare = m.view(complex), bottom, work
             for lev in range(self.levels, 1, -1):
-                out[k:k + cols] += _m2l_dot(m2l[lev], m)
-                m = _times(_M2M[0], m[:, 0::2]) + _times(_M2M[1], m[:, 1::2])
+                out[k:k + cols] += _m2l_dot(m2l[lev], m, spare)
+                if lev > 2:
+                    m = _m2m(m, held, spare)
+                    held, spare = spare, held
         return out
 
     # -- sums at targets apart from the sources -------------------------
@@ -370,26 +440,52 @@ class _Tree:
                        self.ends[np.minimum(leaf + 1, top)])
 
 
-def _times(mat, m):
+def _times(mat, m, out=None, copy=None):
     """mat @ m over the node axis of box expansions m (node, box, ...); a
     real mat multiplies the float view of m, half the work of a complex
-    product."""
-    if np.iscomplexobj(mat):
-        return (mat @ m.reshape(_P, -1)).reshape(m.shape)
-    return (mat @ m.view(float).reshape(_P, -1)).view(complex).reshape(
-        m.shape)
+    product.  Given a flat float buffer ``out``, the product is written to
+    its start, and m is first copied, where its boxes are strided, as
+    reshape would copy it, to the flat float buffer ``copy`` (by default
+    the rest of ``out``): the same matrix product, with nothing
+    allocated."""
+    src = m if np.iscomplexobj(mat) else m.view(float)
+    if out is None:
+        return (mat @ src.reshape(_P, -1)).view(complex).reshape(m.shape)
+    shape = (_P, src[0].size)
+    if not src[0].flags.c_contiguous:
+        if copy is None:
+            copy = out[_floats(shape, src.dtype):]
+        dense = _shaped(copy, src.shape, src.dtype)
+        np.copyto(dense, src)
+        src = dense
+    prod = np.matmul(mat, src.reshape(shape),
+                     out=_shaped(out, shape, src.dtype))
+    return prod.view(complex).reshape(m.shape)
 
 
-def _m2l_dot(mats, m):
+def _m2m(m, held, out):
+    """M2M: the expansions of the parents of the boxes of m, each the sum
+    of its children's re-expanded, written to the start of the flat float
+    buffer ``out``.  m is held in the flat float buffer ``held``, which
+    takes the right children's product once both halves of m are copied
+    out of it: the level above needs no more room than m."""
+    half = m.size           # floats in the product of either child
+    left = _times(_M2M[0], m[:, 0::2], out)
+    right = _times(_M2M[1], m[:, 1::2], held, out[half:])
+    return np.add(left, right, out=left)
+
+
+def _m2l_dot(mats, m, out):
     """Re of the sum over well-separated boxes (source left of target) of
-    conj(M_target) . K M_source.  M2L into local expansions followed by
-    L2L and L2P against the targets' own charges is this same bilinear
+    conj(M_target) . K M_source, the products through the flat float
+    buffer ``out`` (:func:`_times`).  M2L into local expansions followed
+    by L2L and L2P against the targets' own charges is this same bilinear
     form, since L2L and L2P are the transposes of M2M and P2M."""
-    out = np.zeros(2 * m.shape[2])
+    res = np.zeros(2 * m.shape[2])
     for mat, tgt, src in ((mats[0], m[:, 2:], m[:, :-2]),
                           (mats[1], m[:, 3::2], m[:, 0:-3:2])):
         if tgt.shape[1]:
             # Re(conj(a) b) = Re a Re b + Im a Im b, on float views
-            out += np.einsum("pbk,pbk->k", tgt.view(float),
-                             _times(mat, src).view(float))
-    return out.reshape(-1, 2).sum(axis=1)
+            res += np.einsum("pbk,pbk->k", tgt.view(float),
+                             _times(mat, src, out).view(float))
+    return res.reshape(-1, 2).sum(axis=1)

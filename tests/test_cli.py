@@ -455,3 +455,22 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(ref)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_peak_rss_wrapper_logs_rss_then_faults():
+    # scripts/peak_rss.py: the command's exit code, then a peak RSS line
+    # in GNU time's format and a line of minor page faults, on stderr
+    import pathlib
+    import re
+    import subprocess
+    import sys
+
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "peak_rss.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), sys.executable, "-c",
+         "import sys; sys.exit(3)"], capture_output=True, text=True)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()[-2:]
+    assert re.fullmatch(r"peak RSS [1-9]\d* KB", lines[0]), lines
+    assert re.fullmatch(r"minor page faults [1-9]\d*", lines[1]), lines

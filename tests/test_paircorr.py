@@ -390,6 +390,11 @@ def test_tree_temporaries_are_bounded_by_a_block(zeros_ref):
     # interpolant at 2.22 MiB; pieces of 2^14 and Clenshaw's recurrence
     # read 1.65 and 0.50 MiB
     assert _traced_peak(weighted_khat_sum, zeros_ref, 20.0, T=2500.0) <= 3.0
+    # the curve's near and far fields hold one workspace per call, sized
+    # by a batch of leaves: fresh temporaries per batch and pass peaked at
+    # 1.81 MiB, far batch buffers sized by all the leaves at 2.22 MiB, and
+    # buffers sized by a batch, shared with the level loop, at 1.58
+    assert _traced_peak(pcf_curve, zeros_ref, 2500.0, 4.0, 0.025) <= 2.0
     logx = math.log(20.0)
     tree = _Tree.over(zeros_ref.up_to(2500.0), 1.0, 2500.0)
     coef = tree.locals(lambda d: sinh_integral(np.abs(d) * logx), logx)
@@ -676,40 +681,80 @@ def _assert_curve_matches_oracle(g, T):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
-def test_curve_against_ordered_oracle_at_the_top_of_the_range():
+def _top_of_range_set():
     # ordinates near 1e5 with alpha up to 4: near-field charges with phases
     # taken from g itself (up to 4.6e6), or a factor exp(i omega h) between
     # leaf edges that are h apart only up to rounding, put 1e-11 to 3e-11
     # relative error into these sums; 160 steps of the column recurrence
     # must keep the phases too
     rng = np.random.default_rng(11)
-    g = 99000.0 + np.arange(300) + rng.uniform(-0.4, 0.4, 300)
+    return 99000.0 + np.arange(300) + rng.uniform(-0.4, 0.4, 300), 99300.0
+
+
+def _empty_leaf_set():
+    # an empty stretch wider than two leaves: one leaf holds no ordinate,
+    # and the partly filled leaves are padded to the fullest
+    return np.concatenate([20.0 + 0.08 * np.arange(120),
+                           39.42 + 0.08 * np.arange(180)]), 60.0
+
+
+def _cluster_set():
+    # 200 ordinates within 0.2 fill one leaf: the near field takes that
+    # leaf's weight matrix in blocks of rows, and the sparse leaves at
+    # their own width rather than padded to the cluster's
+    return np.concatenate([20.0 + 0.001 * np.arange(200),
+                           21.0 + 2.5 * np.arange(100)]), 270.0
+
+
+def test_curve_against_ordered_oracle_at_the_top_of_the_range():
+    g, T = _top_of_range_set()
     assert _Tree(g, 0.0).levels >= 2
-    _assert_curve_matches_oracle(g, 99300.0)
+    _assert_curve_matches_oracle(g, T)
 
 
 def test_curve_against_ordered_oracle_with_empty_leaves():
-    # an empty stretch wider than two leaves: one leaf holds no ordinate,
-    # and the partly filled leaves are padded to the fullest
-    g = np.concatenate([20.0 + 0.08 * np.arange(120),
-                        39.42 + 0.08 * np.arange(180)])
+    g, T = _empty_leaf_set()
     tree = _Tree(g, 0.0)
     assert tree.levels >= 2
     assert not np.all(tree.filled.any(axis=1))
     assert len(set(tree.filled.sum(axis=1))) > 2
-    _assert_curve_matches_oracle(g, 60.0)
+    _assert_curve_matches_oracle(g, T)
 
 
 def test_curve_against_ordered_oracle_with_a_cluster():
-    # 200 ordinates within 0.2 fill one leaf: the near field takes that
-    # leaf's weight matrix in blocks of rows, and the sparse leaves at
-    # their own width rather than padded to the cluster's
-    g = np.concatenate([20.0 + 0.001 * np.arange(200),
-                        21.0 + 2.5 * np.arange(100)])
+    g, T = _cluster_set()
     tree = _Tree(g, 0.0)
     width = tree.filled.sum(axis=1)
     assert width.max() > 200 and np.median(width) < 20
-    _assert_curve_matches_oracle(g, 270.0)
+    _assert_curve_matches_oracle(g, T)
+
+
+def test_curve_workspace_across_batches_and_passes():
+    # the near and far fields each fill one workspace per call, sized by
+    # their largest batch; with batches of 2000 charges, near batches of
+    # different padded widths, blocks of fewer rows than the one before,
+    # far batches of fewer leaves than the first, and the last pass of
+    # 161 = 10 * 16 + 1 columns all reuse it
+    assert 161 % _tree._COLUMNS == 1
+    with mock.patch.object(_tree, "_BATCH", 2000):
+        for g, T in (_top_of_range_set(), _empty_leaf_set(),
+                     _cluster_set()):
+            tree = _Tree(g, 0.0)
+            assert len({w for _, _, w in tree._batches(161)}) > 1
+            _assert_curve_matches_oracle(g, T)
+        g, _ = _top_of_range_set()
+        assert [b - a for a, b, _ in _Tree(g, 0.0)._batches(16)] == [3, 3, 2]
+
+
+def test_pair_sum_far_field_in_small_batches(zeros_1010):
+    # the single-column far field of _pair_sum (khat and k'' terms on the
+    # floor layout) in batches of two and three leaves, its workspace
+    # sized by the first and reused by the last
+    T, beta = 1000.0, 0.45
+    tree = _Tree(zeros_1010.up_to(T), 50.0 / (beta * math.log(T)))
+    with mock.patch.object(_tree, "_BATCH", 80):
+        assert len({b - a for a, b, _ in tree._batches(1)}) > 1
+        _assert_matches_oracle(zeros_1010, T, beta, alphas=(1.0,))
 
 
 def test_curve_of_a_single_ordinate():
