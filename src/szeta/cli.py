@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -117,13 +118,16 @@ def _curve_csv(curve) -> str:
 
 def _load_zeros(path: str) -> ZeroSet:
     """The zero set in the text file ``path``, the CLI's one reader: a text
-    that is not ASCII or does not parse raises ZerosParseError naming it."""
+    that is not ASCII or does not parse raises ZerosParseError naming it,
+    ordinates no zero set holds (NaN, inf) a DomainError naming it."""
     with open(path, encoding="ascii") as fh:
         try:
             return import_zeros(fh.read())
         except (UnicodeDecodeError, ZerosParseError) as exc:
             raise ZerosParseError(f"{path}: {exc}",
                                   getattr(exc, "line_number", None)) from exc
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from exc
 
 
 def _threads(args) -> int:
@@ -246,7 +250,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call reads its arguments with the same one."""
     p = argparse.ArgumentParser(
         prog="szeta",
         description="Desk-scale toolkit for the second moment of S(t): "

@@ -198,8 +198,9 @@ def tail_integral(curve: PairCorrelationCurve, power: int, alpha_cut: float,
     if tail_model not in ("constant_one", "last_value"):
         raise DomainError("tail_model must be constant_one|last_value")
     grid = curve.alpha_grid
-    if alpha_cut > grid[-1] + 1e-12 or grid[-1] < 1.0:
-        raise DomainError("curve does not cover [1, alpha_cut]")
+    if not 1.0 <= alpha_cut <= grid[-1] + 1e-12:
+        raise DomainError(f"alpha_cut must lie in [1, end of the curve]: "
+                          f"{alpha_cut}")
     alpha_cut = min(alpha_cut, float(grid[-1]))
 
     inner = grid[(grid > 1.0) & (grid < alpha_cut)]

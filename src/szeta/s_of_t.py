@@ -429,9 +429,9 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     Sum-formula companions:  G ~ (T/2pi^2) sum Lambda^2(n) f^2 / (n log^2 n)
     and H ~ -(T/pi^2) sum Lambda^2(n) f / (n log^2 n).
     """
-    if x > math.sqrt(T):
+    if not x <= math.sqrt(T):
         raise DomainError("requires x <= sqrt(T)")
-    if x < 4.0 or x > ev.prime_table.limit:
+    if not 4.0 <= x <= ev.prime_table.limit:
         raise DomainError("x outside prime table range")
     coef, logn, fv, logp, n = _dirichlet_coeffs(x, ev.prime_table)
     g = _gap_edges(1.0, T, ev.zeros)[1:-1]    # every ordinate exceeds 1

@@ -31,7 +31,7 @@ from .kernels import (_report, k_values, kpp_values,
                       t_weighted_kernel_integral)
 from .paircorr import (PairCorrelationCurve, _alpha_steps, _beta_pair_sums,
                        pcf_curve, tail_integral, weighted_khat_sum)
-from .primes import build_prime_table
+from .primes import PRIME_DOUBLE_SUM, build_prime_table
 from .quadrature import integrate
 from .s_of_t import SEvaluator, _s_squared_integral, g_and_h_direct
 from .zeros import ZeroSet
@@ -40,11 +40,6 @@ PI = math.pi
 
 # constant of the conjectural F main term: -2 log(2 pi) - 2
 EQ2_CONSTANT = -2.0 * math.log(2.0 * PI) - 2.0
-
-# the bracket's double sum sum_{m>=2} sum_p (1/m - 1/m^2) p^-m, as
-# szeta.primes.prime_power_double_sum gives it (primes to 1e6, m to 64,
-# tail bound 5e-7), bit for bit; a constant, so that no report sieves for it
-PRIME_DOUBLE_SUM = 0.1762477954986507
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,9 @@ class TheoremBreakdown:
 
 def theorem_rhs(T: float, f_tail: float) -> TheoremBreakdown:
     """Evaluate the right-hand side with a given F-tail integral."""
-    if T < 100.0:
-        raise DomainError("bracket evaluation stated for T >= 100")
+    if not 100.0 <= T < math.inf:
+        raise DomainError(f"bracket evaluation stated for finite T >= 100: "
+                          f"{T}")
     scale = T / (2.0 * PI ** 2)
     ds_pos = PRIME_DOUBLE_SUM
     # coefficients -1/m + 1/m^2 negate every term, so the opposite-sign

@@ -19,6 +19,7 @@ toolkit (standing hypothesis of every formula it checks).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,9 @@ THETA_MIN_T = 10.0        # validity floor of the asymptotic theta series
 # stands in for g_-1 = 9.67: Z < 0 there and no zero lies below 14.13
 _SCAN_START = 10.0
 _LEHMAN_MIN_T = 168.0 * math.pi   # Turing windows must start above this
+# top of the supported range: find_zeros' cap, and the height above which
+# an imported set is not certified (Z is not evaluated there)
+_MAX_T = 1e5
 _MARGIN = 16              # Gram points scanned past a window's estimate
 _REFINE = (4, 16, 64)     # subdivisions of the intervals of a short block
 _POLISH_WIDTH = 1e-9      # bracket width at which a root is done
@@ -196,8 +200,7 @@ def _z_em(ts: np.ndarray) -> np.ndarray:
 # higher degree only amplifies that rounding in the derivatives (degree 96
 # put errors of 6e-6 into Psi''' and 180 into Psi^(6) at p = 0 and 1)
 _PSI_DEG = 24
-_psi_cheb = None
-_rs_cheb = None
+_PSI_ORDERS = (0, 2, 3, 6)    # the derivatives of Psi the corrections read
 
 
 def _psi_pointwise(p: float) -> float:
@@ -215,30 +218,27 @@ def _psi_pointwise(p: float) -> float:
     return math.sin(TWO_PI * u) / (-sgn * math.sin(TWO_PI * h))
 
 
+@functools.cache
 def _psi_tables():
-    """Chebyshev model of the correction shape on [0, 1] plus derivatives."""
-    global _psi_cheb
-    if _psi_cheb is None:
-        j = np.arange(_PSI_DEG + 1)
-        xs = 0.5 * (1.0 + np.cos(math.pi * j / _PSI_DEG))
-        ys = np.array([_psi_pointwise(x) for x in xs])
-        base = np.polynomial.chebyshev.Chebyshev.fit(
-            xs, ys, deg=_PSI_DEG, domain=[0.0, 1.0])
-        _psi_cheb = [base.deriv(k) if k else base for k in range(7)]
-    return _psi_cheb
+    """Chebyshev model of the correction shape on [0, 1] and its
+    derivatives of the orders ``_PSI_ORDERS``, keyed by order."""
+    j = np.arange(_PSI_DEG + 1)
+    xs = 0.5 * (1.0 + np.cos(math.pi * j / _PSI_DEG))
+    ys = np.array([_psi_pointwise(x) for x in xs])
+    base = np.polynomial.chebyshev.Chebyshev.fit(
+        xs, ys, deg=_PSI_DEG, domain=[0.0, 1.0])
+    return {k: base.deriv(k) if k else base for k in _PSI_ORDERS}
 
 
+@functools.cache
 def _rs_tables():
     """The correction coefficients as one Chebyshev series in p each:
     C0 = Psi, C1 = -Psi'''/(96 pi^2),
     C2 = Psi''/(64 pi^2) + Psi^(6)/(18432 pi^4)."""
-    global _rs_cheb
-    if _rs_cheb is None:
-        D = _psi_tables()
-        _rs_cheb = (D[0], D[3] * (-1.0 / (96.0 * math.pi ** 2)),
-                    D[2] * (1.0 / (64.0 * math.pi ** 2))
-                    + D[6] * (1.0 / (18432.0 * math.pi ** 4)))
-    return _rs_cheb
+    D = _psi_tables()
+    return (D[0], D[3] * (-1.0 / (96.0 * math.pi ** 2)),
+            D[2] * (1.0 / (64.0 * math.pi ** 2))
+            + D[6] * (1.0 / (18432.0 * math.pi ** 4)))
 
 
 def _z_rs(ts: np.ndarray) -> np.ndarray:
@@ -315,14 +315,19 @@ class ZeroSet:
         object.__setattr__(self, "ordinates", g)
         if len(g) == 0:
             raise DomainError("empty zero set")
-        if np.any(g <= 1.0):
+        # each test passes only on numbers: a NaN fails every one of them
+        if not np.all(np.isfinite(g)):
+            raise DomainError("ordinates must be finite")
+        if not np.all(g > 1.0):
             raise DomainError("ordinates must exceed 1")
-        if np.any(np.diff(g) <= 0.0):
+        gaps = np.diff(g)
+        if not np.all(gaps > 0.0):
             raise DomainError("ordinates must be strictly increasing")
-        if np.any(np.diff(g) >= 10.0):
+        if not np.all(gaps < 10.0):
             raise DomainError("implausible gap between consecutive ordinates")
-        if self.t_max < g[-1]:
-            raise DomainError("t_max below last ordinate")
+        if not g[-1] <= self.t_max < math.inf:
+            raise DomainError(f"t_max must be finite and at least the last "
+                              f"ordinate: {self.t_max}")
         if self.source not in ("computed", "imported"):
             raise DomainError("source must be computed|imported")
 
@@ -570,8 +575,8 @@ def find_zeros(t_max: float, threads: int | None = None) -> ZeroSet:
     :class:`MissedZerosError` when a block stays short or the count
     disagrees with the bound.
     """
-    if not 15.0 <= t_max <= 1e5:
-        raise DomainError("find_zeros supports 15 <= t_max <= 1e5")
+    if not 15.0 <= t_max <= _MAX_T:
+        raise DomainError(f"find_zeros supports 15 <= t_max <= {_MAX_T:g}")
     workers = max(1, threads or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         def z(ts):
@@ -586,9 +591,10 @@ def find_zeros(t_max: float, threads: int | None = None) -> ZeroSet:
 
 def _import_certified(ordinates: np.ndarray) -> bool:
     """Whether Turing's count around the last ordinate proves the set
-    complete (see :func:`import_zeros`)."""
+    complete (see :func:`import_zeros`); never above the supported
+    range, where no Z is evaluated."""
     t_max = float(ordinates[-1])
-    if not t_max >= _SCAN_START:        # NaN included
+    if not _SCAN_START <= t_max <= _MAX_T:
         return False
     try:
         base_t, bound, br = _turing_count(t_max, riemann_siegel_Z,
@@ -612,7 +618,8 @@ def import_zeros(text: str) -> ZeroSet:
     the ordinates in [g_b, t_max] must match the brackets there.  Where a
     window below t_max fits above 168 pi, it proves N(g_b) = b + 1 and the
     listed count below g_b must equal it, which also catches extra
-    ordinates.
+    ordinates.  A set that ends above 1e5, the top of the supported range,
+    is not certified.
     """
     arr = _parse_ordinates(text)
     # validate first: the certificate's cost grows with t_max

@@ -48,8 +48,3 @@ def prime_table_small():
 @pytest.fixture(scope="session")
 def prime_table_1e6():
     return build_prime_table(10 ** 6)
-
-
-@pytest.fixture(scope="session")
-def prime_table_1e7():
-    return build_prime_table(10 ** 7)

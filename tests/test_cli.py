@@ -6,6 +6,7 @@ import pytest
 
 from szeta import cli, theorem
 from szeta.cli import _check_report_obj, _jsonable, build_parser, main
+from szeta.kernels import check_identity
 from szeta.primes import build_prime_table
 from szeta.s_of_t import SEvaluator, s_exact, s_explicit
 from szeta.zeros import export_zeros, import_zeros
@@ -51,6 +52,18 @@ def test_help_lists_flags_with_defaults(capsys):
     assert "constant_one" in text
     assert "--alpha-max" in text
     assert "(default: 4.0)" in text
+
+
+def test_parser_is_built_once_and_reads_each_call(capsys):
+    # one parser per process; each main call reads its own arguments, so
+    # a --tol does not carry over to the next call
+    assert build_parser() is build_parser()
+    assert main(["check", "--identity", "lemma4", "--tol", "1e-3"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["check", "--identity", "lemma4"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["tolerance"] == 1e-3
+    assert second["tolerance"] == check_identity("lemma4").tolerance != 1e-3
 
 
 def test_s_range_csv(tmp_path, zeros_file):
@@ -319,6 +332,10 @@ def address_space_cap():
     ("check --identity lemma4 --out {missing}", 1),
     ("report --zeros {dir} --t 200 --x 9 --out {out}", 1),
     ("zeros --import {bin}", 2),
+    ("zeros --import {nan}", 1),
+    ("zeros --import {inf}", 1),
+    ("check --identity lemma6 --zeros {nan} --t 20", 1),
+    ("pcf --zeros {nan} --t 20 --out {out}", 1),
 ])
 def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
                                        capsys, address_space_cap):
@@ -330,12 +347,18 @@ def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
     # error line, not a stack trace
     binary = tmp_path / "bin.txt"
     binary.write_bytes(b"14.1\n\xff\n")
+    files = {}
+    for name, text in (("nan", "14.1\n21.0\nnan\n"), ("inf", "inf\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text, encoding="ascii")
     argv = argv.format(z=zeros_file, out=tmp_path / "pcf.csv",
                        missing=tmp_path / "missing" / "out", dir=tmp_path,
-                       bin=binary).split()
+                       bin=binary, **files).split()
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+    # one line; argparse puts its usage line before an unknown option's
+    assert len(err.splitlines()) == (2 if err.startswith("usage:") else 1)
 
 
 @pytest.mark.parametrize("argv", [

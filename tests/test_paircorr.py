@@ -107,8 +107,10 @@ def test_tail_integral_validation():
                              values=np.ones_like(grid), zero_count=5)
     with pytest.raises(DomainError):
         tail_integral(c, 3, 2.0)
-    with pytest.raises(DomainError):
-        tail_integral(c, 2, 3.0)
+    # a cut outside [1, end of the curve], NaN included
+    for cut in (3.0, 0.5, math.nan):
+        with pytest.raises(DomainError):
+            tail_integral(c, 2, cut)
     with pytest.raises(DomainError):
         tail_integral(c, 2, 2.0, "extrapolate")
 

@@ -82,61 +82,38 @@ def test_psi_matches_lcm():
 
 
 def test_double_sum_trivial_cases():
-    val, _ = prime_power_double_sum(lambda m: 0.0, 100, 8)
+    val, _ = prime_power_double_sum(lambda m: 0.0)
     assert val == 0.0
-    val, _ = prime_power_double_sum(lambda m: 1.0 / m, 3, 2)
-    assert val == pytest.approx(0.5 * (1 / 4 + 1 / 9), abs=1e-15)
-
-
-def test_double_sum_against_fsum_oracle():
-    coeff = lambda m: 1.0 / m - 1.0 / m ** 2
-    primes = _simple_sieve(10 ** 4)
-    oracle = math.fsum(coeff(m) * float(p) ** -m
-                       for p in primes for m in range(2, 65))
-    val, _ = prime_power_double_sum(coeff, 10 ** 4, 64)
-    assert val == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("coeff", [lambda m: 1.0 / m - 1.0 / m ** 2,
                                    lambda m: 1.0 / m],
                          ids=["bracket", "closed_form"])
 def test_double_sum_against_untrimmed_oracle(coeff):
+    # the oracle's sieve and sums against plain Python (a list sieve and
+    # one exactly rounded sum) at primes to 1e4
+    primes = _simple_sieve(10 ** 4)
+    plain = math.fsum(coeff(m) * float(p) ** -m
+                      for p in primes for m in range(2, 65))
+    assert prime_power_double_sum_oracle(coeff, 10 ** 4, 64) == \
+        pytest.approx(plain, rel=1e-14, abs=0.0)
     # each order stops where the rest of its primes is below 2^-60 of
     # 2^-m; the full loop runs every order over all 78498 primes
     val, bound = prime_power_double_sum(coeff)
     full = prime_power_double_sum_oracle(coeff, 10 ** 6, 64)
     assert val == pytest.approx(full, rel=1e-15, abs=0.0)
     assert abs(val - full) <= bound
-    # and the bound covers the infinite double sum
+    # and the bound, below 1e-6, covers the infinite double sum
+    assert bound < 1e-6
     with mpmath.workdps(30):
         exact = float(mpmath.fsum(coeff(m) * mpmath.primezeta(m)
                                   for m in range(2, 200)))
     assert abs(val - exact) <= bound
 
 
-def test_double_sum_tail_bound_is_true_bound():
-    coeff = lambda m: 1.0 / m - 1.0 / m ** 2
-    coarse, bound = prime_power_double_sum(coeff, 10 ** 5, 30)
-    fine, _ = prime_power_double_sum(coeff, 4 * 10 ** 5, 60)
-    assert abs(fine - coarse) <= bound
-    # default cutoffs reach 1e-6
-    _, tight = prime_power_double_sum(coeff, 10 ** 6, 60)
-    assert tight < 1e-6
-
-
 def test_double_sum_rejects_large_coeff():
     with pytest.raises(DomainError):
-        prime_power_double_sum(lambda m: 2.0, 100, 8)
-
-
-def test_prime_sum_terms_s3_enumeration(prime_table_small):
-    bundle = prime_sum_terms(100, prime_table_small)
-    # brute-force oracle over the prime powers p^m <= 100, m >= 2
-    powers = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
-              (3, 4), (5, 2), (7, 2)]
-    oracle = sum(1.0 / (m * m * p ** m) for p, m in powers)
-    assert bundle.s3 == pytest.approx(oracle, abs=1e-15)
-    assert bundle.tail_bound_s3 < 1.0 / math.sqrt(100)
+        prime_power_double_sum(lambda m: 2.0)
 
 
 def test_prime_sum_terms_two_primes_at_x4(prime_table_small):
@@ -145,25 +122,9 @@ def test_prime_sum_terms_two_primes_at_x4(prime_table_small):
     expect = (f_weight(math.log(2) / log4) ** 2 / 2
               + f_weight(math.log(3) / log4) ** 2 / 3)
     assert bundle.s1 == pytest.approx(expect, abs=1e-15)
-
-
-def test_s4_over_s1_decreases(prime_table_1e6):
-    ratios = []
-    for x in (100, 1000, 10_000):
-        b = prime_sum_terms(x, prime_table_1e6)
-        ratios.append(b.s4 / b.s1)
-    assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_s3_monotone_and_converging(prime_table_1e6, prime_table_1e7):
-    ref = prime_sum_terms(10 ** 7, prime_table_1e7).s3
-    xs = (10 ** 4, 10 ** 5, 10 ** 6)
-    vals = [prime_sum_terms(x, prime_table_1e6).s3 for x in xs]
-    assert vals[0] < vals[1] < vals[2] <= ref
-    gaps = [ref - v for v in vals]
-    # halving x (here: decade steps) can only grow the gap like 1/sqrt(x)
-    assert gaps[0] <= 2.0 * gaps[1] * math.sqrt(10.0)
-    assert gaps[1] <= 2.0 * gaps[2] * math.sqrt(10.0)
+    expect = (f_weight(math.log(2) / log4) / 2
+              + f_weight(math.log(3) / log4) / 3)
+    assert bundle.s2 == pytest.approx(expect, abs=1e-15)
 
 
 def test_euler_constant_against_richardson_oracle():
@@ -178,7 +139,7 @@ def test_euler_constant_against_richardson_oracle():
     # the constant as the closed form uses it: the bracket minus its other
     # terms
     x = 10 ** 4
-    ds, _ = prime_power_double_sum(lambda m: 1.0 / m, 10 ** 6, 64)
+    ds, _ = prime_power_double_sum(lambda m: 1.0 / m)
     rest = (-math.log(math.log(x)) + math.log(math.pi / 2)
             - math.pi ** 2 / 8 + 1.0 + ds)
     assert rest - closed_form_S1_minus_2S2(x) == pytest.approx(oracle,
@@ -187,7 +148,7 @@ def test_euler_constant_against_richardson_oracle():
 
 def test_closed_form_shares_double_sum(prime_table_1e6):
     # the double-sum term of the closed form is the shared implementation
-    ds, _ = prime_power_double_sum(lambda m: 1.0 / m, 10 ** 6, 64)
+    ds, _ = prime_power_double_sum(lambda m: 1.0 / m)
     x = 10 ** 4
     manual = (-math.log(math.log(x)) + math.log(math.pi / 2)
               - math.pi ** 2 / 8 + 1.0 - np.euler_gamma + ds)
@@ -198,12 +159,13 @@ def test_closed_form_linear_in_euler_constant():
     # perturbing the constant by +0.1 shifts the value by exactly -0.1
     x = 10 ** 4
     base = closed_form_S1_minus_2S2(x)
-    ds, _ = prime_power_double_sum(lambda m: 1.0 / m, 10 ** 6, 64)
+    ds, _ = prime_power_double_sum(lambda m: 1.0 / m)
     perturbed = (-math.log(math.log(x)) + math.log(math.pi / 2)
                  - math.pi ** 2 / 8 + 1.0 - (np.euler_gamma + 0.1) + ds)
     assert base - perturbed == pytest.approx(0.1, abs=1e-14)
 
 
 def test_closed_form_domain():
-    with pytest.raises(DomainError):
-        closed_form_S1_minus_2S2(8)
+    for x in (8, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            closed_form_S1_minus_2S2(x)

@@ -409,8 +409,9 @@ def test_h_continuous_across_an_ordinate(zeros_ref, prime_table_small):
 
 
 def test_g_and_h_requires_regime(ev_120):
-    with pytest.raises(DomainError):
-        g_and_h_direct(100.0, 50.0, ev_120)
+    for x in (50.0, math.nan):
+        with pytest.raises(DomainError):
+            g_and_h_direct(100.0, x, ev_120)
 
 
 def test_gap_integrals_against_quad_oracle(zeros_220, prime_table_small):

@@ -79,8 +79,9 @@ def test_bracket_forms_bit_equal():
 
 
 def test_theorem_rhs_domain():
-    with pytest.raises(DomainError):
-        theorem_rhs(50.0, 1.0)
+    for T in (50.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            theorem_rhs(T, 1.0)
 
 
 def test_lemma8_model_self_consistency_trend():
@@ -253,9 +254,12 @@ def test_full_report_one_gap_pass(zeros_220, prime_table_small,
 
 
 def test_prime_double_sum_constant_is_the_sum():
+    # the constant lives beside the sieve; the bracket reads that one
+    from szeta import primes
     ds, _ = prime_power_double_sum(lambda m: 1.0 / m - 1.0 / m ** 2)
-    assert theorem.PRIME_DOUBLE_SUM == ds
-    assert float.hex(theorem.PRIME_DOUBLE_SUM) == float.hex(float(ds))
+    assert primes.PRIME_DOUBLE_SUM == ds
+    assert float.hex(primes.PRIME_DOUBLE_SUM) == float.hex(float(ds))
+    assert theorem.PRIME_DOUBLE_SUM is primes.PRIME_DOUBLE_SUM
 
 
 def test_full_report_one_prime_double_sum(zeros_220, prime_table_small,
@@ -265,13 +269,13 @@ def test_full_report_one_prime_double_sum(zeros_220, prime_table_small,
     # the opposite-sign bracket negates it, bit for bit
     from szeta import primes
     calls = []
-    real_primes = primes._primes_up_to
+    real_primes = primes._cutoff_primes
 
-    def counted(p_cutoff):
-        calls.append(p_cutoff)
-        return real_primes(p_cutoff)
+    def counted():
+        calls.append(1)
+        return real_primes()
 
-    monkeypatch.setattr(primes, "_primes_up_to", counted)
+    monkeypatch.setattr(primes, "_cutoff_primes", counted)
     rep = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
     assert calls == []
     bd = rep.breakdown

@@ -293,6 +293,24 @@ def test_narrow_scan_widens_to_its_windows(monkeypatch, zeros_1010):
             .claimed_complete, n
 
 
+def test_import_above_the_range_is_not_certified(monkeypatch):
+    # a set that ends above the supported range is imported uncertified,
+    # with no Z evaluated near its top
+    from szeta import zeros as zmod
+
+    def refuse(t):
+        raise AssertionError("Z evaluated")
+
+    monkeypatch.setattr(zmod, "riemann_siegel_Z", refuse)
+    for text in ("2e5\n", "1e300\n"):
+        zs = import_zeros(text)
+        assert len(zs) == 1 and not zs.claimed_complete
+    # non-finite ordinates are refused before any certificate
+    for text in ("14.1\n21.0\nnan\n", "inf\n", "nan\n"):
+        with pytest.raises(DomainError):
+            import_zeros(text)
+
+
 def test_import_basic_and_t_max():
     zs = import_zeros("14.134725\n21.022040\n25.010858\n")
     assert len(zs) == 3
@@ -408,6 +426,13 @@ def test_zeroset_invariants():
         ZeroSet(ordinates=np.array([14.0]), t_max=12.0)
     with pytest.raises(DomainError):
         ZeroSet(ordinates=np.array([14.0]), t_max=20.0, source="guessed")
+    # NaN fails every comparison, so each test must pass only on numbers
+    nan, inf = math.nan, math.inf
+    for g, t_max in (([14.0, 21.0, nan], 21.0), ([14.0, nan, 21.0], 21.0),
+                     ([nan], 20.0), ([inf], inf), ([14.0, inf], inf),
+                     ([-inf, 14.0], 20.0), ([14.0], nan), ([14.0], inf)):
+        with pytest.raises(DomainError):
+            ZeroSet(ordinates=np.array(g), t_max=t_max)
 
 
 def test_count_up_to_half_weight(zeros_120):
