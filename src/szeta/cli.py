@@ -37,24 +37,15 @@ _IDENTITIES = ("w_partition", "lemma3", "lemma4", "lemma7", "lemma11",
                "lemma5", "lemma6", "lemma8", "lemma9", "lemma10")
 
 
-def _round12(x: float) -> float:
-    if isinstance(x, float):
-        if math.isfinite(x):
-            return float(f"{x:.12g}")
-    return x
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, float):
-        return _round12(obj)
+    if isinstance(obj, np.generic):     # numpy scalars
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float(f"{obj:.12g}")
     return obj
 
 
@@ -204,28 +195,27 @@ def _cmd_pcf(args) -> int:
 
 def _check(args) -> CheckReport:
     """The report of ``--identity``.  T defaults to min(200, top of the
-    zeros) for lemma5/6, to the top (or 1000 with model F) for lemma8-10."""
+    zeros) for lemma5/6, else to the top of the zeros (1000 without)."""
     name = args.identity
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise DomainError(f"--tol must be finite and >= 0: {args.tol}")
     if name in _IDENTITIES[:5]:
         return check_identity(name, args.tol)
-    if args.f_source == "model" and name in ("lemma8", "lemma9", "lemma10"):
-        if name == "lemma10":
-            raise DomainError("lemma10 requires --zeros and empirical F "
-                              "(R is a sum over zeros)")
-        T = args.t if args.t is not None else 1000.0
-        return lemma_8_9_10_eval(None, T, args.beta, "model")[name]
-    if not args.zeros:
-        raise DomainError(f"{name} requires --zeros")
-    zs = _load_zeros(args.zeros)
+    zs = _load_zeros(args.zeros) if args.zeros else None
     if name in ("lemma5", "lemma6"):
+        if zs is None:
+            raise DomainError(f"{name} requires --zeros")
         T = args.t if args.t is not None else min(200.0, zs.t_max)
         check = lemma5_check if name == "lemma5" else lemma6_check
         tol = {} if args.tol is None else {"tol": args.tol}
         return check(zs, T, args.beta, **tol)
-    T = args.t if args.t is not None else zs.t_max
-    return lemma_8_9_10_eval(zs, T, args.beta)[name]
+    T = args.t if args.t is not None else (1000.0 if zs is None
+                                           else zs.t_max)
+    reps = lemma_8_9_10_eval(zs, T, args.beta, args.f_source)
+    if name not in reps:
+        raise DomainError(f"{name} requires --zeros and empirical F "
+                          "(R is a sum over zeros)")
+    return reps[name]
 
 
 def _cmd_check(args) -> int:
@@ -239,9 +229,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_report(args) -> int:
     zs = _load_zeros(args.zeros)
-    rep = full_report(args.t, args.x, zs, alpha_max=args.alpha_max,
-                      alpha_step=args.step, f_tail_source=args.f_tail,
-                      tail_model=args.tail_model)
+    rep = full_report(args.t, args.x, zs, f_tail_source=args.f_tail)
     _write(args.out, _json_text(_moment_report_obj(rep)))
     if args.pcf_out:
         _write(args.pcf_out, _curve_csv(rep.curve))
@@ -250,11 +238,18 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subparsers, that refuse through ``_EXITS``: one line."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it as it
     was, so every ``main`` call reads its arguments with the same one."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="szeta",
         description="Desk-scale toolkit for the second moment of S(t): "
                     "zeta zeros, pair correlation, explicit-formula "
@@ -323,15 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--x", type=float, required=True,
                    help="prime cutoff x = T^beta, beta < 1/2")
     r.add_argument("--zeros", required=True, help="zeros text file")
-    r.add_argument("--alpha-max", type=float, default=4.0,
-                   help="pair correlation grid end")
-    r.add_argument("--step", type=float, default=0.025,
-                   help="pair correlation grid step")
     r.add_argument("--f-tail", choices=("empirical", "model"),
                    default="empirical", help="F-tail source")
-    r.add_argument("--tail-model", choices=("constant_one", "last_value"),
-                   default="constant_one",
-                   help="F beyond the curve for the tail integral")
     r.add_argument("--out", default="report.json", help="report JSON path")
     r.add_argument("--pcf-out", default=None,
                    help="also write the F curve CSV here")
@@ -351,16 +339,14 @@ _EXPECTED = tuple(t for types, _, _ in _EXITS for t in types)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         # every output file is checked before any work
         for path in (args.out, getattr(args, "pcf_out", None)):
             _probe_writable(path)
         return args.fn(args)
+    except SystemExit:      # argparse exits only once --help has printed
+        return 0
     except _EXPECTED as exc:
         code, prefix = next((code, prefix) for types, code, prefix in _EXITS
                             if isinstance(exc, types))

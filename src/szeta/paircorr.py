@@ -148,18 +148,6 @@ class PairCorrelationCurve:
     zero_count: int
 
 
-def _alpha_steps(alpha_max: float, step: float) -> int:
-    """n of the alpha grid 0, step, ..., n step, the first multiple of
-    ``step`` at or beyond ``alpha_max``; a grid that is not finite raises
-    :class:`DomainError` and one no address space holds MemoryError, so
-    that callers can refuse it before any work."""
-    if not (0.0 < step < math.inf and 1.0 <= alpha_max < math.inf):
-        raise DomainError("need a finite step > 0 and finite alpha_max >= 1")
-    n_steps = alpha_max / step
-    refuse_beyond_memory(n_steps, "alpha grid points")
-    return math.ceil(n_steps - 1e-9)
-
-
 def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
               step: float) -> PairCorrelationCurve:
     """F on the grid 0, step, ..., n step, the first multiple of ``step``
@@ -171,7 +159,10 @@ def pcf_curve(zeros: ZeroSet, T: float, alpha_max: float,
     field as products over leaf pairs of their charge blocks with the
     weight matrix w(g_j - g_i) (:meth:`_Tree.near_columns`).
     """
-    n_steps = _alpha_steps(alpha_max, step)
+    if not (0.0 < step < math.inf and 1.0 <= alpha_max < math.inf):
+        raise DomainError("need a finite step > 0 and finite alpha_max >= 1")
+    refuse_beyond_memory(alpha_max / step, "alpha grid points")
+    n_steps = math.ceil(alpha_max / step - 1e-9)
     g = _restrict(zeros, T)
     grid = np.linspace(0.0, n_steps * step, n_steps + 1)
     omega = step * math.log(T)
@@ -243,6 +234,15 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
     return float(total) * 2.0 * PI * beta / _normalizer(T)
 
 
+def _refuse_beta(T: float, beta: float) -> None:
+    """Refuse beta outside (0, 1), or x = T^beta too close to 1 (T <= 1
+    too, where T^beta would be complex or below 1)."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta in (0,1) required")
+    if T <= 1.0 or T ** beta <= 1.05:
+        raise DomainError("T^beta too close to 1 for a meaningful log x")
+
+
 class _BetaSums(NamedTuple):
     """The pair sums of Lemmas 5, 6 and 8-10 at L = beta log T."""
 
@@ -262,10 +262,7 @@ def _beta_pair_sums(zeros: ZeroSet, T: float, beta: float) -> _BetaSums:
     The sums for the last (T, beta) asked are kept in the set's ``memo``,
     so Lemmas 5, 6 and 8-10 at one (zero set, T, beta) share one call;
     the set's ordinates are read-only, so the sums cannot go stale."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
-    if T ** beta <= 1.05:
-        raise DomainError("T^beta too close to 1 for a meaningful log x")
+    _refuse_beta(T, beta)
     hit = zeros.memo.get("beta_sums")
     if hit is not None and hit[0] == (T, beta):
         return hit[1]

@@ -7,12 +7,11 @@ The target statement reads
                       - sum_{m>=2} sum_p (1/m - 1/m^2) p^-m ]
         + error
 
-with the F-tail integral taken either from the empirical pair-correlation
-curve or from the piecewise conjectural model of F.  Everything conditional
-is evaluated, never asserted: :func:`lemma_8_9_10_eval` reports Lemmas
-8-10 next to the printed sizes of the error terms they drop, with all three
-left sides from one pair-engine call
-(:func:`szeta.paircorr._beta_pair_sums`).
+with every F integral, the report's F-tail and Lemmas 8-10's alike, read
+from one F source (:func:`_f_source`): the measured F of a zero set or the
+piecewise conjectural model of F.  Everything conditional is evaluated,
+never asserted: :func:`lemma_8_9_10_eval` reports Lemmas 8-10 next to the
+printed sizes of the error terms they drop.
 
 The bracket also appears with the opposite-sign double sum (the earlier
 form of the result); both are computed and their equality is exact by sign
@@ -21,6 +20,7 @@ algebra, which the breakdown asserts bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CoverageError, DomainError
 from .kernels import (_report, k_values, kpp_values,
                       t_weighted_kernel_integral)
-from .paircorr import (PairCorrelationCurve, _alpha_steps, _beta_pair_sums,
+from .paircorr import (PairCorrelationCurve, _beta_pair_sums, _refuse_beta,
                        pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import PRIME_DOUBLE_SUM, build_prime_table
 from .quadrature import integrate
@@ -54,15 +54,28 @@ class FModel:
     T: float
 
     def __post_init__(self):
-        if not self.T >= 100.0:
-            raise DomainError("model needs T >= 100")
-        if not 0.0 < self.regime_boundary < 1.0:
-            raise DomainError("regime boundary outside (0,1)")
+        if not 100.0 <= self.T < math.inf:
+            raise DomainError("model needs a finite T >= 100")
 
     @property
     def regime_boundary(self) -> float:
         logT = math.log(self.T)
         return 1.0 - 3.0 * math.log(logT) / logT
+
+    def kernel_integrals(self, beta: float) -> tuple[float, float]:
+        """int over R of F(alpha) k(alpha/(2 pi beta)) d alpha, and with k'':
+        on [0, 1] by quadrature broken at alpha = beta and at the regime
+        boundary, on [1, inf) in closed form with F == 1."""
+        pts = tuple(p for p in sorted({beta, self.regime_boundary}) if p < 1)
+        k, kpp = (integrate(
+            lambda a: conjectural_F(a, self) * fn(a / (2.0 * PI * beta)),
+            0.0, 1.0, breakpoints=pts)[0] for fn in (k_values, kpp_values))
+        return (2.0 * (k + PI ** 2 * beta ** 2),
+                2.0 * (kpp + 8.0 * PI ** 4 * beta ** 4))
+
+    def tail(self, power: int) -> float:
+        """int_1^inf F(alpha)/alpha^power d alpha, with F == 1 there."""
+        return 1.0 / (power - 1)
 
 
 def conjectural_F(alpha, model: FModel):
@@ -123,45 +136,53 @@ def theorem_rhs(T: float, f_tail: float) -> TheoremBreakdown:
 # conditional-asymptotic evaluators
 # ----------------------------------------------------------------------
 
-def _model_kernel_integral(T: float, beta: float, deriv: bool) -> float:
-    """int over R of F_model(alpha) k(alpha/(2 pi beta)) d alpha (or k'').
+# the one curve every measured F-tail reads: alpha in [0, 4] in steps of
+# 0.025, F = 1 beyond (the uniformity conjecture as a labeled model)
+_CURVE_END, _CURVE_STEP = 4.0, 0.025
 
-    [0, 1] by quadrature with breakpoints at the kernel edge alpha = beta
-    and at the regime boundary; [1, inf) closed-form with F == 1."""
-    model = FModel(T)
-    fn = kpp_values if deriv else k_values
-    pts = tuple(p for p in sorted({beta, model.regime_boundary}) if p < 1.0)
-    val, _ = integrate(
-        lambda a: conjectural_F(a, model) * fn(a / (2.0 * PI * beta)),
-        0.0, 1.0, breakpoints=pts)
-    tail = 8.0 * PI ** 4 * beta ** 4 if deriv else PI ** 2 * beta ** 2
-    return 2.0 * (val + tail)
+
+@dataclass(frozen=True, eq=False)
+class _MeasuredF:
+    """F of the ordinates up to T: pair-engine integrals, one curve."""
+
+    zeros: ZeroSet
+    T: float
+
+    @functools.cached_property
+    def curve(self) -> PairCorrelationCurve:
+        return pcf_curve(self.zeros, self.T, _CURVE_END, _CURVE_STEP)
+
+    def kernel_integrals(self, beta: float) -> tuple[float, float]:
+        sums = _beta_pair_sums(self.zeros, self.T, beta)
+        return sums.k_integral, sums.kpp_integral
+
+    def tail(self, power: int) -> float:
+        return tail_integral(self.curve, power, _CURVE_END)
+
+
+def _f_source(name: str, zeros: ZeroSet | None, T: float):
+    """The F source ``name`` names at height T: ``empirical``, the measured
+    F of ``zeros``, or ``model``, the conjectural F (zeros unread)."""
+    if name == "empirical":
+        if zeros is None:
+            raise DomainError("empirical F needs a zero set")
+        return _MeasuredF(zeros, T)
+    if name == "model":
+        return FModel(T)
+    raise DomainError("f_source must be empirical|model")
 
 
 def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
                       f_source: str = "empirical") -> dict:
     """Lemmas 8-10 against their conditional closed forms, as report-only
     checks keyed by name: int F(alpha) k(alpha/(2 pi beta)) d alpha (k''
-    for lemma9) and the moment R.  Empirical F takes all three from one
-    pair-engine call and the F-tails int_1^inf F/alpha^2, F/alpha^4 from
-    one curve on [0, 4] (F = 1 beyond); the model F takes its integrals
-    and the tails 1, 1/3 from the conjectural F, with no lemma10 (R is a
-    sum over zeros)."""
-    if f_source not in ("empirical", "model"):
-        raise DomainError("f_source must be empirical|model")
-    if f_source == "empirical" and zeros is None:
-        raise DomainError("empirical F needs a zero set")
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta in (0,1) required")
-    if f_source == "model":
-        k_int, kpp_int = (_model_kernel_integral(T, beta, d)
-                          for d in (False, True))
-        ft2, ft4 = 1.0, 1.0 / 3.0
-    else:
-        sums = _beta_pair_sums(zeros, T, beta)
-        k_int, kpp_int = sums.k_integral, sums.kpp_integral
-        curve = pcf_curve(zeros, T, alpha_max=4.0, step=0.025)
-        ft2, ft4 = (tail_integral(curve, p, 4.0) for p in (2, 4))
+    for lemma9) and the moment R, with the kernel integrals and the F-tails
+    from the F source ``f_source`` names (:func:`_f_source`).  lemma10 is
+    there for the measured F only: R is a sum over zeros."""
+    source = _f_source(f_source, zeros, T)
+    _refuse_beta(T, beta)
+    k_int, kpp_int = source.kernel_integrals(beta)
+    ft2, ft4 = source.tail(2), source.tail(4)
     logT = math.log(T)
     t_int = t_weighted_kernel_integral(T, beta)
     bracket = 1.0 - PI ** 2 / 8.0 + math.log(PI / 2.0) + ft2 - math.log(beta)
@@ -192,9 +213,9 @@ def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
             "shares the T^(-2 alpha) kernel integral implementation with "
             "the parts-integration check"),
     }
-    if f_source == "empirical":
+    if isinstance(source, _MeasuredF):
         out["lemma10"] = report(
-            "lemma10", sums.r_total,
+            "lemma10", _beta_pair_sums(zeros, T, beta).r_total,
             T / (2.0 * PI ** 2) * bracket
             + 3.0 * T / (8.0 * PI ** 2 * logT ** 2)
             - 3.0 * T / (4.0 * PI ** 2 * logT ** 2) * ft4,
@@ -227,11 +248,10 @@ class MomentReport:
 
 
 def full_report(T: float, x: float, zeros: ZeroSet,
-                alpha_max: float = 4.0, alpha_step: float = 0.025,
                 f_tail_source: str = "empirical",
-                tail_model: str = "constant_one",
                 prime_table=None) -> MomentReport:
-    """Measure int_0^T S^2 and compare against the assembled right side.
+    """Measure int_0^T S^2 and compare against the assembled right side,
+    whose F-tail is ``tail(2)`` of the F source ``f_tail_source`` names.
 
     Also evaluates the squared-formula intermediate identity
     ``int_1^T S^2 + G + H = R + O(sqrt(T x))``, reporting the residual
@@ -245,11 +265,11 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     beta = math.log(x) / math.log(T)
     if beta >= 0.5:
         raise DomainError("regime requires x = T^beta with beta < 1/2")
-    if f_tail_source not in ("empirical", "model"):
-        raise DomainError("f_tail_source must be empirical|model")
+    source = _f_source(f_tail_source, zeros, T)
     if zeros.t_max < T:
         raise CoverageError("zero coverage below T")
-    _alpha_steps(alpha_max, alpha_step)     # refuse a bad grid before work
+    measured = (source if isinstance(source, _MeasuredF)
+                else _MeasuredF(zeros, T))
 
     if prime_table is None:
         prime_table = build_prime_table(max(64, int(x) + 1))
@@ -260,16 +280,12 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     lhs = _s_squared_integral(0.0, 1.0, ev) + s_squared
     gh = g_and_h_direct(T, x, ev)
 
-    curve = pcf_curve(zeros, T, alpha_max, alpha_step)
-    if f_tail_source == "empirical":
-        f_tail = tail_integral(curve, 2, alpha_max, tail_model)
-    else:
-        f_tail = 1.0
+    f_tail = source.tail(2)
     bd = theorem_rhs(T, f_tail)
     d = lhs - bd.rhs_theorem
     notes = [
         f"f-tail integral {f_tail:.12g} from source={f_tail_source} "
-        f"tail_model={tail_model} alpha_max={alpha_max:.12g}",
+        f"tail_model=constant_one alpha_max={_CURVE_END:.12g}",
         "F(alpha)=1 beyond the curve is the uniformity conjecture used as "
         "a labeled model, not an assumption being verified",
     ]
@@ -284,4 +300,4 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     return MomentReport(T=T, x=x, beta=beta, lhs_integral=lhs, breakdown=bd,
                         f_tail_source=f_tail_source, discrepancy_abs=d,
                         discrepancy_rel=d / bd.rhs_theorem,
-                        notes=tuple(notes), curve=curve)
+                        notes=tuple(notes), curve=measured.curve)

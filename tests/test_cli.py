@@ -46,12 +46,15 @@ def test_zeros_import_validate_roundtrip(tmp_path, zeros_file):
 
 def test_help_lists_flags_with_defaults(capsys):
     parser = build_parser()
-    sub = parser._subparsers._group_actions[0].choices["report"]
+    sub = parser._subparsers._group_actions[0].choices["pcf"]
     text = sub.format_help()
-    assert "--tail-model" in text
-    assert "constant_one" in text
     assert "--alpha-max" in text
     assert "(default: 4.0)" in text
+    # --help prints and exits 0, through main as through the parser
+    for argv in (["--help"], ["report", "--help"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage:") and err == ""
 
 
 def test_parser_is_built_once_and_reads_each_call(capsys):
@@ -164,18 +167,6 @@ def test_pcf_grid_reaches_alpha_max(tmp_path, zeros_file):
     alphas = [float(ln.split(",")[0])
               for ln in out.read_text().splitlines()[1:]]
     assert alphas == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2], abs=1e-12)
-
-
-def test_report_step_not_dividing_alpha_max(tmp_path):
-    zeros = tmp_path / "z.txt"
-    assert main(["zeros", "--t-max", "310", "--out", str(zeros)]) == 0
-    out = tmp_path / "rep.json"
-    rc = main(["report", "--t", "300", "--x", "9", "--step", "0.3",
-               "--zeros", str(zeros), "--out", str(out)])
-    assert rc == 0
-    obj = json.loads(out.read_text())
-    assert math.isfinite(obj["lhs"])
-    assert all(math.isfinite(v) for v in obj["rhs_theorem"].values())
 
 
 def test_check_unknown_identity(capsys):
@@ -312,15 +303,13 @@ def address_space_cap():
     ("pcf --zeros {z} --t 200 --alpha-max inf --out {out}", 1),
     ("pcf --zeros {z} --t 200 --step 1e-300 --out {out}", 2),
     ("pcf --zeros {z} --t 300 --out {out}", 2),
-    ("report --zeros {z} --t 200 --x 9 --step nan --out {out}", 1),
-    ("report --zeros {z} --t 200 --x 9 --alpha-max nan --out {out}", 1),
-    ("report --zeros {z} --t 200 --x 9 --alpha-max inf --out {out}", 1),
-    ("report --zeros {z} --t 200 --x 9 --step 1e-300 --out {out}", 2),
     ("report --zeros {z} --t 200 --x nan --out {out}", 1),
     ("check --identity lemma4 --params tol=1", 1),
     ("check --identity lemma5 --zeros {z} --t 300", 2),
     ("check --identity lemma6 --zeros {z} --t 300", 2),
     ("check --identity lemma8 --zeros {z} --t 300", 2),
+    ("check --identity lemma8 --f-source model --beta 1e-300", 1),
+    ("check --identity lemma5 --zeros {z} --t=-5", 1),
     ("report --zeros {z} --t nan --x 9 --out {out}", 1),
     ("s --zeros {z} --t 30 --step inf", 1),
     ("check --identity lemma4 --tol nan", 1),
@@ -357,8 +346,8 @@ def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
-    # one line; argparse puts its usage line before an unknown option's
-    assert len(err.splitlines()) == (2 if err.startswith("usage:") else 1)
+    # one line, an unknown option's too
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -396,8 +385,9 @@ def test_out_is_checked_before_any_work(argv, zeros_file, tmp_path,
 
 @pytest.mark.parametrize("argv, code", [
     ("report --zeros {z} --t 300 --x 9 --out {out}", 2),
+    # the last --x is the one read: NaN, refused by the report itself
     ("report --zeros {z} --t 200 --x 9 --out {other} --pcf-out {out} "
-     "--step nan", 1),
+     "--x nan", 1),
     ("pcf --zeros {z} --t 300 --out {out}", 2),
     ("s --zeros {z} --t 300 --out {out}", 2),
     ("check --identity lemma5 --zeros {z} --t 300 --out {out}", 2),

@@ -41,9 +41,11 @@ def test_model_boundary_in_unit_interval(T):
 
 
 def test_model_floor_rejects_degenerate_boundary():
-    # 1 - 3 log log T / log T < 0 for T below ~93, so the model floor is 100
-    with pytest.raises(DomainError):
-        FModel(T=90.0)
+    # 1 - 3 log log T / log T < 0 for T below ~93, so the model floor is
+    # 100; an infinite T leaves the boundary undefined
+    for T in (90.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            FModel(T=T)
 
 
 def test_model_boundary_continuity():
@@ -182,21 +184,6 @@ def test_lemmas_at_one_height_share_one_engine_call(zeros_220, monkeypatch):
     assert calls == [5] * 6
 
 
-def test_full_report_refuses_a_bad_grid_before_any_work(zeros_220,
-                                                         prime_table_small,
-                                                         monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the S^2 pass ran before the grid check")
-
-    monkeypatch.setattr(theorem, "_s_squared_integral", no_work)
-    with pytest.raises(DomainError):
-        full_report(200.0, 9.0, zeros_220, alpha_step=math.nan,
-                    prime_table=prime_table_small)
-    with pytest.raises(MemoryError):
-        full_report(200.0, 9.0, zeros_220, alpha_step=1e-300,
-                    prime_table=prime_table_small)
-
-
 def test_conditional_checks_domain(zeros_220):
     # empirical F without zeros, and an unknown F source, are domain errors
     # raised before any work
@@ -207,6 +194,56 @@ def test_conditional_checks_domain(zeros_220):
             lemma_8_9_10_eval(zs, 200.0, 0.5, "sometimes")
     with pytest.raises(DomainError):
         lemma_8_9_10_eval(zeros_220, 200.0, 1.0)
+    # x = T^beta within 5% of 1 leaves log x meaningless, whichever F;
+    # so does T <= 1, where T^beta is complex or below 1
+    for zs, source in ((zeros_220, "empirical"), (None, "model")):
+        for beta in (1e-300, 1e-100):
+            with pytest.raises(DomainError, match="T\\^beta"):
+                lemma_8_9_10_eval(zs, 200.0, beta, source)
+    for T in (-5.0, 0.0, 1.0):
+        with pytest.raises(DomainError, match="T\\^beta"):
+            lemma_8_9_10_eval(zeros_220, T, 0.5)
+
+
+def test_model_tails_are_exact():
+    # F == 1 beyond alpha = 1: int_1^inf alpha^-2 = 1 and alpha^-4 = 1/3
+    model = theorem._f_source("model", None, 1000.0)
+    assert isinstance(model, FModel)
+    assert model.tail(2) == 1.0 and model.tail(4) == 1.0 / 3.0
+
+
+def test_report_and_lemmas_read_one_curve(zeros_220, prime_table_small,
+                                          monkeypatch):
+    # the report's F-tail is the measured source's tail(2), bit for bit;
+    # a source, full_report and lemma_8_9_10_eval each build the fixed
+    # curve once, the model report too (its curve is the one --pcf-out
+    # writes)
+    calls = []
+    real = theorem.pcf_curve
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(theorem, "pcf_curve", counted)
+    measured = theorem._f_source("empirical", zeros_220, 200.0)
+    want = measured.tail(2)
+    measured.tail(4)
+    assert calls == [(4.0, 0.025)]
+    reps = {}
+    for source in ("empirical", "model"):
+        calls.clear()
+        reps[source] = full_report(200.0, 9.0, zeros_220,
+                                   f_tail_source=source,
+                                   prime_table=prime_table_small)
+        assert calls == [(4.0, 0.025)]
+        assert np.array_equal(reps[source].curve.values,
+                              measured.curve.values)
+    assert float.hex(reps["empirical"].breakdown.f_tail) == float.hex(want)
+    assert reps["model"].breakdown.f_tail == 1.0
+    calls.clear()
+    lemma_8_9_10_eval(zeros_220, 200.0, 0.5)
+    assert calls == [(4.0, 0.025)]
 
 
 def test_full_report_fields_and_isolation(zeros_220, prime_table_small):
