@@ -21,8 +21,10 @@ quadrature: ``direct`` is the transform of k itself and ``closed`` that of
 k'' plus the boundary cosine term picked up by parts integration, and their
 agreement is one of the toolkit's primary identity checks.  The vectorized
 one (``khat_many``, ``kpp_transform_many``) reads a piecewise Chebyshev
-table below y = 50, built at first use from a fixed Gauss-Legendre grid on
-the finite piece plus the E_n tail, and above it is P(y) cos y + Q(y) sin y:
+table below y = 50, loaded at first use from ``tables.npy`` next to this
+module (``python scripts/make_tables.py`` fits it to a fixed
+Gauss-Legendre grid on the finite piece plus the E_n tail and writes the
+file), and above it is P(y) cos y + Q(y) sin y:
 P and Q are series in 1/y, the finite piece's by-parts boundary series plus
 the asymptotic series of E_n.  The pair engine takes each transform as its
 vectorized values and its (P, Q) (``_KHAT``, ``_KPP``).
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -234,30 +237,6 @@ def _pq(y, spec):
     return p, q * u
 
 
-def _fixed_grid(n_panels=40, nodes=12):
-    """Gauss-Legendre panels on [0, bp]: midpoints, half width, nodes on
-    [-1, 1] and the (panel, node) weights."""
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(0.0, BREAKPOINT, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return mid, half, x_gl, half[:, None] * w_gl[None, :]
-
-
-_GRID_MID, _GRID_HALVES, _GRID_T, _GRID_W = _fixed_grid()
-_GRID_HALF = float(_GRID_HALVES[0])   # equal panels, up to rounding
-
-
-def _cos_moments_low(a, tab):
-    """int_0^bp h(u) cos(a u) du on the fixed grid, by angle addition:
-    cos(a (mid + half t)) splits into a panel factor and a node factor, so
-    a point costs 2 x 40 + 2 x 12 trigonometric calls instead of 480."""
-    pm = np.outer(a, _GRID_MID)
-    pt = np.outer(a * _GRID_HALF, _GRID_T)
-    return np.sum((np.cos(pm) @ tab) * np.cos(pt)
-                  - (np.sin(pm) @ tab) * np.sin(pt), axis=1)
-
-
 _EN_SERIES_MAX = 2.0    # E_n(-iy): power series up to here, fraction above
 _EN_SERIES_TERMS = 14   # y^2j / (2j)! < 1e-17 for y <= 2 beyond these
 _EN_CF_STEPS = 400      # the fraction needs about 100 steps at y = 2
@@ -321,29 +300,49 @@ def _tail_cos(y, n: int):
 
 
 # Below _FAST_Y_SWITCH khat_many and kpp_transform_many read piecewise
-# Chebyshev tables: _LOW_PANELS panels of degree _LOW_DEG, each fitted at
-# its Chebyshev points to the fixed grid plus the E_n tail
+# Chebyshev tables: _LOW_PANELS panels of degree _LOW_DEG, one table per
+# transform, by its name in the shipped tables
 _LOW_PANELS = 100
 _LOW_DEG = 10
 _LOW_WIDTH = _FAST_Y_SWITCH / _LOW_PANELS
-_LOW_X = np.cos(PI * (np.arange(_LOW_DEG + 1) + 0.5) / (_LOW_DEG + 1))
-# coefficients from values at _LOW_X, by the discrete orthogonality of T_k
-_CHEB_FIT = np.cos(np.outer(np.arange(_LOW_DEG + 1),
-                            np.arccos(_LOW_X))) * (2.0 / (_LOW_DEG + 1))
-_CHEB_FIT[0] *= 0.5
+_LOW_TABLES = {_KHAT_SPEC: "khat_low", _KPP_SPEC: "kpp_low"}
+
+# The coefficient tables ship as one float64 array, written by
+# scripts/make_tables.py so that no process builds them: each name's
+# entries, of its shape in C order, one after the other.  rs_c0..rs_c2
+# are the Riemann-Siegel corrections C0, C1, C2 of zeros._rs_tables: a
+# degree-24 model of Psi, the series of Psi''' and that of Psi'' with
+# Psi^(6).
+_TABLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "tables.npy")
+_TABLE_LAYOUT = (("khat_low", (_LOW_DEG + 1, _LOW_PANELS)),
+                 ("kpp_low", (_LOW_DEG + 1, _LOW_PANELS)),
+                 ("rs_c0", (25,)), ("rs_c1", (22,)), ("rs_c2", (23,)))
 
 
 @functools.cache
+def _tables() -> dict:
+    """The shipped tables by name, read-only views of the one array of
+    ``tables.npy``, read at first use."""
+    flat = np.load(_TABLE_PATH)
+    flat.flags.writeable = False
+    out, start = {}, 0
+    for name, shape in _TABLE_LAYOUT:
+        size = math.prod(shape)
+        out[name] = flat[start:start + size].reshape(shape)
+        start += size
+    if start != flat.size:
+        raise ValueError(f"{_TABLE_PATH}: {flat.size} entries, "
+                         f"layout {start}")
+    return out
+
+
 def _low_table(spec) -> np.ndarray:
     """Chebyshev coefficients, one column per panel of [0, 50), of the
-    transform ``spec``; built at first use (1100 points, milliseconds)."""
-    h, n, weight = spec
-    x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
-    y = (_LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
-                       + 0.5 * (_LOW_X[None, :] + 1.0))).ravel()
-    vals = 2.0 * _cos_moments_low(2.0 * PI * y, h(x) * _GRID_W) \
-        + weight * _tail_cos(y, n)
-    return _CHEB_FIT @ vals.reshape(_LOW_PANELS, -1).T
+    transform ``spec``: read from ``tables.npy``, which
+    ``python scripts/make_tables.py`` fits at each panel's Chebyshev points
+    to a fixed Gauss-Legendre grid on [0, bp] plus the E_n tail."""
+    return _tables()[_LOW_TABLES[spec]]
 
 
 def _transform_many(y, spec):

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from .errors import DomainError, MissedZerosError, ZerosParseError
-from .kernels import _ABS_BERNOULLI
+from .kernels import _ABS_BERNOULLI, _tables
 
 TWO_PI = 2.0 * math.pi
 RS_MIN_T = 500.0          # Euler-Maclaurin below, Riemann-Siegel above
@@ -196,49 +197,17 @@ def _z_em(ts: np.ndarray) -> np.ndarray:
 # Riemann-Siegel branch
 # ----------------------------------------------------------------------
 
-# Psi is entire, so its degree-24 interpolant is exact to rounding; a
-# higher degree only amplifies that rounding in the derivatives (degree 96
-# put errors of 6e-6 into Psi''' and 180 into Psi^(6) at p = 0 and 1)
-_PSI_DEG = 24
-_PSI_ORDERS = (0, 2, 3, 6)    # the derivatives of Psi the corrections read
-
-
-def _psi_pointwise(p: float) -> float:
-    # cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p); removable zeros of the
-    # denominator at p = 1/4, 3/4 handled through the factored sine form
-    d = math.cos(TWO_PI * p)
-    if abs(d) > 0.05:
-        return math.cos(TWO_PI * (p * p - p - 1.0 / 16.0)) / d
-    p0 = 0.25 if abs(p - 0.25) < abs(p - 0.75) else 0.75
-    h = p - p0
-    if h == 0.0:
-        return 0.5
-    sgn = 1.0 if p0 == 0.25 else -1.0
-    u = (2.0 * p0 - 1.0) * h + h * h
-    return math.sin(TWO_PI * u) / (-sgn * math.sin(TWO_PI * h))
-
-
-@functools.cache
-def _psi_tables():
-    """Chebyshev model of the correction shape on [0, 1] and its
-    derivatives of the orders ``_PSI_ORDERS``, keyed by order."""
-    j = np.arange(_PSI_DEG + 1)
-    xs = 0.5 * (1.0 + np.cos(math.pi * j / _PSI_DEG))
-    ys = np.array([_psi_pointwise(x) for x in xs])
-    base = np.polynomial.chebyshev.Chebyshev.fit(
-        xs, ys, deg=_PSI_DEG, domain=[0.0, 1.0])
-    return {k: base.deriv(k) if k else base for k in _PSI_ORDERS}
-
-
 @functools.cache
 def _rs_tables():
-    """The correction coefficients as one Chebyshev series in p each:
-    C0 = Psi, C1 = -Psi'''/(96 pi^2),
-    C2 = Psi''/(64 pi^2) + Psi^(6)/(18432 pi^4)."""
-    D = _psi_tables()
-    return (D[0], D[3] * (-1.0 / (96.0 * math.pi ** 2)),
-            D[2] * (1.0 / (64.0 * math.pi ** 2))
-            + D[6] * (1.0 / (18432.0 * math.pi ** 4)))
+    """The correction coefficients as one Chebyshev series in p on [0, 1]
+    each: C0 = Psi, C1 = -Psi'''/(96 pi^2),
+    C2 = Psi''/(64 pi^2) + Psi^(6)/(18432 pi^4), with
+    Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).  Read from
+    ``tables.npy``, which ``python scripts/make_tables.py`` builds from a
+    degree-24 interpolant of Psi and its derivatives."""
+    tables = _tables()
+    return tuple(Chebyshev(tables[f"rs_c{i}"], domain=[0.0, 1.0])
+                 for i in range(3))
 
 
 def _z_rs(ts: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from szeta.kernels import (_KD_BP, BREAKPOINT, _g_raw, _gp_raw,
                            check_identity, f_weight, k_values, khat,
                            khat_many, kpp_transform_many, kpp_values,
                            t_weighted_kernel_integral)
+from szeta.zeros import riemann_siegel_Z
 
 PI = math.pi
 
@@ -217,6 +221,80 @@ def test_low_y_branch_against_mpmath():
         + 3.0 * kernels._tail_cos(y, 4)
     assert np.max(np.abs(khat_many(y) - grid_k)) < 1e-13
     assert np.max(np.abs(kpp_transform_many(y) - grid_kpp)) < 1e-11
+
+
+_MAKE_TABLES = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+    / "make_tables.py"
+
+# The fits behind the shipped tables sum in BLAS and solve in LAPACK, which
+# may round differently on another CPU: a rebuilt fit must match the
+# shipped one to this many units of roundoff of the table's largest entry.
+# On the machine that wrote the file they agree bit for bit (a reversed
+# summation order moves them by at most 3 units); a change to how a table
+# is built moves it by far more.
+_TABLE_ULPS = 64
+
+
+def test_shipped_tables_match_the_generator():
+    gen = runpy.run_path(str(_MAKE_TABLES))
+    rebuilt = gen["build_tables"]()
+    shipped = kernels._tables()
+    assert list(shipped) == [name for name, _ in kernels._TABLE_LAYOUT]
+    assert list(rebuilt) == list(shipped)
+    for name in ("khat_low", "kpp_low", "rs_c0"):
+        bound = _TABLE_ULPS * np.finfo(float).eps \
+            * np.max(np.abs(rebuilt[name]))
+        assert np.max(np.abs(shipped[name] - rebuilt[name])) <= bound, name
+    # C1 and C2 derive from C0 by numpy's elementwise arithmetic, with no
+    # BLAS or LAPACK: from the shipped C0 they come out exactly
+    psi = np.polynomial.Chebyshev(shipped["rs_c0"], domain=[0.0, 1.0])
+    for i, series in enumerate(gen["rs_tables"](psi)):
+        assert np.array_equal(series.coef, shipped[f"rs_c{i}"]), i
+
+
+_NO_BUILD = """
+import sys
+import numpy as np
+from numpy.polynomial.chebyshev import Chebyshev
+from szeta import kernels
+from szeta.zeros import riemann_siegel_Z
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a table was built")
+
+Chebyshev.fit = refuse
+kernels._tail_cos = refuse
+y = np.array([float(v) for v in sys.argv[1:]])
+for v in (kernels.khat_many(y), kernels.kpp_transform_many(y),
+          riemann_siegel_Z(np.array([600.0]))):
+    print(" ".join(map(repr, v.tolist())))
+try:
+    kernels.khat(3.0)      # the reference transform does take the tail
+except AssertionError:
+    print("refused")
+"""
+
+
+def test_runtime_builds_no_table():
+    # a fresh process reads every table: with the fit and the E_n tail
+    # refused, the vectorized transforms and Riemann-Siegel Z run and give
+    # this process's values
+    import subprocess
+    import sys
+    y = [0.0, 0.3, 7.77, 49.9, 50.0, 123.4]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(kernels.__file__).parents[1]) \
+        + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _NO_BUILD, *map(repr, y)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = (khat_many(np.array(y)), kpp_transform_many(np.array(y)),
+            riemann_siegel_Z(np.array([600.0])))
+    got = proc.stdout.split("\n")
+    for line, values in zip(got, want):
+        assert [float(v) for v in line.split()] == values.tolist()
+    assert got[3] == "refused"
 
 
 def test_tail_against_mpmath():
