@@ -86,9 +86,14 @@ def _clenshaw(coef, idx, x):
     """sum_k coef[k, idx] T_k(x) by Clenshaw's recurrence, one vector per
     degree: the Chebyshev series of column idx[i] at x[i] in [-1, 1]."""
     x2 = 2.0 * x
-    b1 = b2 = np.zeros(len(x), dtype=coef.dtype)
+    b1 = np.zeros(len(x), dtype=coef.dtype)
+    b2 = np.zeros_like(b1)
+    t = np.empty_like(b1)
     for k in range(len(coef) - 1, 0, -1):
-        b1, b2 = coef[k, idx] + x2 * b1 - b2, b1
+        np.multiply(x2, b1, out=t)
+        t += coef[k, idx]
+        t -= b2
+        b1, b2, t = t, b1, b2
     return coef[0, idx] + x * b1 - b2
 
 

@@ -232,8 +232,10 @@ def _pq(y, spec):
     p = np.zeros_like(u)
     q = np.zeros_like(u)
     for cp, cq in zip(p_c, q_c):
-        p = p * u2 + cp
-        q = q * u2 + cq
+        p *= u2
+        p += cp
+        q *= u2
+        q += cq
     return p, q * u
 
 

@@ -306,14 +306,15 @@ def lemma6_check(zeros: ZeroSet, T: float, beta: float,
                  tol: float = 1e-6) -> CheckReport:
     """R against its three-term regrouping (Lemma 6), from
     :func:`lemma6_eval`.  Like Lemma 5's rearrangement it holds for any
-    ordinate set, so it is asserted; the direct time integral is reported
-    in the detail."""
+    ordinate set, so it is asserted; the direct time integral and its
+    error estimate are reported in the detail."""
     dec = lemma6_eval(zeros, T, beta)
     return _report(
         "lemma6", {"T": T, "beta": beta}, dec.r_total,
         dec.term_main + dec.term_F_beta - dec.term_k2_integral, tol,
         detail={k: getattr(dec, k) for k in (
-            "term_main", "term_F_beta", "term_k2_integral", "r_total_direct")})
+            "term_main", "term_F_beta", "term_k2_integral", "r_total_direct",
+            "r_direct_err")})
 
 
 @dataclass(frozen=True)
@@ -328,9 +329,9 @@ class RDecomposition:
     over every ordinate of the set, those above T included, so it depends
     on how far the set reaches:
     at T = 500, beta = 0.5 the reference ordinates up to 512 give
-    32.16247473609716 and those up to 2000 give 32.1622600056337, 6.7e-6
+    32.16247473609728 and those up to 2000 give 32.16226000563382, 6.7e-6
     apart.  ``r_direct_err`` is the quadrature's error estimate alone
-    (8.5e-13 there), not a bound on that dependence.
+    (4.0e-11 there), not a bound on that dependence.
     """
 
     r_total: float
@@ -353,8 +354,8 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float):
     once here, so a chunk of nodes costs only L2P and the near field.  The
     sum jumps at each ordinate and is smooth between, so every zero gap of
     [1, T] is one segment of the fixed gap rule; its nearest singularities
-    sit pi/log x beyond each gap's ends, two panel widths away.  The error
-    estimate is the gap rule's alone.
+    sit pi/log x beyond each gap's ends, a panel width or more away.  The
+    error estimate is the gap rule's alone.
     """
     logx = math.log(x)
     g = zeros.ordinates

@@ -1,16 +1,18 @@
-"""Panel Gauss-Legendre quadrature: one engine, the gap rule.
+"""Panel Gauss-Kronrod quadrature: one engine, the gap rule.
 
 :func:`gap_rule` integrates over many segments where the integrand is
 smooth (the zero gaps, or the pieces between a kernel's kinks), all in one
 vectorized pass.  Each segment gets equal panels whose width respects an
-oscillation cap (phase advance at most pi/2 per panel for an
-``exp(i*omega*u)`` factor), an 8-node value and a 6-node error estimate.
-When the estimate misses its bound, only the segments above their share
-of it have their panels halved and are summed again.  :func:`integrate` is
-the same engine over one range split at given breakpoints.  Both take a
-scalar integrand, vectorized over its nodes, and both raise an
-:class:`AccuracyError` naming the worst segment and carrying the estimate
-instead of silently returning it.
+oscillation cap (phase advance at most pi per panel for an
+``exp(i*omega*u)`` factor) and one evaluation of the integrand at the 15
+Kronrod nodes of each panel: the 15-node Kronrod sum is the value and its
+distance from the 7-node Gauss sum on the same nodes the error estimate
+(QUADPACK's qk15).  When the estimate misses its bound, only the segments
+above their share of it have their panels halved and are summed again.
+:func:`integrate` is the same engine over one range split at given
+breakpoints.  Both take a scalar integrand, vectorized over its nodes,
+and both raise an :class:`AccuracyError` naming the worst segment and
+carrying the estimate instead of silently returning it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,29 @@ import numpy as np
 
 from .errors import AccuracyError
 
-# the value's 8-node rule and the estimate's 6-node rule
-_GL = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8)}
+# QUADPACK's qk15 on [-1, 1]: the Kronrod nodes x >= 0, largest first (the
+# odd entries are the 7-node Gauss nodes), their Kronrod weights, and the
+# Gauss weights, zero at the Kronrod-only nodes
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327])
+# the 15 nodes in ascending order and, per node, the weight of the value
+# and of its excess over the 7-node sum
+_MIRROR = [*range(8), *range(6, -1, -1)]
+_NODES = np.concatenate((-_XK, _XK[6::-1]))
+_WEIGHTS = np.stack((_WK, _WK - _WG), axis=1)[_MIRROR]
 
 
 # points per call of f: bounds the temporaries of f and of the sums, and
@@ -30,46 +53,42 @@ _GL = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8)}
 _CHUNK_POINTS = 4096
 
 
-def _level_sums(f, lo, hi, n, nodes: int) -> np.ndarray:
-    """Gauss-Legendre sums of ``f`` over segments ``[lo_i, hi_i]`` of ``n_i``
-    equal panels, all segments' nodes going to ``f`` in bounded chunks."""
-    x_gl, w_gl = _GL[nodes]
+def _level_sums(f, lo, hi, n):
+    """The 15-node Kronrod sums of ``f`` over segments ``[lo_i, hi_i]`` of
+    ``n_i`` equal panels and, per segment, their distance from the 7-node
+    Gauss sums, all segments' nodes going to ``f`` once, in bounded
+    chunks."""
     step = (hi - lo) / n
     ends = np.cumsum(n)
     starts = ends - n
     total = int(ends[-1])
-    sums = np.zeros(len(lo))
-    per_call = max(1, _CHUNK_POINTS // nodes)
+    sums = np.zeros((len(lo), 2))
+    per_call = _CHUNK_POINTS // len(_NODES)
     for first in range(0, total, per_call):
         panel = np.arange(first, min(first + per_call, total))
         seg = np.searchsorted(ends, panel, "right")
         half = 0.5 * step[seg]
         mid = lo[seg] + (2 * (panel - starts[seg]) + 1) * half
-        x = (mid[:, None] + half[:, None] * x_gl).ravel()
-        y = np.asarray(f(x), dtype=float).reshape(len(panel), nodes)
-        np.add.at(sums, seg, (y @ w_gl) * half)
-    return sums
+        x = (mid[:, None] + half[:, None] * _NODES).ravel()
+        y = np.asarray(f(x), dtype=float).reshape(len(panel), len(_NODES))
+        np.add.at(sums, seg, (y @ _WEIGHTS) * half[:, None])
+    return sums[:, 0], np.abs(sums[:, 1])
 
 
 GAP_RULE_TOL = 1e-10   # gap_rule's bound on err / sum of |segment values|
 MAX_DEPTH = 24         # panel halvings of one segment before AccuracyError
 
 
-def _rule(f, lo, hi, n):
-    """The 8-node sums over segments of ``n`` panels and, per segment,
-    their distance from the 6-node sums."""
-    fine = _level_sums(f, lo, hi, n, 8)
-    return fine, np.abs(fine - _level_sums(f, lo, hi, n, 6))
-
-
 def gap_rule(f, edges, omega: float = 0.0):
     """Integrate ``f`` over ``[edges[0], edges[-1]]``, smooth on every
     segment between consecutive ``edges``; returns ``(value, error_estimate)``.
 
-    Each segment gets equal panels no wider than h = min(1, pi/(2|omega|)).
-    The value is the 8-node Gauss-Legendre sum; the error estimate is the
-    sum over segments of its distance from the 6-node sum, an estimate of
-    the 6-node sum's error and so, generously, of the value's.  While the
+    Each segment gets equal panels no wider than h = min(2, pi/|omega|),
+    and ``f`` is evaluated once at the 15 Kronrod nodes of every panel.
+    The value is the 15-node Gauss-Kronrod sum, exact to degree 22; the
+    error estimate is the sum over segments of its distance from the
+    7-node Gauss sum on the same values (exact to degree 13), an estimate
+    of the 7-node sum's error and so, generously, of the value's.  While the
     estimate exceeds the bound ``GAP_RULE_TOL`` times the sum of |segment
     values|, the panels of every segment whose own estimate is above its
     share of the bound (bound / number of segments) are halved and only
@@ -81,9 +100,9 @@ def gap_rule(f, edges, omega: float = 0.0):
     lo, hi = edges[:-1], edges[1:]
     if not len(lo):
         return 0.0, 0.0
-    h = min(1.0, math.pi / (2.0 * abs(omega))) if omega else 1.0
+    h = min(2.0, math.pi / abs(omega)) if omega else 2.0
     n = np.maximum(1, np.ceil((hi - lo) / h)).astype(np.int64)
-    fine, change = _rule(f, lo, hi, n)
+    fine, change = _level_sums(f, lo, hi, n)
     for depth in range(MAX_DEPTH + 1):
         value, err = np.sum(fine), np.sum(change)
         bound = GAP_RULE_TOL * np.sum(np.abs(fine))
@@ -93,7 +112,7 @@ def gap_rule(f, edges, omega: float = 0.0):
         if depth == MAX_DEPTH or not len(redo):   # NaN is above no share
             break
         n[redo] *= 2
-        fine[redo], change[redo] = _rule(f, lo[redo], hi[redo], n[redo])
+        fine[redo], change[redo] = _level_sums(f, lo[redo], hi[redo], n[redo])
     worst = int(np.argmax(change))
     raise AccuracyError(
         f"gap rule estimate {err:.3e} above tolerance, "

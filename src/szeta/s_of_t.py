@@ -20,7 +20,7 @@ by-parts term of Trudgian's bound on N - N0.
 
 ``second_moment`` and ``s_mean`` integrate up to T over the zero gaps.
 On each gap S is the smooth function (constant - theta/pi), so one fixed
-Gauss-Legendre rule per gap (:func:`~szeta.quadrature.gap_rule`) covers
+Gauss-Kronrod rule per gap (:func:`~szeta.quadrature.gap_rule`) covers
 all gaps at once, the head below the first ordinate included.  Below
 t = 10 the asymptotic theta is invalid, and the exact log-Gamma theta used
 there is singular at t = +-i/2; where that makes the error estimate miss

@@ -340,3 +340,26 @@ def test_high_y_branch_against_mpmath():
         # cancels to 0 for khat and to pi^7/2 - 4 pi^5 for k''
         assert abs(gk - want_k) <= 1e-15 / y
         assert abs(gp - want_p) <= 1e-12 / y
+
+
+def test_pq_in_place_horner_is_bit_identical():
+    # P and Q by Horner in place: the same operands, operations and order
+    # as the loop that made a fresh array at every step, so the same bits
+    def fresh_loop(y, spec):
+        u = 1.0 / np.asarray(y, dtype=float)
+        u2 = u * u
+        p = np.zeros_like(u)
+        q = np.zeros_like(u)
+        for cp, cq in zip(*kernels._high_y_coefficients(spec)):
+            p = p * u2 + cp
+            q = q * u2 + cq
+        return p, q * u
+
+    rng = np.random.default_rng(7)
+    ys = np.concatenate((np.geomspace(50.0, 1e7, 500),
+                         50.0 + rng.exponential(1000.0, 2000)))
+    for spec in (kernels._KHAT_SPEC, kernels._KPP_SPEC):
+        for y in (ys, 61.5):
+            got, want = kernels._pq(y, spec), fresh_loop(y, spec)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -358,6 +358,25 @@ def _assert_l2p_matches_the_node_interpolant(g, logx):
     assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
+def test_clenshaw_in_place_is_bit_identical():
+    # the recurrence in three reused vectors: the same operands,
+    # operations and order as the step that made fresh arrays, so the
+    # same bits, real and complex
+    def fresh(coef, idx, x):
+        b1 = b2 = np.zeros(len(x), dtype=coef.dtype)
+        for k in range(len(coef) - 1, 0, -1):
+            b1, b2 = coef[k, idx] + 2.0 * x * b1 - b2, b1
+        return coef[0, idx] + x * b1 - b2
+
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, 3000)
+    idx = rng.integers(0, 40, 3000)
+    real = rng.normal(size=(20, 40))
+    for coef in (real, real + 1j * rng.normal(size=(20, 40))):
+        got = _tree._clenshaw(coef, idx, x)
+        assert got.tobytes() == fresh(coef, idx, x).tobytes()
+
+
 def test_l2p_against_the_node_interpolant(zeros_ref):
     # the dense sums above check the near and far fields only together;
     # this checks L2P alone, on the sets of
@@ -490,6 +509,34 @@ def test_lemma6_direct_against_the_dense_sum_at_T_1000(zeros_1010):
     want, err = gap_rule(dense, edges, omega=logx)
     assert dec.r_total_direct == pytest.approx(want, rel=1e-12, abs=0.0)
     assert dec.r_direct_err <= 1e-10 * dec.r_total_direct
+
+
+def test_lemma6_direct_integral_node_count(zeros_ref, monkeypatch):
+    # one 15-node evaluation per 2-wide panel, no halving: 9375 integrand
+    # nodes at T = 500 on the reference prefix, where an 8-node value on
+    # 1-wide panels with a 6-node estimate took 15680
+    g = zeros_ref.ordinates
+    zs = ZeroSet(ordinates=g[g <= 512.0], t_max=512.0, source="imported")
+    nodes = []
+
+    def counted(f, *args, **kwargs):
+        def spy(t):
+            nodes.append(np.size(t))
+            return f(t)
+        return gap_rule(spy, *args, **kwargs)
+
+    monkeypatch.setattr(paircorr, "gap_rule", counted)
+    dec = lemma6_eval(zs, 500.0, 0.5)
+    assert 0 < sum(nodes) <= 9375
+    assert dec.r_direct_err <= 1e-10 * dec.r_total_direct
+
+
+def test_lemma6_check_reports_the_direct_estimate(zeros_220):
+    dec = lemma6_eval(zeros_220, 100.0, 0.4)
+    detail = lemma6_check(zeros_220, 100.0, 0.4).detail
+    assert detail["r_total_direct"] == dec.r_total_direct
+    assert detail["r_direct_err"] == dec.r_direct_err
+    assert 0.0 < detail["r_direct_err"] <= 1e-10 * dec.r_total_direct
 
 
 def test_lemma6_single_zero_f_beta_term():

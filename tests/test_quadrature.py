@@ -65,9 +65,9 @@ def test_gap_rule_on_segments():
 
 
 def test_gap_rule_raises_when_estimate_fails(monkeypatch):
-    # a gap 5 wide with omega undeclared gets 1-wide panels, far too
-    # coarse for cos(40 x): 6 and 8 nodes disagree, and with no halvings
-    # allowed the rule raises
+    # a gap 5 wide with omega undeclared gets 2-wide panels, far too
+    # coarse for cos(40 x): the 7- and 15-node sums disagree, and with no
+    # halvings allowed the rule raises
     exact = math.sin(200.0) / 40.0
     with monkeypatch.context() as m:
         m.setattr(quadrature, "MAX_DEPTH", 0)
@@ -78,14 +78,15 @@ def test_gap_rule_raises_when_estimate_fails(monkeypatch):
     # halving the panels, it converges
     val, _ = gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0])
     assert abs(val - exact) < 1e-13
-    # declared, the panels shrink to a quarter period at once
+    # declared, the panels shrink to half a period at once
     val, _ = gap_rule(lambda x: np.cos(40.0 * x), [0.0, 5.0], omega=40.0)
     assert abs(val - exact) < 1e-13
 
 
 def test_gap_rule_refines_only_failing_segments():
-    # x^2 on [0, 1] is exact at 6 nodes; cos(40 x) on [1, 6] needs its
-    # 1-wide panels halved several times, and only it is summed again
+    # x^2 on [0, 1] is exact in both sums of its one panel, 15 nodes;
+    # cos(40 x) on [1, 6] needs its three 2-wide panels halved several
+    # times, and only it is summed again
     nodes = []
 
     def f(x):
@@ -97,5 +98,48 @@ def test_gap_rule_refines_only_failing_segments():
     assert abs(val - exact) < 1e-13
     assert err <= 1e-10 * (1.0 / 3.0 + abs(exact - 1.0 / 3.0))
     x = np.concatenate(nodes)
-    assert np.count_nonzero(x < 1.0) == 8 + 6
-    assert np.count_nonzero(x > 1.0) > 2 * (8 + 6) * 5
+    assert np.count_nonzero(x < 1.0) == 15
+    assert np.count_nonzero(x > 1.0) > 2 * 15 * 3
+
+
+def _one_panel(f):
+    """The value and the estimate of the rule on the one panel [-1, 1]."""
+    value, change = quadrature._level_sums(
+        f, np.array([-1.0]), np.array([1.0]), np.array([1]))
+    return float(value[0]), float(change[0])
+
+
+def test_kronrod_and_gauss_degrees():
+    # the value, K15, is exact through x^22 and the estimate's G7 through
+    # x^13; past those the estimate is G7's error, K15 still being exact
+    for d in range(27):
+        value, change = _one_panel(lambda x, d=d: x ** d)
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        if d <= 22:
+            assert abs(value - exact) < 1e-15, d
+        if d == 24:
+            assert abs(value - exact) > 1e-10
+        if d <= 13:
+            assert change < 1e-15, d
+        if d == 14:
+            assert change > 1e-5
+
+
+def test_gauss_nodes_are_legendre():
+    # the 7-node Gauss rule inside the 15 Kronrod nodes; leggauss's own
+    # weights lie up to 2.2e-16 from QUADPACK's 33-digit constants
+    x, w = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(quadrature._NODES[1::2], x, rtol=0, atol=2e-16)
+    wg = quadrature._WG[quadrature._MIRROR]
+    np.testing.assert_allclose(wg[1::2], w, rtol=0, atol=3e-16)
+    assert not wg[::2].any()
+
+
+@pytest.mark.parametrize("a", [1.0, 5.0, 25.0, 100.0])
+def test_estimate_bounds_the_runge_error(a):
+    # poles at +-i/sqrt(a), down to a tenth of the half width from the
+    # panel: the estimate of one panel still bounds the value's error (8-
+    # and 6-node sums read 3.7e-2 at a = 100 against a true 9.7e-2)
+    value, change = _one_panel(lambda x: 1.0 / (1.0 + a * x * x))
+    exact = 2.0 * math.atan(math.sqrt(a)) / math.sqrt(a)
+    assert change >= abs(value - exact)

@@ -360,8 +360,11 @@ def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):
 @pytest.mark.parametrize("T, x, top, g_want, h_want", [
     # G and H as the two-row gap pass gave them, on the reference zeros: H
     # moves with every ordinate, so computed zeros would pin the polish's
-    # last bits as well
-    (200.0, 9.0, "zeros_ref", 7.152930795888007, -17.823628966660614),
+    # last bits as well.  H at T = 200 pins rounding of the 15-node rule's
+    # theta*D quadrature on [10, 100]: in 30-digit arithmetic its
+    # truncation there is 3e-27, and in floats it sits 1.2e-12 off, a few
+    # eps times the integral of |theta D| (3.5e-13)
+    (200.0, 9.0, "zeros_ref", 7.152930795888007, -17.82362896666087),
     (2000.0, 40.0, "zeros_ref", 115.0147552911603, -269.6603949363169),
 ])
 def test_gap_pass_s_squared_row(request, prime_table_small, T, x, top,
