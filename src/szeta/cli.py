@@ -157,6 +157,8 @@ def _cmd_zeros(args) -> int:
 def _cmd_s(args) -> int:
     if not 0.0 < args.step < math.inf:
         raise DomainError(f"--step must be positive and finite: {args.step}")
+    if args.t is not None and (args.t_min, args.t_max) != (None, None):
+        raise DomainError("s takes --t or --t-min/--t-max, not both")
     lo, hi = ((args.t, args.t) if args.t is not None
               else (args.t_min, args.t_max))
     if lo is None or hi is None:
@@ -197,18 +199,15 @@ def _check(args) -> CheckReport:
     """The report of ``--identity``.  T defaults to min(200, top of the
     zeros) for lemma5/6, else to the top of the zeros (1000 without)."""
     name = args.identity
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise DomainError(f"--tol must be finite and >= 0: {args.tol}")
     if name in _IDENTITIES[:5]:
-        return check_identity(name, args.tol)
+        return check_identity(name)
     zs = _load_zeros(args.zeros) if args.zeros else None
     if name in ("lemma5", "lemma6"):
         if zs is None:
             raise DomainError(f"{name} requires --zeros")
         T = args.t if args.t is not None else min(200.0, zs.t_max)
         check = lemma5_check if name == "lemma5" else lemma6_check
-        tol = {} if args.tol is None else {"tol": args.tol}
-        return check(zs, T, args.beta, **tol)
+        return check(zs, T, args.beta)
     T = args.t if args.t is not None else (1000.0 if zs is None
                                            else zs.t_max)
     reps = lemma_8_9_10_eval(zs, T, args.beta, args.f_source)
@@ -299,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a named identity check")
     k.add_argument("--identity", required=True, choices=_IDENTITIES,
                    help="identity to check")
-    k.add_argument("--tol", type=float, default=None,
-                   help="override the identity's pass tolerance")
     k.add_argument("--zeros", default=None,
                    help="zeros file (pair-sum identities)")
     k.add_argument("--t", type=float, default=None, help="height T")

@@ -477,17 +477,20 @@ def _report(name, params, lhs, rhs, tol, assertable=True, scale=None,
                        error_scales=scale or {}, **kw)
 
 
-def _check_w_partition(tol=1e-15):
+_W_PARTITION_TOL = 1e-15
+
+
+def _check_w_partition():
     n, lo, hi = 10_000, -10.0, 10.0
     u = np.linspace(lo, hi, n)
     w = 4.0 / (4.0 + u * u)
     comp = u * u / (4.0 + u * u)
     worst = float(np.max(np.abs(w + comp - 1.0)))
     rep = _report("w_partition", {"n": n, "u_min": lo, "u_max": hi},
-                  1.0, 1.0, tol)
+                  1.0, 1.0, _W_PARTITION_TOL)
     rep.discrepancy_abs = worst
     rep.discrepancy_rel = worst
-    rep.passed = worst <= tol
+    rep.passed = worst <= _W_PARTITION_TOL
     return rep
 
 
@@ -533,9 +536,13 @@ def _fd_derivatives(x0, h, direction):
     return d1, d2
 
 
-def _check_kernel_derivatives(tol_side=1e-3):
+# lemma3's bounds: k''(0) against its target, every other difference
+_FD_ZERO_TOL = 1e-4
+_FD_SIDE_TOL = 1e-3
+
+
+def _check_kernel_derivatives():
     h = 1e-3
-    tol_zero = 1e-4
 
     # central differences at 0: k even, so d1 should vanish
     pts = h * np.array([-2.0, -1.0, 1.0, 2.0])
@@ -562,27 +569,28 @@ def _check_kernel_derivatives(tol_side=1e-3):
             rel[key] = abs(got[key])
         else:
             rel[key] = abs(got[key] - target) / abs(target)
-    passed = (rel["k_dprime_0"] <= tol_zero
-              and all(rel[k] <= tol_side for k in
+    passed = (rel["k_dprime_0"] <= _FD_ZERO_TOL
+              and all(rel[k] <= _FD_SIDE_TOL for k in
                       ("k_prime_left", "k_prime_right",
                        "k_dprime_left", "k_dprime_right"))
-              and rel["k_prime_0"] <= tol_side)
+              and rel["k_prime_0"] <= _FD_SIDE_TOL)
     worst = max(rel.values())
     rep = CheckReport(
         name="lemma3", params={"step": h},
         lhs=got["k_dprime_0"], rhs=_FD_TARGETS["k_dprime_0"],
         discrepancy_abs=abs(got["k_dprime_0"] - _FD_TARGETS["k_dprime_0"]),
-        discrepancy_rel=worst, tolerance=tol_side, passed=passed,
+        discrepancy_rel=worst, tolerance=_FD_SIDE_TOL, passed=passed,
         detail={"finite_difference": got, "targets": dict(_FD_TARGETS),
                 "relative_errors": rel})
     return rep
 
 
-# lemma4's bound on the imaginary residual, which is analytically zero
+# lemma4's bounds; the imaginary residual is analytically zero
+_FOURIER_TOL = 1e-6
 _IMAG_RESIDUAL_TOL = 1e-8
 
 
-def _check_fourier_identity(tol=1e-6):
+def _check_fourier_identity():
     ys = (0.5, 1.0, 2.0, 5.0, 10.0)
     pairs = {y: (khat(y, "direct"), khat(y, "closed")) for y in ys}
     diffs = {y: a - b for y, (a, b) in pairs.items()}
@@ -593,8 +601,8 @@ def _check_fourier_identity(tol=1e-6):
         name="lemma4", params={"y_values": list(ys)},
         lhs=pairs[worst_y][0], rhs=pairs[worst_y][1],
         discrepancy_abs=worst, discrepancy_rel=worst,
-        tolerance=tol,
-        passed=(worst <= tol and imag <= _IMAG_RESIDUAL_TOL),
+        tolerance=_FOURIER_TOL,
+        passed=(worst <= _FOURIER_TOL and imag <= _IMAG_RESIDUAL_TOL),
         detail={"per_y_differences": {f"{y:g}": d for y, d in diffs.items()},
                 "imag_residual": imag})
     return rep
@@ -615,7 +623,7 @@ def t_weighted_kernel_integral(T: float, beta: float,
     return val
 
 
-def _check_parts_identity(tol=1e-6):
+def _check_parts_identity():
     beta, T = 0.5, 1000.0
     logT = math.log(T)
     lhs = t_weighted_kernel_integral(T, beta, deriv=True)
@@ -629,8 +637,8 @@ def _check_parts_identity(tol=1e-6):
     kp_left = -4.0 * PI ** 3 + PI ** 5
     boundary = (1.0 / c) * tpow * kp_left \
         + (2.0 * logT / c ** 2) * tpow * PI ** 2
-    rep = _report("lemma7", {"beta": beta, "T": T}, lhs, rhs,
-                  tol=tol, assertable=False)
+    rep = _report("lemma7", {"beta": beta, "T": T}, lhs, rhs, 0.0,
+                  assertable=False)
     rep.detail = {"boundary_terms": boundary,
                   "residual_after_boundary": lhs - rhs - boundary}
     rep.notes.append(
@@ -639,8 +647,7 @@ def _check_parts_identity(tol=1e-6):
     return rep
 
 
-def _check_geometric_moment_bound(tol=None):
-    # the bound is compared exactly, so a tolerance does not apply
+def _check_geometric_moment_bound():
     kk = 1
     cs = (2.0, 4.0, 8.0, 16.0)
     vals = {}
@@ -677,14 +684,14 @@ _CHECKS = {
 }
 
 
-def check_identity(name: str, tol: float | None = None) -> CheckReport:
+def check_identity(name: str) -> CheckReport:
     """Run one of the kernel-level identity checks by name.
 
-    ``tol``, when given, replaces the check's pass tolerance; lemma11
-    compares exactly and ignores it.
+    Each asserting check passes against fixed tolerances that sit beside
+    it; lemma11 compares exactly, and the report-only lemma7 reports
+    tolerance 0.0.
     """
     if name not in _CHECKS:
         raise DomainError(
             f"unknown identity {name!r}; choose from {sorted(_CHECKS)}")
-    check = _CHECKS[name]
-    return check() if tol is None else check(float(tol))
+    return _CHECKS[name]()

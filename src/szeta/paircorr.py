@@ -280,8 +280,10 @@ def _beta_pair_sums(zeros: ZeroSet, T: float, beta: float) -> _BetaSums:
     return sums
 
 
-def lemma5_check(zeros: ZeroSet, T: float, beta: float,
-                 tol: float = 1e-4) -> CheckReport:
+_LEMMA5_TOL = 1e-4
+
+
+def lemma5_check(zeros: ZeroSet, T: float, beta: float) -> CheckReport:
     """Complement-weighted khat pair sum vs its F-side rearrangement.
 
     LHS: sum over pairs of khat((g-g') log x) * (g-g')^2/(4+(g-g')^2).
@@ -296,14 +298,16 @@ def lemma5_check(zeros: ZeroSet, T: float, beta: float,
     b = (T / (64.0 * PI ** 4 * logT * beta ** 3)) * s.kpp_integral
     # the two right-hand terms cancel where few ordinates lie below T, so
     # the discrepancy is measured against them as well as against both sides
-    return _report("lemma5", {"T": T, "beta": beta}, s.khat_c, a - b, tol,
-                   terms=(a, b),
+    return _report("lemma5", {"T": T, "beta": beta}, s.khat_c, a - b,
+                   _LEMMA5_TOL, terms=(a, b),
                    detail={"F_beta": s.f_beta, "kpp_integral": s.kpp_integral,
                            "zero_count": s.zero_count})
 
 
-def lemma6_check(zeros: ZeroSet, T: float, beta: float,
-                 tol: float = 1e-6) -> CheckReport:
+_LEMMA6_TOL = 1e-6
+
+
+def lemma6_check(zeros: ZeroSet, T: float, beta: float) -> CheckReport:
     """R against its three-term regrouping (Lemma 6), from
     :func:`lemma6_eval`.  Like Lemma 5's rearrangement it holds for any
     ordinate set, so it is asserted; the direct time integral and its
@@ -311,7 +315,7 @@ def lemma6_check(zeros: ZeroSet, T: float, beta: float,
     dec = lemma6_eval(zeros, T, beta)
     return _report(
         "lemma6", {"T": T, "beta": beta}, dec.r_total,
-        dec.term_main + dec.term_F_beta - dec.term_k2_integral, tol,
+        dec.term_main + dec.term_F_beta - dec.term_k2_integral, _LEMMA6_TOL,
         detail={k: getattr(dec, k) for k in (
             "term_main", "term_F_beta", "term_k2_integral", "r_total_direct",
             "r_direct_err")})

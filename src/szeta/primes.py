@@ -59,9 +59,9 @@ def _sieve(x: int) -> np.ndarray:
 
 
 def build_prime_table(x: int) -> PrimeTable:
-    """Sieve primes and prime powers up to x (x >= 4)."""
-    if x < 4:
-        raise DomainError("prime table needs x >= 4")
+    """Sieve primes and prime powers up to x (finite x >= 4)."""
+    if not 4 <= x < math.inf:
+        raise DomainError("prime table needs finite x >= 4")
     x = int(x)
     primes = _sieve(x)
 
@@ -90,51 +90,32 @@ def _cutoff_primes() -> np.ndarray:
     return primes
 
 
-# an order's primes are cut where the dropped ones sum below 2^-_CUT_BITS
-# of the order's first term 2^-m
-_CUT_BITS = 60
-
-
 def prime_power_double_sum(coeff):
     """Sum over 2 <= m <= 64 and primes p <= 1e6 of coeff(m) * p^(-m).
 
     Returns ``(value, tail_bound)`` where the bound covers both truncations
     (p > 1e6 and m > 64) assuming |coeff(m)| <= 1, via geometric
-    comparison with the odd integers beyond the prime cutoff.  Order m sums
-    only the primes below the first q whose odd integers n >= q sum, as
-    q^-m + q^(1-m)/(2(m-1)), below 2^-60 of 2^-m; that comparison's
-    value at the prime where the order stops joins the bound.
+    comparison with the odd integers beyond the prime cutoff.
     """
     orders = range(2, _M_CUTOFF + 1)
     cvals = np.array([float(coeff(m)) for m in orders])
     if np.any(np.abs(cvals) > 1.0 + 1e-12):
         raise DomainError("coeff(m) must be bounded by 1 in absolute value")
 
-    primes = _cutoff_primes()
-    inv = 1.0 / primes.astype(float)
+    inv = 1.0 / _cutoff_primes().astype(float)
     power = inv * inv
-    total = dropped = 0.0
-    for m, c in zip(orders, cvals):
-        # q^(1-m) (1/(2(m-1)) + 1/q) <= 2^-(m + _CUT_BITS) for q >= q0,
-        # as q >= 3; q0 > 2 for every m and falls as m grows
-        q0 = 2.0 ** ((math.log2(0.5 / (m - 1) + 1.0 / 3.0) + m + _CUT_BITS)
-                     / (m - 1))
-        keep = int(np.searchsorted(primes[:len(power)],
-                                   math.ceil(min(q0, _P_CUTOFF + 1.0))))
-        if keep < len(primes):
-            q = float(primes[keep])
-            dropped += abs(c) * (q ** -m + q ** (1 - m) / (2 * (m - 1)))
-        power, inv = power[:keep], inv[:keep]
+    total = 0.0
+    for c in cvals:
         if c != 0.0:
             total += c * float(np.sum(power))
-        power = power * inv
+        power *= inv
 
     P, M = float(_P_CUTOFF), _M_CUTOFF
     # primes beyond P are odd and >= P+1: sum_m [(P+1)^-m + (P+1)^(1-m)/(2(m-1))]
     tail_p = 0.5 / P + 1.0 / (P * (P + 1.0))
     # all primes, orders beyond M: 2^-m plus odd integers >= 3
     tail_m = 2.0 ** (-M) + 0.5 * 3.0 ** (-M) + 3.0 ** (1 - M) / (4.0 * M)
-    return total, tail_p + tail_m + dropped
+    return total, tail_p + tail_m
 
 
 @dataclass(frozen=True)

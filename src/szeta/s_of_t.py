@@ -361,7 +361,9 @@ def _s_squared_integral(lo: float, hi: float, ev: SEvaluator) -> float:
 
 
 def s_mean(T: float, ev: SEvaluator) -> float:
-    """(1/T) int_0^T S(t) dt, to the gap rule's tolerance."""
+    """(1/T) int_0^T S(t) dt, to the gap rule's tolerance (T >= 10)."""
+    if not 10.0 <= T:
+        raise DomainError("T >= 10 required")
     return gap_rule(lambda t: _s_between_zeros(t, ev.zeros),
                     _gap_edges(0.0, T, ev.zeros))[0] / T
 

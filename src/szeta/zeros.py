@@ -239,8 +239,8 @@ def riemann_siegel_Z(t):
     """
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < THETA_MIN_T):
-        raise DomainError("Z supported for t >= 10")
+    if not np.all(np.isfinite(ts) & (ts >= THETA_MIN_T)):
+        raise DomainError("Z supported for finite t >= 10")
     out = np.empty_like(ts)
     low = ts < RS_MIN_T
     if np.any(low):

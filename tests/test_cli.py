@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from szeta import cli, theorem
+from szeta import cli, kernels, theorem
 from szeta.cli import _check_report_obj, _jsonable, build_parser, main
-from szeta.kernels import check_identity
 from szeta.primes import build_prime_table
 from szeta.s_of_t import SEvaluator, s_exact, s_explicit
 from szeta.zeros import export_zeros, import_zeros
@@ -59,14 +58,15 @@ def test_help_lists_flags_with_defaults(capsys):
 
 def test_parser_is_built_once_and_reads_each_call(capsys):
     # one parser per process; each main call reads its own arguments, so
-    # a --tol does not carry over to the next call
+    # a --beta does not carry over to the next call
     assert build_parser() is build_parser()
-    assert main(["check", "--identity", "lemma4", "--tol", "1e-3"]) == 0
+    argv = ["check", "--identity", "lemma8", "--f-source", "model"]
+    assert main(argv + ["--beta", "0.3"]) == 0
     first = json.loads(capsys.readouterr().out)
-    assert main(["check", "--identity", "lemma4"]) == 0
+    assert main(argv) == 0
     second = json.loads(capsys.readouterr().out)
-    assert first["tolerance"] == 1e-3
-    assert second["tolerance"] == check_identity("lemma4").tolerance != 1e-3
+    assert first["params"]["beta"] == 0.3
+    assert second["params"]["beta"] == 0.5
 
 
 def test_s_range_csv(tmp_path, zeros_file):
@@ -184,11 +184,22 @@ def test_check_w_partition_passes(tmp_path):
 
 def test_check_lemma4_has_discrepancy_fields(tmp_path, capsys):
     out = tmp_path / "l4.json"
-    assert main(["check", "--identity", "lemma4", "--tol", "1e-6",
-                 "--out", str(out)]) == 0
+    assert main(["check", "--identity", "lemma4", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert obj["discrepancy_abs"] < 1e-6
     assert "per_y_differences" in obj["detail"]
+
+
+def test_failing_check_exits_2_with_its_report(tmp_path, capsys,
+                                               monkeypatch):
+    # an asserting check that fails still writes and prints its report
+    monkeypatch.setattr(kernels, "_FD_SIDE_TOL", 0.0)
+    out = tmp_path / "l3.json"
+    assert main(["check", "--identity", "lemma3", "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    obj = json.loads(printed)
+    assert obj["passed"] is False and obj["tolerance"] == 0.0
 
 
 @pytest.mark.parametrize("identity", ["w_partition", "lemma3", "lemma4",
@@ -314,6 +325,8 @@ def address_space_cap():
     ("s --zeros {z} --t 30 --step inf", 1),
     ("check --identity lemma4 --tol nan", 1),
     ("check --identity lemma4 --tol -1", 1),
+    ("check --identity lemma8 --f-source model --tol 1e-6", 1),
+    ("s --zeros {z} --t 30 --t-min 20 --t-max 40", 1),
     ("pcf --zeros {z} --t 200 --out {missing}", 1),
     ("report --zeros {z} --t 200 --x 9 --out {missing}", 1),
     ("zeros --t-max 20 --out {missing}", 1),
@@ -328,12 +341,13 @@ def address_space_cap():
 ])
 def test_bad_input_exits_with_one_line(argv, code, zeros_file, tmp_path,
                                        capsys, address_space_cap):
-    # a zero step, a range, cutoff, alpha grid or tolerance that is not
-    # finite or runs backwards, an allocation beyond memory or beyond any
-    # address space, a height beyond the zeros (exit 2, as coverage), an
-    # unknown option, a path that cannot be read or written (exit 1) and a
-    # zeros text that is not ASCII (exit 2) each end in an exit code and an
-    # error line, not a stack trace
+    # a zero step, a range, cutoff or alpha grid that is not finite or
+    # runs backwards, a point given next to a range, an allocation beyond
+    # memory or beyond any address space, a height beyond the zeros (exit
+    # 2, as coverage), an unknown option (--tol among them), a path that
+    # cannot be read or written (exit 1) and a zeros text that is not
+    # ASCII (exit 2) each end in an exit code and an error line, not a
+    # stack trace
     binary = tmp_path / "bin.txt"
     binary.write_bytes(b"14.1\n\xff\n")
     files = {}

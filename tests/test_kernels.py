@@ -169,7 +169,7 @@ def test_kernel_derivative_constants():
 
 def test_parts_identity_reports_boundary():
     rep = check_identity("lemma7")
-    assert rep.passed and not rep.assertable
+    assert rep.passed and not rep.assertable and rep.tolerance == 0.0
     # the discrepancy is exactly the dropped boundary terms
     assert abs(rep.detail["residual_after_boundary"]) < 1e-8
     assert rep.discrepancy_abs == pytest.approx(

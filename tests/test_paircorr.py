@@ -448,7 +448,7 @@ def test_pieces_cover_every_pair_once(data):
     assert np.array_equal(got[:, order], want)
 
 
-def test_lemma6_check_reports_the_regrouping(zeros_220):
+def test_lemma6_check_reports_the_regrouping(zeros_220, monkeypatch):
     dec = lemma6_eval(zeros_220, 100.0, 0.4)
     rep = lemma6_check(zeros_220, 100.0, 0.4)
     assert rep.lhs == dec.r_total
@@ -456,7 +456,8 @@ def test_lemma6_check_reports_the_regrouping(zeros_220):
     assert rep.assertable and rep.passed and rep.tolerance == 1e-6
     assert 0.0 < rep.discrepancy_rel < 1e-6
     assert rep.detail["r_total_direct"] == dec.r_total_direct
-    assert not lemma6_check(zeros_220, 100.0, 0.4, tol=0.0).passed
+    monkeypatch.setattr(paircorr, "_LEMMA6_TOL", 0.0)
+    assert not lemma6_check(zeros_220, 100.0, 0.4).passed
 
 
 def test_lemma5_and_lemma6_one_engine_call_each(zeros_220, monkeypatch):

@@ -41,6 +41,12 @@ def test_rejects_tiny_limit():
         build_prime_table(3)
 
 
+def test_rejects_non_finite_limit():
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            build_prime_table(x)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=4, max_value=2000))
 def test_table_invariants(x):
@@ -97,8 +103,8 @@ def test_double_sum_against_untrimmed_oracle(coeff):
                       for p in primes for m in range(2, 65))
     assert prime_power_double_sum_oracle(coeff, 10 ** 4, 64) == \
         pytest.approx(plain, rel=1e-14, abs=0.0)
-    # each order stops where the rest of its primes is below 2^-60 of
-    # 2^-m; the full loop runs every order over all 78498 primes
+    # the library, like the oracle, sums every order over all 78498
+    # primes; only the rounding of the sums differs
     val, bound = prime_power_double_sum(coeff)
     full = prime_power_double_sum_oracle(coeff, 10 ** 6, 64)
     assert val == pytest.approx(full, rel=1e-15, abs=0.0)

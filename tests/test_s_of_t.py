@@ -346,6 +346,13 @@ def test_mean_value_small(zeros_1010, prime_table_small):
     assert abs(s_mean(1000.0, ev)) < 0.05
 
 
+def test_s_mean_domain(ev_120):
+    # second_moment's floor: not a value at T = -5, nor a division by zero
+    for T in (-5.0, 0.0, 9.99, math.nan):
+        with pytest.raises(DomainError, match="T >= 10"):
+            s_mean(T, ev_120)
+
+
 def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):
     ev = SEvaluator(zeros=zeros_10k, prime_table=prime_table_small)
     res = g_and_h_direct(2000.0, 40.0, ev)

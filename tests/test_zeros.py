@@ -198,6 +198,15 @@ def test_z_domain():
         riemann_siegel_Z(5.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_z_refuses_non_finite_t():
+    # refused, not NaN, and before any cast can warn
+    for t in (math.nan, math.inf, np.array([600.0, math.inf]),
+              np.array([20.0, math.nan])):
+        with pytest.raises(DomainError, match="finite t >= 10"):
+            riemann_siegel_Z(t)
+
+
 def test_find_zeros_first_zero_only():
     zs = find_zeros(20.0)
     assert len(zs) == 1
