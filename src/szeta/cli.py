@@ -121,14 +121,6 @@ def _load_zeros(path: str) -> ZeroSet:
             raise DomainError(f"{path}: {exc}") from exc
 
 
-def _threads(args) -> int:
-    """Worker threads: ``--threads`` clamped to [1, cores], else all cores."""
-    cores = os.cpu_count() or 1
-    if args.threads is not None:
-        return min(max(1, args.threads), cores)
-    return cores
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -147,7 +139,7 @@ def _cmd_zeros(args) -> int:
         return 0
     if args.t_max is None:
         raise DomainError("zeros needs --t-max or --import")
-    zs = find_zeros(args.t_max, threads=_threads(args))
+    zs = find_zeros(args.t_max, threads=args.threads)
     _write(args.out, export_zeros(zs))
     if args.out:
         print(f"wrote {len(zs)} ordinates to {args.out}")

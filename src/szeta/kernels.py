@@ -414,6 +414,8 @@ def khat(y: float, method: str = "direct") -> float:
     """
     if method not in ("direct", "closed"):
         raise DomainError(f"unknown khat method {method!r}")
+    if not math.isfinite(y):
+        raise DomainError(f"khat needs a finite y: {y}")
     ya = abs(y)
     if method == "direct":
         return _reference_transform(ya, _KHAT_SPEC)

@@ -133,6 +133,8 @@ def pcf(alpha: float, zeros: ZeroSet, T: float) -> float:
     The kernel is even in the difference, so the sum over ordered pairs is
     real and only the cosine part is evaluated.
     """
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite: {alpha}")
     g = _restrict(zeros, T)
     total, = _pair_sum(g, alpha * math.log(T), [(_COS, pair_weight)])
     return float(total) / _normalizer(T)
@@ -217,8 +219,8 @@ def weighted_khat_sum(zeros: ZeroSet, x: float, *, T: float) -> float:
     """sum over ordered pairs of the ordinates up to T, which the set must
     cover, of khat((g - g') log x), diagonal pairs included: the report's
     R times pi^2 log x."""
-    if not x >= 4.0:
-        raise DomainError("x >= 4 required")
+    if not 4.0 <= x < math.inf:
+        raise DomainError("finite x >= 4 required")
     total, = _pair_sum(_restrict(zeros, T), math.log(x), [(_KHAT, _one)])
     return float(total)
 
@@ -228,6 +230,7 @@ def f_weighted_kernel_integral(zeros: ZeroSet, T: float, beta: float,
     """int F(alpha) k(alpha/(2 pi beta)) d alpha (or k''), F expanded by
     definition into its pair sum, which turns the integral into kernel
     transforms at the pair differences times log x."""
+    _refuse_beta(T, beta)
     g = _restrict(zeros, T)
     total, = _pair_sum(g, beta * math.log(T),
                        [(_KPP if deriv else _KHAT, pair_weight)])

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError, refuse_beyond_memory
 
 # QUADPACK's qk15 on [-1, 1]: the Kronrod nodes x >= 0, largest first (the
 # odd entries are the 7-node Gauss nodes), their Kronrod weights, and the
@@ -94,14 +94,20 @@ def gap_rule(f, edges, omega: float = 0.0):
     share of the bound (bound / number of segments) are halved and only
     those segments summed again; after ``MAX_DEPTH`` halvings it raises
     :class:`AccuracyError` naming the worst segment.  Vectorized ``f``
-    required.
+    required.  Edges or omega that are not finite raise
+    :class:`DomainError`, and more nodes than any address space holds
+    ``MemoryError``, before ``f`` is called.
     """
     edges = np.asarray(edges, dtype=float)
+    if not (math.isfinite(omega) and np.isfinite(edges).all()):
+        raise DomainError("gap rule needs finite edges and omega")
     lo, hi = edges[:-1], edges[1:]
     if not len(lo):
         return 0.0, 0.0
     h = min(2.0, math.pi / abs(omega)) if omega else 2.0
-    n = np.maximum(1, np.ceil((hi - lo) / h)).astype(np.int64)
+    panels = np.maximum(1, np.ceil((hi - lo) / h))
+    refuse_beyond_memory(len(_NODES) * panels.sum(), "quadrature nodes")
+    n = panels.astype(np.int64)
     fine, change = _level_sums(f, lo, hi, n)
     for depth in range(MAX_DEPTH + 1):
         value, err = np.sum(fine), np.sum(change)
@@ -130,7 +136,7 @@ def integrate(f, a: float, b: float, omega: float = 0.0, breakpoints=()):
     if not b > a:
         if b == a:
             return 0.0, 0.0
-        raise ValueError("integrate requires b >= a")
+        raise DomainError(f"integrate needs finite a <= b, got [{a}, {b}]")
     # sorted(set()) rather than np.unique, whose first call imports numpy.ma
     bp = sorted({float(p) for p in breakpoints if a < p < b})
     return gap_rule(f, [a, *bp, b], omega)

@@ -21,12 +21,11 @@ by-parts term of Trudgian's bound on N - N0.
 ``second_moment`` and ``s_mean`` integrate up to T over the zero gaps.
 On each gap S is the smooth function (constant - theta/pi), so one fixed
 Gauss-Kronrod rule per gap (:func:`~szeta.quadrature.gap_rule`) covers
-all gaps at once, the head below the first ordinate included.  Below
-t = 10 the asymptotic theta is invalid, and the exact log-Gamma theta used
-there is singular at t = +-i/2; where that makes the error estimate miss
-its bound, the rule halves the head's panels and sums the other gaps only
-once.  At a node, S costs one search of the ordinates and the theta
-series.
+all gaps at once, the head below the first ordinate included.  There
+:func:`~szeta.zeros.theta` takes its log-Gamma form below t = 10, which is
+singular at t = +-i/2; where that makes the error estimate miss its bound,
+the rule halves the head's panels and sums the other gaps only once.  At a
+node, S costs one search of the ordinates and one theta.
 
 ``g_and_h_direct`` makes no pass over the gaps: G and H are finite sums
 over the prime powers, and for H's zero count over the ordinates.
@@ -44,7 +43,7 @@ from .errors import CoverageError, DomainError
 from .kernels import _ABS_BERNOULLI, f_weight
 from .primes import PrimeTable
 from .quadrature import gap_rule, integrate
-from .zeros import _THETA_COEF, ZeroSet, theta, theta_exact
+from .zeros import _THETA_COEF, ZeroSet, theta
 
 PI = math.pi
 
@@ -302,35 +301,18 @@ def make_sinh_table() -> None:
     the benchmark harness still calls it; nothing in the package does."""
 
 
-def _theta_any(t):
-    """theta at a number or an array of t: the series from t = 10 on,
-    the log-Gamma form below, on arrays (its complex arithmetic rounds
-    differently on NumPy scalars); a number from 10 on runs on scalars."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0 and t[()] >= 10.0:
-        return theta(t[()])
-    lo = t < 10.0
-    if not lo.any():        # every node past the head
-        return theta(t)
-    out = np.empty_like(t)
-    out[lo] = theta_exact(t[lo])
-    if not lo.all():
-        out[~lo] = theta(t[~lo])
-    return out
-
-
 def _s_between_zeros(t, zeros: ZeroSet):
     """S(t) = N(t) - 1 - theta(t)/pi, vectorized, N with weight 1/2 at an
     ordinate."""
-    return zeros.count_up_to(t) - 1.0 - _theta_any(t) / PI
+    return zeros.count_up_to(t) - 1.0 - theta(t) / PI
 
 
 def _gap_edges(lo: float, hi: float, zeros: ZeroSet) -> np.ndarray:
     """[lo, the ordinates strictly inside (lo, hi), hi]: the segments on
     which S is smooth, the head below the first ordinate included (where
-    theta_exact's singularities at t = +-i/2 may make ``gap_rule`` halve
-    its panels).  The set must be complete and cover hi, or the zero count
-    in S is wrong."""
+    the singularities of theta's log-Gamma form at t = +-i/2 may make
+    ``gap_rule`` halve its panels).  The set must be complete and cover
+    hi, or the zero count in S is wrong."""
     if not zeros.claimed_complete:
         raise DomainError("zero set not validated as complete")
     if not hi <= zeros.t_max:
@@ -452,7 +434,7 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     step = (cos_sums - (len(g) - 1) * np.cos(logn * T) - np.cos(logn)) / logn
     t0 = min(T, _BY_PARTS_T0)
     theta_part, theta_err = integrate(
-        lambda t: _theta_any(t) * (np.sin(np.outer(t, logn)) @ coef),
+        lambda t: theta(t) * (np.sin(np.outer(t, logn)) @ coef),
         1.0, t0, omega=float(np.max(logn)), breakpoints=(10.0,))
     if T > t0:
         theta_part += float(coef @ _theta_sin_tail(logn, t0, T))

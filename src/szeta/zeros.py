@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -66,18 +67,28 @@ _THETA_COEF = [float((1 - Fraction(2) ** (1 - 2 * n)) * b
 
 
 def theta(t):
-    """Riemann-Siegel theta by its asymptotic series (t >= 10).
+    """Riemann-Siegel theta at every real t, a number or an array.
 
-    Truncation error is below 1e-12 for t >= 10 with four terms; the
-    series is useless below t ~ 2 pi where its expansion point degenerates,
-    hence the domain floor.  A number runs on NumPy scalars, which round
-    as an array's elements do but skip the array overhead.
+    From t = 10 the asymptotic series (:func:`_theta_series`); below, where
+    the series degenerates (its expansion point is stationary near
+    t = 2 pi), the log-Gamma form :func:`theta_exact`, which also gives
+    theta's odd values at t < 0.  A number runs on NumPy scalars, or on a
+    one-element array below 10, so it gets an array element's bits.
     """
     arr = np.asarray(t, dtype=float)[()]     # a NumPy scalar for a number
     below = arr < THETA_MIN_T
-    if below.any() if arr.ndim else below:
-        raise DomainError("theta series requires t >= 10; "
-                          "use theta_exact below that")
+    if below.any():
+        val = np.empty_like(arr)
+        val[below] = theta_exact(arr[below])
+        val[~below] = _theta_series(arr[~below])
+    else:
+        val = _theta_series(arr)
+    return float(val) if np.isscalar(t) else val
+
+
+def _theta_series(arr):
+    """theta by its asymptotic series at t >= 10, on an array or a NumPy
+    scalar: truncation error below 1e-12 there with four terms."""
     val = 0.5 * arr * np.log(arr / TWO_PI) - 0.5 * arr - math.pi / 8.0
     # c_n t^(1-2n) with the powers by recurrence in 1/t^2, no `**`, each
     # term added in series order so that theta rounds as the term-by-term
@@ -89,23 +100,27 @@ def theta(t):
     for c in _THETA_COEF[1:]:
         power *= u
         val += c * power
-    return float(val) if np.isscalar(t) else val
+    return val
 
 
 _GAMMA_SHIFT = 8       # theta_exact's Stirling series runs at |z| >= 8.25
 
 
 def theta_exact(t):
-    """theta via the log-Gamma function, valid for all t >= 0.
+    """theta via the log-Gamma function, valid for every real t.
 
     theta(t) = Im log Gamma(z) - (t/2) log pi with z = 1/4 + i t/2, and
     Im log Gamma(z) = Im log Gamma(z + 8) - sum_{j<8} arg(z + j), the
-    continuous branch since every z + j lies in the upper half plane.  At
+    continuous branch since every z + j lies in the right half plane.  At
     z + 8 Stirling's series with the eight Bernoulli terms of
-    ``_BERNOULLI`` is below 1e-16.
+    ``_BERNOULLI`` is below 1e-16.  It runs on a 1-d view of t, a number
+    included, so a number gets the bits it has as an array element
+    (NumPy's complex scalar arithmetic rounds differently from its array
+    loops).
     """
     arr = np.asarray(t, dtype=float)
-    z = 0.25 + 0.5j * arr
+    flat = arr.reshape(-1)
+    z = 0.25 + 0.5j * flat
     shift = sum(np.angle(z + j) for j in range(_GAMMA_SHIFT))
     w = z + _GAMMA_SHIFT
     iw2 = 1.0 / (w * w)
@@ -113,8 +128,8 @@ def theta_exact(t):
     for k in range(len(_BERNOULLI), 0, -1):
         acc = iw2 * acc + _BERNOULLI[k - 1] / (2 * k * (2 * k - 1))
     stirling = (w - 0.5) * np.log(w) - w + acc / w
-    val = stirling.imag - shift - 0.5 * arr * math.log(math.pi)
-    return float(val) if np.isscalar(t) else val
+    val = stirling.imag - shift - 0.5 * flat * math.log(math.pi)
+    return float(val[0]) if np.isscalar(t) else val.reshape(arr.shape)
 
 
 # ----------------------------------------------------------------------
@@ -540,13 +555,15 @@ def find_zeros(t_max: float, threads: int | None = None) -> ZeroSet:
     (see :func:`_rosser_brackets`), and the count below the window is
     checked against Turing's bound.  The brackets below t_max are then
     polished together to width 1e-9.  Every Z evaluation is spread over
-    ``threads`` worker threads; the ordinates do not depend on it.  Raises
+    ``threads`` worker threads, clamped to [1, cores], all cores when it is
+    None; the ordinates do not depend on it.  Raises
     :class:`MissedZerosError` when a block stays short or the count
     disagrees with the bound.
     """
     if not 15.0 <= t_max <= _MAX_T:
         raise DomainError(f"find_zeros supports 15 <= t_max <= {_MAX_T:g}")
-    workers = max(1, threads or 1)
+    cores = os.cpu_count() or 1
+    workers = cores if threads is None else min(max(1, threads), cores)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         def z(ts):
             return _z_pieces(ts, pool, workers)

@@ -433,7 +433,7 @@ def test_threads_clamped_to_cores(threads, want, monkeypatch):
         seen.append(max_workers)
         raise Started
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(zeros.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(zeros, "ThreadPoolExecutor", pool)
     flag = [] if threads is None else ["--threads", threads]
     with pytest.raises(Started):

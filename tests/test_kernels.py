@@ -144,6 +144,13 @@ def test_kpp_transform_at_zero():
         2 * PI ** 5, rel=1e-10)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_khat_refuses_y_not_finite(y):
+    for method in ("direct", "closed"):
+        with pytest.raises(DomainError):
+            khat(y, method)
+
+
 def test_khat_decay_bound():
     y = np.linspace(1.0, 50.0, 70)
     vals = khat_many(y)

@@ -158,6 +158,26 @@ def test_weighted_sum_validation(zeros_220):
         weighted_khat_sum(zeros_220, 16.0, T=300.0)
 
 
+def test_weighted_sum_refuses_infinite_x(zeros_220):
+    # an infinite log x once reached the khat table as an index
+    with pytest.raises(DomainError):
+        weighted_khat_sum(zeros_220, math.inf, T=200.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, 2.0, 0.0])
+def test_f_weighted_kernel_integral_refuses_beta(zeros_220, beta):
+    # the beta that _beta_pair_sums refuses, refused here too
+    for deriv in (False, True):
+        with pytest.raises(DomainError):
+            f_weighted_kernel_integral(zeros_220, 200.0, beta, deriv)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_pcf_refuses_alpha_not_finite(zeros_220, alpha):
+    with pytest.raises(DomainError):
+        pcf(alpha, zeros_220, 200.0)
+
+
 def test_weighted_sum_against_bruteforce(zeros_220):
     # brute-force double loop with adaptive-quadrature khat per pair
     g = zeros_220.ordinates[:100]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from szeta import quadrature
-from szeta.errors import AccuracyError
+from szeta.errors import AccuracyError, DomainError
 from szeta.quadrature import gap_rule, integrate
 
 
@@ -37,6 +37,29 @@ def test_empty_and_reversed_ranges():
     assert integrate(np.sin, 2.0, 2.0) == (0.0, 0.0)
     with pytest.raises(ValueError):
         integrate(np.sin, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("a, b, omega, error", [
+    (0.0, math.inf, 0.0, DomainError),
+    (0.0, math.nan, 0.0, DomainError),
+    (0.0, 1.0, math.inf, DomainError),
+    (0.0, 1.0, math.nan, DomainError),
+    (1.0, 0.0, 0.0, DomainError),
+    (0.0, 1e300, 0.0, MemoryError),
+    (0.0, 1.0, 1e300, MemoryError),
+])
+def test_refuses_what_it_cannot_integrate(a, b, omega, error):
+    # each returned (0.0, 0.0) once its panel count overflowed; f never runs
+    def f(u):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(error):
+        integrate(f, a, b, omega=omega)
+
+
+def test_gap_rule_refuses_an_edge_that_is_not_finite():
+    with pytest.raises(DomainError):
+        gap_rule(np.ones_like, [0.0, math.nan, 1.0])
 
 
 def test_nonconvergence_reports_estimate(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import (theta_binet_oracle, theta_series_oracle,
                      zeros_text_oracle, zeta_em_oracle)
 from szeta.errors import DomainError, MissedZerosError, ZerosParseError
-from szeta.s_of_t import _theta_any
 from szeta.zeros import (_EM_COEF, RS_MIN_T, ZeroSet, _em_length, _z_em,
                          _z_rs, export_zeros, find_zeros, gram_points,
                          import_zeros, riemann_siegel_Z, theta, theta_exact)
@@ -19,23 +19,36 @@ PI = math.pi
 
 def test_theta_monotone_and_domain():
     assert theta(100.0) > theta(50.0)
-    with pytest.raises(DomainError):
-        theta(9.99)
-    with pytest.raises(DomainError):
-        theta(2 * PI)    # stationary region sits below the domain floor
+    # below the series' floor theta is the log-Gamma form, NaN kept
+    assert theta(9.99) == theta_exact(9.99)
+    assert theta(2 * PI) == theta_exact(2 * PI)   # the series' stationary t
+    got = theta([5.0, math.nan])
+    assert got[0] == theta_exact(5.0) and math.isnan(got[1])
     # a number runs on NumPy scalars and gets an array element's bits
     t = np.geomspace(10.0, 1e5, 2001)
     on_array = theta(t)
     assert all(theta(float(v)) == on_array[i] for i, v in enumerate(t))
     assert math.isnan(theta(math.nan))
     assert theta(np.array([])).shape == (0,)
-    with pytest.raises(DomainError):
-        theta(np.array([5.0, math.nan]))
     # the log-Gamma form below 10 and the series above, at a number as in
-    # an array that mixes both
-    t = np.array([0.0, 0.5, 3.7, 9.99, 10.0, 14.134725141734695, 250.0])
-    on_array = _theta_any(t)
-    assert all(_theta_any(float(v)) == on_array[i] for i, v in enumerate(t))
+    # an array that mixes both, negative t included
+    t = np.concatenate((np.linspace(0.0, 20.0, 401),
+                        [14.134725141734695, 250.0, -0.5, -9.0, -50.0]))
+    on_array = theta(t)
+    assert all(theta(float(v)) == on_array[i] for i, v in enumerate(t))
+
+
+def test_theta_below_series_floor_against_mpmath():
+    for t in (0.0, 0.5, 2 * PI, 9.99, -9.0, -50.0):
+        assert abs(theta(t) - float(mpmath.siegeltheta(t))) <= 1e-14
+
+
+def test_theta_exact_number_gets_array_bits():
+    # NumPy's complex scalar arithmetic rounds otherwise than its array
+    # loops: at 0.5 they differ in the last bit
+    t = np.array([0.0, 0.5, 3.7, 2 * PI, 9.99, -9.0, 25.0])
+    on_array = theta_exact(t)
+    assert all(theta_exact(float(v)) == on_array[i] for i, v in enumerate(t))
 
 
 def test_theta_against_loggamma_quadrature():
@@ -476,6 +489,29 @@ def test_threads_give_same_result():
     a = find_zeros(80.0, threads=1)
     b = find_zeros(80.0, threads=3)
     assert np.array_equal(a.ordinates, b.ordinates)
+
+
+@pytest.mark.parametrize("threads, want", [
+    (None, 4), (10 ** 6, 4), (3, 3), (0, 1), (-3, 1)])
+def test_find_zeros_workers_clamped_to_cores(threads, want, monkeypatch):
+    # all cores when unset, else clamped to [1, cores] (4 here); the pool
+    # is replaced by a recorder that raises, so no thread starts
+    from szeta import zeros as zmod
+
+    class Started(Exception):
+        pass
+
+    seen = []
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        raise Started
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(zmod, "ThreadPoolExecutor", pool)
+    with pytest.raises(Started):
+        find_zeros(20.0, threads=threads)
+    assert seen == [want]
 
 
 def test_threads_give_same_result_above_em_range():
