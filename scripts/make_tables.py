@@ -9,9 +9,10 @@ each flattened in C order, one after the other.
 
 - ``khat_low`` and ``kpp_low``: the Chebyshev coefficients, one column per
   panel of [0, 50), of khat and of the transform of k'' (``khat_many`` and
-  ``kpp_transform_many`` below y = 50).  Each panel's degree-10 series is
-  fitted at its Chebyshev points to a fixed Gauss-Legendre grid on the
-  finite piece [0, 1/(2 pi)] plus the E_n tail.
+  ``kpp_transform_many`` below y = 50).  Each panel's degree-10 series
+  interpolates the reference transform (``kernels._reference_transform``:
+  error-estimated quadrature on [0, 1/(2 pi)] plus the E_n tail) at its
+  Chebyshev points.
 - ``rs_c0``, ``rs_c1`` and ``rs_c2``: the Riemann-Siegel correction
   coefficients C0, C1 and C2 as Chebyshev series in p on [0, 1], from a
   degree-24 interpolant of Psi and its derivatives.
@@ -30,8 +31,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from szeta.kernels import (  # noqa: E402
-    BREAKPOINT, PI, _LOW_DEG, _LOW_PANELS, _LOW_TABLES, _LOW_WIDTH,
-    _TABLE_LAYOUT, _TABLE_PATH, _tail_cos)
+    PI, _LOW_DEG, _LOW_PANELS, _LOW_TABLES, _LOW_WIDTH, _TABLE_LAYOUT,
+    _TABLE_PATH, _reference_transform)
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,30 +40,6 @@ TWO_PI = 2.0 * math.pi
 # ----------------------------------------------------------------------
 # khat and k'' below y = 50
 # ----------------------------------------------------------------------
-
-def _fixed_grid(n_panels=40, nodes=12):
-    """Gauss-Legendre panels on [0, bp]: midpoints, half width, nodes on
-    [-1, 1] and the (panel, node) weights."""
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(0.0, BREAKPOINT, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return mid, half, x_gl, half[:, None] * w_gl[None, :]
-
-
-_GRID_MID, _GRID_HALVES, _GRID_T, _GRID_W = _fixed_grid()
-_GRID_HALF = float(_GRID_HALVES[0])   # equal panels, up to rounding
-
-
-def _cos_moments_low(a, tab):
-    """int_0^bp h(u) cos(a u) du on the fixed grid, by angle addition:
-    cos(a (mid + half t)) splits into a panel factor and a node factor, so
-    a point costs 2 x 40 + 2 x 12 trigonometric calls instead of 480."""
-    pm = np.outer(a, _GRID_MID)
-    pt = np.outer(a * _GRID_HALF, _GRID_T)
-    return np.sum((np.cos(pm) @ tab) * np.cos(pt)
-                  - (np.sin(pm) @ tab) * np.sin(pt), axis=1)
-
 
 _LOW_X = np.cos(PI * (np.arange(_LOW_DEG + 1) + 0.5) / (_LOW_DEG + 1))
 # coefficients from values at _LOW_X, by the discrete orthogonality of T_k
@@ -73,13 +50,10 @@ _CHEB_FIT[0] *= 0.5
 
 def low_table(spec) -> np.ndarray:
     """Chebyshev coefficients, one column per panel of [0, 50), of the
-    transform ``spec`` (1100 points)."""
-    h, n, weight = spec
-    x = _GRID_MID[:, None] + _GRID_HALVES[:, None] * _GRID_T[None, :]
-    y = (_LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
-                       + 0.5 * (_LOW_X[None, :] + 1.0))).ravel()
-    vals = 2.0 * _cos_moments_low(2.0 * PI * y, h(x) * _GRID_W) \
-        + weight * _tail_cos(y, n)
+    transform ``spec``: its reference values at the 1100 points."""
+    y = _LOW_WIDTH * (np.arange(_LOW_PANELS)[:, None]
+                      + 0.5 * (_LOW_X[None, :] + 1.0))
+    vals = np.array([_reference_transform(v, spec) for v in y.ravel()])
     return _CHEB_FIT @ vals.reshape(_LOW_PANELS, -1).T
 
 

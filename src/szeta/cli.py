@@ -160,8 +160,7 @@ def _cmd_s(args) -> int:
     if lo > hi:
         raise DomainError("--t-min must not exceed --t-max")
     zs = _load_zeros(args.zeros)
-    if not hi <= zs.t_max:      # before any point is built
-        raise CoverageError(f"zeros file does not cover t = {hi:.12g}")
+    zs.check_cover(hi)      # before any point is built
     rows = (hi - lo) / args.step
     refuse_beyond_memory(rows, "rows")
     points = lo + np.arange(math.floor(rows) + 1) * args.step
@@ -230,7 +229,12 @@ def _cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, and subparsers, that refuse through ``_EXITS``: one line."""
+    """A parser, and subparsers, whose help lists defaults and which refuse
+    through ``_EXITS``: one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
 
     def error(self, message):
         raise DomainError(message)
@@ -244,14 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="szeta",
         description="Desk-scale toolkit for the second moment of S(t): "
                     "zeta zeros, pair correlation, explicit-formula "
-                    "identities and the assembled moment comparison.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                    "identities and the assembled moment comparison.")
     p.add_argument("--threads", type=int, default=None,
                    help="cap on worker threads (unset: all cores)")
     sub = p.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    z = sub.add_parser("zeros", formatter_class=fmt,
+    z = sub.add_parser("zeros",
                        help="compute or import/validate zero ordinates")
     z.add_argument("--t-max", type=float, default=None,
                    help="compute all ordinates up to this height")
@@ -262,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--out", default=None, help="output zeros file")
     z.set_defaults(fn=_cmd_zeros)
 
-    s = sub.add_parser("s", formatter_class=fmt,
-                       help="evaluate S(t) to CSV 't,S'")
+    s = sub.add_parser("s", help="evaluate S(t) to CSV 't,S'")
     s.add_argument("--zeros", required=True, help="zeros text file")
     s.add_argument("--t", type=float, default=None, help="single point")
     s.add_argument("--t-min", type=float, default=None, help="range start")
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, help="output CSV (default stdout)")
     s.set_defaults(fn=_cmd_s)
 
-    c = sub.add_parser("pcf", formatter_class=fmt,
+    c = sub.add_parser("pcf",
                        help="pair correlation curve to CSV 'alpha,F'")
     c.add_argument("--zeros", required=True, help="zeros text file")
     c.add_argument("--t", type=float, required=True, help="height T")
@@ -286,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="pcf.csv", help="output CSV")
     c.set_defaults(fn=_cmd_pcf)
 
-    k = sub.add_parser("check", formatter_class=fmt,
-                       help="run a named identity check")
+    k = sub.add_parser("check", help="run a named identity check")
     k.add_argument("--identity", required=True, choices=_IDENTITIES,
                    help="identity to check")
     k.add_argument("--zeros", default=None,
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out", default=None, help="write JSON report here")
     k.set_defaults(fn=_cmd_check)
 
-    r = sub.add_parser("report", formatter_class=fmt,
+    r = sub.add_parser("report",
                        help="full second-moment report (JSON + curve CSV)")
     r.add_argument("--t", type=float, required=True, help="height T")
     r.add_argument("--x", type=float, required=True,

@@ -341,9 +341,9 @@ def _tables() -> dict:
 
 def _low_table(spec) -> np.ndarray:
     """Chebyshev coefficients, one column per panel of [0, 50), of the
-    transform ``spec``: read from ``tables.npy``, which
-    ``python scripts/make_tables.py`` fits at each panel's Chebyshev points
-    to a fixed Gauss-Legendre grid on [0, bp] plus the E_n tail."""
+    transform ``spec``: read from ``tables.npy``, where
+    ``python scripts/make_tables.py`` writes the interpolant of
+    :func:`_reference_transform` at each panel's Chebyshev points."""
     return _tables()[_LOW_TABLES[spec]]
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tree import _Tree
-from .errors import CoverageError, DomainError, refuse_beyond_memory
+from .errors import DomainError, refuse_beyond_memory
 from .kernels import _FAST_Y_SWITCH, _KHAT, _KPP, CheckReport, _report
 from .quadrature import gap_rule
 from .s_of_t import _zero_field
@@ -115,8 +115,7 @@ def _pair_sum(g: np.ndarray, L: float, terms) -> np.ndarray:
 def _restrict(zeros: ZeroSet, T: float) -> np.ndarray:
     if not T >= 20.0:
         raise DomainError("pair correlation needs T >= 20")
-    if zeros.t_max < T:
-        raise CoverageError("zero set does not cover T")
+    zeros.check_cover(T)
     g = zeros.up_to(T)
     if len(g) == 0:
         raise DomainError("no ordinates below T")
@@ -365,10 +364,9 @@ def _r_time_integral(zeros: ZeroSet, T: float, x: float):
     error estimate is the gap rule's alone.
     """
     logx = math.log(x)
-    g = zeros.ordinates
-    field = _zero_field(g, logx, 1.0, T)
-    edges = np.concatenate(([1.0], g[(g > 1.0) & (g < T)], [T]))
-    return gap_rule(lambda t: (field(t) / PI) ** 2, edges, omega=logx)
+    field = _zero_field(zeros.ordinates, logx, 1.0, T)
+    return gap_rule(lambda t: (field(t) / PI) ** 2, zeros.gap_edges(1.0, T),
+                    omega=logx)
 
 
 def lemma6_eval(zeros: ZeroSet, T: float, beta: float) -> RDecomposition:

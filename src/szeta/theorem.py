@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, DomainError
+from .errors import DomainError
 from .kernels import (_report, k_values, kpp_values,
                       t_weighted_kernel_integral)
 from .paircorr import (PairCorrelationCurve, _beta_pair_sums, _refuse_beta,
                        pcf_curve, tail_integral, weighted_khat_sum)
 from .primes import PRIME_DOUBLE_SUM, build_prime_table
 from .quadrature import integrate
-from .s_of_t import SEvaluator, _s_squared_integral, g_and_h_direct
+from .s_of_t import SEvaluator, _s_power_integral, g_and_h_direct
 from .zeros import ZeroSet
 
 PI = math.pi
@@ -233,7 +233,8 @@ def lemma_8_9_10_eval(zeros: ZeroSet | None, T: float, beta: float,
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Side-by-side decomposition of the measured and predicted moments."""
+    """Side-by-side decomposition of the measured and predicted moments;
+    ``curve``, the measured F curve, is built at its first read, once."""
 
     T: float
     x: float
@@ -244,7 +245,12 @@ class MomentReport:
     discrepancy_abs: float
     discrepancy_rel: float
     notes: tuple = ()
-    curve: PairCorrelationCurve | None = None
+    measured: _MeasuredF | None = field(default=None, repr=False,
+                                        compare=False)
+
+    @property
+    def curve(self) -> PairCorrelationCurve | None:
+        return None if self.measured is None else self.measured.curve
 
 
 def full_report(T: float, x: float, zeros: ZeroSet,
@@ -258,6 +264,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     against its sqrt(T x) scale in the notes.
     Deterministic: identical inputs give identical reports.
     """
+    T, x = float(T), float(x)   # NumPy refuses an int to a negative power
     if not T >= 100.0:          # theorem_rhs's floor, before any work
         raise DomainError(f"bracket evaluation stated for T >= 100: {T}")
     if not x >= 4.0:
@@ -266,19 +273,17 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     if beta >= 0.5:
         raise DomainError("regime requires x = T^beta with beta < 1/2")
     source = _f_source(f_tail_source, zeros, T)
-    if zeros.t_max < T:
-        raise CoverageError("zero coverage below T")
     measured = (source if isinstance(source, _MeasuredF)
                 else _MeasuredF(zeros, T))
 
+    # int_1^T S^2 is the squared formula's first term, and refuses a set
+    # that does not count N(T); int_0^T S^2 adds the piece below t = 1
+    s_squared = _s_power_integral(2, 1.0, T, zeros)
+    lhs = _s_power_integral(2, 0.0, 1.0, zeros) + s_squared
     if prime_table is None:
         prime_table = build_prime_table(max(64, int(x) + 1))
-    ev = SEvaluator(zeros=zeros, prime_table=prime_table)
-    # int_1^T S^2 is the squared formula's first term; int_0^T S^2 adds
-    # the piece over [0, 1], below every ordinate
-    s_squared = _s_squared_integral(1.0, T, ev)
-    lhs = _s_squared_integral(0.0, 1.0, ev) + s_squared
-    gh = g_and_h_direct(T, x, ev)
+    gh = g_and_h_direct(T, x, SEvaluator(zeros=zeros,
+                                         prime_table=prime_table))
 
     f_tail = source.tail(2)
     bd = theorem_rhs(T, f_tail)
@@ -300,4 +305,4 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     return MomentReport(T=T, x=x, beta=beta, lhs_integral=lhs, breakdown=bd,
                         f_tail_source=f_tail_source, discrepancy_abs=d,
                         discrepancy_rel=d / bd.rhs_theorem,
-                        notes=tuple(notes), curve=measured.curve)
+                        notes=tuple(notes), measured=measured)

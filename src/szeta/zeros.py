@@ -11,7 +11,9 @@ blocks that show fewer sign changes than Rosser's rule asks for, proves
 the count by Turing's method (Brent 1979) and polishes all brackets
 together by safeguarded Anderson-Bjorck regula falsi, spreading every Z
 evaluation over the worker threads.  Imported sets are certified by the
-same count.
+same count.  A :class:`ZeroSet` answers for its own range: it refuses a
+height above its top, in one message, or one at which its count is not
+proved, and lays out the zero gaps of an interval.
 
 Only ordinates are stored: the real part is pinned at 1/2 throughout the
 toolkit (standing hypothesis of every formula it checks).
@@ -29,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .errors import DomainError, MissedZerosError, ZerosParseError
+from .errors import (CoverageError, DomainError, MissedZerosError,
+                     ZerosParseError)
 from .kernels import _ABS_BERNOULLI, _tables
 
 TWO_PI = 2.0 * math.pi
@@ -275,7 +278,9 @@ class ZeroSet:
 
     ``claimed_complete`` records that Turing's method proved the count:
     exactly N(t_max) ordinates, none missing up to t_max (for an imported
-    set, on the assumption that each listed ordinate is a zero).
+    set, on the assumption that each listed ordinate is a zero).  Readers
+    ask the set about its range (``check_cover``, ``check_count``,
+    ``gap_edges``) instead of testing t_max or the claim themselves.
     Immutable, ``ordinates`` included: it is a read-only array, a copy of
     a caller's writeable one.  Safe to share across threads.  ``memo``
     holds values derived from the set by its readers (the pair sums of
@@ -327,6 +332,25 @@ class ZeroSet:
 
     def up_to(self, t: float) -> np.ndarray:
         return self.ordinates[self.ordinates <= t]
+
+    def check_cover(self, t: float) -> None:
+        """Refuse, as CoverageError, a height t above t_max, NaN included."""
+        if not t <= self.t_max:
+            raise CoverageError(f"zero set does not cover t = {t:.12g} "
+                                f"(it ends at {self.t_max:.12g})")
+
+    def check_count(self, t: float) -> None:
+        """Refuse a height t at which the set's count is not N(t): a set not
+        proved complete, or one that does not cover t."""
+        if not self.claimed_complete:
+            raise DomainError("zero set not validated as complete")
+        self.check_cover(t)
+
+    def gap_edges(self, lo: float, hi: float) -> np.ndarray:
+        """[lo, the ordinates strictly inside (lo, hi), hi]: the zero gaps
+        of [lo, hi], the head below the first ordinate included."""
+        g = self.ordinates
+        return np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
 
 
 def gram_points(n):

@@ -80,6 +80,19 @@ def test_s_range_csv(tmp_path, zeros_file):
     float(lines[1].split(",")[1])
 
 
+def test_s_range_from_below_10(tmp_path, zeros_file):
+    # S serves every t >= 0 by counting and every t > 0 by the explicit
+    # formula: 80 rows from 0.5 to 40 either way
+    for method in ("exact", "explicit"):
+        out = tmp_path / f"s_{method}.csv"
+        rc = main(["s", "--zeros", zeros_file, "--t-min", "0.5", "--t-max",
+                   "40", "--step", "0.5", "--method", method,
+                   "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 80 and rows[0].startswith("0.5,")
+
+
 def test_s_exact_builds_no_prime_table(tmp_path, zeros_file, monkeypatch):
     # only the explicit route reads the table; --x 1e8 would sieve to 1e8
     def refuse(limit):

@@ -233,12 +233,13 @@ def test_low_y_branch_against_mpmath():
 _MAKE_TABLES = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
     / "make_tables.py"
 
-# The fits behind the shipped tables sum in BLAS and solve in LAPACK, which
-# may round differently on another CPU: a rebuilt fit must match the
-# shipped one to this many units of roundoff of the table's largest entry.
-# On the machine that wrote the file they agree bit for bit (a reversed
-# summation order moves them by at most 3 units); a change to how a table
-# is built moves it by far more.
+# A rebuilt table must match the shipped one to this many units of
+# roundoff of the table's largest entry: its quadrature and fits sum in
+# BLAS and solve in LAPACK, which may round differently on another CPU.
+# Two faithful builds of one transform agree to a few units: the shipped
+# khat and k'' tables, fitted to a fixed Gauss-Legendre grid, lie within
+# 1.9 and 3.0 units of the generator's samples of the reference
+# quadrature, and a reversed summation order moves them by at most 3.
 _TABLE_ULPS = 64
 
 

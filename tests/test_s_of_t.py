@@ -11,11 +11,11 @@ from oracles import (gap_integral_oracle, gh_gap_pass_oracle,
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
 from szeta.primes import build_prime_table
-from szeta.s_of_t import (SEvaluator, _s_squared_integral, _theta_sin_tail,
+from szeta.s_of_t import (SEvaluator, _s_power_integral, _theta_sin_tail,
                           _zero_tail_bound, g_and_h_direct, s_exact,
                           s_explicit, s_mean, second_moment,
                           sin_sinh_integral, sinh_integral)
-from szeta.zeros import ZeroSet
+from szeta.zeros import ZeroSet, theta
 
 PI = math.pi
 
@@ -45,10 +45,9 @@ def test_s_exact_midpoint_convention(ev_120):
 
 
 def test_s_exact_domain(ev_120):
-    with pytest.raises(DomainError):
-        s_exact(5.0, ev_120)
-    with pytest.raises(DomainError):
-        s_exact(500.0, ev_120)
+    for t in (-0.5, math.nan, 500.0):
+        with pytest.raises(DomainError):
+            s_exact(t, ev_120)
     incomplete = ZeroSet(ordinates=np.array([15.0]), t_max=100.0,
                          source="imported", claimed_complete=False)
     with pytest.raises(DomainError):
@@ -207,12 +206,31 @@ def test_s_explicit_domain(ev_120):
     with pytest.raises(DomainError):
         s_explicit(119.0, 100.0, ev_120)   # t + 50/log x beyond coverage
     # an array is refused if any of its points is
-    for t in ([30.0, 119.0], [30.0, 9.0], [30.0, math.nan]):
+    for t in ([30.0, 119.0], [30.0, 0.0], [30.0, math.nan]):
         with pytest.raises(DomainError):
             s_explicit(np.array(t), 100.0, ev_120)
-    for t in ([30.0, 121.0], [30.0, 9.0], [30.0, math.nan]):
+    for t in ([30.0, 121.0], [30.0, -1.0], [30.0, math.nan]):
         with pytest.raises(DomainError):
             s_exact(np.array(t), ev_120)
+
+
+def test_s_exact_below_the_first_zero(ev_120):
+    # N(t) = 0 below 14.13, so S is -1 - theta/pi there, bit for bit, at
+    # t = 0 too and through theta's switch of forms at t = 10
+    ts = np.array([0.0, 0.5, 5.0, 9.999, 10.0, 14.0])
+    assert np.array_equal(s_exact(ts, ev_120), -1.0 - theta(ts) / PI)
+    for t in ts:
+        assert s_exact(float(t), ev_120) == -1.0 - theta(float(t)) / PI
+
+
+def test_s_explicit_within_budget_below_10(ev_120):
+    # the explicit route stays within its own budget on [0.5, 10), where
+    # the budget's 1/t terms grow
+    ts = np.arange(0.5, 10.0, 0.5)
+    exact = s_exact(ts, ev_120)
+    for x in (4.0, 20.0, 100.0):
+        vals, budgets = s_explicit(ts, x, ev_120)
+        assert np.all(np.abs(vals - exact) <= budgets), x
 
 
 def _windowed_s_explicit(t, x, ev):
@@ -309,7 +327,7 @@ def test_s_routes_on_arrays_match_the_scalar_calls(ev_120):
 def test_second_moment_additive(ev_120):
     m100 = second_moment(100.0, ev_120)
     m50 = second_moment(50.0, ev_120)
-    upper = _s_squared_integral(50.0, 100.0, ev_120)
+    upper = _s_power_integral(2, 50.0, 100.0, ev_120.zeros)
     assert abs(m100 - (m50 + upper)) < 1e-10
 
 
@@ -451,6 +469,12 @@ def test_gap_integrals_against_quad_oracle(zeros_220, prime_table_small):
         lambda t, s: s * dirichlet(t), g, 1.0, T) * 2.0 / PI, rel=1e-10)
     assert res.g_err <= 1e-10 * res.g
     assert res.h_err <= 1e-10 * abs(res.h)
+
+
+def test_g_and_h_take_integer_heights(zeros_1010, prime_table_small):
+    # an int T and x give the floats' G and H, field for field
+    ev = SEvaluator(zeros=zeros_1010, prime_table=prime_table_small)
+    assert g_and_h_direct(500, 9, ev) == g_and_h_direct(500.0, 9.0, ev)
 
 
 def test_gap_integrals_need_complete_coverage(zeros_220, prime_table_small):

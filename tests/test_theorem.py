@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -215,9 +215,9 @@ def test_model_tails_are_exact():
 def test_report_and_lemmas_read_one_curve(zeros_220, prime_table_small,
                                           monkeypatch):
     # the report's F-tail is the measured source's tail(2), bit for bit;
-    # a source, full_report and lemma_8_9_10_eval each build the fixed
-    # curve once, the model report too (its curve is the one --pcf-out
-    # writes)
+    # a source, the empirical full_report and lemma_8_9_10_eval each build
+    # the fixed curve once; the model report builds it only when its curve
+    # (the one --pcf-out writes) is read, and then once
     calls = []
     real = theorem.pcf_curve
 
@@ -236,9 +236,12 @@ def test_report_and_lemmas_read_one_curve(zeros_220, prime_table_small,
         reps[source] = full_report(200.0, 9.0, zeros_220,
                                    f_tail_source=source,
                                    prime_table=prime_table_small)
+        built = [(4.0, 0.025)] if source == "empirical" else []
+        assert calls == built
+        for _ in range(2):
+            assert np.array_equal(reps[source].curve.values,
+                                  measured.curve.values)
         assert calls == [(4.0, 0.025)]
-        assert np.array_equal(reps[source].curve.values,
-                              measured.curve.values)
     assert float.hex(reps["empirical"].breakdown.f_tail) == float.hex(want)
     assert reps["model"].breakdown.f_tail == 1.0
     calls.clear()
@@ -328,6 +331,16 @@ def test_full_report_deterministic(zeros_220, prime_table_small):
     assert a.lhs_integral == b.lhs_integral
     assert a.breakdown == b.breakdown
     assert a.notes == b.notes
+
+
+def test_full_report_takes_integer_heights(zeros_220, prime_table_small):
+    # an int T and x give the report of the floats, field for field
+    a = full_report(200, 9, zeros_220, prime_table=prime_table_small)
+    b = full_report(200.0, 9.0, zeros_220, prime_table=prime_table_small)
+    for f in fields(MomentReport):
+        if f.compare:       # the cached F source is compared by its curve
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+    assert np.array_equal(a.curve.values, b.curve.values)
 
 
 def test_full_report_regime_guards(zeros_220, prime_table_small):
