@@ -83,10 +83,11 @@ _GAP = 0.5 * (_NODES[:, None] - _NODES[None, :])
 
 
 def _clenshaw(coef, idx, x):
-    """sum_k coef[k, idx] T_k(x) by Clenshaw's recurrence, one vector per
-    degree: the Chebyshev series of column idx[i] at x[i] in [-1, 1]."""
+    """sum_k coef[k, idx] T_k(x) by Clenshaw's recurrence, one array per
+    degree: the Chebyshev series of column idx[i] at x[i] in [-1, 1], or,
+    as idx and x broadcast, of every column idx[j, 0] at every x[i]."""
     x2 = 2.0 * x
-    b1 = np.zeros(len(x), dtype=coef.dtype)
+    b1 = np.zeros(np.broadcast(x, idx).shape, dtype=coef.dtype)
     b2 = np.zeros_like(b1)
     t = np.empty_like(b1)
     for k in range(len(coef) - 1, 0, -1):

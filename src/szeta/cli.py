@@ -167,10 +167,7 @@ def _cmd_s(args) -> int:
     if args.method == "exact":
         vals = s_exact(points, SEvaluator(zs, None))
     else:
-        if not 4.0 <= args.x < math.inf:
-            raise DomainError("--x must be finite and at least 4")
-        refuse_beyond_memory(args.x, "sieve entries")
-        table = build_prime_table(max(64, int(args.x) + 1))
+        table = build_prime_table(args.x)
         vals = s_explicit(points, args.x, SEvaluator(zs, table))[0]
     body = "".join(f"{t:.12g},{v:.12g}\n" for t, v
                    in zip(points.tolist(), vals.tolist()))

@@ -312,7 +312,7 @@ _LOW_TABLES = {_KHAT_SPEC: "khat_low", _KPP_SPEC: "kpp_low"}
 # The coefficient tables ship as one float64 array, written by
 # scripts/make_tables.py so that no process builds them: each name's
 # entries, of its shape in C order, one after the other.  rs_c0..rs_c2
-# are the Riemann-Siegel corrections C0, C1, C2 of zeros._rs_tables: a
+# are the Riemann-Siegel corrections C0, C1, C2 of zeros._rs_coef: a
 # degree-24 model of Psi, the series of Psi''' and that of Psi'' with
 # Psi^(6).
 _TABLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),

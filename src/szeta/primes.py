@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, refuse_beyond_memory
 from .kernels import f_weight
 
 PI = math.pi
@@ -28,24 +28,48 @@ _M_CUTOFF = 64          # its orders m = 2.._M_CUTOFF
 PRIME_DOUBLE_SUM = 0.1762477954986507
 
 
+def _check_cutoff(x, top) -> None:
+    """The one refusal of a prime cutoff x outside [4, top), NaN too."""
+    if not 4.0 <= x < top:
+        raise DomainError(f"prime cutoff x = {x} outside [4, {top})")
+
+
 @dataclass(frozen=True)
 class PrimeTable:
     """Primes and prime powers up to ``limit`` with their log-p weights.
 
     ``support_n``/``support_p`` list every prime power ``n = p^m <= limit``
     (m >= 1) and its prime, in increasing n; Lambda(n) = log p on these
-    and 0 elsewhere.  Immutable after construction; all reads are
-    thread-safe.  ``memo`` holds values derived from the table by its
-    readers (the explicit formula's prime terms at one x), so they live
-    and die with the table they were derived from.
+    and 0 elsewhere.  Readers take them at a cutoff x from
+    :meth:`prime_powers`, which alone decides the x the table serves.
+    Immutable after construction; all reads are thread-safe.  ``memo``
+    keeps the prime powers for the last x asked, so they live and die
+    with the table.
     """
 
     limit: int
-    primes: np.ndarray
     support_n: np.ndarray
     support_p: np.ndarray
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
+
+    def prime_powers(self, x: float):
+        """``n, logp, logn, f, coef``: the prime powers n <= x in increasing
+        n, as floats, with log p = Lambda(n), log n, f(log n / log x) and
+        the explicit formula's coefficient Lambda(n) f / (sqrt(n) log n),
+        at any cutoff 4 <= x < limit + 1, below which the table holds them
+        all; any other x, NaN and inf included, is refused."""
+        hit = self.memo.get("prime_powers")
+        if hit is None or hit[0] != x:
+            _check_cutoff(x, self.limit + 1)
+            sel = self.support_n <= x
+            n = self.support_n[sel].astype(float)
+            logp = np.log(self.support_p[sel].astype(float))
+            logn = np.log(n)
+            fv = f_weight(logn / math.log(x))
+            hit = x, (n, logp, logn, fv, logp / (np.sqrt(n) * logn) * fv)
+            self.memo["prime_powers"] = hit
+        return hit[1]
 
 
 def _sieve(x: int) -> np.ndarray:
@@ -58,26 +82,26 @@ def _sieve(x: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def build_prime_table(x: int) -> PrimeTable:
-    """Sieve primes and prime powers up to x (finite x >= 4)."""
-    if not 4 <= x < math.inf:
-        raise DomainError("prime table needs finite x >= 4")
+def build_prime_table(x: float) -> PrimeTable:
+    """Sieve primes and prime powers up to the cutoff x (finite, x >= 4)
+    into a table of limit int(x), which serves every cutoff below
+    int(x) + 1; a sieve no address space holds raises MemoryError."""
+    _check_cutoff(x, math.inf)
+    refuse_beyond_memory(x, "sieve entries")
     x = int(x)
     primes = _sieve(x)
-
-    ns = [primes]
-    ps = [primes]
-    for p in primes[primes <= math.isqrt(x)]:
-        p = int(p)
-        q = p * p
-        while q <= x:
-            ns.append(np.array([q], dtype=np.int64))
-            ps.append(np.array([p], dtype=np.int64))
-            q *= p
-    n_all = np.concatenate(ns)
-    order = np.argsort(n_all, kind="stable")
-    return PrimeTable(limit=x, primes=primes,
-                      support_n=n_all[order],
+    # p^m <= x exactly when p^(m-1) <= x // p: no product exceeds x
+    ns, ps = [primes], [primes]
+    base = primes[primes <= math.isqrt(x)]
+    power = base * base
+    while len(base):
+        ns.append(power)
+        ps.append(base)
+        keep = power <= x // base
+        base, power = base[keep], power[keep] * base[keep]
+    n = np.concatenate(ns)
+    order = np.argsort(n, kind="stable")
+    return PrimeTable(limit=x, support_n=n[order],
                       support_p=np.concatenate(ps)[order])
 
 
@@ -130,13 +154,10 @@ class PrimeSumBundle:
 
 
 def prime_sum_terms(x: int, table: PrimeTable) -> PrimeSumBundle:
-    """Evaluate both sums exactly at cutoff x <= table.limit."""
-    if not 4 <= x <= table.limit:
-        raise DomainError("need 4 <= x <= table.limit")
-    logx = math.log(x)
-
-    ps = table.primes[table.primes <= x].astype(float)
-    fv = f_weight(np.log(ps) / logx)
+    """Evaluate both sums exactly at any cutoff x the table serves."""
+    n, logp, logn, fv, _ = table.prime_powers(x)
+    prime = logn == logp        # n = p^1
+    ps, fv = n[prime], fv[prime]
     s1 = float(np.sum(fv * fv / ps))
     s2 = float(np.sum(fv / ps))
     return PrimeSumBundle(x=x, s1=s1, s2=s2)

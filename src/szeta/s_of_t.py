@@ -43,7 +43,7 @@ import numpy as np
 
 from ._tree import _Tree
 from .errors import DomainError
-from .kernels import _ABS_BERNOULLI, f_weight
+from .kernels import _ABS_BERNOULLI
 from .primes import PrimeTable
 from .quadrature import gap_rule, integrate
 from .zeros import _THETA_COEF, ZeroSet, theta
@@ -256,16 +256,15 @@ def s_explicit(t, x: float, ev: SEvaluator, *, table=None):
                  * f(log n / log x)
             + (1/pi) sum_gamma sin((t-gamma) log x) * I((t-gamma) log x)
 
-    The zero sum takes every ordinate (:func:`_zero_sum`); the file must
-    cover t + 50/log x, and t > 0, where the budget's 1/t terms are
-    finite.  error_budget stacks the formula's two O-terms with
-    unit constants (reported, never asserted) and the bound for the
-    ordinates beyond the file.  ``table`` is ignored; it is accepted only
+    The prime sum reads the table at any x it serves
+    (:meth:`~szeta.primes.PrimeTable.prime_powers`), the zero sum every
+    ordinate (:func:`_zero_sum`); the file must cover t + 50/log x, and
+    t > 0, where the budget's 1/t terms are finite.  error_budget stacks
+    the formula's two O-terms with unit constants (reported, never
+    asserted) and the bound for the ordinates beyond the file.  ``table`` is ignored; it is accepted only
     because the benchmark harness still passes it.
     """
-    if not 4.0 <= x <= ev.prime_table.limit:
-        raise DomainError("explicit formula needs 4 <= x <= the prime "
-                          "table's limit")
+    _, _, logn, _, coef = ev.prime_table.prime_powers(x)
     ta = np.asarray(t, dtype=float)
     logx = math.log(x)
     lo, hi = _ends(ta)
@@ -274,7 +273,6 @@ def s_explicit(t, x: float, ev: SEvaluator, *, table=None):
     ev.zeros.check_cover(hi + 50.0 / logx)
     tv = ta.reshape(-1)
 
-    coef, logn = _prime_terms(x, ev.prime_table)
     prime = (np.sin(np.multiply.outer(tv, logn)) * coef).sum(axis=1)
     value = _zero_sum(tv, ev.zeros.ordinates, logx) / PI - prime / PI
 
@@ -284,17 +282,6 @@ def s_explicit(t, x: float, ev: SEvaluator, *, table=None):
     if ta.ndim == 0:
         return float(value[0]), float(budget)
     return value.reshape(ta.shape), budget
-
-
-def _prime_terms(x: float, table: PrimeTable):
-    """``coef, logn`` of the explicit formula's prime sum at x, computed
-    once per (x, table): kept in the table's ``memo`` for the last x asked,
-    so they cannot outlive the table or be read for another one."""
-    hit = table.memo.get("prime_terms")
-    if hit is None or hit[0] != x:
-        hit = (x, *_dirichlet_coeffs(x, table)[:2])
-        table.memo["prime_terms"] = hit
-    return hit[1], hit[2]
 
 
 def make_sinh_table() -> None:
@@ -309,7 +296,7 @@ def _s_between_zeros(t, zeros: ZeroSet):
 
 
 def second_moment(T: float, ev: SEvaluator) -> float:
-    """int_0^T S(t)^2 dt, exact-per-interval.
+    """int_0^T S(t)^2 dt at T >= 0, exact-per-interval.
 
     Between consecutive ordinates S is smooth, so every zero gap is one
     segment of the fixed gap rule, whose error estimate is held below
@@ -317,15 +304,15 @@ def second_moment(T: float, ev: SEvaluator) -> float:
     log-Gamma theta keeps the continuation exact.  Deterministic for fixed
     inputs.
     """
-    if not 10.0 <= T:
-        raise DomainError("T >= 10 required")
+    if not 0.0 <= T:
+        raise DomainError("T >= 0 required")
     return _s_power_integral(2, 0.0, T, ev.zeros)
 
 
 def s_mean(T: float, ev: SEvaluator) -> float:
-    """(1/T) int_0^T S(t) dt, to the gap rule's tolerance (T >= 10)."""
-    if not 10.0 <= T:
-        raise DomainError("T >= 10 required")
+    """(1/T) int_0^T S(t) dt, to the gap rule's tolerance (T > 0)."""
+    if not 0.0 < T:
+        raise DomainError("T > 0 required")
     return _s_power_integral(1, 0.0, T, ev.zeros) / T
 
 
@@ -347,15 +334,6 @@ class GHResult:
     h_sum_formula: float
     g_err: float      # a bound on the rounding of G's closed-form terms
     h_err: float      # theta head's quadrature estimate + by-parts bound
-
-
-def _dirichlet_coeffs(x: float, table: PrimeTable):
-    sel = table.support_n <= x
-    n = table.support_n[sel].astype(float)
-    logp = np.log(table.support_p[sel].astype(float))
-    logn = np.log(n)
-    fv = f_weight(logn / math.log(x))
-    return logp / (np.sqrt(n) * logn) * fv, logn, fv, logp, n
 
 
 # theta's part of H: a quadrature up to t = 100, by parts above
@@ -403,10 +381,8 @@ def g_and_h_direct(T: float, x: float, ev: SEvaluator) -> GHResult:
     T, x = float(T), float(x)   # NumPy refuses an int to a negative power
     if not x <= math.sqrt(T):
         raise DomainError("requires x <= sqrt(T)")
-    if not 4.0 <= x <= ev.prime_table.limit:
-        raise DomainError("x outside prime table range")
+    n, logp, logn, fv, coef = ev.prime_table.prime_powers(x)
     ev.zeros.check_count(T)
-    coef, logn, fv, logp, n = _dirichlet_coeffs(x, ev.prime_table)
     g = ev.zeros.gap_edges(1.0, T)[1:-1]    # every ordinate exceeds 1
 
     nu = np.stack([logn[:, None] - logn, logn[:, None] + logn])

@@ -281,7 +281,7 @@ def full_report(T: float, x: float, zeros: ZeroSet,
     s_squared = _s_power_integral(2, 1.0, T, zeros)
     lhs = _s_power_integral(2, 0.0, 1.0, zeros) + s_squared
     if prime_table is None:
-        prime_table = build_prime_table(max(64, int(x) + 1))
+        prime_table = build_prime_table(x)
     gh = g_and_h_direct(T, x, SEvaluator(zeros=zeros,
                                          prime_table=prime_table))
 

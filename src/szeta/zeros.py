@@ -29,10 +29,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import Chebyshev
 
 from .errors import (CoverageError, DomainError, MissedZerosError,
                      ZerosParseError)
+from ._tree import _clenshaw
 from .kernels import _ABS_BERNOULLI, _tables
 
 TWO_PI = 2.0 * math.pi
@@ -216,28 +216,30 @@ def _z_em(ts: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 @functools.cache
-def _rs_tables():
-    """The correction coefficients as one Chebyshev series in p on [0, 1]
-    each: C0 = Psi, C1 = -Psi'''/(96 pi^2),
+def _rs_coef() -> np.ndarray:
+    """The corrections C0 = Psi, C1 = -Psi'''/(96 pi^2) and
     C2 = Psi''/(64 pi^2) + Psi^(6)/(18432 pi^4), with
-    Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).  Read from
-    ``tables.npy``, which ``python scripts/make_tables.py`` builds from a
-    degree-24 interpolant of Psi and its derivatives."""
-    tables = _tables()
-    return tuple(Chebyshev(tables[f"rs_c{i}"], domain=[0.0, 1.0])
-                 for i in range(3))
+    Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), as one column each
+    of Chebyshev coefficients in 2p - 1, C1 and C2 padded with zeros to
+    C0's degree 24.  Read from ``tables.npy``, which
+    ``python scripts/make_tables.py`` builds."""
+    coef = np.zeros((25, 3))
+    for i in range(3):
+        c = _tables()[f"rs_c{i}"]
+        coef[:len(c), i] = c
+    return coef
 
 
 def _z_rs(ts: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z: main sum plus the three correction terms of
-    :func:`_rs_tables`."""
-    C0, C1, C2 = _rs_tables()
+    :func:`_rs_coef`, the rows of one Clenshaw recurrence over the points."""
     tau = ts / TWO_PI
     rt = np.sqrt(tau)
     N = rt.astype(int)
     p = rt - N
     main = 2.0 * _cos_sum(ts, theta(ts), N)
-    corr = C0(p) + C1(p) / rt + C2(p) / tau
+    c0, c1, c2 = _clenshaw(_rs_coef(), np.arange(3)[:, None], 2.0 * p - 1.0)
+    corr = c0 + c1 / rt + c2 / tau
     sign = np.where(N % 2 == 1, 1.0, -1.0)
     return main + sign * tau ** (-0.25) * corr
 

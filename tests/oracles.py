@@ -174,8 +174,8 @@ def gh_gap_pass_oracle(zeros, T, x, prime_table):
     than D's phase allows.  The replaced algorithm, kept as the reference
     it was checked against."""
     from szeta.quadrature import gap_rule
-    from szeta.s_of_t import _dirichlet_coeffs, _s_between_zeros
-    coef, logn = _dirichlet_coeffs(x, prime_table)[:2]
+    from szeta.s_of_t import _s_between_zeros
+    _, _, logn, _, coef = prime_table.prime_powers(x)
     g = zeros.ordinates
     edges = np.concatenate(([1.0], g[(g > 1.0) & (g < T)], [T]))
     omega = float(np.max(logn))

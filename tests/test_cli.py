@@ -129,6 +129,30 @@ def test_s_explicit_rows_match_library(tmp_path, zeros_file):
         assert row == f"{t:.12g},{val:.12g}"
 
 
+def test_cutoff_between_integers(tmp_path, zeros_file, capsys):
+    # the table sieved to int(x) serves x itself: the explicit route at
+    # x = 20.5 and the report at x = 9.5 give what a larger table gives;
+    # a cutoff below 4 is refused by the table, in its one message
+    with open(zeros_file, encoding="ascii") as fh:
+        zs = import_zeros(fh.read())
+    out = tmp_path / "s.csv"
+    assert main(["s", "--zeros", zeros_file, "--t", "30", "--method",
+                 "explicit", "--x", "20.5", "--out", str(out)]) == 0
+    val = s_explicit(30.0, 20.5, SEvaluator(zs, build_prime_table(64)))[0]
+    assert out.read_text() == f"t,S\n30,{val:.12g}\n"
+    rep = tmp_path / "rep.json"
+    assert main(["report", "--t", "200", "--x", "9.5", "--zeros",
+                 zeros_file, "--out", str(rep)]) == 0
+    want = theorem.full_report(200.0, 9.5, zs,
+                               prime_table=build_prime_table(64))
+    assert rep.read_text() == cli._json_text(cli._moment_report_obj(want))
+    capsys.readouterr()
+    assert main(["s", "--zeros", zeros_file, "--t", "30", "--method",
+                 "explicit", "--x", "3"]) == 1
+    assert capsys.readouterr().err \
+        == "error: prime cutoff x = 3.0 outside [4, inf)\n"
+
+
 def test_s_range_beyond_coverage_exits_2(tmp_path, capsys,
                                         address_space_cap):
     # checked before a point is built: a range of 1e15 points ends at once
@@ -316,6 +340,7 @@ def address_space_cap():
     ("s --zeros {z} --t-min=-inf --t-max 30", 1),
     ("s --zeros {z} --t-min 40 --t-max 30", 1),
     ("s --zeros {z} --t nan", 1),
+    ("s --zeros {z} --t 30 --method explicit --x 3", 1),
     ("s --zeros {z} --t 30 --method explicit --x 1e12", 2),
     ("s --zeros {z} --t 30 --method explicit --x nan", 1),
     ("s --zeros {z} --t 30 --method explicit --x inf", 1),

@@ -397,6 +397,22 @@ def test_clenshaw_in_place_is_bit_identical():
         assert got.tobytes() == fresh(coef, idx, x).tobytes()
 
 
+def test_clenshaw_stacked_series_are_bit_identical():
+    # a column of series against a row of points: every series at every
+    # x in one recurrence, each row the bits of its own 1-d call; zero
+    # rows at the high-degree end change no bit (the Riemann-Siegel
+    # corrections of unequal degrees share one matrix so)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, 500)
+    coef = rng.normal(size=(25, 3))
+    coef[22:, 1] = coef[23:, 2] = 0.0
+    got = _tree._clenshaw(coef, np.arange(3)[:, None], x)
+    assert got.shape == (3, 500)
+    for j, end in enumerate((25, 22, 23)):
+        one = _tree._clenshaw(coef[:end], np.full(500, j), x)
+        assert got[j].tobytes() == one.tobytes(), j
+
+
 def test_l2p_against_the_node_interpolant(zeros_ref):
     # the dense sums above check the near and far fields only together;
     # this checks L2P alone, on the sets of

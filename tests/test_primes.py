@@ -52,7 +52,8 @@ def test_rejects_non_finite_limit():
 def test_table_invariants(x):
     table = build_prime_table(x)
     ref = _simple_sieve(x)
-    assert table.primes.tolist() == ref
+    primes = table.support_n[table.support_n == table.support_p]
+    assert primes.tolist() == ref
     # every support entry is a true prime power with Lambda = log p
     seen = set()
     for n, lam in _lambda(table):
@@ -131,6 +132,45 @@ def test_prime_sum_terms_two_primes_at_x4(prime_table_small):
     expect = (f_weight(math.log(2) / log4) / 2
               + f_weight(math.log(3) / log4) / 3)
     assert bundle.s2 == pytest.approx(expect, abs=1e-15)
+
+
+def _derived_prime_powers(x, table):
+    # the prime powers n <= x as each reader derived them from the support
+    # arrays, operation for operation, before the table took them over
+    sel = table.support_n <= x
+    n = table.support_n[sel].astype(float)
+    logp = np.log(table.support_p[sel].astype(float))
+    logn = np.log(n)
+    fv = f_weight(logn / math.log(x))
+    return n, logp, logn, fv, logp / (np.sqrt(n) * logn) * fv
+
+
+def test_prime_powers_keep_their_bits():
+    table = build_prime_table(1000)
+    for x in (16, 20.0, 20.5, 100.0, 1000):
+        got = table.prime_powers(x)
+        assert table.memo["prime_powers"][0] == x
+        for a, b in zip(got, _derived_prime_powers(x, table), strict=True):
+            assert a.tobytes() == b.tobytes(), x
+    # the two prime sums as they read the primes <= x themselves
+    primes = table.support_n[table.support_n == table.support_p]
+    for x in (16, 100, 1000):
+        ps = primes[primes <= x].astype(float)
+        fv = f_weight(np.log(ps) / math.log(x))
+        bundle = prime_sum_terms(x, table)
+        assert bundle.s1 == float(np.sum(fv * fv / ps))
+        assert bundle.s2 == float(np.sum(fv / ps))
+
+
+def test_table_serves_cutoffs_below_limit_plus_one():
+    # a table sieved to int(x) holds every prime power <= x, so it serves
+    # x itself, and all below int(x) + 1, as a larger table does
+    small, large = build_prime_table(20.5), build_prime_table(64)
+    assert small.limit == 20
+    assert prime_sum_terms(20.5, small) == prime_sum_terms(20.5, large)
+    assert prime_sum_terms(20.999, small) == prime_sum_terms(20.999, large)
+    for a, b in zip(small.prime_powers(20.5), large.prime_powers(20.5)):
+        assert np.array_equal(a, b)
 
 
 def test_euler_constant_against_richardson_oracle():

@@ -1,5 +1,7 @@
 import gc
 import math
+import pathlib
+import re
 from dataclasses import replace
 
 import mpmath
@@ -8,9 +10,10 @@ import pytest
 
 from oracles import (gap_integral_oracle, gh_gap_pass_oracle,
                      sinh_integral_oracle, theta_binet_oracle)
+import szeta
 from szeta.errors import DomainError
 from szeta.kernels import f_weight
-from szeta.primes import build_prime_table
+from szeta.primes import build_prime_table, prime_sum_terms
 from szeta.s_of_t import (SEvaluator, _s_power_integral, _theta_sin_tail,
                           _zero_tail_bound, g_and_h_direct, s_exact,
                           s_explicit, s_mean, second_moment,
@@ -177,6 +180,52 @@ def _s_explicit_per_call(t, x, ev):
     return prime + float(np.sum(sin_sinh_integral((t - g) * logx))) / PI
 
 
+def test_s_explicit_keeps_its_bits_at_the_benchmark_points(zeros_1010):
+    # the 450 points of the benchmark's S(t) routes at seed 1, x = 100:
+    # each value the per-call formula's, which reads the support arrays
+    ev = SEvaluator(zeros=zeros_1010, prime_table=build_prime_table(1000))
+    for t in np.random.default_rng(1).uniform(20.0, 500.0, 450):
+        assert s_explicit(float(t), 100.0, ev)[0] \
+            == _s_explicit_per_call(float(t), 100.0, ev)
+
+
+def test_cutoff_refused_in_one_message(zeros_120):
+    # every reader of the prime powers refuses a cutoff the table cannot
+    # serve through the table: one text, raised only in primes.py
+    table = build_prime_table(20)
+    ev = SEvaluator(zeros=zeros_120, prime_table=table)
+    text = r"^prime cutoff x = \S+ outside \[4, 21\)$"
+    for x in (3.0, 21.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=text):
+            s_explicit(50.0, x, ev)
+        with pytest.raises(DomainError, match=text):
+            prime_sum_terms(x, table)
+    for x in (3.0, 21.0):     # NaN and inf are above sqrt(T)
+        with pytest.raises(DomainError, match=text):
+            g_and_h_direct(1e4, x, ev)
+    with pytest.raises(DomainError, match=r"^prime cutoff x = 3 outside"):
+        build_prime_table(3)
+    package = pathlib.Path(szeta.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name != "primes.py":
+            source = path.read_text(encoding="utf-8")
+            assert "_check_cutoff" not in source, path.name
+            assert not re.search(r"DomainError\([^)]*prime", source), \
+                path.name
+
+
+def test_g_and_h_direct_reads_the_cutoff_alone(zeros_1010,
+                                               prime_table_small):
+    # a table sieved to the cutoff gives every bit a larger one does, and
+    # a table to 20 serves x = 20.5 as the one to 3000 does
+    for x in (20.0, 20.5):
+        tight = SEvaluator(zeros_1010, build_prime_table(x))
+        wide = SEvaluator(zeros_1010, prime_table_small)
+        assert g_and_h_direct(500.0, x, tight) \
+            == g_and_h_direct(500.0, x, wide)
+        assert s_explicit(57.5, x, tight) == s_explicit(57.5, x, wide)
+
+
 def test_s_explicit_prime_terms_kept_per_x_and_table(zeros_120):
     # two values of x on one table, back and forth, and a second table of
     # the same limit: every value bit-identical to the per-call formula
@@ -190,10 +239,10 @@ def test_s_explicit_prime_terms_kept_per_x_and_table(zeros_120):
     del ev, other
     gc.collect()
     small = SEvaluator(zeros=zeros_120, prime_table=build_prime_table(64))
-    assert "prime_terms" not in small.prime_table.memo
+    assert "prime_powers" not in small.prime_table.memo
     assert s_explicit(57.5, 50.0, small)[0] \
         == _s_explicit_per_call(57.5, 50.0, small)
-    assert small.prime_table.memo["prime_terms"][0] == 50.0
+    assert small.prime_table.memo["prime_powers"][0] == 50.0
     # x beyond the table's limit is refused, not summed over n <= 64 only
     with pytest.raises(DomainError):
         s_explicit(57.5, 100.0, small)
@@ -365,10 +414,32 @@ def test_mean_value_small(zeros_1010, prime_table_small):
 
 
 def test_s_mean_domain(ev_120):
-    # second_moment's floor: not a value at T = -5, nor a division by zero
-    for T in (-5.0, 0.0, 9.99, math.nan):
-        with pytest.raises(DomainError, match="T >= 10"):
+    # second_moment serves T >= 0 and s_mean T > 0: no value at T = -5 or
+    # NaN, nor a division by zero at T = 0
+    for T in (-5.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="T > 0"):
             s_mean(T, ev_120)
+    for T in (-5.0, math.nan):
+        with pytest.raises(DomainError, match="T >= 0"):
+            second_moment(T, ev_120)
+    assert second_moment(0.0, ev_120) == 0.0
+
+
+def test_moments_below_10(ev_120):
+    # below the first ordinate S = -(1 + theta/pi): both moments at T = 5
+    # are the gap pass itself and match a 30-digit quadrature of it
+    T = 5.0
+    m2 = second_moment(T, ev_120)
+    mean = s_mean(T, ev_120)
+    assert m2 == _s_power_integral(2, 0.0, T, ev_120.zeros)
+    assert mean == _s_power_integral(1, 0.0, T, ev_120.zeros) / T
+    with mpmath.workdps(30):
+        def s(t):
+            return -(1 + mpmath.siegeltheta(t) / mpmath.pi)
+        want2 = float(mpmath.quad(lambda t: s(t) ** 2, [0, T]))
+        want1 = float(mpmath.quad(s, [0, T])) / T
+    assert m2 == pytest.approx(want2, rel=1e-12)
+    assert mean == pytest.approx(want1, rel=1e-12)
 
 
 def test_g_and_h_direct_vs_sum_formulas(zeros_10k, prime_table_small):

@@ -188,8 +188,8 @@ def test_psi_model_against_mpmath():
     # 6; each must hold up to the ends p = 0, 1 of the model's interval.
     # The derivatives are those of the shipped C0 = Psi, from which the
     # shipped C1 and C2 derive exactly (checked in test_kernels.py)
-    from szeta.zeros import _rs_tables
-    psi = _rs_tables()[0]
+    from szeta.kernels import _tables
+    psi = np.polynomial.Chebyshev(_tables()["rs_c0"], domain=[0.0, 1.0])
     D = {k: psi.deriv(k) if k else psi for k in (0, 2, 3, 6)}
     points = (0.0, 1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-3, 1.0)
     tols = {0: 1e-12, 2: 1e-8, 3: 1e-7, 6: 1e-2}
